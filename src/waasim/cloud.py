@@ -146,11 +146,9 @@ class VmInstance:
     id: str
     vm_type: VmType
     state: str
-    lease_start_us: int
     available_at_us: int
     billing_start_us: int
     idle_since_us: int | None = None
-    busy_until_us: int | None = None
     bound_task: tuple[str, str] | None = None  # (workflow id, task id)
     busy_usec: int = 0
     billed_seconds: int = 0
@@ -191,7 +189,6 @@ class Fleet:
             id=f"vm-{self._seq:04d}",
             vm_type=vm_type,
             state=PROVISIONING,
-            lease_start_us=now_us,
             available_at_us=available,
             billing_start_us=now_us if self.config.bill_provisioning else available,
         )
@@ -209,14 +206,12 @@ class Fleet:
             raise IllegalState(f"{vm.id}: cannot start task while {vm.state}")
         vm.state = BUSY
         vm.idle_since_us = None
-        vm.busy_until_us = now_us + runtime_us
         vm.busy_usec += runtime_us
 
     def finish_task(self, vm: VmInstance, now_us: int) -> None:
         if vm.state != BUSY:
             raise IllegalState(f"{vm.id}: cannot finish task while {vm.state}")
         vm.state = IDLE
-        vm.busy_until_us = None
         vm.bound_task = None
         vm.idle_since_us = now_us
 
@@ -224,7 +219,6 @@ class Fleet:
         bill = finalize_billing(vm, now_us)
         vm.state = TERMINATED
         vm.idle_since_us = None
-        vm.busy_until_us = None
         vm.terminated_at_us = now_us
         vm.release_at_us = now_us + self.config.deprovisioning_delay_us
         return bill
@@ -242,9 +236,6 @@ class Fleet:
 
     def idle_instances(self) -> list[VmInstance]:
         return [vm for vm in self.instances.values() if vm.state == IDLE]
-
-    def live_count(self) -> int:
-        return sum(1 for vm in self.instances.values() if vm.state != TERMINATED)
 
     def unreleased(self, now_us: int) -> list[VmInstance]:
         """Instances still held: live, or terminated but not yet past the

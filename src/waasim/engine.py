@@ -43,14 +43,15 @@ def checkpoint_trace(trace: list[TraceEvent]) -> str:
 
 @dataclass
 class WorkflowRun:
-    """Mutable per-run state for one workflow instance."""
+    """Mutable per-run state for one workflow instance; `spec` is shared
+    and never changed."""
 
     spec: object
     arrival_us: int
     budget_nanos: int
     eft_us: dict[str, int] | None = None
     pending_parents: dict[str, int] = field(default_factory=dict)
-    completion_us: dict[str, int] = field(default_factory=dict)
+    unfinished: int = 0
     cost_nanos: int = 0
     done_at_us: int | None = None
 
@@ -59,12 +60,29 @@ class WorkflowRun:
         return self.done_at_us is not None
 
 
+# Trace events that are also rows of the assignment log, with their row name.
+_ASSIGNMENT_EVENTS = {"task_assign": "assign", "task_start": "start",
+                      "task_complete": "complete", "provision_request": "provision"}
+
+
 @dataclass
 class SimulationResult:
     report: MetricsReport
     trace: list[TraceEvent]
-    assignments: list[tuple]
     fleet: Fleet
+
+    @property
+    def assignments(self) -> list[tuple]:
+        """(time_us, workflow, task, vm id, vm type, event) rows, derived
+        from the trace in event order."""
+        rows = []
+        for ev in self.trace:
+            event = _ASSIGNMENT_EVENTS.get(ev.name)
+            if event is not None:
+                vm = self.fleet.instances[ev.fields["vm"]]
+                rows.append((ev.time_us, ev.fields["workflow"], ev.fields["task"],
+                             vm.id, vm.vm_type.name, event))
+        return rows
 
 
 class _Simulation:
@@ -81,7 +99,6 @@ class _Simulation:
         self._heap: list[tuple[int, int, str, tuple]] = []
         self._seq = 0
         self.trace: list[TraceEvent] = []
-        self.assignments: list[tuple] = []
         self.runs: dict[str, WorkflowRun] = {}
         self._next_tick_us: int | None = None
         self._released: set[str] = set()
@@ -96,17 +113,12 @@ class _Simulation:
     def _emit(self, name: str, **fields) -> None:
         self.trace.append(TraceEvent(self.clock_us, name, fields))
 
-    def _log_assignment(self, run: WorkflowRun, task: TaskRecord,
-                        vm: VmInstance, event: str) -> None:
-        self.assignments.append(
-            (self.clock_us, run.spec.id, task.id, vm.id, vm.vm_type.name, event))
-
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> SimulationResult:
         for wf in self.workload.workflows:
             run = WorkflowRun(
-                spec=wf.copy(),
+                spec=wf,
                 arrival_us=usec(wf.arrival_time),
                 budget_nanos=round(wf.budget * 1e9),
             )
@@ -134,7 +146,6 @@ class _Simulation:
         return SimulationResult(
             report=self._build_report(),
             trace=self.trace,
-            assignments=self.assignments,
             fleet=self.fleet,
         )
 
@@ -159,6 +170,7 @@ class _Simulation:
         run.pending_parents = {
             tid: len(t.parents) for tid, t in run.spec.tasks.items()
         }
+        run.unfinished = len(run.spec.tasks)
         self._emit(ARRIVAL, workflow=workflow_id, tasks=len(run.spec.tasks),
                    budget_nanos=run.budget_nanos)
         self.policy.on_arrival(run, self.clock_us)
@@ -167,8 +179,6 @@ class _Simulation:
                 self._make_ready(run, run.spec.tasks[tid])
 
     def _make_ready(self, run: WorkflowRun, task: TaskRecord) -> None:
-        task.advance("ready")
-        task.advance("queued")
         self._emit("task_ready", workflow=run.spec.id, task=task.id)
         self.policy.enqueue_ready(run, task, self.clock_us)
 
@@ -184,12 +194,10 @@ class _Simulation:
         runtime_s = task_runtime_on(vm.vm_type, task.total_runtime,
                                     self.var_rng, self.cloud.variability)
         runtime_us = usec(runtime_s)
-        task.advance("running")
         vm.bound_task = (run.spec.id, task.id)
         self.fleet.start_task(vm, self.clock_us, runtime_us)
         self._emit("task_start", workflow=run.spec.id, task=task.id, vm=vm.id,
                    type=vm.vm_type.name, runtime_us=runtime_us)
-        self._log_assignment(run, task, vm, "start")
         self._push(self.clock_us + runtime_us, TASK_COMPLETED,
                    (run.spec.id, task.id, vm.id, runtime_us))
 
@@ -198,19 +206,16 @@ class _Simulation:
         run = self.runs[workflow_id]
         task = run.spec.tasks[task_id]
         vm = self.fleet.instances[vm_id]
-        task.advance("completed")
-        run.completion_us[task_id] = self.clock_us
+        run.unfinished -= 1
 
         cost_nanos = ceil_whole_seconds(runtime_us) * vm.vm_type.price_nanos
         run.cost_nanos += cost_nanos
         self._emit("task_complete", workflow=workflow_id, task=task_id, vm=vm_id,
                    cost_nanos=cost_nanos)
-        self._log_assignment(run, task, vm, "complete")
         self.estimator.record(ExecutionRecord(
             task_kind=task.kind,
             vm_type_name=vm.vm_type.name,
             actual_runtime=runtime_us / 1e6,
-            completion_time=self.clock_us / 1e6,
         ))
         self.policy.on_complete(run, task, cost_nanos, self.clock_us)
 
@@ -229,7 +234,7 @@ class _Simulation:
             if run.pending_parents[child_id] == 0:
                 self._make_ready(run, run.spec.tasks[child_id])
 
-        if len(run.completion_us) == len(run.spec.tasks):
+        if run.unfinished == 0:
             run.done_at_us = self.clock_us
             self._emit("workflow_complete", workflow=workflow_id,
                        makespan_us=self.clock_us - run.arrival_us,
@@ -253,12 +258,10 @@ class _Simulation:
         actions = self.policy.schedule_ready(self.fleet, self.clock_us)
         for action in actions:
             task = action.task
-            task.advance("scheduled")
             if isinstance(action, Assign):
                 vm = self.fleet.instances[action.vm_id]
                 self._emit("task_assign", workflow=action.run.spec.id, task=task.id,
                            vm=vm.id, type=vm.vm_type.name)
-                self._log_assignment(action.run, task, vm, "assign")
                 self._start_task(action.run, task, vm)
             else:
                 vm = self.fleet.provision(action.vm_type, self.clock_us)
@@ -266,7 +269,6 @@ class _Simulation:
                 self._emit("provision_request", workflow=action.run.spec.id,
                            task=task.id, vm=vm.id, type=vm.vm_type.name,
                            available_at_us=vm.available_at_us)
-                self._log_assignment(action.run, task, vm, "provision")
                 self._push(vm.available_at_us, VM_AVAILABLE, (vm.id,))
 
     def _maybe_schedule_tick(self) -> None:

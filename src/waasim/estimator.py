@@ -20,7 +20,6 @@ class ExecutionRecord:
     task_kind: str
     vm_type_name: str
     actual_runtime: float
-    completion_time: float = 0.0
 
     def __post_init__(self) -> None:
         if self.actual_runtime <= 0:

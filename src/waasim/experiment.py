@@ -8,7 +8,9 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 
 from . import engine
@@ -79,8 +81,9 @@ class ExperimentConfig:
             raise ConfigError("repetitions: must be >= 1")
         if self.workflow_count < 1:
             raise ConfigError("workflow_count: must be >= 1")
-        if not self.arrival_rates or any(r <= 0 for r in self.arrival_rates):
-            raise ConfigError("arrival_rates: every rate must be > 0")
+        if not self.arrival_rates or any(
+                not math.isfinite(r) or r <= 0 for r in self.arrival_rates):
+            raise ConfigError("arrival_rates: every rate must be finite and > 0")
         if not self.schedulers:
             raise ConfigError("schedulers: must be non-empty")
         for name in self.schedulers:
@@ -120,21 +123,22 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-_CONFIG_KEYS = ("cloud", "estimator", "templates", "budget_levels", "workflow_count",
-                "arrival_rates", "schedulers", "repetitions", "seed_base",
-                "output_dir", "write_traces")
+def _known_fields(doc, cls, path: str) -> dict:
+    """A copy of `doc`, checked to hold only fields of dataclass `cls`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: must be a JSON object")
+    names = {f.name for f in fields(cls)}
+    for key in doc:
+        if key not in names:
+            raise ConfigError(f"{path}: unknown field {key!r}")
+    return dict(doc)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from parsed JSON."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config: must be a JSON object")
-    for key in doc:
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"config: unknown field {key!r}")
-    kwargs: dict = {}
-    if "cloud" in doc:
-        cdoc = dict(doc["cloud"])
+    kwargs = _known_fields(doc, ExperimentConfig, "config")
+    if "cloud" in kwargs:
+        cdoc = _known_fields(kwargs["cloud"], CloudConfig, "cloud")
         if "catalog" in cdoc:
             cdoc["catalog"] = tuple(
                 VmType(
@@ -147,13 +151,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 for t in cdoc["catalog"]
             )
         if "variability" in cdoc:
-            cdoc["variability"] = VariabilityConfig(**cdoc["variability"])
+            cdoc["variability"] = VariabilityConfig(
+                **_known_fields(cdoc["variability"], VariabilityConfig, "cloud.variability"))
         kwargs["cloud"] = CloudConfig(**cdoc)
-    if "estimator" in doc:
-        kwargs["estimator"] = EstimatorConfig(**doc["estimator"])
-    if "templates" in doc:
+    if "estimator" in kwargs:
+        kwargs["estimator"] = EstimatorConfig(
+            **_known_fields(kwargs["estimator"], EstimatorConfig, "estimator"))
+    if "templates" in kwargs:
         templates = []
-        for i, t in enumerate(doc["templates"]):
+        for i, t in enumerate(kwargs["templates"]):
             templates.append(TemplateConfig(
                 name=_require(t, "name", f"templates[{i}]."),
                 shape=_require(t, "shape", f"templates[{i}]."),
@@ -164,14 +170,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 runtimes=t.get("runtimes"),
             ))
         kwargs["templates"] = templates
-    for key in ("budget_levels", "workflow_count", "arrival_rates", "schedulers",
-                "repetitions", "seed_base", "output_dir", "write_traces"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    try:
-        config = ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    config = ExperimentConfig(**kwargs)
     config.validate()
     return config
 
@@ -185,38 +184,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "cloud": {
-            "catalog": [
-                {"name": t.name, "vcpus": t.vcpus, "memory_mb": t.memory_mb,
-                 "price_per_second": t.price_per_second, "speed_factor": t.speed_factor}
-                for t in config.cloud.catalog
-            ],
-            "provisioning_delay": config.cloud.provisioning_delay,
-            "deprovisioning_delay": config.cloud.deprovisioning_delay,
-            "idle_threshold": config.cloud.idle_threshold,
-            "scan_interval": config.cloud.scan_interval,
-            "variability": {"mode": config.cloud.variability.mode,
-                            "sigma": config.cloud.variability.sigma},
-            "bill_provisioning": config.cloud.bill_provisioning,
-        },
-        "estimator": {"mode": config.estimator.mode, "window": config.estimator.window,
-                      "cold_start_margin": config.estimator.cold_start_margin},
-        "templates": [
-            {"name": t.name, "shape": t.shape, "budgets": t.budgets,
-             "fan_out": t.fan_out, "ligand_count": t.ligand_count,
-             "runtime_profile": t.runtime_profile, "runtimes": t.runtimes}
-            for t in config.templates
-        ],
-        "budget_levels": config.budget_levels,
-        "workflow_count": config.workflow_count,
-        "arrival_rates": config.arrival_rates,
-        "schedulers": config.schedulers,
-        "repetitions": config.repetitions,
-        "seed_base": config.seed_base,
-        "output_dir": config.output_dir,
-        "write_traces": config.write_traces,
-    }
+    return asdict(config)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -264,12 +232,12 @@ def execute_run(config: ExperimentConfig, spec: RunSpec) -> engine.SimulationRes
                       estimator=config.estimator, seed=spec.run_seed)
 
 
-def _run_for_pool(args: tuple) -> tuple[str, dict, str, str, str | None]:
-    config_doc, spec = args
-    config = config_from_dict(config_doc)
+def _run_outputs(config: ExperimentConfig,
+                 spec: RunSpec) -> tuple[MetricsReport, str, str, str | None]:
+    """One run's report and the text of its CSVs and (optional) trace."""
     result = execute_run(config, spec)
     trace_text = engine.checkpoint_trace(result.trace) if config.write_traces else None
-    return (spec.run_id, result.report.to_dict(), workflows_to_csv(result.report),
+    return (result.report, workflows_to_csv(result.report),
             assignments_to_csv(result.assignments), trace_text)
 
 
@@ -345,27 +313,16 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     runs_dir.mkdir(parents=True, exist_ok=True)
 
     specs = plan_runs(config)
-    results: dict[str, tuple[dict, str, str, str | None]] = {}
     if jobs > 1:
-        config_doc = config_to_dict(config)
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for run_id, report_doc, wf_csv, assign_csv, trace_text in pool.map(
-                    _run_for_pool, [(config_doc, spec) for spec in specs]):
-                results[run_id] = (report_doc, wf_csv, assign_csv, trace_text)
+            outputs = list(pool.map(_run_outputs, repeat(config), specs))
     else:
-        for spec in specs:
-            result = execute_run(config, spec)
-            trace_text = engine.checkpoint_trace(result.trace) if config.write_traces else None
-            results[spec.run_id] = (
-                result.report.to_dict(), workflows_to_csv(result.report),
-                assignments_to_csv(result.assignments), trace_text)
+        outputs = map(_run_outputs, repeat(config), specs)
 
     summary_rows = []
     reports_by_rate: dict[float, list[MetricsReport]] = {}
     manifest_runs = []
-    for spec in specs:
-        report_doc, wf_csv, assign_csv, trace_text = results[spec.run_id]
-        report = report_from_json(json.dumps(report_doc))
+    for spec, (report, wf_csv, assign_csv, trace_text) in zip(specs, outputs):
         (runs_dir / f"{spec.run_id}.csv").write_text(wf_csv)
         (runs_dir / f"{spec.run_id}.assign.csv").write_text(assign_csv)
         (runs_dir / f"{spec.run_id}.report.json").write_text(report_to_json(report))

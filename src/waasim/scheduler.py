@@ -23,32 +23,25 @@ from .workflow import TaskRecord, WorkflowSpec
 class BudgetLedger:
     """Per-workflow budget state, exact to the nano-dollar.
 
-    The identity  budget == spent + sub_budgets + unassigned + spare - debt
-    holds after every operation. `spare` is transient: surpluses fold back
-    into the redistribution pool immediately, so it is zero between updates.
+    The identity  budget == spent + sub_budgets + unassigned - debt
+    holds after every operation.
     """
 
     workflow_id: str
     budget_nanos: int
     unassigned: int = 0
     sub_budgets: dict[str, int] = field(default_factory=dict)
-    spare: int = 0
     spent: int = 0
     debt: int = 0
     scheduled: set[str] = field(default_factory=set)
-    completed: set[str] = field(default_factory=set)
     allocation_order: list[str] = field(default_factory=list)
 
     def identity_gap(self) -> int:
         """Zero when the ledger identity holds exactly."""
         outstanding = sum(self.sub_budgets.values())
         return self.budget_nanos - (
-            self.spent + outstanding + self.unassigned + self.spare - self.debt
+            self.spent + outstanding + self.unassigned - self.debt
         )
-
-    def cap_nanos(self, task_id: str) -> int:
-        """Spendable amount for one task: its sub-budget plus current spare."""
-        return self.sub_budgets.get(task_id, 0) + self.spare
 
 
 def compute_eft_us(spec: WorkflowSpec, estimator: RuntimeEstimator,
@@ -140,16 +133,14 @@ def update_budget(ledger: BudgetLedger, finished: TaskRecord, actual_cost_nanos:
                   estimator: RuntimeEstimator, config: CloudConfig) -> None:
     """Settle a finished task and redistribute the remaining budget.
 
-    A surplus folds into the spare budget and immediately back into the
-    unscheduled pool; an overrun is deducted from the pool, spilling into
-    debt once the pool is exhausted. The pool is then redistributed over
-    the still-unscheduled tasks.
+    A surplus folds back into the unscheduled pool; an overrun is deducted
+    from the pool, spilling into debt once the pool is exhausted. The pool
+    is then redistributed over the still-unscheduled tasks.
     """
     if finished.id not in ledger.sub_budgets:
         raise IllegalState(f"task {finished.id!r} has no sub-budget entry")
     sub = ledger.sub_budgets.pop(finished.id)
     ledger.scheduled.discard(finished.id)
-    ledger.completed.add(finished.id)
     ledger.spent += actual_cost_nanos
 
     pool = ledger.unassigned
@@ -157,18 +148,10 @@ def update_budget(ledger: BudgetLedger, finished: TaskRecord, actual_cost_nanos:
         pool += ledger.sub_budgets.pop(task.id)
     ledger.unassigned = 0
 
-    available = sub + ledger.spare
-    if actual_cost_nanos <= available:
-        ledger.spare = available - actual_cost_nanos
-        pool += ledger.spare
-        ledger.spare = 0
-    else:
-        shortfall = actual_cost_nanos - available
-        ledger.spare = 0
-        pool -= shortfall
-        if pool < 0:
-            ledger.debt += -pool
-            pool = 0
+    pool += sub - actual_cost_nanos
+    if pool < 0:
+        ledger.debt += -pool
+        pool = 0
     _allocate(ledger, pool, unscheduled, eft_us, estimator, config)
 
 
@@ -228,7 +211,7 @@ class EbpsmPolicy:
     def _decide(self, run, task: TaskRecord, fleet: Fleet, claimed: set[str],
                 now_us: int) -> Assign | Provision:
         ledger = self.ledgers[run.spec.id]
-        cap = ledger.cap_nanos(task.id)
+        cap = ledger.sub_budgets.get(task.id, 0)
         best: tuple[int, int, str] | None = None
         for vm in fleet.idle_instances():
             if vm.id in claimed:

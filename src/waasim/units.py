@@ -18,17 +18,9 @@ def usec(seconds: float) -> int:
     return round(seconds * USEC_PER_SEC)
 
 
-def seconds(time_us: int) -> float:
-    return time_us / USEC_PER_SEC
-
-
 def nanos(dollars: float) -> int:
     """Convert dollars to integer nano-dollars."""
     return round(dollars * NANOS_PER_DOLLAR)
-
-
-def dollars(amount_nanos: int) -> float:
-    return amount_nanos / NANOS_PER_DOLLAR
 
 
 def ceil_whole_seconds(time_us: int) -> int:

@@ -7,11 +7,9 @@ import copy
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import CycleError, DanglingRefError, SchemaError
-
-TASK_STATES = ("pending", "ready", "queued", "scheduled", "running", "completed")
 
 GENOME_KINDS = ("individuals", "sifting", "individuals_merge", "mutations_overlap", "frequency")
 
@@ -29,9 +27,10 @@ VINA01_RUNTIMES = (1800.0, 300.0, 300.0, 240.0, 240.0, 180.0, 120.0)
 VINA02_RUNTIMES = (1200.0, 240.0, 180.0, 180.0, 120.0, 120.0, 60.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskRecord:
-    """One workflow node with static attributes and a lifecycle state."""
+    """One workflow node. Records are immutable, so every workflow drawn
+    from one template shares them; run progress lives in the engine."""
 
     id: str
     kind: str
@@ -40,18 +39,11 @@ class TaskRecord:
     children: frozenset[str] = frozenset()
     level: int = 0
     transfer_time: float = 0.0
-    state: str = "pending"
 
     @property
     def total_runtime(self) -> float:
         """Reference runtime plus any explicit data-transfer overhead."""
         return self.reference_runtime + self.transfer_time
-
-    def advance(self, new_state: str) -> None:
-        """Move to a later lifecycle state; transitions are monotone."""
-        if TASK_STATES.index(new_state) < TASK_STATES.index(self.state):
-            raise ValueError(f"task {self.id}: cannot move {self.state} -> {new_state}")
-        self.state = new_state
 
 
 @dataclass
@@ -111,45 +103,46 @@ def _assemble(workflow_id: str, tasks: list[TaskRecord], budget: float,
             if parent not in by_id:
                 raise DanglingRefError(f"task {task.id!r}: unknown parent {parent!r}")
             children[parent].add(task.id)
-    for task in tasks:
-        task.children = frozenset(children[task.id])
 
-    spec = WorkflowSpec(
+    levels = _levels(workflow_id, by_id, children)
+    return WorkflowSpec(
         id=workflow_id,
-        tasks={tid: by_id[tid] for tid in sorted(by_id)},
+        tasks={tid: replace(by_id[tid], children=frozenset(children[tid]), level=levels[tid])
+               for tid in sorted(by_id)},
         budget=budget,
         arrival_time=arrival_time,
     )
-    for tid, level in compute_levels(spec).items():
-        spec.tasks[tid].level = level
-    return spec
 
 
 def compute_levels(spec: WorkflowSpec) -> dict[str, int]:
     """Longest-path-from-entry level for each task (entry tasks are level 0)."""
-    indegree = {tid: len(t.parents) for tid, t in spec.tasks.items()}
+    return _levels(spec.id, spec.tasks, {tid: t.children for tid, t in spec.tasks.items()})
+
+
+def _levels(workflow_id: str, tasks: dict[str, TaskRecord],
+            children: dict[str, set[str] | frozenset[str]]) -> dict[str, int]:
+    indegree = {tid: len(t.parents) for tid, t in tasks.items()}
     levels = {tid: 0 for tid, d in indegree.items() if d == 0}
     frontier = sorted(levels)
     seen = len(frontier)
     while frontier:
         nxt: list[str] = []
         for tid in frontier:
-            for child in spec.tasks[tid].children:
+            for child in children[tid]:
                 levels[child] = max(levels.get(child, 0), levels[tid] + 1)
                 indegree[child] -= 1
                 if indegree[child] == 0:
                     nxt.append(child)
                     seen += 1
         frontier = sorted(nxt)
-    if seen != len(spec.tasks):
-        raise CycleError(f"workflow {spec.id!r}: task graph contains a cycle")
+    if seen != len(tasks):
+        raise CycleError(f"workflow {workflow_id!r}: task graph contains a cycle")
     return levels
 
 
 def validate_workflow(spec: WorkflowSpec) -> None:
     """Re-check all invariants on an existing spec (used by the CLI)."""
-    rebuilt = _assemble(spec.id, [copy.deepcopy(t) for t in spec.tasks.values()],
-                        spec.budget, spec.arrival_time)
+    rebuilt = _assemble(spec.id, list(spec.tasks.values()), spec.budget, spec.arrival_time)
     for tid, task in spec.tasks.items():
         if task.children != rebuilt.tasks[tid].children:
             raise SchemaError(f"task {tid!r}: parent/child links are inconsistent")
@@ -302,7 +295,8 @@ def vina_template(ligand_count: int,
 def generate_workload(catalog: list[tuple[WorkflowSpec, float]], count: int,
                       rate_wf_per_min: float, seed: int) -> WorkloadSpec:
     """Draw `count` workflows uniformly from the catalog with exponential
-    inter-arrival gaps of mean 60/rate seconds.
+    inter-arrival gaps of mean 60/rate seconds. Workflows drawn from one
+    template share its task records.
 
     One seeded RNG stream is used with a fixed draw order per workflow:
     first the catalog index, then the inter-arrival gap.
@@ -321,9 +315,6 @@ def generate_workload(catalog: list[tuple[WorkflowSpec, float]], count: int,
     for i in range(count):
         template, budget = catalog[rng.randrange(len(catalog))]
         clock += rng.expovariate(rate_per_sec)
-        wf = template.copy()
-        wf.id = f"wf{i:0{width}d}-{template.id}"
-        wf.budget = budget
-        wf.arrival_time = clock
-        workflows.append(wf)
+        workflows.append(replace(template, id=f"wf{i:0{width}d}-{template.id}",
+                                 budget=budget, arrival_time=clock))
     return WorkloadSpec(workflows=workflows, arrival_rate=rate_wf_per_min, seed=seed)

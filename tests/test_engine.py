@@ -9,7 +9,8 @@ from conftest import (MICRO, chain_workflow, diamond_workflow, random_dag,
 from waasim import engine
 from waasim.cloud import CloudConfig
 from waasim.errors import StallError
-from waasim.workflow import WorkloadSpec, genome_template, vina_template
+from waasim.workflow import (WorkloadSpec, generate_workload, genome_template,
+                             serialize_workload, vina_template)
 
 
 def test_empty_workload():
@@ -39,13 +40,28 @@ def test_diamond_dependency_safety(mono_cloud, oracle):
     assert starts["b"] >= completes["a"] and starts["c"] >= completes["a"]
 
 
-def test_checkpoint_deterministic(mono_cloud, oracle):
-    workload = single_workload(diamond_workflow())
+def shared_template_workload():
+    """Eight workflows drawn from three templates, so several share one
+    template's task records."""
+    catalog = [(diamond_workflow(), 0.0005), (genome_template("chr22", 3), 0.002),
+               (vina_template(3, workflow_id="bag"), 0.001)]
+    return generate_workload(catalog, 8, 30.0, seed=5)
+
+
+@pytest.mark.parametrize("make_workload", [
+    lambda: single_workload(diamond_workflow()),
+    shared_template_workload,
+], ids=["diamond", "shared-templates"])
+def test_checkpoint_deterministic(make_workload, mono_cloud, oracle):
+    workload = make_workload()
+    before = serialize_workload(workload)
     a = engine.run(workload, "ebpsm", mono_cloud, oracle, seed=3)
     b = engine.run(workload, "ebpsm", mono_cloud, oracle, seed=3)
     assert engine.checkpoint_trace(a.trace) == engine.checkpoint_trace(b.trace)
+    assert a.assignments == b.assignments
     c = engine.run(workload, "ebpsm", mono_cloud, oracle, seed=4)
     assert engine.checkpoint_trace(a.trace) == engine.checkpoint_trace(c.trace)
+    assert serialize_workload(workload) == before
 
 
 def test_idle_threshold_changes_only_termination_tail(oracle):

@@ -53,8 +53,9 @@ def test_default_config_evaluation_setup():
 def test_config_validation_messages():
     with pytest.raises(ConfigError, match="repetitions"):
         desk_config(repetitions=0).validate()
-    with pytest.raises(ConfigError, match="arrival_rates"):
-        desk_config(arrival_rates=[0.0]).validate()
+    for rate in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="arrival_rates"):
+            desk_config(arrival_rates=[rate]).validate()
     with pytest.raises(ConfigError, match="schedulers"):
         desk_config(schedulers=["nope"]).validate()
     bad = desk_templates()
@@ -77,6 +78,8 @@ def test_config_from_dict_field_errors():
         config_from_dict({"templates": [{"name": "x"}]})
     with pytest.raises(ConfigError):
         config_from_dict({"bogus_key": 1})
+    with pytest.raises(ConfigError, match="cloud: unknown field 'bogus'"):
+        config_from_dict({"cloud": {"bogus": 1}})
 
 
 def test_plan_runs_matrix():

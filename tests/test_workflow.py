@@ -19,7 +19,6 @@ def test_parse_single_task():
     spec = parse_workflow(json.dumps(doc))
     assert len(spec.tasks) == 1
     assert spec.tasks["A"].level == 0
-    assert spec.tasks["A"].state == "pending"
 
 
 def test_parse_diamond_levels():
@@ -138,15 +137,6 @@ def test_vina_template_runtimes_per_ligand():
     assert runtimes == [10.0, 20.0, 30.0]
     with pytest.raises(ValueError):
         vina_template(3, runtimes=[1.0])
-
-
-def test_task_state_monotone():
-    spec = vina_template(1)
-    task = next(iter(spec.tasks.values()))
-    task.advance("ready")
-    task.advance("queued")
-    with pytest.raises(ValueError):
-        task.advance("pending")
 
 
 def test_generate_workload_budgets_and_order():
