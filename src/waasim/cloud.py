@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ConfigError, IllegalState
 from .units import ceil_whole_seconds, nanos, usec
@@ -35,7 +36,9 @@ class VmType:
         if self.speed_factor <= 0:
             raise ConfigError(f"vm type {self.name!r}: speed_factor must be > 0")
 
-    @property
+    # Cached in the instance dict, not a dataclass field, so asdict() and
+    # the config hash do not see it.
+    @cached_property
     def price_nanos(self) -> int:
         return nanos(self.price_per_second)
 
@@ -180,6 +183,8 @@ class Fleet:
     def __init__(self, config: CloudConfig):
         self.config = config
         self.instances: dict[str, VmInstance] = {}
+        # The instances in state IDLE, kept by every transition into or out of it.
+        self._idle: dict[str, VmInstance] = {}
         self._seq = 0
 
     def provision(self, vm_type: VmType, now_us: int) -> VmInstance:
@@ -200,6 +205,7 @@ class Fleet:
             raise IllegalState(f"{vm.id}: available while {vm.state}")
         vm.state = IDLE
         vm.idle_since_us = now_us
+        self._idle[vm.id] = vm
 
     def start_task(self, vm: VmInstance, now_us: int, runtime_us: int) -> None:
         if vm.state != IDLE:
@@ -207,6 +213,7 @@ class Fleet:
         vm.state = BUSY
         vm.idle_since_us = None
         vm.busy_usec += runtime_us
+        del self._idle[vm.id]
 
     def finish_task(self, vm: VmInstance, now_us: int) -> None:
         if vm.state != BUSY:
@@ -214,9 +221,11 @@ class Fleet:
         vm.state = IDLE
         vm.bound_task = None
         vm.idle_since_us = now_us
+        self._idle[vm.id] = vm
 
     def terminate(self, vm: VmInstance, now_us: int) -> int:
         bill = finalize_billing(vm, now_us)
+        self._idle.pop(vm.id, None)
         vm.state = TERMINATED
         vm.idle_since_us = None
         vm.terminated_at_us = now_us
@@ -235,7 +244,8 @@ class Fleet:
         return expired
 
     def idle_instances(self) -> list[VmInstance]:
-        return [vm for vm in self.instances.values() if vm.state == IDLE]
+        """The idle instances, in no particular order."""
+        return list(self._idle.values())
 
     def unreleased(self, now_us: int) -> list[VmInstance]:
         """Instances still held: live, or terminated but not yet past the

@@ -55,10 +55,6 @@ class WorkflowRun:
     cost_nanos: int = 0
     done_at_us: int | None = None
 
-    @property
-    def complete(self) -> bool:
-        return self.done_at_us is not None
-
 
 # Trace events that are also rows of the assignment log, with their row name.
 _ASSIGNMENT_EVENTS = {"task_assign": "assign", "task_start": "start",
@@ -100,6 +96,7 @@ class _Simulation:
         self._seq = 0
         self.trace: list[TraceEvent] = []
         self.runs: dict[str, WorkflowRun] = {}
+        self._completed = 0
         self._next_tick_us: int | None = None
         self._released: set[str] = set()
 
@@ -136,9 +133,7 @@ class _Simulation:
             if self._finished():
                 break
 
-        unfinished = sum(
-            1 for run in self.runs.values() if not run.complete
-        )
+        unfinished = len(self.runs) - self._completed
         if unfinished:
             raise StallError(f"event queue drained with {unfinished} unfinished workflows")
         self._emit("simulation_end",
@@ -150,8 +145,8 @@ class _Simulation:
         )
 
     def _finished(self) -> bool:
-        all_done = all(run.complete for run in self.runs.values())
-        return all_done and not self.fleet.unreleased(self.clock_us)
+        return (self._completed == len(self.runs)
+                and not self.fleet.unreleased(self.clock_us))
 
     # -- event handlers -----------------------------------------------------
 
@@ -236,6 +231,7 @@ class _Simulation:
 
         if run.unfinished == 0:
             run.done_at_us = self.clock_us
+            self._completed += 1
             self._emit("workflow_complete", workflow=workflow_id,
                        makespan_us=self.clock_us - run.arrival_us,
                        cost_nanos=run.cost_nanos)

@@ -1,14 +1,18 @@
 """Task runtime estimation from execution history.
 
-Two modes: "oracle" returns the exact model runtime; "history" keeps a
-windowed moving average per task kind, scaled across VM types by the
-speed-factor ratio when the target type has no records yet.
+Two modes: "oracle" returns the exact model runtime; "history" averages
+the last `window` runtimes of a task kind on the target VM type or, when
+that type has no records yet, the last `window` runtimes of the kind on any
+type, normalized by speed factor.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError, UnknownKind
@@ -35,19 +39,30 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("oracle", "history"):
             raise ConfigError(f"unknown estimator mode {self.mode!r}")
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
+        if not isinstance(self.window, int) or self.window < 1:
+            raise ConfigError("window must be an integer >= 1")
         if self.cold_start_margin < 1:
             raise ConfigError("cold_start_margin must be >= 1")
 
 
 class RuntimeEstimator:
-    """Online estimate source; records are appended as tasks complete."""
+    """Online estimate source; records are added as tasks complete.
+
+    Only the last `window` runtimes per (kind, type) and per kind are kept,
+    so memory is O(kinds x types x window) and an estimate sums at most
+    `window` terms. The sums are recomputed, never kept running: they add
+    the same terms in the same order as a scan of the full history would,
+    so the estimates are exactly equal to it.
+    """
 
     def __init__(self, config: EstimatorConfig, catalog: tuple[VmType, ...]):
         self.config = config
         self.catalog = {t.name: t for t in catalog}
-        self._records: dict[str, list[ExecutionRecord]] = {}
+        window = partial(deque, maxlen=config.window)
+        # (kind, vm type name) -> last runtimes on that type, in seconds.
+        self._by_type: defaultdict[tuple[str, str], deque[float]] = defaultdict(window)
+        # kind -> last runtimes on any type, times that type's speed factor.
+        self._normalized: defaultdict[str, deque[float]] = defaultdict(window)
         self._reference: dict[str, float] = {}
 
     def register_kind(self, kind: str, reference_runtime: float) -> None:
@@ -55,17 +70,39 @@ class RuntimeEstimator:
         self._reference[kind] = reference_runtime
 
     def record(self, rec: ExecutionRecord) -> None:
-        self._records.setdefault(rec.task_kind, []).append(rec)
+        vm_type = self.catalog.get(rec.vm_type_name)
+        if vm_type is None:
+            raise ConfigError(
+                f"execution record for kind {rec.task_kind!r}: "
+                f"unknown vm type {rec.vm_type_name!r}")
+        self._by_type[rec.task_kind, rec.vm_type_name].append(rec.actual_runtime)
+        self._normalized[rec.task_kind].append(rec.actual_runtime * vm_type.speed_factor)
 
     def load_history_csv(self, path: str | Path) -> int:
         """Bootstrap history from `kind,vm_type,actual_runtime` rows."""
         count = 0
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or row[0].strip().startswith("#"):
                     continue
-                kind, vm_type, runtime = row[0].strip(), row[1].strip(), float(row[2])
-                self.record(ExecutionRecord(kind, vm_type, runtime))
+                where = f"{path}: line {reader.line_num}"
+                if len(row) < 3:
+                    raise ConfigError(
+                        f"{where}: expected kind,vm_type,actual_runtime, got {len(row)} field(s)")
+                kind, vm_type = row[0].strip(), row[1].strip()
+                try:
+                    runtime = float(row[2])
+                except ValueError:
+                    raise ConfigError(
+                        f"{where}: actual_runtime {row[2].strip()!r} is not a number") from None
+                if not math.isfinite(runtime) or runtime <= 0:
+                    raise ConfigError(
+                        f"{where}: actual_runtime must be finite and > 0, got {runtime!r}")
+                try:
+                    self.record(ExecutionRecord(kind, vm_type, runtime))
+                except ConfigError as exc:
+                    raise ConfigError(f"{where}: {exc}") from None
                 count += 1
         return count
 
@@ -74,22 +111,16 @@ class RuntimeEstimator:
         """Estimated runtime of a `kind` task on `vm_type`, in seconds."""
         if reference_runtime is None:
             reference_runtime = self._reference.get(kind)
-        records = self._records.get(kind, [])
         if self.config.mode == "oracle":
             if reference_runtime is None:
                 raise UnknownKind(f"no registered runtime for kind {kind!r}")
             return reference_runtime / vm_type.speed_factor
 
-        same_type = [r for r in records if r.vm_type_name == vm_type.name]
+        same_type = self._by_type.get((kind, vm_type.name))
         if same_type:
-            window = same_type[-self.config.window:]
-            return sum(r.actual_runtime for r in window) / len(window)
-        if records:
-            window = records[-self.config.window:]
-            normalized = [
-                r.actual_runtime * self.catalog[r.vm_type_name].speed_factor
-                for r in window
-            ]
+            return sum(same_type) / len(same_type)
+        normalized = self._normalized.get(kind)
+        if normalized:
             return sum(normalized) / len(normalized) / vm_type.speed_factor
         if reference_runtime is None:
             raise UnknownKind(f"no records or registered runtime for kind {kind!r}")

@@ -134,22 +134,30 @@ def _known_fields(doc, cls, path: str) -> dict:
     return dict(doc)
 
 
+def _entries(doc, path: str) -> list:
+    if not isinstance(doc, list):
+        raise ConfigError(f"{path}: must be a JSON list")
+    return doc
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from parsed JSON."""
     kwargs = _known_fields(doc, ExperimentConfig, "config")
     if "cloud" in kwargs:
         cdoc = _known_fields(kwargs["cloud"], CloudConfig, "cloud")
         if "catalog" in cdoc:
-            cdoc["catalog"] = tuple(
-                VmType(
-                    name=_require(t, "name", "cloud.catalog[]."),
+            catalog = []
+            for i, t in enumerate(_entries(cdoc["catalog"], "cloud.catalog")):
+                path = f"cloud.catalog[{i}]"
+                t = _known_fields(t, VmType, path)
+                catalog.append(VmType(
+                    name=_require(t, "name", f"{path}."),
                     vcpus=int(t.get("vcpus", 1)),
                     memory_mb=int(t.get("memory_mb", 1024)),
-                    price_per_second=float(_require(t, "price_per_second", "cloud.catalog[].")),
-                    speed_factor=float(_require(t, "speed_factor", "cloud.catalog[].")),
-                )
-                for t in cdoc["catalog"]
-            )
+                    price_per_second=float(_require(t, "price_per_second", f"{path}.")),
+                    speed_factor=float(_require(t, "speed_factor", f"{path}.")),
+                ))
+            cdoc["catalog"] = tuple(catalog)
         if "variability" in cdoc:
             cdoc["variability"] = VariabilityConfig(
                 **_known_fields(cdoc["variability"], VariabilityConfig, "cloud.variability"))
@@ -159,11 +167,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             **_known_fields(kwargs["estimator"], EstimatorConfig, "estimator"))
     if "templates" in kwargs:
         templates = []
-        for i, t in enumerate(kwargs["templates"]):
+        for i, t in enumerate(_entries(kwargs["templates"], "templates")):
+            path = f"templates[{i}]"
+            t = _known_fields(t, TemplateConfig, path)
             templates.append(TemplateConfig(
-                name=_require(t, "name", f"templates[{i}]."),
-                shape=_require(t, "shape", f"templates[{i}]."),
-                budgets=[float(b) for b in _require(t, "budgets", f"templates[{i}].")],
+                name=_require(t, "name", f"{path}."),
+                shape=_require(t, "shape", f"{path}."),
+                budgets=[float(b) for b in _require(t, "budgets", f"{path}.")],
                 fan_out=int(t.get("fan_out", 10)),
                 ligand_count=int(t.get("ligand_count", 7)),
                 runtime_profile=t.get("runtime_profile"),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from .units import format_dollars, format_seconds
@@ -62,17 +63,27 @@ class MetricsReport:
 
 
 def report_to_json(report: MetricsReport) -> str:
-    return json.dumps(report.to_dict(), indent=2) + "\n"
+    """Strict JSON: the infinite `cost_per_budget` of a zero-budget workflow
+    that cost anything is written as null."""
+    doc = report.to_dict()
+    for w in doc["workflows"]:
+        if not math.isfinite(w["cost_per_budget"]):
+            w["cost_per_budget"] = None
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def report_from_json(text: str) -> MetricsReport:
     doc = json.loads(text)
     fleet = FleetMetrics(**doc["fleet"]) if doc.get("fleet") else None
+    workflows = [WorkflowMetrics(**w) for w in doc["workflows"]]
+    for w in workflows:
+        if w.cost_per_budget is None:
+            w.cost_per_budget = float("inf")
     return MetricsReport(
         scheduler=doc["scheduler"],
         seed=doc["seed"],
         workload_hash=doc["workload_hash"],
-        workflows=[WorkflowMetrics(**w) for w in doc["workflows"]],
+        workflows=workflows,
         fleet=fleet,
     )
 

@@ -99,11 +99,12 @@ def _allocate(ledger: BudgetLedger, pool: int, tasks: list[TaskRecord],
     ordered = distribution_order(tasks, eft_us)
     costs = {t.id: _cost_table(t, estimator, config) for t in ordered}
     cheapest = config.cheapest_type.name
+    fastest_first = _fastest_first(config)
     reserve = sum(costs[t.id][cheapest] for t in ordered)
     for task in ordered:
         reserve -= costs[task.id][cheapest]
         chosen = None
-        for vm_type in _fastest_first(config):
+        for vm_type in fastest_first:
             if costs[task.id][vm_type.name] <= pool - reserve:
                 chosen = costs[task.id][vm_type.name]
                 break
@@ -212,14 +213,21 @@ class EbpsmPolicy:
                 now_us: int) -> Assign | Provision:
         ledger = self.ledgers[run.spec.id]
         cap = ledger.sub_budgets.get(task.id, 0)
+        # The estimate, and so the cost, depends on the VM type alone, so it
+        # is computed once per type, not once per idle VM.
+        terms: dict[str, tuple[int, int, bool]] = {}
+        for vm_type in self.config.catalog:
+            est_us = usec(self.estimator.estimate(task.kind, vm_type, task.total_runtime))
+            fits = self.homogeneous or estimated_cost_nanos(vm_type, est_us) <= cap
+            terms[vm_type.name] = (est_us, vm_type.price_nanos, fits)
         best: tuple[int, int, str] | None = None
         for vm in fleet.idle_instances():
             if vm.id in claimed:
                 continue
-            est_us = usec(self.estimator.estimate(task.kind, vm.vm_type, task.total_runtime))
-            if not self.homogeneous and estimated_cost_nanos(vm.vm_type, est_us) > cap:
+            est_us, price, fits = terms[vm.vm_type.name]
+            if not fits:
                 continue
-            key = (est_us, vm.vm_type.price_nanos, vm.id)
+            key = (est_us, price, vm.id)
             if best is None or key < best:
                 best = key
         ledger.scheduled.add(task.id)
@@ -229,8 +237,7 @@ class EbpsmPolicy:
         if self.homogeneous:
             return Provision(run, task, self.config.catalog[0])
         for vm_type in _fastest_first(self.config):
-            est_us = usec(self.estimator.estimate(task.kind, vm_type, task.total_runtime))
-            if estimated_cost_nanos(vm_type, est_us) <= cap:
+            if terms[vm_type.name][2]:
                 return Provision(run, task, vm_type)
         return Provision(run, task, self.config.cheapest_type)
 

@@ -3,6 +3,7 @@
 import json
 
 from waasim.cli import main
+from waasim.metrics import report_from_json
 from waasim.workflow import parse_workload
 
 
@@ -37,6 +38,39 @@ def test_run_command_bad_config(tmp_path, capsys):
     config = write_config(tmp_path, schedulers=["bogus"])
     assert main(["run", "--config", str(config)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_run_command_bad_list_entries(tmp_path, capsys):
+    config = write_config(tmp_path, templates=[
+        {"name": "vina01", "shape": "vina", "ligand_cout": 3,
+         "budgets": [0.002, 0.005, 0.008, 0.012], "runtimes": [20.0, 12.0, 10.0]}])
+    assert main(["run", "--config", str(config)]) == 2
+    assert "templates[0]: unknown field 'ligand_cout'" in capsys.readouterr().err
+
+    config = write_config(tmp_path, cloud={"catalog": [5]})
+    assert main(["run", "--config", str(config)]) == 2
+    assert "cloud.catalog[0]: must be a JSON object" in capsys.readouterr().err
+
+
+def test_zero_budget_report_is_strict_json(tmp_path):
+    config = write_config(tmp_path, templates=[
+        {"name": "v", "shape": "vina", "ligand_count": 1, "budgets": [0.0],
+         "runtimes": [20.0]}],
+        budget_levels=[1], workflow_count=1, schedulers=["fcfs"],
+        cloud={"catalog": [{"name": "t2.micro", "price_per_second": 0.0000041,
+                            "speed_factor": 1.0}]})
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    path = out / "runs" / "fcfs_rate2_rep0.report.json"
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    doc = json.loads(path.read_text(), parse_constant=reject)
+    assert doc["workflows"][0]["cost_per_budget"] is None
+    report = report_from_json(path.read_text())
+    assert report.workflows[0].cost_per_budget == float("inf")
+    assert report.violation_ratios() == [float("inf")]
 
 
 def test_run_command_missing_file(tmp_path, capsys):

@@ -98,10 +98,32 @@ def test_history_csv_bootstrap(tmp_path):
     assert est.estimate("k", TYPES["t2.micro"]) == 150.0
 
 
+def test_record_unknown_vm_type_names_it():
+    est = make()
+    with pytest.raises(ConfigError, match="'t9.huge'"):
+        est.record(ExecutionRecord("k", "t9.huge", 10.0))
+
+
+@pytest.mark.parametrize("body, message", [
+    ("k,t2.micro,100\nk,t2.micro\n", "line 2: expected kind,vm_type,actual_runtime"),
+    ("# header\nk,t2.micro,fast\n", "line 2: actual_runtime 'fast' is not a number"),
+    ("k,t2.micro,100\n\nk,t9.huge,100\n", "line 3: .*unknown vm type 't9.huge'"),
+    ("k,t2.micro,-5\n", "line 1: actual_runtime must be finite and > 0"),
+    ("k,t2.micro,nan\n", "line 1: actual_runtime must be finite and > 0"),
+])
+def test_history_csv_bad_rows(tmp_path, body, message):
+    path = tmp_path / "hist.csv"
+    path.write_text(body)
+    with pytest.raises(ConfigError, match=message):
+        make().load_history_csv(path)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         EstimatorConfig(mode="magic")
     with pytest.raises(ConfigError):
         EstimatorConfig(window=0)
+    with pytest.raises(ConfigError, match="integer"):
+        EstimatorConfig(window=2.0)
     with pytest.raises(ValueError):
         ExecutionRecord("k", "t2.micro", 0.0)

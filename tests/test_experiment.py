@@ -80,6 +80,19 @@ def test_config_from_dict_field_errors():
         config_from_dict({"bogus_key": 1})
     with pytest.raises(ConfigError, match="cloud: unknown field 'bogus'"):
         config_from_dict({"cloud": {"bogus": 1}})
+    with pytest.raises(ConfigError, match=r"templates\[0\]: unknown field 'ligand_cout'"):
+        config_from_dict({"templates": [{"name": "v", "shape": "vina", "budgets": [1.0],
+                                         "ligand_cout": 3}]})
+    with pytest.raises(ConfigError, match=r"cloud.catalog\[1\]: unknown field 'speed'"):
+        config_from_dict({"cloud": {"catalog": [
+            {"name": "a", "price_per_second": 1e-6, "speed_factor": 1.0},
+            {"name": "b", "price_per_second": 2e-6, "speed": 2.0}]}})
+    with pytest.raises(ConfigError, match=r"cloud.catalog\[0\]: must be a JSON object"):
+        config_from_dict({"cloud": {"catalog": [5]}})
+    with pytest.raises(ConfigError, match="cloud.catalog: must be a JSON list"):
+        config_from_dict({"cloud": {"catalog": {"name": "a"}}})
+    with pytest.raises(ConfigError, match="templates: must be a JSON list"):
+        config_from_dict({"templates": "vina"})
 
 
 def test_plan_runs_matrix():
