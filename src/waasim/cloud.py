@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import takewhile
+from operator import attrgetter
 
 from .errors import ConfigError, IllegalState
 from .units import ceil_whole_seconds, nanos, usec
@@ -84,6 +87,8 @@ class CloudConfig:
             raise ConfigError("scan_interval must be > 0")
         if self.variability.mode not in ("none", "lognormal"):
             raise ConfigError(f"unknown variability mode {self.variability.mode!r}")
+        if not (math.isfinite(self.variability.sigma) and self.variability.sigma >= 0):
+            raise ConfigError("variability.sigma must be finite and >= 0")
 
     @property
     def fastest_type(self) -> VmType:
@@ -92,12 +97,6 @@ class CloudConfig:
     @property
     def cheapest_type(self) -> VmType:
         return min(self.catalog, key=lambda t: (t.price_per_second, -t.speed_factor, t.name))
-
-    def vm_type(self, name: str) -> VmType:
-        for t in self.catalog:
-            if t.name == name:
-                return t
-        raise ConfigError(f"unknown vm type {name!r}")
 
     @property
     def provisioning_delay_us(self) -> int:
@@ -147,20 +146,16 @@ class VmInstance:
     """A leased machine with lease, idle and billing accounting."""
 
     id: str
+    seq: int  # provision order
     vm_type: VmType
     state: str
     available_at_us: int
     billing_start_us: int
     idle_since_us: int | None = None
-    bound_task: tuple[str, str] | None = None  # (workflow id, task id)
     busy_usec: int = 0
     billed_seconds: int = 0
     bill_nanos: int = 0
     terminated_at_us: int | None = None
-    release_at_us: int | None = None
-
-    def idle_duration(self, now_us: int) -> int:
-        return now_us - self.idle_since_us if self.idle_since_us is not None else 0
 
 
 def finalize_billing(vm: VmInstance, termination_time_us: int) -> int:
@@ -178,26 +173,32 @@ def finalize_billing(vm: VmInstance, termination_time_us: int) -> int:
 
 
 class Fleet:
-    """All instances ever leased by one simulation, live and terminated."""
+    """All instances ever leased by one simulation, live and terminated, and
+    the only keeper of their lifecycle. Calls come in non-decreasing time."""
 
     def __init__(self, config: CloudConfig):
         self.config = config
         self.instances: dict[str, VmInstance] = {}
-        # The instances in state IDLE, kept by every transition into or out of it.
+        # The instances in state IDLE, in the order they went idle: idle-since order.
         self._idle: dict[str, VmInstance] = {}
-        self._seq = 0
+        # Terminated instances release_due has not returned, in termination
+        # order, which is release order as the deprovisioning delay is constant.
+        self._releasing: deque[VmInstance] = deque()
+        self._live = 0
 
     def provision(self, vm_type: VmType, now_us: int) -> VmInstance:
-        self._seq += 1
+        seq = len(self.instances) + 1
         available = now_us + self.config.provisioning_delay_us
         vm = VmInstance(
-            id=f"vm-{self._seq:04d}",
+            id=f"vm-{seq:04d}",
+            seq=seq,
             vm_type=vm_type,
             state=PROVISIONING,
             available_at_us=available,
             billing_start_us=now_us if self.config.bill_provisioning else available,
         )
         self.instances[vm.id] = vm
+        self._live += 1
         return vm
 
     def mark_available(self, vm: VmInstance, now_us: int) -> None:
@@ -219,7 +220,6 @@ class Fleet:
         if vm.state != BUSY:
             raise IllegalState(f"{vm.id}: cannot finish task while {vm.state}")
         vm.state = IDLE
-        vm.bound_task = None
         vm.idle_since_us = now_us
         self._idle[vm.id] = vm
 
@@ -229,31 +229,40 @@ class Fleet:
         vm.state = TERMINATED
         vm.idle_since_us = None
         vm.terminated_at_us = now_us
-        vm.release_at_us = now_us + self.config.deprovisioning_delay_us
+        self._live -= 1
+        self._releasing.append(vm)
         return bill
 
     def idle_scan(self, now_us: int) -> list[VmInstance]:
         """Terminate every idle instance whose idle time reached the
-        threshold; busy and provisioning instances are untouched."""
-        expired = [
-            vm for vm in self.instances.values()
-            if vm.state == IDLE and vm.idle_duration(now_us) >= self.config.idle_threshold_us
-        ]
+        threshold, in provision order; busy and provisioning instances are
+        untouched. Only the expired prefix of the idle index is read."""
+        cutoff = now_us - self.config.idle_threshold_us
+        expired = sorted(takewhile(lambda vm: vm.idle_since_us <= cutoff,
+                                   self._idle.values()), key=attrgetter("seq"))
         for vm in expired:
             self.terminate(vm, now_us)
         return expired
 
     def idle_instances(self) -> list[VmInstance]:
-        """The idle instances, in no particular order."""
+        """The idle instances, in the order they went idle."""
         return list(self._idle.values())
 
-    def unreleased(self, now_us: int) -> list[VmInstance]:
-        """Instances still held: live, or terminated but not yet past the
-        deprovisioning delay."""
-        return [
-            vm for vm in self.instances.values()
-            if vm.state != TERMINATED or vm.release_at_us > now_us
-        ]
+    def release_due(self, now_us: int) -> list[VmInstance]:
+        """The terminated instances whose deprovisioning delay has passed
+        and that no earlier call returned, in provision order."""
+        cutoff = now_us - self.config.deprovisioning_delay_us
+        due = []
+        while self._releasing and self._releasing[0].terminated_at_us <= cutoff:
+            due.append(self._releasing.popleft())
+        return sorted(due, key=attrgetter("seq"))
+
+    def unreleased(self, now_us: int) -> bool:
+        """Whether any instance is still held: live, or terminated but not
+        yet past the deprovisioning delay."""
+        cutoff = now_us - self.config.deprovisioning_delay_us
+        return self._live > 0 or (
+            bool(self._releasing) and self._releasing[-1].terminated_at_us > cutoff)
 
     def total_bill_nanos(self) -> int:
         return sum(vm.bill_nanos for vm in self.instances.values())

@@ -98,7 +98,6 @@ class _Simulation:
         self.runs: dict[str, WorkflowRun] = {}
         self._completed = 0
         self._next_tick_us: int | None = None
-        self._released: set[str] = set()
 
     # -- event plumbing ----------------------------------------------------
 
@@ -177,35 +176,27 @@ class _Simulation:
         self._emit("task_ready", workflow=run.spec.id, task=task.id)
         self.policy.enqueue_ready(run, task, self.clock_us)
 
-    def _on_vm_available(self, vm_id: str) -> None:
-        vm = self.fleet.instances[vm_id]
+    def _on_vm_available(self, vm: VmInstance, run: WorkflowRun, task: TaskRecord) -> None:
         self.fleet.mark_available(vm, self.clock_us)
         self._emit(VM_AVAILABLE, vm=vm.id, type=vm.vm_type.name)
-        workflow_id, task_id = vm.bound_task
-        run = self.runs[workflow_id]
-        self._start_task(run, run.spec.tasks[task_id], vm)
+        self._start_task(run, task, vm)
 
     def _start_task(self, run: WorkflowRun, task: TaskRecord, vm: VmInstance) -> None:
         runtime_s = task_runtime_on(vm.vm_type, task.total_runtime,
                                     self.var_rng, self.cloud.variability)
         runtime_us = usec(runtime_s)
-        vm.bound_task = (run.spec.id, task.id)
         self.fleet.start_task(vm, self.clock_us, runtime_us)
         self._emit("task_start", workflow=run.spec.id, task=task.id, vm=vm.id,
                    type=vm.vm_type.name, runtime_us=runtime_us)
-        self._push(self.clock_us + runtime_us, TASK_COMPLETED,
-                   (run.spec.id, task.id, vm.id, runtime_us))
+        self._push(self.clock_us + runtime_us, TASK_COMPLETED, (run, task, vm, runtime_us))
 
-    def _on_task_completed(self, workflow_id: str, task_id: str, vm_id: str,
+    def _on_task_completed(self, run: WorkflowRun, task: TaskRecord, vm: VmInstance,
                            runtime_us: int) -> None:
-        run = self.runs[workflow_id]
-        task = run.spec.tasks[task_id]
-        vm = self.fleet.instances[vm_id]
         run.unfinished -= 1
 
         cost_nanos = ceil_whole_seconds(runtime_us) * vm.vm_type.price_nanos
         run.cost_nanos += cost_nanos
-        self._emit("task_complete", workflow=workflow_id, task=task_id, vm=vm_id,
+        self._emit("task_complete", workflow=run.spec.id, task=task.id, vm=vm.id,
                    cost_nanos=cost_nanos)
         self.estimator.record(ExecutionRecord(
             task_kind=task.kind,
@@ -214,14 +205,11 @@ class _Simulation:
         ))
         self.policy.on_complete(run, task, cost_nanos, self.clock_us)
 
+        self.fleet.finish_task(vm, self.clock_us)
         if self.policy.dedicated:
-            self.fleet.finish_task(vm, self.clock_us)
-            bill = self.fleet.terminate(vm, self.clock_us)
-            self._emit("vm_terminated", vm=vm.id, billed_s=vm.billed_seconds,
-                       bill_nanos=bill)
-            self._release_due()
+            self.fleet.terminate(vm, self.clock_us)
+            self._retire([vm])
         else:
-            self.fleet.finish_task(vm, self.clock_us)
             self._emit("vm_idle", vm=vm.id)
 
         for child_id in sorted(task.children):
@@ -232,23 +220,21 @@ class _Simulation:
         if run.unfinished == 0:
             run.done_at_us = self.clock_us
             self._completed += 1
-            self._emit("workflow_complete", workflow=workflow_id,
+            self._emit("workflow_complete", workflow=run.spec.id,
                        makespan_us=self.clock_us - run.arrival_us,
                        cost_nanos=run.cost_nanos)
 
     def _on_scan_tick(self) -> None:
         self._next_tick_us = None
-        for vm in self.fleet.idle_scan(self.clock_us):
+        self._retire(self.fleet.idle_scan(self.clock_us))
+
+    def _retire(self, terminated: list[VmInstance]) -> None:
+        """Trace VMs just terminated, then every VM whose release came due."""
+        for vm in terminated:
             self._emit("vm_terminated", vm=vm.id, billed_s=vm.billed_seconds,
                        bill_nanos=vm.bill_nanos)
-        self._release_due()
-
-    def _release_due(self) -> None:
-        for vm in self.fleet.instances.values():
-            if (vm.state == "terminated" and vm.id not in self._released
-                    and vm.release_at_us <= self.clock_us):
-                self._released.add(vm.id)
-                self._emit("vm_released", vm=vm.id)
+        for vm in self.fleet.release_due(self.clock_us):
+            self._emit("vm_released", vm=vm.id)
 
     def _dispatch(self) -> None:
         actions = self.policy.schedule_ready(self.fleet, self.clock_us)
@@ -261,11 +247,10 @@ class _Simulation:
                 self._start_task(action.run, task, vm)
             else:
                 vm = self.fleet.provision(action.vm_type, self.clock_us)
-                vm.bound_task = (action.run.spec.id, task.id)
                 self._emit("provision_request", workflow=action.run.spec.id,
                            task=task.id, vm=vm.id, type=vm.vm_type.name,
                            available_at_us=vm.available_at_us)
-                self._push(vm.available_at_us, VM_AVAILABLE, (vm.id,))
+                self._push(vm.available_at_us, VM_AVAILABLE, (vm, action.run, task))
 
     def _maybe_schedule_tick(self) -> None:
         if self._next_tick_us is not None:

@@ -26,8 +26,8 @@ class ExecutionRecord:
     actual_runtime: float
 
     def __post_init__(self) -> None:
-        if self.actual_runtime <= 0:
-            raise ValueError("actual_runtime must be > 0")
+        if not (math.isfinite(self.actual_runtime) and self.actual_runtime > 0):
+            raise ValueError("actual_runtime must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
@@ -123,14 +124,23 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+# JSON types of scalar fields; checked, never coerced, so config.json keeps them.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
 def _known_fields(doc, cls, path: str) -> dict:
-    """A copy of `doc`, checked to hold only fields of dataclass `cls`."""
+    """A copy of `doc`, checked to hold only fields of `cls`, scalars typed and finite."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: must be a JSON object")
-    names = {f.name for f in fields(cls)}
-    for key in doc:
-        if key not in names:
+    annotations = {f.name: f.type for f in fields(cls)}
+    for key, value in doc.items():
+        if key not in annotations:
             raise ConfigError(f"{path}: unknown field {key!r}")
+        allowed = _JSON_TYPES.get(annotations[key])
+        if allowed and type(value) not in allowed:
+            raise ConfigError(f"{path}.{key}: expected {annotations[key]}")
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(f"{path}.{key}: must be finite")
     return dict(doc)
 
 
@@ -170,15 +180,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         for i, t in enumerate(_entries(kwargs["templates"], "templates")):
             path = f"templates[{i}]"
             t = _known_fields(t, TemplateConfig, path)
-            templates.append(TemplateConfig(
-                name=_require(t, "name", f"{path}."),
-                shape=_require(t, "shape", f"{path}."),
-                budgets=[float(b) for b in _require(t, "budgets", f"{path}.")],
-                fan_out=int(t.get("fan_out", 10)),
-                ligand_count=int(t.get("ligand_count", 7)),
-                runtime_profile=t.get("runtime_profile"),
-                runtimes=t.get("runtimes"),
-            ))
+            for key in ("name", "shape"):
+                _require(t, key, f"{path}.")
+            t["budgets"] = [float(b) for b in _require(t, "budgets", f"{path}.")]
+            templates.append(TemplateConfig(**t))
         kwargs["templates"] = templates
     config = ExperimentConfig(**kwargs)
     config.validate()
@@ -323,6 +328,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     runs_dir.mkdir(parents=True, exist_ok=True)
 
     specs = plan_runs(config)
+    jobs = min(jobs, len(specs), os.cpu_count() or 1)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             outputs = list(pool.map(_run_outputs, repeat(config), specs))

@@ -89,6 +89,44 @@ def test_idle_scan_skips_busy_and_provisioning():
     assert busy.state == "busy" and cold.state == "provisioning"
 
 
+def test_expiry_and_release_in_provision_order():
+    """VMs expiring or coming due at one instant are returned in provision
+    order, also past vm-9999, where the id strings sort the other way."""
+    config = CloudConfig(provisioning_delay=0.0, deprovisioning_delay=10.0)
+    fleet = Fleet(config)
+    vms = [fleet.provision(table_type("t2.micro"), 0) for _ in range(10_001)]
+    v9998, v9999, v10000, v10001 = vms[-4:]
+    assert (v9999.id, v10000.id) == ("vm-9999", "vm-10000")
+    fleet.mark_available(v10000, 0)
+    fleet.mark_available(v9999, usec(5.0))
+    assert fleet.idle_scan(usec(65.0)) == [v9999, v10000]
+    for vm in (v10001, v9998):  # terminated directly, newest first
+        fleet.mark_available(vm, usec(65.0))
+        fleet.terminate(vm, usec(65.0))
+    assert fleet.release_due(usec(74.0)) == []
+    assert fleet.release_due(usec(75.0)) == [v9998, v9999, v10000, v10001]
+    assert fleet.release_due(usec(90.0)) == []
+
+
+def test_unreleased_until_last_release():
+    config = CloudConfig(provisioning_delay=5.0, deprovisioning_delay=10.0,
+                         idle_threshold=60.0)
+    fleet = Fleet(config)
+    assert not fleet.unreleased(0)
+    a = fleet.provision(table_type("t2.micro"), 0)
+    b = fleet.provision(table_type("t2.micro"), 0)
+    assert fleet.unreleased(0)
+    for vm in (a, b):
+        fleet.mark_available(vm, usec(5.0))
+    fleet.start_task(b, usec(5.0), usec(30.0))
+    assert fleet.idle_scan(usec(65.0)) == [a]
+    assert fleet.unreleased(usec(80.0))  # b is still live
+    fleet.finish_task(b, usec(35.0 + 60.0))
+    fleet.terminate(b, usec(95.0))
+    assert fleet.unreleased(usec(104.0))
+    assert not fleet.unreleased(usec(105.0))
+
+
 def test_busy_then_idle_terminates_at_first_due_tick():
     """A VM busy 300 s then idle must fall at the first scan >= idle+threshold."""
     config = CloudConfig(provisioning_delay=0.0, idle_threshold=60.0, scan_interval=10.0)

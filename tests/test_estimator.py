@@ -127,3 +127,10 @@ def test_config_validation():
         EstimatorConfig(window=2.0)
     with pytest.raises(ValueError):
         ExecutionRecord("k", "t2.micro", 0.0)
+
+
+@pytest.mark.parametrize("runtime", [float("nan"), float("inf"), float("-inf")])
+def test_execution_record_rejects_non_finite(runtime):
+    """One such record would make every history estimate of its kind NaN or inf."""
+    with pytest.raises(ValueError, match="finite"):
+        ExecutionRecord("k", "t2.micro", runtime)

@@ -1,7 +1,9 @@
 """Experiment runner: config validation, sweeps, outputs, comparisons."""
 
+import concurrent.futures
 import csv
 import json
+import os
 
 import pytest
 
@@ -93,6 +95,28 @@ def test_config_from_dict_field_errors():
         config_from_dict({"cloud": {"catalog": {"name": "a"}}})
     with pytest.raises(ConfigError, match="templates: must be a JSON list"):
         config_from_dict({"templates": "vina"})
+    with pytest.raises(ConfigError, match="cloud.provisioning_delay: expected float"):
+        config_from_dict({"cloud": {"provisioning_delay": "x"}})
+    with pytest.raises(ConfigError, match="config.workflow_count: expected int"):
+        config_from_dict({"workflow_count": "5"})
+    with pytest.raises(ConfigError, match="config.write_traces: expected bool"):
+        config_from_dict({"write_traces": 1})
+    with pytest.raises(ConfigError, match=r"templates\[0\].fan_out: expected int"):
+        config_from_dict({"templates": [{"name": "g", "shape": "genome", "budgets": [1.0],
+                                         "fan_out": 2.5}]})
+    with pytest.raises(ConfigError, match="cloud.variability.sigma: must be finite"):
+        config_from_dict({"cloud": {"variability": {"mode": "lognormal",
+                                                    "sigma": float("nan")}}})
+    with pytest.raises(ConfigError, match="sigma must be finite and >= 0"):
+        config_from_dict({"cloud": {"variability": {"mode": "lognormal", "sigma": -0.1}}})
+
+
+def test_config_from_dict_keeps_number_types():
+    """Checked numbers are not coerced, so config.json and the hash keep them."""
+    doc = {"cloud": {"provisioning_delay": 90, "idle_threshold": 60.0}, "workflow_count": 5}
+    cloud = config_to_dict(config_from_dict(doc))["cloud"]
+    assert type(cloud["provisioning_delay"]) is int
+    assert type(cloud["idle_threshold"]) is float
 
 
 def test_plan_runs_matrix():
@@ -244,6 +268,32 @@ def test_fcfs_vm_count_equals_task_count_in_runs(tmp_path):
     workload = generate_workload(config.build_catalog(), config.workflow_count,
                                  2.0, plan_runs(config)[0].workload_seed)
     assert report.fleet.total_vms == workload.total_tasks()
+
+
+def test_jobs_clamped_to_runs_and_cpus(tmp_path, monkeypatch):
+    """No pool is ever started here: the executor is replaced by a recorder."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    config = desk_config(arrival_rates=[0.5, 2.0, 6.0])
+    for cpus, expected in ((64, [3]), (2, [2]), (1, []), (None, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        started.clear()
+        run_experiment(config, jobs=10**6, output_dir=tmp_path / str(cpus))
+        assert started == expected
 
 
 def test_parallel_jobs_match_sequential(tmp_path):

@@ -1,8 +1,9 @@
 """Differential tests against the straightforward implementations that the
 windowed estimator, the per-type dispatch decision and the fleet's idle
-index replaced. The references below scan every record, estimate once per
-idle VM and scan every instance; the optimised code must agree with them
-exactly: equal floats, identical traces and identical report bytes."""
+index and release queue replaced. The references below scan every record,
+estimate once per idle VM and scan every instance; the optimised code must
+agree with them exactly: equal floats, identical traces and identical
+report bytes."""
 
 import random
 
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import MICRO, random_dag
 from waasim import engine
-from waasim.cloud import (IDLE, CloudConfig, Fleet, VariabilityConfig, default_catalog,
-                          estimated_cost_nanos)
+from waasim.cloud import (IDLE, TERMINATED, CloudConfig, Fleet, VariabilityConfig,
+                          default_catalog, estimated_cost_nanos)
 from waasim.errors import UnknownKind
 from waasim.estimator import EstimatorConfig, ExecutionRecord, RuntimeEstimator
 from waasim.metrics import report_to_json
@@ -95,10 +96,36 @@ class ReferenceEbpsmPolicy(EbpsmPolicy):
 
 
 class ReferenceFleet(Fleet):
-    """Finds idle instances by scanning every instance ever leased."""
+    """Finds idle, expired, due and held instances by scanning every
+    instance ever leased, in provision order."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.released = set()
 
     def idle_instances(self):
         return [vm for vm in self.instances.values() if vm.state == IDLE]
+
+    def idle_scan(self, now_us):
+        expired = [vm for vm in self.instances.values() if vm.state == IDLE
+                   and now_us - vm.idle_since_us >= self.config.idle_threshold_us]
+        for vm in expired:
+            self.terminate(vm, now_us)
+        return expired
+
+    def _release_at_us(self, vm):
+        return vm.terminated_at_us + self.config.deprovisioning_delay_us
+
+    def release_due(self, now_us):
+        due = [vm for vm in self.instances.values()
+               if vm.state == TERMINATED and vm.id not in self.released
+               and self._release_at_us(vm) <= now_us]
+        self.released.update(vm.id for vm in due)
+        return due
+
+    def unreleased(self, now_us):
+        return [vm for vm in self.instances.values()
+                if vm.state != TERMINATED or self._release_at_us(vm) > now_us]
 
 
 def reference_make_policy(name, config, estimator):
@@ -166,10 +193,14 @@ def _catalog_for(scheduler: str):
        rate=st.sampled_from([2.0, 12.0, 60.0]),
        workload_seed=st.integers(0, 2**32 - 1),
        provisioning_delay=st.sampled_from([0.0, 30.0, 90.0]),
+       deprovisioning_delay=st.sampled_from([0.0, 10.0, 35.0]),
+       idle_threshold=st.sampled_from([1.0, 60.0]),
+       scan_interval=st.sampled_from([3.0, 10.0]),
        run_seed=st.integers(0, 1000))
 def test_engine_matches_reference(scheduler, mode, window, variability, dag_seed,
                                   templates, budget_factors, count, rate, workload_seed,
-                                  provisioning_delay, run_seed):
+                                  provisioning_delay, deprovisioning_delay, idle_threshold,
+                                  scan_interval, run_seed):
     catalog = _catalog_for(scheduler)
     cheapest_price = min(t.price_per_second for t in catalog)
     rng = random.Random(dag_seed)
@@ -180,6 +211,8 @@ def test_engine_matches_reference(scheduler, mode, window, variability, dag_seed
         entries += [(spec, cheapest_cost * f) for f in budget_factors]
     workload = generate_workload(entries, count, rate, workload_seed)
     cloud = CloudConfig(catalog=catalog, provisioning_delay=provisioning_delay,
+                        deprovisioning_delay=deprovisioning_delay,
+                        idle_threshold=idle_threshold, scan_interval=scan_interval,
                         variability=VariabilityConfig(
                             variability, 0.3 if variability == "lognormal" else 0.0))
     estimator = EstimatorConfig(mode, window)
