@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, ManifestMismatch, StallError, WaasimError
+from .errors import ConfigError, StallError, WaasimError
 from .experiment import (compare_files, default_templates, load_config,
                          run_experiment)
 from .workflow import (generate_workload, parse_workflow, serialize_workload,
@@ -111,10 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     except StallError as exc:
         print(f"error: simulation stalled: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ManifestMismatch, WaasimError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (WaasimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

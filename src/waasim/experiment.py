@@ -10,13 +10,15 @@ import io
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from itertools import repeat
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from . import engine
-from .cloud import CloudConfig, VariabilityConfig, VmType
-from .errors import ConfigError, ManifestMismatch
+from .cloud import CloudConfig, VmType
+from .errors import ConfigError, ManifestMismatch, SchemaError
 from .estimator import EstimatorConfig
 from .metrics import (MetricsReport, assignments_to_csv, report_from_json,
                       report_to_json, workflows_to_csv)
@@ -118,74 +120,54 @@ class ExperimentConfig:
         return catalog
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ConfigError(f"{path}{key}: missing field")
-    return doc[key]
+# Decoding rules the annotations do not state: catalog entries default
+# vcpus and memory_mb, and these fields are stored as floats whatever JSON
+# number they were given.
+_DEFAULTS = {VmType: {"vcpus": 1, "memory_mb": 1024}}
+_AS_FLOAT = {(VmType, "price_per_second"), (VmType, "speed_factor"),
+             (TemplateConfig, "budgets")}
+
+# JSON types a scalar annotation accepts. They are checked, never coerced (an
+# int passes as a float and stays an int), so config.json keeps them.
+_SCALARS = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
 
 
-# JSON types of scalar fields; checked, never coerced, so config.json keeps them.
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
-
-
-def _known_fields(doc, cls, path: str) -> dict:
-    """A copy of `doc`, checked to hold only fields of `cls`, scalars typed and finite."""
-    if not isinstance(doc, dict):
+def _decode(hint, value, path: str, as_float: bool = False):
+    """`value` decoded as the annotation `hint`; errors name the JSON `path`."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # X | None
+        return None if value is None else _decode(args[0], value, path, as_float)
+    if (is_dataclass(hint) or origin is dict) and not isinstance(value, dict):
         raise ConfigError(f"{path}: must be a JSON object")
-    annotations = {f.name: f.type for f in fields(cls)}
-    for key, value in doc.items():
-        if key not in annotations:
-            raise ConfigError(f"{path}: unknown field {key!r}")
-        allowed = _JSON_TYPES.get(annotations[key])
-        if allowed and type(value) not in allowed:
-            raise ConfigError(f"{path}.{key}: expected {annotations[key]}")
-        if type(value) is float and not math.isfinite(value):
-            raise ConfigError(f"{path}.{key}: must be finite")
-    return dict(doc)
-
-
-def _entries(doc, path: str) -> list:
-    if not isinstance(doc, list):
-        raise ConfigError(f"{path}: must be a JSON list")
-    return doc
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        if unknown := [key for key in value if key not in hints]:
+            raise ConfigError(f"{path}: unknown field {unknown[0]!r}")
+        kwargs = dict(_DEFAULTS.get(hint, {}))
+        for f in fields(hint):
+            if f.name in value:
+                kwargs[f.name] = _decode(hints[f.name], value[f.name], f"{path}.{f.name}",
+                                         (hint, f.name) in _AS_FLOAT)
+            elif f.name not in kwargs and f.default is MISSING is f.default_factory:
+                raise ConfigError(f"{path}.{f.name}: missing field")
+        return hint(**kwargs)
+    if origin is dict:  # dict[str, X]
+        return {k: _decode(args[1], v, f"{path}.{k}", as_float) for k, v in value.items()}
+    if origin in (list, tuple):  # list[X] or tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: must be a JSON list")
+        return origin(_decode(args[0], v, f"{path}[{i}]", as_float)
+                      for i, v in enumerate(value))
+    if type(value) not in _SCALARS[hint]:
+        raise ConfigError(f"{path}: expected {hint.__name__}")
+    if type(value) is float and not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite")
+    return float(value) if as_float else value
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build and validate an ExperimentConfig from parsed JSON."""
-    kwargs = _known_fields(doc, ExperimentConfig, "config")
-    if "cloud" in kwargs:
-        cdoc = _known_fields(kwargs["cloud"], CloudConfig, "cloud")
-        if "catalog" in cdoc:
-            catalog = []
-            for i, t in enumerate(_entries(cdoc["catalog"], "cloud.catalog")):
-                path = f"cloud.catalog[{i}]"
-                t = _known_fields(t, VmType, path)
-                catalog.append(VmType(
-                    name=_require(t, "name", f"{path}."),
-                    vcpus=int(t.get("vcpus", 1)),
-                    memory_mb=int(t.get("memory_mb", 1024)),
-                    price_per_second=float(_require(t, "price_per_second", f"{path}.")),
-                    speed_factor=float(_require(t, "speed_factor", f"{path}.")),
-                ))
-            cdoc["catalog"] = tuple(catalog)
-        if "variability" in cdoc:
-            cdoc["variability"] = VariabilityConfig(
-                **_known_fields(cdoc["variability"], VariabilityConfig, "cloud.variability"))
-        kwargs["cloud"] = CloudConfig(**cdoc)
-    if "estimator" in kwargs:
-        kwargs["estimator"] = EstimatorConfig(
-            **_known_fields(kwargs["estimator"], EstimatorConfig, "estimator"))
-    if "templates" in kwargs:
-        templates = []
-        for i, t in enumerate(_entries(kwargs["templates"], "templates")):
-            path = f"templates[{i}]"
-            t = _known_fields(t, TemplateConfig, path)
-            for key in ("name", "shape"):
-                _require(t, key, f"{path}.")
-            t["budgets"] = [float(b) for b in _require(t, "budgets", f"{path}.")]
-            templates.append(TemplateConfig(**t))
-        kwargs["templates"] = templates
-    config = ExperimentConfig(**kwargs)
+    """Decode an ExperimentConfig from parsed JSON, then validate it."""
+    config = _decode(ExperimentConfig, doc, "config")
     config.validate()
     return config
 
@@ -282,40 +264,19 @@ SUMMARY_COLUMNS = (
 )
 
 
-def _summary_row(spec: RunSpec, report: MetricsReport) -> dict:
+def _summary_row(spec: RunSpec, report: MetricsReport, type_names: list[str]) -> list:
+    """One formatted `summary.csv` row: SUMMARY_COLUMNS, then a VM count per type."""
     makespans = [w.makespan_s for w in report.workflows]
-    return {
-        "run_id": spec.run_id,
-        "scheduler": spec.scheduler,
-        "rate": spec.rate,
-        "repetition": spec.repetition,
-        "workload_seed": spec.workload_seed,
-        "run_seed": spec.run_seed,
-        "workflows": len(report.workflows),
-        "budget_met_pct": report.budget_met_pct(),
-        "mean_makespan_s": sum(makespans) / len(makespans) if makespans else 0.0,
-        "total_workflow_cost_usd": sum(w.cost_usd for w in report.workflows),
-        "fleet_cost_usd": report.fleet.total_cost_usd,
-        "utilization_pct": report.fleet.utilization_pct,
-        "vm_count": report.fleet.total_vms,
-    }
-
-
-def _format_summary_csv(rows: list[dict], type_names: list[str]) -> str:
-    buf = io.StringIO()
-    columns = list(SUMMARY_COLUMNS) + [f"vms_{n}" for n in type_names]
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([
-            row["run_id"], row["scheduler"], f"{row['rate']:g}", row["repetition"],
-            row["workload_seed"], row["run_seed"], row["workflows"],
-            f"{row['budget_met_pct']:.4f}", f"{row['mean_makespan_s']:.6f}",
-            f"{row['total_workflow_cost_usd']:.9f}", f"{row['fleet_cost_usd']:.9f}",
-            f"{row['utilization_pct']:.4f}", row["vm_count"],
-            *[row["vm_counts"].get(n, 0) for n in type_names],
-        ])
-    return buf.getvalue()
+    mean_makespan = sum(makespans) / len(makespans) if makespans else 0.0
+    return [
+        spec.run_id, spec.scheduler, f"{spec.rate:g}", spec.repetition,
+        spec.workload_seed, spec.run_seed, len(report.workflows),
+        f"{report.budget_met_pct():.4f}", f"{mean_makespan:.6f}",
+        f"{sum(w.cost_usd for w in report.workflows):.9f}",
+        f"{report.fleet.total_cost_usd:.9f}",
+        f"{report.fleet.utilization_pct:.4f}", report.fleet.total_vms,
+        *[report.fleet.vm_counts.get(n, 0) for n in type_names],
+    ]
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1,
@@ -335,7 +296,10 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     else:
         outputs = map(_run_outputs, repeat(config), specs)
 
-    summary_rows = []
+    type_names = [t.name for t in config.cloud.catalog]
+    summary = io.StringIO()
+    summary_writer = csv.writer(summary, lineterminator="\n")
+    summary_writer.writerow(list(SUMMARY_COLUMNS) + [f"vms_{n}" for n in type_names])
     reports_by_rate: dict[float, list[MetricsReport]] = {}
     manifest_runs = []
     for spec, (report, wf_csv, assign_csv, trace_text) in zip(specs, outputs):
@@ -344,22 +308,10 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
         (runs_dir / f"{spec.run_id}.report.json").write_text(report_to_json(report))
         if trace_text is not None:
             (runs_dir / f"{spec.run_id}.trace").write_text(trace_text)
-        row = _summary_row(spec, report)
-        row["vm_counts"] = report.fleet.vm_counts
-        summary_rows.append(row)
+        summary_writer.writerow(_summary_row(spec, report, type_names))
         reports_by_rate.setdefault(spec.rate, []).append(report)
-        manifest_runs.append({
-            "run_id": spec.run_id,
-            "scheduler": spec.scheduler,
-            "rate": spec.rate,
-            "repetition": spec.repetition,
-            "workload_seed": spec.workload_seed,
-            "run_seed": spec.run_seed,
-            "workload_hash": report.workload_hash,
-        })
-
-    type_names = [t.name for t in config.cloud.catalog]
-    (out / "summary.csv").write_text(_format_summary_csv(summary_rows, type_names))
+        manifest_runs.append({**asdict(spec), "workload_hash": report.workload_hash})
+    (out / "summary.csv").write_text(summary.getvalue())
 
     budget_rows = summarize_budget_met(reports_by_rate)
     buf = io.StringIO()
@@ -425,6 +377,8 @@ def compare(report_a: MetricsReport, report_b: MetricsReport) -> ComparisonRepor
             f"workload hashes differ: {report_a.workload_hash[:12]} vs "
             f"{report_b.workload_hash[:12]}")
     b_by_id = {w.workflow_id: w for w in report_b.workflows}
+    if not b_by_id or sorted(b_by_id) != sorted(w.workflow_id for w in report_a.workflows):
+        raise ManifestMismatch("the reports do not cover the same workflows")
     rows = []
     speedups = []
     for wa in report_a.workflows:
@@ -450,6 +404,12 @@ def compare(report_a: MetricsReport, report_b: MetricsReport) -> ComparisonRepor
     )
 
 
+def _read_report(path: str | Path) -> MetricsReport:
+    try:
+        return report_from_json(Path(path).read_text())
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
 def compare_files(path_a: str | Path, path_b: str | Path) -> ComparisonReport:
-    return compare(report_from_json(Path(path_a).read_text()),
-                   report_from_json(Path(path_b).read_text()))
+    return compare(_read_report(path_a), _read_report(path_b))

@@ -7,7 +7,9 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from typing import get_type_hints
 
+from .errors import SchemaError
 from .units import format_dollars, format_seconds
 
 
@@ -72,20 +74,45 @@ def report_to_json(report: MetricsReport) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
+# JSON types of the scalar report fields.
+_SCALARS = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+
+
+def _record(cls, doc, path: str):
+    """`cls(**doc)`, for a JSON object holding exactly the fields of `cls`
+    (report_to_json writes them all), each scalar of its annotated type."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: must be a JSON object")
+    hints = get_type_hints(cls)
+    for key, value in doc.items():
+        if key not in hints:
+            raise SchemaError(f"{path}: unknown field {key!r}")
+        if hints[key] in _SCALARS and type(value) not in _SCALARS[hints[key]]:
+            raise SchemaError(f"{path}.{key}: expected {hints[key].__name__}")
+    if missing := [key for key in hints if key not in doc]:
+        raise SchemaError(f"{path}.{missing[0]}: missing field")
+    return cls(**doc)
+
+
 def report_from_json(text: str) -> MetricsReport:
-    doc = json.loads(text)
-    fleet = FleetMetrics(**doc["fleet"]) if doc.get("fleet") else None
-    workflows = [WorkflowMetrics(**w) for w in doc["workflows"]]
-    for w in workflows:
-        if w.cost_per_budget is None:
-            w.cost_per_budget = float("inf")
-    return MetricsReport(
-        scheduler=doc["scheduler"],
-        seed=doc["seed"],
-        workload_hash=doc["workload_hash"],
-        workflows=workflows,
-        fleet=fleet,
-    )
+    """Read a report written by report_to_json, where a null `cost_per_budget`
+    is infinity. A malformed report raises SchemaError naming the field."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+    report = _record(MetricsReport, doc, "report")
+    if not isinstance(report.workflows, list):
+        raise SchemaError("report.workflows: must be a JSON list")
+    workflows = []
+    for i, w in enumerate(report.workflows):
+        if isinstance(w, dict) and w.get("cost_per_budget", 0.0) is None:
+            w = {**w, "cost_per_budget": math.inf}
+        workflows.append(_record(WorkflowMetrics, w, f"report.workflows[{i}]"))
+    report.workflows = workflows
+    if report.fleet is not None:
+        report.fleet = _record(FleetMetrics, report.fleet, "report.fleet")
+    return report
 
 
 WORKFLOW_CSV_COLUMNS = (

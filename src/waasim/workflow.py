@@ -148,6 +148,20 @@ def validate_workflow(spec: WorkflowSpec) -> None:
             raise SchemaError(f"task {tid!r}: parent/child links are inconsistent")
 
 
+def _converted(convert, value, field: str, task: int | None = None):
+    """`convert(value)`. A value it rejects raises a SchemaError naming the
+    field, as `tasks[i].field` for the task at index `task`."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        path = field if task is None else f"tasks[{task}].{field}"
+        raise SchemaError(f"{path}: invalid value {value!r}") from exc
+
+
+def _id_set(values) -> frozenset[str]:
+    return frozenset(str(v) for v in values)
+
+
 def workflow_from_dict(doc: dict) -> WorkflowSpec:
     if not isinstance(doc, dict):
         raise SchemaError("workflow document must be a JSON object")
@@ -166,12 +180,12 @@ def workflow_from_dict(doc: dict) -> WorkflowSpec:
         tasks.append(TaskRecord(
             id=str(entry["id"]),
             kind=str(entry["kind"]),
-            reference_runtime=float(entry["runtime"]),
-            parents=frozenset(str(p) for p in entry.get("parents", [])),
-            transfer_time=float(entry.get("transfer", 0.0)),
+            reference_runtime=_converted(float, entry["runtime"], "runtime", i),
+            parents=_converted(_id_set, entry.get("parents", []), "parents", i),
+            transfer_time=_converted(float, entry.get("transfer", 0.0), "transfer", i),
         ))
-    return _assemble(str(doc["id"]), tasks, float(doc["budget"]),
-                     float(doc.get("arrival_time", 0.0)))
+    return _assemble(str(doc["id"]), tasks, _converted(float, doc["budget"], "budget"),
+                     _converted(float, doc.get("arrival_time", 0.0), "arrival_time"))
 
 
 def parse_workflow(text: str) -> WorkflowSpec:
@@ -207,15 +221,20 @@ def serialize_workflow(spec: WorkflowSpec) -> str:
 
 
 def workload_from_dict(doc: dict) -> WorkloadSpec:
+    if not isinstance(doc, dict):
+        raise SchemaError("workload document must be a JSON object")
     for key in ("arrival_rate", "workflows"):
         if key not in doc:
             raise SchemaError(f"workload document: missing field {key!r}")
+    if not isinstance(doc["workflows"], list):
+        raise SchemaError("workload document: 'workflows' must be a list")
     workflows = [workflow_from_dict(w) for w in doc["workflows"]]
     arrivals = [w.arrival_time for w in workflows]
     if any(b < a for a, b in zip(arrivals, arrivals[1:])):
         raise SchemaError("workload document: arrival_time must be non-decreasing")
-    return WorkloadSpec(workflows=workflows, arrival_rate=float(doc["arrival_rate"]),
-                        seed=int(doc.get("seed", 0)))
+    return WorkloadSpec(workflows=workflows,
+                        arrival_rate=_converted(float, doc["arrival_rate"], "arrival_rate"),
+                        seed=_converted(int, doc.get("seed", 0), "seed"))
 
 
 def parse_workload(text: str) -> WorkloadSpec:

@@ -1,0 +1,94 @@
+"""What the benchmark's per-layer tracer (`bench/layers.py`) relies on.
+
+The tracer wraps waasim functions named by (module, attribute) in its SPANS
+table and derives counts from their arguments and results. Renaming or
+deleting a wrapped function, or changing what its hooks read, breaks
+`bench/run.py --trace 1`; these tests catch that here.
+"""
+
+import importlib
+import runpy
+from pathlib import Path
+
+import pytest
+
+from waasim import engine, scheduler
+from waasim.cloud import CloudConfig, default_catalog
+from waasim.estimator import EstimatorConfig
+from waasim.workflow import TaskRecord, generate_workload, genome_template
+
+# run_path compiles the source itself, so nothing is written under bench/.
+LAYERS = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "layers.py"))
+
+
+def _small_workload():
+    spec = genome_template("chr", 2)
+    return generate_workload([(spec, 0.05), (spec, 0.2)], 4, 6.0, seed=5)
+
+
+def _run(name):
+    """A small run under `name`; FCFS needs a single-type catalog."""
+    cloud = CloudConfig(catalog=default_catalog()[:1]) if name == "fcfs" else None
+    return engine.run(_small_workload(), scheduler=name, cloud=cloud,
+                      estimator=EstimatorConfig(mode="oracle"), seed=1)
+
+
+@pytest.mark.parametrize("module, path, metric", LAYERS["SPANS"],
+                         ids=[path for _, path, _ in LAYERS["SPANS"]])
+def test_span_target_resolves(module, path, metric):
+    owner = importlib.import_module(module)
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+def test_update_budget_fourth_argument_is_unscheduled_tasks(monkeypatch):
+    checked = []
+
+    def check(ledger, finished, cost, unscheduled, *rest):
+        assert isinstance(unscheduled, list)
+        assert all(isinstance(t, TaskRecord) for t in unscheduled)
+        ids = {t.id for t in unscheduled}
+        assert finished.id not in ids
+        assert ids <= set(ledger.sub_budgets) - ledger.scheduled
+        checked.append(len(unscheduled))
+        return original(ledger, finished, cost, unscheduled, *rest)
+
+    original = scheduler.update_budget
+    monkeypatch.setattr(scheduler, "update_budget", check)
+    _run("ebpsm")
+    assert checked and any(checked)
+
+
+@pytest.mark.parametrize("name, policy", [("ebpsm", scheduler.EbpsmPolicy),
+                                          ("fcfs", scheduler.FcfsPolicy)])
+def test_schedule_ready_returns_a_list(monkeypatch, name, policy):
+    results = []
+    original = policy.schedule_ready
+
+    def record(self, *args):
+        results.append(original(self, *args))
+        return results[-1]
+
+    monkeypatch.setattr(policy, "schedule_ready", record)
+    _run(name)
+    assert results
+    assert all(type(result) is list for result in results)
+
+
+def test_tracer_runs_and_restores():
+    tracer = LAYERS["Tracer"]()
+    originals = [(owner, name, getattr(owner, name))
+                 for owner, name in (LAYERS["_resolve"](m, p) for m, p, _ in LAYERS["SPANS"])]
+    tracer.install()
+    try:
+        for name in ("ebpsm", "fcfs"):
+            _run(name)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, name) is fn for owner, name, fn in originals)
+    metrics = tracer.metrics()
+    assert metrics["scheduler.update_calls"] > 0
+    assert metrics["scheduler.update_tasks"] > 0
+    assert metrics["scheduler.decisions"] > 0
+    assert metrics["engine.events"] > 0

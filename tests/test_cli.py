@@ -75,6 +75,12 @@ def test_zero_budget_report_is_strict_json(tmp_path):
 
 def test_run_command_missing_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+    for argv in (["run", "--config", str(tmp_path)],
+                 ["validate", "--workflow", str(tmp_path)],
+                 ["compare", str(tmp_path), str(tmp_path)]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "Is a directory" in capsys.readouterr().err
 
 
 def test_validate_command(tmp_path, capsys):
@@ -136,3 +142,18 @@ def test_compare_command(tmp_path, capsys):
     assert main(["run", "--config", str(other), "--out", str(out2)]) == 0
     c = out2 / "runs" / "ebpsm_rate2_rep0.report.json"
     assert main(["compare", str(a), str(c)]) == 2
+
+    malformed = tmp_path / "malformed.report.json"
+    good = json.loads(a.read_text())
+    slow = json.loads(a.read_text())
+    slow["workflows"][0]["makespan_s"] = "x"
+    for doc, message in (
+            ({"scheduler": "x"}, f"{malformed}: report.seed: missing field"),
+            ({**good, "workflows": 5}, f"{malformed}: report.workflows: must be a JSON list"),
+            (slow, f"{malformed}: report.workflows[0].makespan_s: expected float"),
+            ({**good, "fleet": {"vms": 1}}, f"{malformed}: report.fleet: unknown field 'vms'"),
+            ({**good, "workflows": []}, "the reports do not cover the same workflows")):
+        malformed.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["compare", str(a), str(malformed)]) == 2
+        assert message in capsys.readouterr().err

@@ -9,8 +9,9 @@ import pytest
 
 from waasim.errors import ConfigError, ManifestMismatch
 from waasim.experiment import (ExperimentConfig, TemplateConfig, compare,
-                               compare_files, config_from_dict, config_to_dict,
-                               plan_runs, run_experiment, summarize_budget_met)
+                               compare_files, config_from_dict, config_hash,
+                               config_to_dict, plan_runs, run_experiment,
+                               summarize_budget_met)
 from waasim.metrics import (FleetMetrics, MetricsReport, WorkflowMetrics,
                             report_from_json)
 
@@ -109,6 +110,18 @@ def test_config_from_dict_field_errors():
                                                     "sigma": float("nan")}}})
     with pytest.raises(ConfigError, match="sigma must be finite and >= 0"):
         config_from_dict({"cloud": {"variability": {"mode": "lognormal", "sigma": -0.1}}})
+    with pytest.raises(ConfigError, match=r"arrival_rates\[0\]: expected float"):
+        config_from_dict({"arrival_rates": ["x"]})
+    with pytest.raises(ConfigError, match=r"budget_levels\[0\]: expected int"):
+        config_from_dict({"budget_levels": [1.5]})
+    vina = {"name": "v", "shape": "vina", "ligand_count": 1, "budgets": [1.0],
+            "runtimes": [10.0]}
+    with pytest.raises(ConfigError, match=r"templates\[0\]\.budgets\[0\]"):
+        config_from_dict({"templates": [{**vina, "budgets": ["x"]}]})
+    with pytest.raises(ConfigError, match=r"templates\[0\]\.runtimes\[0\]"):
+        config_from_dict({"templates": [{**vina, "runtimes": ["x"]}]})
+    with pytest.raises(ConfigError, match="schedulers: must be a JSON list"):
+        config_from_dict({"schedulers": "ebpsm"})
 
 
 def test_config_from_dict_keeps_number_types():
@@ -117,6 +130,23 @@ def test_config_from_dict_keeps_number_types():
     cloud = config_to_dict(config_from_dict(doc))["cloud"]
     assert type(cloud["provisioning_delay"]) is int
     assert type(cloud["idle_threshold"]) is float
+
+
+def test_config_hash_of_integer_valued_config():
+    """Catalog prices and speeds and template budgets are stored as floats;
+    every other number keeps its JSON type. Pinned against a hash taken
+    before config decoding was derived from the dataclass annotations."""
+    doc = {"cloud": {"catalog": [{"name": "a", "price_per_second": 1, "speed_factor": 2}],
+                     "provisioning_delay": 90},
+           "templates": [{"name": "v", "shape": "vina", "ligand_count": 2,
+                          "budgets": [1, 2], "runtimes": [10, 20]},
+                         {"name": "g", "shape": "genome", "budgets": [1, 3], "fan_out": 2,
+                          "runtime_profile": {"sifting": 5}}],
+           "budget_levels": [1, 2], "arrival_rates": [6, 12], "schedulers": ["fcfs"]}
+    config = config_from_dict(doc)
+    assert config_hash(config).startswith("67ab57edf8ae5135")
+    assert config.cloud.catalog[0].vcpus == 1 and config.cloud.catalog[0].memory_mb == 1024
+    assert config_hash(ExperimentConfig()).startswith("54deb07f8c06137f")
 
 
 def test_plan_runs_matrix():

@@ -49,6 +49,35 @@ def test_parse_missing_field(missing):
         parse_workflow(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("runtime", "x", r"tasks\[0\]\.runtime"),
+    ("transfer", "x", r"tasks\[0\]\.transfer"),
+    ("parents", 5, r"tasks\[0\]\.parents"),
+    ("budget", None, "budget"),
+])
+def test_parse_unconvertible_value(field, value, message):
+    doc = {"id": "w", "budget": 0.1,
+           "tasks": [{"id": "A", "kind": "a", "runtime": 1, "parents": []}]}
+    (doc if field == "budget" else doc["tasks"][0])[field] = value
+    with pytest.raises(SchemaError, match=message):
+        parse_workflow(json.dumps(doc))
+
+
+def test_parse_converts_as_before():
+    """Values that convert keep converting, so no workload hash changes."""
+    doc = {"id": "w", "budget": "0.5",
+           "tasks": [{"id": "A", "kind": "a", "runtime": "2", "transfer": 1, "parents": []}]}
+    spec = parse_workflow(json.dumps(doc))
+    assert spec.budget == 0.5
+    assert spec.tasks["A"].reference_runtime == 2.0
+    assert spec.tasks["A"].transfer_time == 1.0
+
+
+def test_parse_workload_workflows_not_a_list():
+    with pytest.raises(SchemaError, match="'workflows' must be a list"):
+        parse_workload(json.dumps({"arrival_rate": 1.0, "workflows": 5}))
+
+
 def test_parse_cycle():
     doc = {"id": "c", "budget": 0.1, "tasks": [
         {"id": "A", "kind": "a", "runtime": 1, "parents": ["B"]},
