@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .cloud import CloudConfig, Fleet, VmInstance, task_runtime_on
 from .errors import StallError
@@ -21,8 +22,6 @@ from .workflow import TaskRecord, WorkloadSpec, workload_hash
 
 ARRIVAL = "workflow_arrival"
 VM_AVAILABLE = "vm_available"
-TASK_COMPLETED = "task_completed"
-SCAN_TICK = "idle_scan_tick"
 
 
 @dataclass
@@ -92,7 +91,7 @@ class _Simulation:
         self.workload = workload
         self.fleet = Fleet(cloud)
         self.clock_us = 0
-        self._heap: list[tuple[int, int, str, tuple]] = []
+        self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = 0
         self.trace: list[TraceEvent] = []
         self.runs: dict[str, WorkflowRun] = {}
@@ -101,10 +100,12 @@ class _Simulation:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _push(self, time_us: int, kind: str, payload: tuple = ()) -> None:
+    def _push(self, time_us: int, handler: Callable, payload: tuple = ()) -> None:
+        """Schedule `handler(*payload)`; `seq` is unique, so handlers are
+        never compared and same-time events run in push order."""
         assert time_us >= self.clock_us
         self._seq += 1
-        heapq.heappush(self._heap, (time_us, self._seq, kind, payload))
+        heapq.heappush(self._heap, (time_us, self._seq, handler, payload))
 
     def _emit(self, name: str, **fields) -> None:
         self.trace.append(TraceEvent(self.clock_us, name, fields))
@@ -119,14 +120,14 @@ class _Simulation:
                 budget_nanos=round(wf.budget * 1e9),
             )
             self.runs[wf.id] = run
-            self._push(run.arrival_us, ARRIVAL, (wf.id,))
+            self._push(run.arrival_us, self._on_arrival, (wf.id,))
 
         while self._heap:
             now = self._heap[0][0]
             self.clock_us = now
             while self._heap and self._heap[0][0] == now:
-                _, _, kind, payload = heapq.heappop(self._heap)
-                self._handle(kind, payload)
+                _, _, handler, payload = heapq.heappop(self._heap)
+                handler(*payload)
             self._dispatch()
             self._maybe_schedule_tick()
             if self._finished():
@@ -148,16 +149,6 @@ class _Simulation:
                 and not self.fleet.unreleased(self.clock_us))
 
     # -- event handlers -----------------------------------------------------
-
-    def _handle(self, kind: str, payload: tuple) -> None:
-        if kind == ARRIVAL:
-            self._on_arrival(*payload)
-        elif kind == VM_AVAILABLE:
-            self._on_vm_available(*payload)
-        elif kind == TASK_COMPLETED:
-            self._on_task_completed(*payload)
-        elif kind == SCAN_TICK:
-            self._on_scan_tick()
 
     def _on_arrival(self, workflow_id: str) -> None:
         run = self.runs[workflow_id]
@@ -188,7 +179,8 @@ class _Simulation:
         self.fleet.start_task(vm, self.clock_us, runtime_us)
         self._emit("task_start", workflow=run.spec.id, task=task.id, vm=vm.id,
                    type=vm.vm_type.name, runtime_us=runtime_us)
-        self._push(self.clock_us + runtime_us, TASK_COMPLETED, (run, task, vm, runtime_us))
+        self._push(self.clock_us + runtime_us, self._on_task_completed,
+                   (run, task, vm, runtime_us))
 
     def _on_task_completed(self, run: WorkflowRun, task: TaskRecord, vm: VmInstance,
                            runtime_us: int) -> None:
@@ -250,7 +242,7 @@ class _Simulation:
                 self._emit("provision_request", workflow=action.run.spec.id,
                            task=task.id, vm=vm.id, type=vm.vm_type.name,
                            available_at_us=vm.available_at_us)
-                self._push(vm.available_at_us, VM_AVAILABLE, (vm, action.run, task))
+                self._push(vm.available_at_us, self._on_vm_available, (vm, action.run, task))
 
     def _maybe_schedule_tick(self) -> None:
         if self._next_tick_us is not None:
@@ -260,7 +252,7 @@ class _Simulation:
         interval = self.cloud.scan_interval_us
         next_tick = (self.clock_us // interval + 1) * interval
         self._next_tick_us = next_tick
-        self._push(next_tick, SCAN_TICK)
+        self._push(next_tick, self._on_scan_tick)
 
     # -- reporting ----------------------------------------------------------
 

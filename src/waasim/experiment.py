@@ -379,6 +379,9 @@ def compare(report_a: MetricsReport, report_b: MetricsReport) -> ComparisonRepor
     b_by_id = {w.workflow_id: w for w in report_b.workflows}
     if not b_by_id or sorted(b_by_id) != sorted(w.workflow_id for w in report_a.workflows):
         raise ManifestMismatch("the reports do not cover the same workflows")
+    for w in (*report_a.workflows, *report_b.workflows):
+        if not w.makespan_s > 0:
+            raise SchemaError(f"workflow {w.workflow_id!r}: makespan_s must be > 0")
     rows = []
     speedups = []
     for wa in report_a.workflows:

@@ -9,6 +9,7 @@ variant used for baseline comparisons.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -24,7 +25,8 @@ class BudgetLedger:
     """Per-workflow budget state, exact to the nano-dollar.
 
     The identity  budget == spent + sub_budgets + unassigned - debt
-    holds after every operation.
+    holds after every operation. `unscheduled` holds the tasks not yet
+    dispatched, in distribution order.
     """
 
     workflow_id: str
@@ -33,8 +35,7 @@ class BudgetLedger:
     sub_budgets: dict[str, int] = field(default_factory=dict)
     spent: int = 0
     debt: int = 0
-    scheduled: set[str] = field(default_factory=set)
-    allocation_order: list[str] = field(default_factory=list)
+    unscheduled: dict[str, TaskRecord] = field(default_factory=dict)
 
     def identity_gap(self) -> int:
         """Zero when the ledger identity holds exactly."""
@@ -86,17 +87,15 @@ def _fastest_first(config: CloudConfig) -> list[VmType]:
                   key=lambda t: (-t.speed_factor, t.price_per_second, t.name))
 
 
-def _allocate(ledger: BudgetLedger, pool: int, tasks: list[TaskRecord],
-              eft_us: dict[str, int], estimator: RuntimeEstimator,
-              config: CloudConfig) -> None:
-    """Assign a sub-budget to every task, spending `pool`.
+def _allocate(ledger: BudgetLedger, pool: int, ordered: list[TaskRecord],
+              estimator: RuntimeEstimator, config: CloudConfig) -> None:
+    """Assign a sub-budget to every task, in distribution order, spending `pool`.
 
     Each task in turn gets the fastest type it can afford while the pool
     still covers all later tasks at the cheapest type; when nothing
     qualifies it falls back to the cheapest type, with any shortfall
     recorded as debt so execution can always proceed.
     """
-    ordered = distribution_order(tasks, eft_us)
     costs = {t.id: _cost_table(t, estimator, config) for t in ordered}
     cheapest = config.cheapest_type.name
     fastest_first = _fastest_first(config)
@@ -117,31 +116,32 @@ def _allocate(ledger: BudgetLedger, pool: int, tasks: list[TaskRecord],
             ledger.debt += chosen - pool
             pool = 0
     ledger.unassigned += pool
-    ledger.allocation_order = [t.id for t in ordered]
 
 
 def distribute_budget(workflow_id: str, budget_nanos: int, tasks: list[TaskRecord],
                       eft_us: dict[str, int], estimator: RuntimeEstimator,
                       config: CloudConfig) -> BudgetLedger:
     """Build a fresh ledger and split the workflow budget across its tasks."""
-    ledger = BudgetLedger(workflow_id=workflow_id, budget_nanos=budget_nanos)
-    _allocate(ledger, budget_nanos, tasks, eft_us, estimator, config)
+    ordered = distribution_order(tasks, eft_us)
+    ledger = BudgetLedger(workflow_id=workflow_id, budget_nanos=budget_nanos,
+                          unscheduled={t.id: t for t in ordered})
+    _allocate(ledger, budget_nanos, ordered, estimator, config)
     return ledger
 
 
 def update_budget(ledger: BudgetLedger, finished: TaskRecord, actual_cost_nanos: int,
-                  unscheduled: list[TaskRecord], eft_us: dict[str, int],
-                  estimator: RuntimeEstimator, config: CloudConfig) -> None:
+                  unscheduled: list[TaskRecord], estimator: RuntimeEstimator,
+                  config: CloudConfig) -> None:
     """Settle a finished task and redistribute the remaining budget.
 
     A surplus folds back into the unscheduled pool; an overrun is deducted
     from the pool, spilling into debt once the pool is exhausted. The pool
-    is then redistributed over the still-unscheduled tasks.
+    is then redistributed over `unscheduled`, the still-unscheduled tasks
+    in distribution order.
     """
     if finished.id not in ledger.sub_budgets:
         raise IllegalState(f"task {finished.id!r} has no sub-budget entry")
     sub = ledger.sub_budgets.pop(finished.id)
-    ledger.scheduled.discard(finished.id)
     ledger.spent += actual_cost_nanos
 
     pool = ledger.unassigned
@@ -153,7 +153,7 @@ def update_budget(ledger: BudgetLedger, finished: TaskRecord, actual_cost_nanos:
     if pool < 0:
         ledger.debt += -pool
         pool = 0
-    _allocate(ledger, pool, unscheduled, eft_us, estimator, config)
+    _allocate(ledger, pool, unscheduled, estimator, config)
 
 
 @dataclass
@@ -173,7 +173,8 @@ class Provision:
 
 
 class EbpsmPolicy:
-    """EFT-ordered dispatch with VM reuse and per-task budget caps."""
+    """EFT-ordered dispatch with VM reuse and per-task budget caps. The
+    homogeneous variant keeps no budget ledger: no cap binds its tasks."""
 
     dedicated = False
 
@@ -193,9 +194,10 @@ class EbpsmPolicy:
         for task in spec.tasks.values():
             self.estimator.register_kind(task.kind, task.total_runtime)
         run.eft_us = compute_eft_us(spec, self.estimator, self.config.fastest_type)
-        self.ledgers[spec.id] = distribute_budget(
-            spec.id, run.budget_nanos, list(spec.tasks.values()),
-            run.eft_us, self.estimator, self.config)
+        if not self.homogeneous:
+            self.ledgers[spec.id] = distribute_budget(
+                spec.id, run.budget_nanos, list(spec.tasks.values()),
+                run.eft_us, self.estimator, self.config)
 
     def enqueue_ready(self, run, task: TaskRecord, now_us: int) -> None:
         key = (run.eft_us[task.id], run.arrival_us, run.spec.id, task.id)
@@ -211,14 +213,18 @@ class EbpsmPolicy:
 
     def _decide(self, run, task: TaskRecord, fleet: Fleet, claimed: set[str],
                 now_us: int) -> Assign | Provision:
-        ledger = self.ledgers[run.spec.id]
-        cap = ledger.sub_budgets.get(task.id, 0)
+        ledger = self.ledgers.get(run.spec.id)
+        if ledger is None:
+            cap = math.inf
+        else:
+            cap = ledger.sub_budgets[task.id]
+            del ledger.unscheduled[task.id]
         # The estimate, and so the cost, depends on the VM type alone, so it
         # is computed once per type, not once per idle VM.
         terms: dict[str, tuple[int, int, bool]] = {}
         for vm_type in self.config.catalog:
             est_us = usec(self.estimator.estimate(task.kind, vm_type, task.total_runtime))
-            fits = self.homogeneous or estimated_cost_nanos(vm_type, est_us) <= cap
+            fits = estimated_cost_nanos(vm_type, est_us) <= cap
             terms[vm_type.name] = (est_us, vm_type.price_nanos, fits)
         best: tuple[int, int, str] | None = None
         for vm in fleet.idle_instances():
@@ -230,12 +236,9 @@ class EbpsmPolicy:
             key = (est_us, price, vm.id)
             if best is None or key < best:
                 best = key
-        ledger.scheduled.add(task.id)
         if best is not None:
             claimed.add(best[2])
             return Assign(run, task, best[2])
-        if self.homogeneous:
-            return Provision(run, task, self.config.catalog[0])
         for vm_type in _fastest_first(self.config):
             if terms[vm_type.name][2]:
                 return Provision(run, task, vm_type)
@@ -243,13 +246,10 @@ class EbpsmPolicy:
 
     def on_complete(self, run, task: TaskRecord, actual_cost_nanos: int,
                     now_us: int) -> None:
-        ledger = self.ledgers[run.spec.id]
-        unscheduled = [
-            t for t in run.spec.tasks.values()
-            if t.id in ledger.sub_budgets and t.id not in ledger.scheduled
-        ]
-        update_budget(ledger, task, actual_cost_nanos, unscheduled,
-                      run.eft_us, self.estimator, self.config)
+        ledger = self.ledgers.get(run.spec.id)
+        if ledger is not None:
+            update_budget(ledger, task, actual_cost_nanos, list(ledger.unscheduled.values()),
+                          self.estimator, self.config)
 
 
 class FcfsPolicy:
@@ -263,13 +263,11 @@ class FcfsPolicy:
             raise ConfigError("fcfs scheduling requires a single-type catalog")
         self.config = config
         self.estimator = estimator
-        self.ledgers: dict[str, BudgetLedger] = {}
         self._queue: deque[tuple[object, TaskRecord]] = deque()
 
     def on_arrival(self, run, now_us: int) -> None:
         for task in run.spec.tasks.values():
             self.estimator.register_kind(task.kind, task.total_runtime)
-        run.eft_us = None
 
     def enqueue_ready(self, run, task: TaskRecord, now_us: int) -> None:
         self._queue.append((run, task))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 
@@ -82,19 +83,19 @@ def _assemble(workflow_id: str, tasks: list[TaskRecord], budget: float,
     """Derive children, validate every invariant and compute levels."""
     if not tasks:
         raise SchemaError(f"workflow {workflow_id!r}: tasks must be non-empty")
-    if budget < 0:
-        raise SchemaError(f"workflow {workflow_id!r}: budget must be >= 0")
-    if arrival_time < 0:
-        raise SchemaError(f"workflow {workflow_id!r}: arrival_time must be >= 0")
+    if not (math.isfinite(budget) and budget >= 0):
+        raise SchemaError(f"workflow {workflow_id!r}: budget must be finite and >= 0")
+    if not (math.isfinite(arrival_time) and arrival_time >= 0):
+        raise SchemaError(f"workflow {workflow_id!r}: arrival_time must be finite and >= 0")
 
     by_id: dict[str, TaskRecord] = {}
     for task in tasks:
         if task.id in by_id:
             raise SchemaError(f"workflow {workflow_id!r}: duplicate task id {task.id!r}")
-        if task.reference_runtime <= 0:
-            raise SchemaError(f"task {task.id!r}: runtime must be > 0")
-        if task.transfer_time < 0:
-            raise SchemaError(f"task {task.id!r}: transfer must be >= 0")
+        if not (math.isfinite(task.reference_runtime) and task.reference_runtime > 0):
+            raise SchemaError(f"task {task.id!r}: runtime must be finite and > 0")
+        if not (math.isfinite(task.transfer_time) and task.transfer_time >= 0):
+            raise SchemaError(f"task {task.id!r}: transfer must be finite and >= 0")
         by_id[task.id] = task
 
     children: dict[str, set[str]] = {tid: set() for tid in by_id}

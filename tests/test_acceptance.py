@@ -92,7 +92,7 @@ def test_c01_budget_distribution_correctness():
         assert all(v >= 0 for v in ledger.sub_budgets.values())
         assert ledger.unassigned >= 0
         assert sum(ledger.sub_budgets.values()) == budget - ledger.unassigned + ledger.debt
-        assert ledger.allocation_order == brute_force_order(spec, config.fastest_type)
+        assert list(ledger.unscheduled) == brute_force_order(spec, config.fastest_type)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     _report("C1", f"1000 random DAGs, exact ledger identity, order matches oracle "
@@ -181,15 +181,13 @@ def test_c02_budget_update_correctness():
         for tid in remaining:
             # occasionally lock a task ahead of time, as dispatch would
             if len(uncompleted) > 1 and rng.random() < 0.4:
-                ledger.scheduled.add(rng.choice(sorted(uncompleted - {tid})))
-            ledger.scheduled.add(tid)
+                ledger.unscheduled.pop(rng.choice(sorted(uncompleted - {tid})), None)
+            ledger.unscheduled.pop(tid, None)
             actual = rng.randrange(1, 300_000_000)
-            unscheduled = [spec.tasks[u] for u in ledger.sub_budgets
-                           if u not in ledger.scheduled]
-            update_budget(ledger, spec.tasks[tid], actual, unscheduled,
-                          eft, estimator, config)
+            update_budget(ledger, spec.tasks[tid], actual, list(ledger.unscheduled.values()),
+                          estimator, config)
             uncompleted.discard(tid)
-            naive.complete(tid, actual, set(ledger.scheduled))
+            naive.complete(tid, actual, uncompleted - set(ledger.unscheduled))
             assert ledger.identity_gap() == 0
             assert ledger.sub_budgets == naive.subs
             assert ledger.unassigned == naive.pool_left

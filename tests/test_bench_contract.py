@@ -50,7 +50,8 @@ def test_update_budget_fourth_argument_is_unscheduled_tasks(monkeypatch):
         assert all(isinstance(t, TaskRecord) for t in unscheduled)
         ids = {t.id for t in unscheduled}
         assert finished.id not in ids
-        assert ids <= set(ledger.sub_budgets) - ledger.scheduled
+        assert ids <= set(ledger.sub_budgets)
+        assert unscheduled == list(ledger.unscheduled.values())
         checked.append(len(unscheduled))
         return original(ledger, finished, cost, unscheduled, *rest)
 

@@ -99,6 +99,12 @@ def test_validate_command(tmp_path, capsys):
     ]}))
     assert main(["validate", "--workflow", str(bad)]) == 2
 
+    bad.write_text('{"id": "w", "budget": NaN,'
+                   ' "tasks": [{"id": "A", "kind": "a", "runtime": 1e999}]}')
+    capsys.readouterr()
+    assert main(["validate", "--workflow", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: workflow 'w': budget must be finite and >= 0\n"
+
 
 def test_gen_workload_roundtrip(tmp_path, capsys):
     out = tmp_path / "wl.json"
@@ -147,12 +153,16 @@ def test_compare_command(tmp_path, capsys):
     good = json.loads(a.read_text())
     slow = json.loads(a.read_text())
     slow["workflows"][0]["makespan_s"] = "x"
+    instant = json.loads(a.read_text())
+    instant["workflows"][0]["makespan_s"] = 0.0
     for doc, message in (
             ({"scheduler": "x"}, f"{malformed}: report.seed: missing field"),
             ({**good, "workflows": 5}, f"{malformed}: report.workflows: must be a JSON list"),
             (slow, f"{malformed}: report.workflows[0].makespan_s: expected float"),
             ({**good, "fleet": {"vms": 1}}, f"{malformed}: report.fleet: unknown field 'vms'"),
-            ({**good, "workflows": []}, "the reports do not cover the same workflows")):
+            ({**good, "workflows": []}, "the reports do not cover the same workflows"),
+            (instant, f"workflow {good['workflows'][0]['workflow_id']!r}: "
+                      "makespan_s must be > 0")):
         malformed.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["compare", str(a), str(malformed)]) == 2

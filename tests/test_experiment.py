@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from waasim.errors import ConfigError, ManifestMismatch
+from waasim.errors import ConfigError, ManifestMismatch, SchemaError
 from waasim.experiment import (ExperimentConfig, TemplateConfig, compare,
                                compare_files, config_from_dict, config_hash,
                                config_to_dict, plan_runs, run_experiment,
@@ -251,6 +251,15 @@ def test_compare_manifest_mismatch():
             fleet=FleetMetrics({}, 0, 0.0, 0, 0.0, 0.0, 0))
     with pytest.raises(ManifestMismatch):
         compare(report("aaa"), report("bbb"))
+
+
+def test_compare_rejects_zero_makespan():
+    instant = MetricsReport(
+        scheduler="ebpsm", seed=0, workload_hash="x",
+        workflows=[WorkflowMetrics("w", 0.0, 0.0, 1.0, 1.0, True, 1.0, 10, 0)],
+        fleet=FleetMetrics({}, 0, 0.0, 0, 0.0, 0.0, 0))
+    with pytest.raises(SchemaError, match="workflow 'w': makespan_s must be > 0"):
+        compare(instant, instant)
 
 
 def _report_with_met(met_flags):

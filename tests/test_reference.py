@@ -1,25 +1,28 @@
 """Differential tests against the straightforward implementations that the
-windowed estimator, the per-type dispatch decision and the fleet's idle
-index and release queue replaced. The references below scan every record,
-estimate once per idle VM and scan every instance; the optimised code must
-agree with them exactly: equal floats, identical traces and identical
-report bytes."""
+windowed estimator, the per-type dispatch decision, the fleet's idle index
+and release queue, and the ledger's kept distribution order replaced. The
+references below scan every record, estimate once per idle VM, scan every
+instance and rebuild and re-sort the unscheduled tasks on every budget
+update; the optimised code must agree with them exactly: equal floats,
+equal ledgers, identical traces and identical report bytes."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MICRO, random_dag
+from conftest import MICRO, chain_workflow, random_dag
 from waasim import engine
-from waasim.cloud import (IDLE, TERMINATED, CloudConfig, Fleet, VariabilityConfig,
+from waasim.cloud import (IDLE, TERMINATED, CloudConfig, Fleet, VariabilityConfig, VmType,
                           default_catalog, estimated_cost_nanos)
-from waasim.errors import UnknownKind
+from waasim.errors import IllegalState, UnknownKind
 from waasim.estimator import EstimatorConfig, ExecutionRecord, RuntimeEstimator
 from waasim.metrics import report_to_json
-from waasim.scheduler import (SCHEDULER_NAMES, Assign, EbpsmPolicy, Provision,
-                              _fastest_first, make_policy)
+from waasim.scheduler import (SCHEDULER_NAMES, Assign, BudgetLedger, EbpsmPolicy,
+                              Provision, _cost_table, _fastest_first, compute_eft_us,
+                              distribute_budget, make_policy, update_budget)
 from waasim.units import usec
 from waasim.workflow import generate_workload
 
@@ -70,24 +73,25 @@ class ReferenceEbpsmPolicy(EbpsmPolicy):
     """Estimates and prices the task on every unclaimed idle VM in turn."""
 
     def _decide(self, run, task, fleet, claimed, now_us):
-        ledger = self.ledgers[run.spec.id]
-        cap = ledger.sub_budgets.get(task.id, 0)
+        ledger = self.ledgers.get(run.spec.id)
+        if ledger is None:
+            cap = math.inf
+        else:
+            cap = ledger.sub_budgets[task.id]
+            del ledger.unscheduled[task.id]
         best = None
         for vm in fleet.idle_instances():
             if vm.id in claimed:
                 continue
             est_us = usec(self.estimator.estimate(task.kind, vm.vm_type, task.total_runtime))
-            if not self.homogeneous and estimated_cost_nanos(vm.vm_type, est_us) > cap:
+            if estimated_cost_nanos(vm.vm_type, est_us) > cap:
                 continue
             key = (est_us, vm.vm_type.price_nanos, vm.id)
             if best is None or key < best:
                 best = key
-        ledger.scheduled.add(task.id)
         if best is not None:
             claimed.add(best[2])
             return Assign(run, task, best[2])
-        if self.homogeneous:
-            return Provision(run, task, self.config.catalog[0])
         for vm_type in _fastest_first(self.config):
             est_us = usec(self.estimator.estimate(task.kind, vm_type, task.total_runtime))
             if estimated_cost_nanos(vm_type, est_us) <= cap:
@@ -126,6 +130,53 @@ class ReferenceFleet(Fleet):
     def unreleased(self, now_us):
         return [vm for vm in self.instances.values()
                 if vm.state != TERMINATED or self._release_at_us(vm) > now_us]
+
+
+def reference_allocate(ledger, pool, tasks, eft_us, estimator, config):
+    """Sorts `tasks` into distribution order on every call."""
+    ordered = sorted(tasks, key=lambda t: (t.level, eft_us[t.id], t.id))
+    costs = {t.id: _cost_table(t, estimator, config) for t in ordered}
+    cheapest = config.cheapest_type.name
+    fastest_first = _fastest_first(config)
+    reserve = sum(costs[t.id][cheapest] for t in ordered)
+    for task in ordered:
+        reserve -= costs[task.id][cheapest]
+        chosen = None
+        for vm_type in fastest_first:
+            if costs[task.id][vm_type.name] <= pool - reserve:
+                chosen = costs[task.id][vm_type.name]
+                break
+        if chosen is None:
+            chosen = costs[task.id][cheapest]
+        ledger.sub_budgets[task.id] = chosen
+        if chosen <= pool:
+            pool -= chosen
+        else:
+            ledger.debt += chosen - pool
+            pool = 0
+    ledger.unassigned += pool
+
+
+def reference_update_budget(ledger, scheduled, spec, finished, actual_cost_nanos,
+                            eft_us, estimator, config):
+    """Rebuilds the unscheduled tasks by scanning every task of `spec`
+    against the sub-budgets and `scheduled`, the set of dispatched ids."""
+    if finished.id not in ledger.sub_budgets:
+        raise IllegalState(f"task {finished.id!r} has no sub-budget entry")
+    sub = ledger.sub_budgets.pop(finished.id)
+    scheduled.discard(finished.id)
+    ledger.spent += actual_cost_nanos
+    unscheduled = [t for t in spec.tasks.values()
+                   if t.id in ledger.sub_budgets and t.id not in scheduled]
+    pool = ledger.unassigned
+    for task in unscheduled:
+        pool += ledger.sub_budgets.pop(task.id)
+    ledger.unassigned = 0
+    pool += sub - actual_cost_nanos
+    if pool < 0:
+        ledger.debt += -pool
+        pool = 0
+    reference_allocate(ledger, pool, unscheduled, eft_us, estimator, config)
 
 
 def reference_make_policy(name, config, estimator):
@@ -229,3 +280,83 @@ def test_engine_matches_reference(scheduler, mode, window, variability, dag_seed
         ref_trace, ref_report = simulate()
     assert trace == ref_trace
     assert report == ref_report
+
+
+# The default catalog, or 2-4 drawn types. In half of the drawn catalogs
+# one type is both the fastest and the cheapest, so the cheapest-type
+# fallback is also the first type tried for an upgrade.
+@st.composite
+def catalogs(draw):
+    if draw(st.booleans()):
+        return CATALOG
+    speeds = draw(st.lists(st.sampled_from([0.5, 1.0, 1.2, 1.6, 2.0, 3.0]),
+                           min_size=2, max_size=4))
+    prices = draw(st.lists(st.integers(1, 60), min_size=len(speeds), max_size=len(speeds)))
+    if draw(st.booleans()):
+        speeds[0], prices[0] = max(speeds) + 0.5, min(prices)
+    return tuple(VmType(f"v{i}", 1, 1024, price * 1e-6, speed)
+                 for i, (speed, price) in enumerate(zip(speeds, prices)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain=st.booleans(),
+       shape_seed=st.integers(0, 2**32 - 1),
+       catalog=catalogs(),
+       mode=st.sampled_from(["oracle", "history"]),
+       window=st.integers(1, 5),
+       budget_factor=st.sampled_from([0.0, 0.3, 0.9, 1.0, 1.1, 2.0, 5.0, 20.0]),
+       step_seed=st.integers(0, 2**32 - 1))
+def test_redistribution_matches_reference(chain, shape_seed, catalog, mode, window,
+                                          budget_factor, step_seed):
+    shape = random.Random(shape_seed)
+    if chain:
+        spec = chain_workflow([shape.randint(1, 300) * 1.0
+                               for _ in range(shape.randint(1, 14))])
+    else:
+        spec = random_dag(shape, max_tasks=12)
+    config = CloudConfig(catalog=catalog)
+    estimator = RuntimeEstimator(EstimatorConfig(mode, window), catalog)
+    for task in spec.tasks.values():
+        estimator.register_kind(task.kind, task.total_runtime)
+    eft_us = compute_eft_us(spec, estimator, config.fastest_type)
+    cheapest_cost = sum(_cost_table(t, estimator, config)[config.cheapest_type.name]
+                        for t in spec.tasks.values())
+    budget = round(cheapest_cost * budget_factor)
+
+    ledger = distribute_budget(spec.id, budget, list(spec.tasks.values()),
+                               eft_us, estimator, config)
+    ref = BudgetLedger(spec.id, budget)
+    reference_allocate(ref, budget, list(spec.tasks.values()), eft_us, estimator, config)
+    scheduled: set[str] = set()
+
+    def check():
+        assert ledger.sub_budgets == ref.sub_budgets
+        assert (ledger.unassigned, ledger.spent, ledger.debt) == (
+            ref.unassigned, ref.spent, ref.debt)
+        assert ledger.identity_gap() == 0 and ref.identity_gap() == 0
+
+    check()
+    rng = random.Random(step_seed)
+    undispatched = sorted(spec.tasks)
+    running: list[str] = []
+    while undispatched or running:
+        # Dispatch locks any undispatched task, ready or not, as C2 does.
+        if undispatched and (not running or rng.random() < 0.5):
+            tid = undispatched.pop(rng.randrange(len(undispatched)))
+            del ledger.unscheduled[tid]
+            scheduled.add(tid)
+            running.append(tid)
+        else:
+            task = spec.tasks[running.pop(rng.randrange(len(running)))]
+            if rng.random() < 0.7:
+                estimator.record(ExecutionRecord(
+                    rng.choice([t.kind for t in spec.tasks.values()]),
+                    rng.choice(catalog).name, rng.randint(1, 600_000_000) / 1e6))
+            held = ledger.sub_budgets[task.id]
+            actual = rng.choice([1, max(1, held // 2), held, held + 1, 2 * held + 7,
+                                 rng.randrange(1, 2 * cheapest_cost + 2)])
+            update_budget(ledger, task, actual, list(ledger.unscheduled.values()),
+                          estimator, config)
+            reference_update_budget(ref, scheduled, spec, task, actual,
+                                    eft_us, estimator, config)
+        check()

@@ -127,17 +127,16 @@ def test_distribution_order_level_then_eft():
 def settled_ledger() -> tuple:
     """Ledger with one finished-pending task f and one unscheduled task u."""
     spec = build_workflow([("f", "f", 100.0, []), ("u", "u", 100.0, ["f"])])
-    eft_us = compute_eft_us(spec, oracle_estimator((MICRO,)), MICRO)
-    ledger = BudgetLedger("w", nanos(0.01))
+    ledger = BudgetLedger("w", nanos(0.01), unscheduled={"u": spec.tasks["u"]})
     ledger.sub_budgets = {"f": nanos(0.005), "u": nanos(0.002)}
     ledger.unassigned = nanos(0.003)
-    return spec, eft_us, ledger
+    return spec, ledger
 
 
 def test_update_budget_surplus_folds_into_pool():
-    spec, eft_us, ledger = settled_ledger()
+    spec, ledger = settled_ledger()
     update_budget(ledger, spec.tasks["f"], nanos(0.003), [spec.tasks["u"]],
-                  eft_us, FixedEstimator(100.0), TWO_TYPES)
+                  FixedEstimator(100.0), TWO_TYPES)
     # pool = unassigned 0.003 + sub(u) 0.002 + surplus 0.002 = 0.007
     assert ledger.spent == nanos(0.003)
     assert ledger.sub_budgets["u"] + ledger.unassigned == nanos(0.007)
@@ -146,26 +145,26 @@ def test_update_budget_surplus_folds_into_pool():
 
 
 def test_update_budget_exact_cost_keeps_pool():
-    spec, eft_us, ledger = settled_ledger()
+    spec, ledger = settled_ledger()
     update_budget(ledger, spec.tasks["f"], nanos(0.005), [spec.tasks["u"]],
-                  eft_us, FixedEstimator(100.0), TWO_TYPES)
+                  FixedEstimator(100.0), TWO_TYPES)
     assert ledger.sub_budgets["u"] + ledger.unassigned == nanos(0.005)
     assert ledger.identity_gap() == 0
 
 
 def test_update_budget_overrun_shrinks_pool():
-    spec, eft_us, ledger = settled_ledger()
+    spec, ledger = settled_ledger()
     update_budget(ledger, spec.tasks["f"], nanos(0.007), [spec.tasks["u"]],
-                  eft_us, FixedEstimator(100.0), TWO_TYPES)
+                  FixedEstimator(100.0), TWO_TYPES)
     assert ledger.sub_budgets["u"] + ledger.unassigned == nanos(0.003)
     assert ledger.debt == 0
     assert ledger.identity_gap() == 0
 
 
 def test_update_budget_overrun_beyond_pool_becomes_debt():
-    spec, eft_us, ledger = settled_ledger()
+    spec, ledger = settled_ledger()
     update_budget(ledger, spec.tasks["f"], nanos(0.02), [spec.tasks["u"]],
-                  eft_us, FixedEstimator(100.0), TWO_TYPES)
+                  FixedEstimator(100.0), TWO_TYPES)
     # shortfall 0.015 exceeds the 0.005 pool: 0.010 spills into debt and the
     # unscheduled task falls back to a cheapest-type debt-backed allocation.
     assert ledger.sub_budgets["u"] == nanos(0.00041)
@@ -175,10 +174,10 @@ def test_update_budget_overrun_beyond_pool_becomes_debt():
 
 
 def test_update_budget_unknown_task_raises():
-    spec, eft_us, ledger = settled_ledger()
+    spec, ledger = settled_ledger()
     ghost = build_workflow([("g", "g", 1.0, [])]).tasks["g"]
     with pytest.raises(IllegalState):
-        update_budget(ledger, ghost, 1, [], eft_us, FixedEstimator(), TWO_TYPES)
+        update_budget(ledger, ghost, 1, [], FixedEstimator(), TWO_TYPES)
 
 
 def test_update_budget_randomized_identity():
@@ -195,10 +194,9 @@ def test_update_budget_randomized_identity():
         rng.shuffle(remaining)
         for tid in remaining:
             actual = rng.randrange(1, 8_000_000)
-            unscheduled = [spec.tasks[u] for u in ledger.sub_budgets
-                           if u != tid and u not in ledger.scheduled]
-            update_budget(ledger, spec.tasks[tid], actual, unscheduled,
-                          eft_us, est, TWO_TYPES)
+            del ledger.unscheduled[tid]
+            update_budget(ledger, spec.tasks[tid], actual, list(ledger.unscheduled.values()),
+                          est, TWO_TYPES)
             assert ledger.identity_gap() == 0
             assert all(v >= 0 for v in ledger.sub_budgets.values())
             assert ledger.unassigned >= 0

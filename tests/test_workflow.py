@@ -54,11 +54,16 @@ def test_parse_missing_field(missing):
     ("transfer", "x", r"tasks\[0\]\.transfer"),
     ("parents", 5, r"tasks\[0\]\.parents"),
     ("budget", None, "budget"),
+    ("runtime", float("nan"), "task 'A': runtime must be finite"),
+    ("runtime", "1e999", "task 'A': runtime must be finite"),
+    ("transfer", float("inf"), "task 'A': transfer must be finite"),
+    ("budget", float("nan"), "workflow 'w': budget must be finite"),
+    ("arrival_time", float("inf"), "workflow 'w': arrival_time must be finite"),
 ])
 def test_parse_unconvertible_value(field, value, message):
     doc = {"id": "w", "budget": 0.1,
            "tasks": [{"id": "A", "kind": "a", "runtime": 1, "parents": []}]}
-    (doc if field == "budget" else doc["tasks"][0])[field] = value
+    (doc if field in ("budget", "arrival_time") else doc["tasks"][0])[field] = value
     with pytest.raises(SchemaError, match=message):
         parse_workflow(json.dumps(doc))
 
