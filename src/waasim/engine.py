@@ -211,6 +211,9 @@ class _Simulation:
 
         if run.unfinished == 0:
             run.done_at_us = self.clock_us
+            # Nothing reads a finished workflow's dispatch state again.
+            run.eft_us = None
+            run.pending_parents.clear()
             self._completed += 1
             self._emit("workflow_complete", workflow=run.spec.id,
                        makespan_us=self.clock_us - run.arrival_us,

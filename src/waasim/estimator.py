@@ -64,6 +64,8 @@ class RuntimeEstimator:
         # kind -> last runtimes on any type, times that type's speed factor.
         self._normalized: defaultdict[str, deque[float]] = defaultdict(window)
         self._reference: dict[str, float] = {}
+        # kind -> number of records that may have changed its estimates.
+        self._revisions: dict[str, int] = {}
 
     def register_kind(self, kind: str, reference_runtime: float) -> None:
         """Register a kind's model runtime (used for oracle and cold start)."""
@@ -77,6 +79,13 @@ class RuntimeEstimator:
                 f"unknown vm type {rec.vm_type_name!r}")
         self._by_type[rec.task_kind, rec.vm_type_name].append(rec.actual_runtime)
         self._normalized[rec.task_kind].append(rec.actual_runtime * vm_type.speed_factor)
+        if self.config.mode == "history":
+            self._revisions[rec.task_kind] = self._revisions.get(rec.task_kind, 0) + 1
+
+    def revision(self, kind: str) -> int:
+        """A number that moves whenever a record may have changed the
+        estimates of `kind`; under "oracle" no record does, so it never moves."""
+        return self._revisions.get(kind, 0)
 
     def load_history_csv(self, path: str | Path) -> int:
         """Bootstrap history from `kind,vm_type,actual_runtime` rows."""

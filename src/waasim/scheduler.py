@@ -12,6 +12,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cloud import CloudConfig, Fleet, VmType, estimated_cost_nanos
 from .errors import ConfigError, IllegalState
@@ -20,13 +21,59 @@ from .units import usec
 from .workflow import TaskRecord, WorkflowSpec
 
 
+class CostRow(NamedTuple):
+    """A task's estimated runtime and cost on each catalog type, fastest
+    type first, and its cost on the cheapest type."""
+
+    terms: tuple[tuple[int, int], ...]  # (est_us, cost_nanos)
+    cheapest: int
+
+
+class CostRows:
+    """The cost rows of one policy, by (kind, total runtime), shared by its
+    budget ledgers and its dispatch decisions. The catalog is ordered once.
+
+    A row depends only on the estimator's records of its own kind, so it is
+    priced again only when the estimator's revision of that kind moved."""
+
+    def __init__(self, estimator: RuntimeEstimator, config: CloudConfig):
+        self.estimator = estimator
+        self.fastest_first = tuple(sorted(
+            config.catalog, key=lambda t: (-t.speed_factor, t.price_per_second, t.name)))
+        self.cheapest_type = config.cheapest_type
+        self._cheapest_at = self.fastest_first.index(self.cheapest_type)
+        self._rows: dict[tuple[str, float], tuple[int, CostRow]] = {}
+
+    def row(self, kind: str, total_runtime: float) -> CostRow:
+        """The row of a `kind` task whose total runtime is `total_runtime`."""
+        revision = self.estimator.revision(kind)
+        kept = self._rows.get((kind, total_runtime))
+        if kept is not None and kept[0] == revision:
+            return kept[1]
+        terms = []
+        for vm_type in self.fastest_first:
+            est_us = usec(self.estimator.estimate(kind, vm_type, total_runtime))
+            terms.append((est_us, estimated_cost_nanos(vm_type, est_us)))
+        row = CostRow(tuple(terms), terms[self._cheapest_at][1])
+        self._rows[kind, total_runtime] = (revision, row)
+        return row
+
+
 @dataclass
 class BudgetLedger:
     """Per-workflow budget state, exact to the nano-dollar.
 
     The identity  budget == spent + sub_budgets + unassigned - debt
     holds after every operation. `unscheduled` holds the tasks not yet
-    dispatched, in distribution order.
+    dispatched, in distribution order; dispatch takes a task out with
+    `lock`.
+
+    `costs` prices the tasks. The remaining fields are what the last fold
+    left, so the next one can resume (see `_fold`): the rows it priced
+    with, each unscheduled task's position and entering pool, the sum of
+    the unscheduled tasks' sub-budgets and their cheapest-cost reserve,
+    and the last position at which the next fold may not stop: that of the
+    last fold's last debt or of a task locked since, whichever is later.
     """
 
     workflow_id: str
@@ -36,6 +83,13 @@ class BudgetLedger:
     spent: int = 0
     debt: int = 0
     unscheduled: dict[str, TaskRecord] = field(default_factory=dict)
+    costs: CostRows | None = field(default=None, repr=False)
+    rows: dict[tuple[str, float], CostRow] = field(default_factory=dict, repr=False)
+    position: dict[str, int] = field(default_factory=dict, repr=False)
+    entry_pool: dict[str, int] = field(default_factory=dict, repr=False)
+    unscheduled_budget: int = field(default=0, repr=False)
+    reserve: int = field(default=0, repr=False)
+    resume_after: int = field(default=-1, repr=False)
 
     def identity_gap(self) -> int:
         """Zero when the ledger identity holds exactly."""
@@ -43,6 +97,17 @@ class BudgetLedger:
         return self.budget_nanos - (
             self.spent + outstanding + self.unassigned - self.debt
         )
+
+    def lock(self, task_id: str) -> int:
+        """Take a dispatched task out of redistribution; returns its
+        sub-budget, which caps the task's VM choice."""
+        task = self.unscheduled.pop(task_id)
+        sub = self.sub_budgets[task_id]
+        self.unscheduled_budget -= sub
+        self.reserve -= self.rows[task.kind, task.total_runtime].cheapest
+        del self.entry_pool[task_id]
+        self.resume_after = max(self.resume_after, self.position.pop(task_id))
+        return sub
 
 
 def compute_eft_us(spec: WorkflowSpec, estimator: RuntimeEstimator,
@@ -73,59 +138,86 @@ def distribution_order(tasks: list[TaskRecord], eft_us: dict[str, int]) -> list[
     return sorted(tasks, key=lambda t: (t.level, eft_us[t.id], t.id))
 
 
-def _cost_table(task: TaskRecord, estimator: RuntimeEstimator,
-                config: CloudConfig) -> dict[str, int]:
-    return {
-        vm_type.name: estimated_cost_nanos(
-            vm_type, usec(estimator.estimate(task.kind, vm_type, task.total_runtime)))
-        for vm_type in config.catalog
-    }
+def _reprice(ledger: BudgetLedger, tasks: list[TaskRecord]) -> bool:
+    """Bring the ledger's rows up to date for a fold over `tasks`, the
+    unscheduled tasks in distribution order.
+
+    True when no row changed by value since the last fold, so its memory
+    still holds. Otherwise the memory is rebuilt from `tasks`, and the fold
+    must run to the end."""
+    costs = ledger.costs
+    if ledger.rows and all(costs.row(kind, runtime) == row
+                           for (kind, runtime), row in ledger.rows.items()):
+        return True
+    ledger.rows = rows = {}
+    for task in tasks:
+        key = (task.kind, task.total_runtime)
+        if key not in rows:
+            rows[key] = costs.row(*key)
+    ledger.position = {t.id: i for i, t in enumerate(tasks)}
+    ledger.reserve = sum(rows[t.kind, t.total_runtime].cheapest for t in tasks)
+    ledger.unscheduled_budget = sum(ledger.sub_budgets.get(t.id, 0) for t in tasks)
+    return False
 
 
-def _fastest_first(config: CloudConfig) -> list[VmType]:
-    return sorted(config.catalog,
-                  key=lambda t: (-t.speed_factor, t.price_per_second, t.name))
-
-
-def _allocate(ledger: BudgetLedger, pool: int, ordered: list[TaskRecord],
-              estimator: RuntimeEstimator, config: CloudConfig) -> None:
-    """Assign a sub-budget to every task, in distribution order, spending `pool`.
+def _fold(ledger: BudgetLedger, pool: int, tasks: list[TaskRecord], resume: bool) -> None:
+    """Assign a sub-budget to every task of `tasks`, in distribution order,
+    spending `pool`.
 
     Each task in turn gets the fastest type it can afford while the pool
     still covers all later tasks at the cheapest type; when nothing
     qualifies it falls back to the cheapest type, with any shortfall
     recorded as debt so execution can always proceed.
+
+    The fold is a left fold over (pool, reserve, debt). With `resume`, it
+    stops at the first task the last fold entered in the same state: the
+    same pool, a position after every task locked since (so the same
+    reserve and the same later tasks) and after the last fold's last debt
+    (so the later tasks add no debt to be counted again). From there on the
+    last fold's sub-budgets and final pool stand as they are.
     """
-    costs = {t.id: _cost_table(t, estimator, config) for t in ordered}
-    cheapest = config.cheapest_type.name
-    fastest_first = _fastest_first(config)
-    reserve = sum(costs[t.id][cheapest] for t in ordered)
-    for task in ordered:
-        reserve -= costs[task.id][cheapest]
-        chosen = None
-        for vm_type in fastest_first:
-            if costs[task.id][vm_type.name] <= pool - reserve:
-                chosen = costs[task.id][vm_type.name]
+    subs, entry_pool, rows = ledger.sub_budgets, ledger.entry_pool, ledger.rows
+    position = ledger.position
+    stop_after = ledger.resume_after if resume else math.inf
+    reserve = ledger.reserve
+    last_debt = -1
+    for task in tasks:
+        tid = task.id
+        if pool == entry_pool.get(tid) and position[tid] > stop_after:
+            break
+        entry_pool[tid] = pool
+        terms, cheapest = rows[task.kind, task.total_runtime]
+        reserve -= cheapest
+        chosen = cheapest
+        for _, cost in terms:
+            if cost <= pool - reserve:
+                chosen = cost
                 break
-        if chosen is None:
-            chosen = costs[task.id][cheapest]
-        ledger.sub_budgets[task.id] = chosen
+        ledger.unscheduled_budget += chosen - subs.get(tid, 0)
+        subs[tid] = chosen
         if chosen <= pool:
             pool -= chosen
         else:
             ledger.debt += chosen - pool
             pool = 0
-    ledger.unassigned += pool
+            last_debt = position[tid]
+    else:
+        ledger.unassigned = pool
+    ledger.resume_after = last_debt
 
 
 def distribute_budget(workflow_id: str, budget_nanos: int, tasks: list[TaskRecord],
                       eft_us: dict[str, int], estimator: RuntimeEstimator,
-                      config: CloudConfig) -> BudgetLedger:
-    """Build a fresh ledger and split the workflow budget across its tasks."""
+                      config: CloudConfig, costs: CostRows | None = None) -> BudgetLedger:
+    """Build a fresh ledger and split the workflow budget across its tasks,
+    pricing them with `costs` (by default, rows of its own through
+    `estimator` and `config`)."""
     ordered = distribution_order(tasks, eft_us)
     ledger = BudgetLedger(workflow_id=workflow_id, budget_nanos=budget_nanos,
-                          unscheduled={t.id: t for t in ordered})
-    _allocate(ledger, budget_nanos, ordered, estimator, config)
+                          unscheduled={t.id: t for t in ordered},
+                          costs=costs or CostRows(estimator, config))
+    _reprice(ledger, ordered)
+    _fold(ledger, budget_nanos, ordered, resume=False)
     return ledger
 
 
@@ -137,23 +229,24 @@ def update_budget(ledger: BudgetLedger, finished: TaskRecord, actual_cost_nanos:
     A surplus folds back into the unscheduled pool; an overrun is deducted
     from the pool, spilling into debt once the pool is exhausted. The pool
     is then redistributed over `unscheduled`, the still-unscheduled tasks
-    in distribution order.
+    in distribution order, by a fold that resumes the last one: it stops
+    as soon as it reaches the state the last fold was in (see `_fold`), so
+    a completion that changes nothing costs little. A ledger built without
+    `distribute_budget` is priced through `estimator` and `config`.
     """
     if finished.id not in ledger.sub_budgets:
         raise IllegalState(f"task {finished.id!r} has no sub-budget entry")
+    if ledger.costs is None:
+        ledger.costs = CostRows(estimator, config)
     sub = ledger.sub_budgets.pop(finished.id)
     ledger.spent += actual_cost_nanos
+    resume = _reprice(ledger, unscheduled)
 
-    pool = ledger.unassigned
-    for task in unscheduled:
-        pool += ledger.sub_budgets.pop(task.id)
-    ledger.unassigned = 0
-
-    pool += sub - actual_cost_nanos
+    pool = ledger.unassigned + ledger.unscheduled_budget + sub - actual_cost_nanos
     if pool < 0:
         ledger.debt += -pool
         pool = 0
-    _allocate(ledger, pool, unscheduled, estimator, config)
+    _fold(ledger, pool, unscheduled, resume)
 
 
 @dataclass
@@ -186,6 +279,7 @@ class EbpsmPolicy:
         self.config = config
         self.estimator = estimator
         self.homogeneous = homogeneous
+        self.costs = CostRows(estimator, config)
         self.ledgers: dict[str, BudgetLedger] = {}
         self._queue: list[tuple[tuple[int, int, str, str], object, TaskRecord]] = []
 
@@ -197,7 +291,7 @@ class EbpsmPolicy:
         if not self.homogeneous:
             self.ledgers[spec.id] = distribute_budget(
                 spec.id, run.budget_nanos, list(spec.tasks.values()),
-                run.eft_us, self.estimator, self.config)
+                run.eft_us, self.estimator, self.config, self.costs)
 
     def enqueue_ready(self, run, task: TaskRecord, now_us: int) -> None:
         key = (run.eft_us[task.id], run.arrival_us, run.spec.id, task.id)
@@ -214,18 +308,12 @@ class EbpsmPolicy:
     def _decide(self, run, task: TaskRecord, fleet: Fleet, claimed: set[str],
                 now_us: int) -> Assign | Provision:
         ledger = self.ledgers.get(run.spec.id)
-        if ledger is None:
-            cap = math.inf
-        else:
-            cap = ledger.sub_budgets[task.id]
-            del ledger.unscheduled[task.id]
-        # The estimate, and so the cost, depends on the VM type alone, so it
-        # is computed once per type, not once per idle VM.
-        terms: dict[str, tuple[int, int, bool]] = {}
-        for vm_type in self.config.catalog:
-            est_us = usec(self.estimator.estimate(task.kind, vm_type, task.total_runtime))
-            fits = estimated_cost_nanos(vm_type, est_us) <= cap
-            terms[vm_type.name] = (est_us, vm_type.price_nanos, fits)
+        cap = math.inf if ledger is None else ledger.lock(task.id)
+        # Estimate and cost depend on the VM type alone: one term per type.
+        terms = {vm_type.name: (est_us, vm_type.price_nanos, cost <= cap)
+                 for vm_type, (est_us, cost)
+                 in zip(self.costs.fastest_first,
+                        self.costs.row(task.kind, task.total_runtime).terms)}
         best: tuple[int, int, str] | None = None
         for vm in fleet.idle_instances():
             if vm.id in claimed:
@@ -239,10 +327,10 @@ class EbpsmPolicy:
         if best is not None:
             claimed.add(best[2])
             return Assign(run, task, best[2])
-        for vm_type in _fastest_first(self.config):
+        for vm_type in self.costs.fastest_first:
             if terms[vm_type.name][2]:
                 return Provision(run, task, vm_type)
-        return Provision(run, task, self.config.cheapest_type)
+        return Provision(run, task, self.costs.cheapest_type)
 
     def on_complete(self, run, task: TaskRecord, actual_cost_nanos: int,
                     now_us: int) -> None:
@@ -250,6 +338,9 @@ class EbpsmPolicy:
         if ledger is not None:
             update_budget(ledger, task, actual_cost_nanos, list(ledger.unscheduled.values()),
                           self.estimator, self.config)
+            if not ledger.sub_budgets:
+                # The workflow's last task finished: nothing reads its ledger again.
+                del self.ledgers[run.spec.id]
 
 
 class FcfsPolicy:

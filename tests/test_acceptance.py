@@ -181,8 +181,11 @@ def test_c02_budget_update_correctness():
         for tid in remaining:
             # occasionally lock a task ahead of time, as dispatch would
             if len(uncompleted) > 1 and rng.random() < 0.4:
-                ledger.unscheduled.pop(rng.choice(sorted(uncompleted - {tid})), None)
-            ledger.unscheduled.pop(tid, None)
+                early = rng.choice(sorted(uncompleted - {tid}))
+                if early in ledger.unscheduled:
+                    ledger.lock(early)
+            if tid in ledger.unscheduled:
+                ledger.lock(tid)
             actual = rng.randrange(1, 300_000_000)
             update_budget(ledger, spec.tasks[tid], actual, list(ledger.unscheduled.values()),
                           estimator, config)

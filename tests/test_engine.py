@@ -9,6 +9,7 @@ from conftest import (MICRO, chain_workflow, diamond_workflow, random_dag,
 from waasim import engine
 from waasim.cloud import CloudConfig
 from waasim.errors import StallError
+from waasim.scheduler import make_policy
 from waasim.workflow import (WorkloadSpec, generate_workload, genome_template,
                              serialize_workload, vina_template)
 
@@ -143,6 +144,31 @@ def test_stall_error_on_broken_policy(monkeypatch, mono_cloud, oracle):
     with pytest.raises(StallError):
         engine.run(single_workload(chain_workflow([5.0])), "ebpsm",
                    mono_cloud, oracle, seed=0)
+
+
+def test_finished_workflows_release_their_state(monkeypatch, oracle):
+    policies, runs = [], []
+
+    def capture(*args):
+        policy = make_policy(*args)
+        on_arrival = policy.on_arrival
+
+        def record_arrival(run, now_us):
+            runs.append(run)
+            on_arrival(run, now_us)
+
+        policy.on_arrival = record_arrival
+        policies.append(policy)
+        return policy
+
+    spec = genome_template("chr21", 3, budget=1.0)
+    workload = generate_workload([(spec, 0.02), (spec, 0.2)], 6, 12.0, seed=3)
+    monkeypatch.setattr(engine, "make_policy", capture)
+    engine.run(workload, "ebpsm", CloudConfig(), oracle, seed=0)
+    (policy,) = policies
+    assert len(runs) == 6
+    assert policy.ledgers == {}
+    assert all(run.eft_us is None and not run.pending_parents for run in runs)
 
 
 def test_variability_changes_runtimes_reproducibly(oracle):

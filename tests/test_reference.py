@@ -1,10 +1,11 @@
 """Differential tests against the straightforward implementations that the
 windowed estimator, the per-type dispatch decision, the fleet's idle index
-and release queue, and the ledger's kept distribution order replaced. The
-references below scan every record, estimate once per idle VM, scan every
-instance and rebuild and re-sort the unscheduled tasks on every budget
-update; the optimised code must agree with them exactly: equal floats,
-equal ledgers, identical traces and identical report bytes."""
+and release queue, and the resumed budget fold replaced. The references
+below scan every record, estimate once per idle VM, scan every instance,
+and on every budget update rebuild, re-sort and reprice the unscheduled
+tasks and refold all of them; the optimised code must agree with them
+exactly: equal floats, equal ledgers, identical traces and identical report
+bytes."""
 
 import math
 import random
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MICRO, chain_workflow, random_dag
+from conftest import LARGE, MICRO, chain_workflow, random_dag
 from waasim import engine
 from waasim.cloud import (IDLE, TERMINATED, CloudConfig, Fleet, VariabilityConfig, VmType,
                           default_catalog, estimated_cost_nanos)
@@ -21,8 +22,8 @@ from waasim.errors import IllegalState, UnknownKind
 from waasim.estimator import EstimatorConfig, ExecutionRecord, RuntimeEstimator
 from waasim.metrics import report_to_json
 from waasim.scheduler import (SCHEDULER_NAMES, Assign, BudgetLedger, EbpsmPolicy,
-                              Provision, _cost_table, _fastest_first, compute_eft_us,
-                              distribute_budget, make_policy, update_budget)
+                              Provision, compute_eft_us, distribute_budget, make_policy,
+                              update_budget)
 from waasim.units import usec
 from waasim.workflow import generate_workload
 
@@ -70,7 +71,26 @@ class ReferenceEstimator:
 
 
 class ReferenceEbpsmPolicy(EbpsmPolicy):
-    """Estimates and prices the task on every unclaimed idle VM in turn."""
+    """Estimates and prices the task on every unclaimed idle VM in turn, and
+    keeps each budget ledger with `reference_allocate` and
+    `reference_update_budget`: every completion refolds every unscheduled
+    task from scratch."""
+
+    def __init__(self, config, estimator, homogeneous=False):
+        super().__init__(config, estimator, homogeneous)
+        self.scheduled: dict[str, set[str]] = {}
+
+    def on_arrival(self, run, now_us):
+        spec = run.spec
+        for task in spec.tasks.values():
+            self.estimator.register_kind(task.kind, task.total_runtime)
+        run.eft_us = compute_eft_us(spec, self.estimator, self.config.fastest_type)
+        if not self.homogeneous:
+            ledger = BudgetLedger(spec.id, run.budget_nanos)
+            reference_allocate(ledger, run.budget_nanos, list(spec.tasks.values()),
+                               run.eft_us, self.estimator, self.config)
+            self.ledgers[spec.id] = ledger
+            self.scheduled[spec.id] = set()
 
     def _decide(self, run, task, fleet, claimed, now_us):
         ledger = self.ledgers.get(run.spec.id)
@@ -78,7 +98,7 @@ class ReferenceEbpsmPolicy(EbpsmPolicy):
             cap = math.inf
         else:
             cap = ledger.sub_budgets[task.id]
-            del ledger.unscheduled[task.id]
+            self.scheduled[run.spec.id].add(task.id)
         best = None
         for vm in fleet.idle_instances():
             if vm.id in claimed:
@@ -92,11 +112,18 @@ class ReferenceEbpsmPolicy(EbpsmPolicy):
         if best is not None:
             claimed.add(best[2])
             return Assign(run, task, best[2])
-        for vm_type in _fastest_first(self.config):
+        for vm_type in reference_fastest_first(self.config):
             est_us = usec(self.estimator.estimate(task.kind, vm_type, task.total_runtime))
             if estimated_cost_nanos(vm_type, est_us) <= cap:
                 return Provision(run, task, vm_type)
         return Provision(run, task, self.config.cheapest_type)
+
+    def on_complete(self, run, task, actual_cost_nanos, now_us):
+        ledger = self.ledgers.get(run.spec.id)
+        if ledger is not None:
+            reference_update_budget(ledger, self.scheduled[run.spec.id], run.spec, task,
+                                    actual_cost_nanos, run.eft_us, self.estimator,
+                                    self.config)
 
 
 class ReferenceFleet(Fleet):
@@ -132,12 +159,25 @@ class ReferenceFleet(Fleet):
                 if vm.state != TERMINATED or self._release_at_us(vm) > now_us]
 
 
+def reference_cost_table(task, estimator, config):
+    """Estimates and prices `task` on every catalog type."""
+    return {
+        vm_type.name: estimated_cost_nanos(
+            vm_type, usec(estimator.estimate(task.kind, vm_type, task.total_runtime)))
+        for vm_type in config.catalog
+    }
+
+
+def reference_fastest_first(config):
+    return sorted(config.catalog, key=lambda t: (-t.speed_factor, t.price_per_second, t.name))
+
+
 def reference_allocate(ledger, pool, tasks, eft_us, estimator, config):
-    """Sorts `tasks` into distribution order on every call."""
+    """Sorts `tasks` into distribution order and prices them on every call."""
     ordered = sorted(tasks, key=lambda t: (t.level, eft_us[t.id], t.id))
-    costs = {t.id: _cost_table(t, estimator, config) for t in ordered}
+    costs = {t.id: reference_cost_table(t, estimator, config) for t in ordered}
     cheapest = config.cheapest_type.name
-    fastest_first = _fastest_first(config)
+    fastest_first = reference_fastest_first(config)
     reserve = sum(costs[t.id][cheapest] for t in ordered)
     for task in ordered:
         reserve -= costs[task.id][cheapest]
@@ -298,6 +338,41 @@ def catalogs(draw):
                  for i, (speed, price) in enumerate(zip(speeds, prices)))
 
 
+class Twin:
+    """A ledger and its reference, driven through the same dispatches and
+    completions and compared field by field after each."""
+
+    def __init__(self, spec, budget, estimator, config):
+        self.spec, self.estimator, self.config = spec, estimator, config
+        self.eft_us = compute_eft_us(spec, estimator, config.fastest_type)
+        tasks = list(spec.tasks.values())
+        self.ledger = distribute_budget(spec.id, budget, tasks, self.eft_us, estimator, config)
+        self.ref = BudgetLedger(spec.id, budget)
+        reference_allocate(self.ref, budget, tasks, self.eft_us, estimator, config)
+        self.scheduled: set[str] = set()
+        self.check()
+
+    def lock(self, tid):
+        self.ledger.lock(tid)
+        self.scheduled.add(tid)
+        self.check()
+
+    def complete(self, tid, actual):
+        task = self.spec.tasks[tid]
+        update_budget(self.ledger, task, actual, list(self.ledger.unscheduled.values()),
+                      self.estimator, self.config)
+        reference_update_budget(self.ref, self.scheduled, self.spec, task, actual,
+                                self.eft_us, self.estimator, self.config)
+        self.check()
+
+    def check(self):
+        ledger, ref = self.ledger, self.ref
+        assert ledger.sub_budgets == ref.sub_budgets
+        assert (ledger.unassigned, ledger.spent, ledger.debt) == (
+            ref.unassigned, ref.spent, ref.debt)
+        assert ledger.identity_gap() == 0 and ref.identity_gap() == 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(chain=st.booleans(),
        shape_seed=st.integers(0, 2**32 - 1),
@@ -318,24 +393,9 @@ def test_redistribution_matches_reference(chain, shape_seed, catalog, mode, wind
     estimator = RuntimeEstimator(EstimatorConfig(mode, window), catalog)
     for task in spec.tasks.values():
         estimator.register_kind(task.kind, task.total_runtime)
-    eft_us = compute_eft_us(spec, estimator, config.fastest_type)
-    cheapest_cost = sum(_cost_table(t, estimator, config)[config.cheapest_type.name]
+    cheapest_cost = sum(reference_cost_table(t, estimator, config)[config.cheapest_type.name]
                         for t in spec.tasks.values())
-    budget = round(cheapest_cost * budget_factor)
-
-    ledger = distribute_budget(spec.id, budget, list(spec.tasks.values()),
-                               eft_us, estimator, config)
-    ref = BudgetLedger(spec.id, budget)
-    reference_allocate(ref, budget, list(spec.tasks.values()), eft_us, estimator, config)
-    scheduled: set[str] = set()
-
-    def check():
-        assert ledger.sub_budgets == ref.sub_budgets
-        assert (ledger.unassigned, ledger.spent, ledger.debt) == (
-            ref.unassigned, ref.spent, ref.debt)
-        assert ledger.identity_gap() == 0 and ref.identity_gap() == 0
-
-    check()
+    twin = Twin(spec, round(cheapest_cost * budget_factor), estimator, config)
     rng = random.Random(step_seed)
     undispatched = sorted(spec.tasks)
     running: list[str] = []
@@ -343,20 +403,63 @@ def test_redistribution_matches_reference(chain, shape_seed, catalog, mode, wind
         # Dispatch locks any undispatched task, ready or not, as C2 does.
         if undispatched and (not running or rng.random() < 0.5):
             tid = undispatched.pop(rng.randrange(len(undispatched)))
-            del ledger.unscheduled[tid]
-            scheduled.add(tid)
+            twin.lock(tid)
             running.append(tid)
         else:
-            task = spec.tasks[running.pop(rng.randrange(len(running)))]
+            tid = running.pop(rng.randrange(len(running)))
             if rng.random() < 0.7:
                 estimator.record(ExecutionRecord(
                     rng.choice([t.kind for t in spec.tasks.values()]),
                     rng.choice(catalog).name, rng.randint(1, 600_000_000) / 1e6))
-            held = ledger.sub_budgets[task.id]
-            actual = rng.choice([1, max(1, held // 2), held, held + 1, 2 * held + 7,
-                                 rng.randrange(1, 2 * cheapest_cost + 2)])
-            update_budget(ledger, task, actual, list(ledger.unscheduled.values()),
-                          estimator, config)
-            reference_update_budget(ref, scheduled, spec, task, actual,
-                                    eft_us, estimator, config)
-        check()
+            held = twin.ledger.sub_budgets[tid]
+            twin.complete(tid, rng.choice([1, max(1, held // 2), held, held + 1, 2 * held + 7,
+                                           rng.randrange(1, 2 * cheapest_cost + 2)]))
+
+
+# Each test below reaches a task whose entering pool equals the one the last
+# fold recorded, while one other stop condition fails: resuming there would
+# be wrong. A 100 s task costs 410,000 nano-dollars on MICRO and 1,910,000
+# on LARGE.
+
+def _oracle_twin(spec, budget):
+    config = CloudConfig(catalog=(MICRO, LARGE))
+    return Twin(spec, budget, RuntimeEstimator(EstimatorConfig("oracle"), config.catalog),
+                config)
+
+
+def test_refold_counts_a_suffix_debt_again():
+    """With no budget every task runs on debt. t0 overruns by exactly the
+    later tasks' debt, so t1 is entered with its old pool, 0; the refold
+    must still add the later tasks' debt again."""
+    twin = _oracle_twin(chain_workflow([100.0] * 3), 0)
+    assert twin.ref.debt == 3 * 410_000
+    twin.lock("t0")
+    twin.complete("t0", 3 * 410_000)
+    assert twin.ref.debt == 3 * 410_000 + 2 * 410_000
+
+
+def test_refold_sees_a_task_locked_behind_the_stop_point():
+    """t2 is locked out of distribution order, and t0's surplus equals t2's
+    sub-budget, so t1 is entered with its old pool; but the reserve no
+    longer holds t2, so t1 now affords the fast type."""
+    twin = _oracle_twin(chain_workflow([100.0] * 3), 4_000_000)
+    assert [twin.ref.sub_budgets[t] for t in ("t0", "t1", "t2")] == [
+        1_910_000, 410_000, 410_000]
+    twin.lock("t0")
+    twin.lock("t2")
+    twin.complete("t0", 1_910_000 - 410_000)
+    assert twin.ref.sub_budgets["t1"] == 1_910_000
+
+
+def test_refold_reprices_a_later_row_after_a_history_record():
+    """t0 costs what it was given, so t1 is entered with its old pool; but
+    a record of t2's kind changed t2's row, and t2 must be priced again.
+    Cold start prices t2 at 75 s on LARGE, the record at 5 s."""
+    config = CloudConfig(catalog=(MICRO, LARGE))
+    estimator = RuntimeEstimator(EstimatorConfig("history"), config.catalog)
+    twin = Twin(chain_workflow([100.0] * 3), 20_000_000, estimator, config)
+    assert twin.ref.sub_budgets["t2"] == 75 * 38_200
+    twin.lock("t0")
+    estimator.record(ExecutionRecord("t2", MICRO.name, 10.0))
+    twin.complete("t0", twin.ledger.sub_budgets["t0"])
+    assert twin.ref.sub_budgets["t2"] == 5 * 38_200

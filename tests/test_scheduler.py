@@ -25,6 +25,9 @@ class FixedEstimator:
     def estimate(self, kind, vm_type, reference_runtime=None):
         return self.seconds
 
+    def revision(self, kind):
+        return 0
+
 
 TWO_TYPES = CloudConfig(catalog=(MICRO, LARGE))
 
@@ -194,7 +197,7 @@ def test_update_budget_randomized_identity():
         rng.shuffle(remaining)
         for tid in remaining:
             actual = rng.randrange(1, 8_000_000)
-            del ledger.unscheduled[tid]
+            ledger.lock(tid)
             update_budget(ledger, spec.tasks[tid], actual, list(ledger.unscheduled.values()),
                           est, TWO_TYPES)
             assert ledger.identity_gap() == 0
