@@ -60,29 +60,38 @@ _ASSIGNMENT_EVENTS = {"task_assign": "assign", "task_start": "start",
                       "task_complete": "complete", "provision_request": "provision"}
 
 
+def assignment_row(ev: TraceEvent, vm_types: dict[str, str]) -> tuple | None:
+    """The assignment-log row (time_us, workflow, task, vm id, vm type,
+    event) of `ev`, or None if `ev` is not one. Pass one `vm_types` dict
+    over a run's events in order: it keeps each VM's type from the VM's
+    `provision_request` or `task_assign` event, which precedes every other
+    row of that VM."""
+    event = _ASSIGNMENT_EVENTS.get(ev.name)
+    if event is None:
+        return None
+    f = ev.fields
+    if ev.name in ("provision_request", "task_assign"):
+        vm_types[f["vm"]] = f["type"]
+    return (ev.time_us, f["workflow"], f["task"], f["vm"], vm_types[f["vm"]], event)
+
+
 @dataclass
 class SimulationResult:
+    """`trace` is the sink given to `run`: a list of every event by default."""
+
     report: MetricsReport
     trace: list[TraceEvent]
-    fleet: Fleet
 
     @property
     def assignments(self) -> list[tuple]:
-        """(time_us, workflow, task, vm id, vm type, event) rows, derived
-        from the trace in event order."""
-        rows = []
-        for ev in self.trace:
-            event = _ASSIGNMENT_EVENTS.get(ev.name)
-            if event is not None:
-                vm = self.fleet.instances[ev.fields["vm"]]
-                rows.append((ev.time_us, ev.fields["workflow"], ev.fields["task"],
-                             vm.id, vm.vm_type.name, event))
-        return rows
+        """The assignment-log rows of an in-memory trace, in event order."""
+        vm_types: dict[str, str] = {}
+        return [row for ev in self.trace if (row := assignment_row(ev, vm_types))]
 
 
 class _Simulation:
     def __init__(self, workload: WorkloadSpec, scheduler: str, cloud: CloudConfig,
-                 estimator_config: EstimatorConfig, seed: int):
+                 estimator_config: EstimatorConfig, seed: int, trace=None):
         self.cloud = cloud
         self.estimator = RuntimeEstimator(estimator_config, cloud.catalog)
         self.policy = make_policy(scheduler, cloud, self.estimator)
@@ -93,7 +102,7 @@ class _Simulation:
         self.clock_us = 0
         self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = 0
-        self.trace: list[TraceEvent] = []
+        self.trace = [] if trace is None else trace
         self.runs: dict[str, WorkflowRun] = {}
         self._completed = 0
         self._next_tick_us: int | None = None
@@ -138,11 +147,7 @@ class _Simulation:
             raise StallError(f"event queue drained with {unfinished} unfinished workflows")
         self._emit("simulation_end",
                    workflows=len(self.runs), vms=len(self.fleet.instances))
-        return SimulationResult(
-            report=self._build_report(),
-            trace=self.trace,
-            fleet=self.fleet,
-        )
+        return SimulationResult(report=self._build_report(), trace=self.trace)
 
     def _finished(self) -> bool:
         return (self._completed == len(self.runs)
@@ -307,13 +312,18 @@ class _Simulation:
 def run(workload: WorkloadSpec, scheduler: str = "ebpsm",
         cloud: CloudConfig | None = None,
         estimator: EstimatorConfig | None = None,
-        seed: int = 0) -> SimulationResult:
-    """Simulate a workload under one scheduling policy."""
+        seed: int = 0, trace=None) -> SimulationResult:
+    """Simulate a workload under one scheduling policy.
+
+    Each event is appended to `trace` as it is emitted: any object with
+    `append` and `__len__`, by default a new list. `result.trace` is that
+    object."""
     sim = _Simulation(
         workload,
         scheduler,
         cloud or CloudConfig(),
         estimator or EstimatorConfig(),
         seed,
+        trace,
     )
     return sim.run()

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from itertools import repeat
 from pathlib import Path
@@ -20,8 +21,8 @@ from . import engine
 from .cloud import CloudConfig, VmType
 from .errors import ConfigError, ManifestMismatch, SchemaError
 from .estimator import EstimatorConfig
-from .metrics import (MetricsReport, assignments_to_csv, report_from_json,
-                      report_to_json, workflows_to_csv)
+from .metrics import (ASSIGNMENT_CSV_COLUMNS, MetricsReport, assignment_csv_row,
+                      report_from_json, report_to_json, workflows_to_csv)
 from .scheduler import SCHEDULER_NAMES
 from .units import substream_seed
 from .workflow import (GENOME_RUNTIMES, VINA01_RUNTIMES, VINA02_RUNTIMES,
@@ -222,20 +223,49 @@ def plan_runs(config: ExperimentConfig) -> list[RunSpec]:
     return runs
 
 
-def execute_run(config: ExperimentConfig, spec: RunSpec) -> engine.SimulationResult:
+def execute_run(config: ExperimentConfig, spec: RunSpec,
+                trace=None) -> engine.SimulationResult:
     workload = generate_workload(config.build_catalog(), config.workflow_count,
                                  spec.rate, spec.workload_seed)
     return engine.run(workload, scheduler=spec.scheduler, cloud=config.cloud,
-                      estimator=config.estimator, seed=spec.run_seed)
+                      estimator=config.estimator, seed=spec.run_seed, trace=trace)
 
 
-def _run_outputs(config: ExperimentConfig,
-                 spec: RunSpec) -> tuple[MetricsReport, str, str, str | None]:
-    """One run's report and the text of its CSVs and (optional) trace."""
-    result = execute_run(config, spec)
-    trace_text = engine.checkpoint_trace(result.trace) if config.write_traces else None
-    return (result.report, workflows_to_csv(result.report),
-            assignments_to_csv(result.assignments), trace_text)
+class _RunWriter:
+    """One run's `trace` sink: writes each event's trace line (if given a
+    trace file) and assignment-log row as the engine emits it, and keeps
+    only the count of events."""
+
+    def __init__(self, assign_file, trace_file):
+        self._trace_file = trace_file
+        self._rows = csv.writer(assign_file, lineterminator="\n")
+        self._rows.writerow(ASSIGNMENT_CSV_COLUMNS)
+        self._vm_types: dict[str, str] = {}
+        self._events = 0
+
+    def append(self, ev: engine.TraceEvent) -> None:
+        self._events += 1
+        if self._trace_file is not None:
+            self._trace_file.write(ev.render() + "\n")
+        row = engine.assignment_row(ev, self._vm_types)
+        if row is not None:
+            self._rows.writerow(assignment_csv_row(row))
+
+    def __len__(self) -> int:
+        return self._events
+
+
+def _write_run(config: ExperimentConfig, spec: RunSpec, runs_dir: Path) -> MetricsReport:
+    """Simulate one run, writing its files under `runs_dir`; the trace and
+    assignment log are written as events are emitted, so a run that raises
+    leaves them partial."""
+    path = runs_dir / spec.run_id
+    with (open(f"{path}.assign.csv", "w") as assign_file,
+          open(f"{path}.trace", "w") if config.write_traces else nullcontext() as trace_file):
+        report = execute_run(config, spec, _RunWriter(assign_file, trace_file)).report
+    Path(f"{path}.csv").write_text(workflows_to_csv(report))
+    Path(f"{path}.report.json").write_text(report_to_json(report))
+    return report
 
 
 def summarize_budget_met(reports_by_rate: dict[float, list[MetricsReport]]) -> list[dict]:
@@ -281,8 +311,9 @@ def _summary_row(spec: RunSpec, report: MetricsReport, type_names: list[str]) ->
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1,
                    output_dir: str | Path | None = None) -> dict:
-    """Run the full sweep; write per-run CSVs, reports, a summary CSV, a
-    budget-met summary and a manifest. Returns the manifest."""
+    """Run the full sweep. Each run's CSVs, report and trace are written by
+    the process that simulates it; then a summary CSV, a budget-met summary
+    and a manifest. Returns the manifest."""
     config.validate()
     out = Path(output_dir if output_dir is not None else config.output_dir)
     runs_dir = out / "runs"
@@ -290,11 +321,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
 
     specs = plan_runs(config)
     jobs = min(jobs, len(specs), os.cpu_count() or 1)
+    args = (repeat(config), specs, repeat(runs_dir))
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(_run_outputs, repeat(config), specs))
+            reports = list(pool.map(_write_run, *args))
     else:
-        outputs = map(_run_outputs, repeat(config), specs)
+        reports = map(_write_run, *args)
 
     type_names = [t.name for t in config.cloud.catalog]
     summary = io.StringIO()
@@ -302,12 +334,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     summary_writer.writerow(list(SUMMARY_COLUMNS) + [f"vms_{n}" for n in type_names])
     reports_by_rate: dict[float, list[MetricsReport]] = {}
     manifest_runs = []
-    for spec, (report, wf_csv, assign_csv, trace_text) in zip(specs, outputs):
-        (runs_dir / f"{spec.run_id}.csv").write_text(wf_csv)
-        (runs_dir / f"{spec.run_id}.assign.csv").write_text(assign_csv)
-        (runs_dir / f"{spec.run_id}.report.json").write_text(report_to_json(report))
-        if trace_text is not None:
-            (runs_dir / f"{spec.run_id}.trace").write_text(trace_text)
+    for spec, report in zip(specs, reports):
         summary_writer.writerow(_summary_row(spec, report, type_names))
         reports_by_rate.setdefault(spec.rate, []).append(report)
         manifest_runs.append({**asdict(spec), "workload_hash": report.workload_hash})

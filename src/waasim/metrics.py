@@ -142,10 +142,15 @@ def workflows_to_csv(report: MetricsReport) -> str:
 ASSIGNMENT_CSV_COLUMNS = ("time", "workflow", "task", "vm_id", "vm_type", "event")
 
 
+def assignment_csv_row(row: tuple) -> list:
+    """An assignment-log row as written: its time in seconds, then the rest."""
+    time_us, *rest = row
+    return [format_seconds(time_us), *rest]
+
+
 def assignments_to_csv(rows: list[tuple]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ASSIGNMENT_CSV_COLUMNS)
-    for time_us, workflow, task, vm_id, vm_type, event in rows:
-        writer.writerow([format_seconds(time_us), workflow, task, vm_id, vm_type, event])
+    writer.writerows(map(assignment_csv_row, rows))
     return buf.getvalue()

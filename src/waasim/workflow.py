@@ -159,10 +159,6 @@ def _converted(convert, value, field: str, task: int | None = None):
         raise SchemaError(f"{path}: invalid value {value!r}") from exc
 
 
-def _id_set(values) -> frozenset[str]:
-    return frozenset(str(v) for v in values)
-
-
 def workflow_from_dict(doc: dict) -> WorkflowSpec:
     if not isinstance(doc, dict):
         raise SchemaError("workflow document must be a JSON object")
@@ -178,11 +174,14 @@ def workflow_from_dict(doc: dict) -> WorkflowSpec:
         for key in ("id", "kind", "runtime"):
             if key not in entry:
                 raise SchemaError(f"tasks[{i}]: missing field {key!r}")
+        parents = entry.get("parents", [])
+        if not isinstance(parents, list):
+            raise SchemaError(f"tasks[{i}].parents: must be a list")
         tasks.append(TaskRecord(
             id=str(entry["id"]),
             kind=str(entry["kind"]),
             reference_runtime=_converted(float, entry["runtime"], "runtime", i),
-            parents=_converted(_id_set, entry.get("parents", []), "parents", i),
+            parents=frozenset(str(p) for p in parents),
             transfer_time=_converted(float, entry.get("transfer", 0.0), "transfer", i),
         ))
     return _assemble(str(doc["id"]), tasks, _converted(float, doc["budget"], "budget"),
@@ -325,8 +324,8 @@ def generate_workload(catalog: list[tuple[WorkflowSpec, float]], count: int,
         raise ValueError("catalog must be non-empty")
     if count < 1:
         raise ValueError("count must be >= 1")
-    if rate_wf_per_min <= 0:
-        raise ValueError("rate must be > 0")
+    if not 0 < rate_wf_per_min < math.inf:
+        raise ValueError("rate must be finite and > 0")
     rng = random.Random(seed)
     rate_per_sec = rate_wf_per_min / 60.0
     workflows: list[WorkflowSpec] = []

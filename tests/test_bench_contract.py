@@ -15,6 +15,7 @@ import pytest
 from waasim import engine, scheduler
 from waasim.cloud import CloudConfig, default_catalog
 from waasim.estimator import EstimatorConfig
+from waasim.experiment import ExperimentConfig, plan_runs, run_experiment
 from waasim.workflow import TaskRecord, generate_workload, genome_template
 
 # run_path compiles the source itself, so nothing is written under bench/.
@@ -93,3 +94,25 @@ def test_tracer_runs_and_restores():
     assert metrics["scheduler.update_tasks"] > 0
     assert metrics["scheduler.decisions"] > 0
     assert metrics["engine.events"] > 0
+
+
+def test_streamed_trace_length_is_its_line_count(tmp_path, monkeypatch):
+    """`engine.events` is `len(result.trace)`; when `run_experiment` streams a
+    run to disk, that must still count the run's events, one per trace line."""
+    lengths = []
+    original = engine.run
+
+    def record(*args, **kwargs):
+        result = original(*args, **kwargs)
+        assert not isinstance(result.trace, list)
+        lengths.append(len(result.trace))
+        return result
+
+    monkeypatch.setattr(engine, "run", record)
+    config = ExperimentConfig(workflow_count=4, arrival_rates=[2.0, 12.0],
+                              write_traces=True)
+    run_experiment(config, jobs=1, output_dir=tmp_path)
+    lines = [len((tmp_path / "runs" / f"{spec.run_id}.trace").read_text().splitlines())
+             for spec in plan_runs(config)]
+    assert lengths == lines
+    assert all(lines)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from waasim.cli import main
 from waasim.metrics import report_from_json
 from waasim.workflow import parse_workload
@@ -125,6 +127,15 @@ def test_gen_workload_stdout_and_budget_level(capsys):
                  "--rate", "6", "--seed", "1", "--budget-level", "2"]) == 0
     workload = parse_workload(capsys.readouterr().out)
     assert {w.budget for w in workload.workflows} == {0.04}
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "0"])
+def test_gen_workload_rejects_bad_rate(capsys, rate):
+    assert main(["gen-workload", "--template", "vina02", "--count", "2",
+                 f"--rate={rate}", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rate must be finite and > 0\n"
 
 
 def test_compare_command(tmp_path, capsys):

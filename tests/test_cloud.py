@@ -200,8 +200,9 @@ def test_fastest_and_cheapest():
 def test_fleet_cost_conservation(mono_cloud, oracle):
     """Sum of finalized bills equals ceil-per-VM accrual of lease seconds."""
     spec = chain_workflow([30.0, 45.0, 15.0], budget=1.0)
-    result = engine.run(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
-    fleet = result.fleet
+    sim = engine._Simulation(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
+    sim.run()
+    fleet = sim.fleet
     total = 0
     for vm in fleet.instances.values():
         assert vm.state == "terminated"

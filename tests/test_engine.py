@@ -107,18 +107,20 @@ def test_clock_monotone_and_event_counts(mono_cloud, oracle):
 
 def test_every_vm_terminated_before_end(mono_cloud, oracle):
     spec = genome_template("chr22", 4, budget=1.0)
-    result = engine.run(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
-    assert all(vm.state == "terminated" for vm in result.fleet.instances.values())
+    sim = engine._Simulation(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
+    result = sim.run()
+    assert all(vm.state == "terminated" for vm in sim.fleet.instances.values())
     terminated = {ev.fields["vm"] for ev in result.trace if ev.name == "vm_terminated"}
-    assert terminated == set(result.fleet.instances)
+    assert terminated == set(sim.fleet.instances)
 
 
 def test_fleet_cost_matches_trace_bills(mono_cloud, oracle):
     spec = genome_template("chr21", 3, budget=1.0)
-    result = engine.run(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
+    sim = engine._Simulation(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
+    result = sim.run()
     billed = sum(ev.fields["bill_nanos"] for ev in result.trace
                  if ev.name == "vm_terminated")
-    assert billed == result.fleet.total_bill_nanos()
+    assert billed == sim.fleet.total_bill_nanos()
     assert billed == result.report.fleet.total_cost_nanos
 
 

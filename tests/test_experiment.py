@@ -342,3 +342,65 @@ def test_parallel_jobs_match_sequential(tmp_path):
     for rel in sorted(p.relative_to(tmp_path / "seq")
                       for p in (tmp_path / "seq").rglob("*") if p.is_file()):
         assert (tmp_path / "seq" / rel).read_bytes() == (tmp_path / "par" / rel).read_bytes()
+
+
+def _quoted_name_config(**overrides):
+    """write_traces on, template names that need CSV quoting, every
+    scheduler over a single-type catalog."""
+    templates = desk_templates()
+    templates[0].name = 'chr,"22'
+    templates[1].name = 'vi,"na'
+    settings = dict(templates=templates, cloud=_mono_cloud(), write_traces=True,
+                    schedulers=["ebpsm", "ebpsm-homogeneous", "fcfs"],
+                    arrival_rates=[2.0, 6.0])
+    return desk_config(**{**settings, **overrides})
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_streamed_run_files_match_in_memory_rendering(tmp_path, jobs):
+    from waasim.engine import checkpoint_trace
+    from waasim.experiment import execute_run
+    from waasim.metrics import assignments_to_csv
+
+    config = _quoted_name_config()
+    run_experiment(config, jobs=jobs, output_dir=tmp_path)
+    specs = plan_runs(config)
+    assert len(specs) == 6
+    for spec in specs:
+        result = execute_run(config, spec)
+        assert any('"' in row[1] for row in result.assignments)
+        runs = tmp_path / "runs"
+        assert (runs / f"{spec.run_id}.trace").read_text() == checkpoint_trace(result.trace)
+        assert (runs / f"{spec.run_id}.assign.csv").read_text() == \
+            assignments_to_csv(result.assignments)
+
+
+def test_stalled_run_leaves_its_partial_files(tmp_path, monkeypatch):
+    from waasim import engine
+    from waasim.errors import StallError
+
+    class DeadPolicy:
+        """Never dispatches, so the event queue drains with work left."""
+        name = "dead"
+        dedicated = False
+
+        def on_arrival(self, run, now_us):
+            pass
+
+        def enqueue_ready(self, run, task, now_us):
+            pass
+
+        def schedule_ready(self, fleet, now_us):
+            return []
+
+    monkeypatch.setattr(engine, "make_policy", lambda *args: DeadPolicy())
+    config = _quoted_name_config(schedulers=["ebpsm"], arrival_rates=[2.0])
+    with pytest.raises(StallError):
+        run_experiment(config, output_dir=tmp_path)
+    run_id = plan_runs(config)[0].run_id
+    trace = (tmp_path / "runs" / f"{run_id}.trace").read_text().splitlines()
+    assert len(trace) > config.workflow_count
+    assert all(line.split("\t")[1] in ("workflow_arrival", "task_ready") for line in trace)
+    assert (tmp_path / "runs" / f"{run_id}.assign.csv").read_text() == \
+        "time,workflow,task,vm_id,vm_type,event\n"
+    assert not (tmp_path / "runs" / f"{run_id}.report.json").exists()

@@ -53,6 +53,8 @@ def test_parse_missing_field(missing):
     ("runtime", "x", r"tasks\[0\]\.runtime"),
     ("transfer", "x", r"tasks\[0\]\.transfer"),
     ("parents", 5, r"tasks\[0\]\.parents"),
+    ("parents", "A", r"tasks\[0\]\.parents: must be a list"),
+    ("parents", {"A": 1}, r"tasks\[0\]\.parents: must be a list"),
     ("budget", None, "budget"),
     ("runtime", float("nan"), "task 'A': runtime must be finite"),
     ("runtime", "1e999", "task 'A': runtime must be finite"),
