@@ -5,15 +5,14 @@ from .cloud import (CloudConfig, Fleet, VariabilityConfig, VmInstance, VmType,
                     task_runtime_on)
 from .engine import SimulationResult, TraceEvent, checkpoint_trace, run
 from .errors import (ConfigError, CycleError, DanglingRefError, IllegalState,
-                     ManifestMismatch, SchemaError, StallError, UnknownKind,
-                     WaasimError)
+                     ManifestMismatch, SchemaError, StallError, WaasimError)
 from .estimator import EstimatorConfig, ExecutionRecord, RuntimeEstimator
 from .experiment import (ComparisonReport, ExperimentConfig, TemplateConfig,
                          compare, compare_files, config_from_dict, default_templates,
                          load_config, run_experiment, summarize_budget_met)
 from .metrics import FleetMetrics, MetricsReport, WorkflowMetrics
-from .scheduler import (BudgetLedger, EbpsmPolicy, FcfsPolicy, compute_eft,
-                        distribute_budget, make_policy, update_budget)
+from .scheduler import (BudgetLedger, EbpsmPolicy, FcfsPolicy, distribute_budget,
+                        make_policy, update_budget)
 from .workflow import (TaskRecord, WorkflowSpec, WorkloadSpec, compute_levels,
                        generate_workload, genome_template, parse_workflow,
                        parse_workload, serialize_workflow, serialize_workload,

@@ -29,9 +29,5 @@ class ManifestMismatch(WaasimError):
     """Two reports being compared were produced from different workloads."""
 
 
-class UnknownKind(WaasimError):
-    """A runtime estimate was requested for a task kind never seen before."""
-
-
 class IllegalState(WaasimError):
     """An operation was applied to an object in the wrong lifecycle state."""

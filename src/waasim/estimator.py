@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .errors import ConfigError, UnknownKind
+from .errors import ConfigError
 from .cloud import VmType
 
 
@@ -63,13 +63,8 @@ class RuntimeEstimator:
         self._by_type: defaultdict[tuple[str, str], deque[float]] = defaultdict(window)
         # kind -> last runtimes on any type, times that type's speed factor.
         self._normalized: defaultdict[str, deque[float]] = defaultdict(window)
-        self._reference: dict[str, float] = {}
         # kind -> number of records that may have changed its estimates.
         self._revisions: dict[str, int] = {}
-
-    def register_kind(self, kind: str, reference_runtime: float) -> None:
-        """Register a kind's model runtime (used for oracle and cold start)."""
-        self._reference[kind] = reference_runtime
 
     def record(self, rec: ExecutionRecord) -> None:
         vm_type = self.catalog.get(rec.vm_type_name)
@@ -115,14 +110,10 @@ class RuntimeEstimator:
                 count += 1
         return count
 
-    def estimate(self, kind: str, vm_type: VmType,
-                 reference_runtime: float | None = None) -> float:
-        """Estimated runtime of a `kind` task on `vm_type`, in seconds."""
-        if reference_runtime is None:
-            reference_runtime = self._reference.get(kind)
+    def estimate(self, kind: str, vm_type: VmType, reference_runtime: float) -> float:
+        """Estimated runtime on `vm_type`, in seconds, of a `kind` task whose
+        model runtime is `reference_runtime` (used by oracle and cold start)."""
         if self.config.mode == "oracle":
-            if reference_runtime is None:
-                raise UnknownKind(f"no registered runtime for kind {kind!r}")
             return reference_runtime / vm_type.speed_factor
 
         same_type = self._by_type.get((kind, vm_type.name))
@@ -131,6 +122,4 @@ class RuntimeEstimator:
         normalized = self._normalized.get(kind)
         if normalized:
             return sum(normalized) / len(normalized) / vm_type.speed_factor
-        if reference_runtime is None:
-            raise UnknownKind(f"no records or registered runtime for kind {kind!r}")
         return reference_runtime / vm_type.speed_factor * self.config.cold_start_margin

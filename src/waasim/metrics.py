@@ -55,13 +55,7 @@ class MetricsReport:
         return [w.cost_per_budget for w in self.workflows if not w.budget_met]
 
     def to_dict(self) -> dict:
-        return {
-            "scheduler": self.scheduler,
-            "seed": self.seed,
-            "workload_hash": self.workload_hash,
-            "workflows": [asdict(w) for w in self.workflows],
-            "fleet": asdict(self.fleet) if self.fleet else None,
-        }
+        return asdict(self)
 
 
 def report_to_json(report: MetricsReport) -> str:
@@ -110,8 +104,7 @@ def report_from_json(text: str) -> MetricsReport:
             w = {**w, "cost_per_budget": math.inf}
         workflows.append(_record(WorkflowMetrics, w, f"report.workflows[{i}]"))
     report.workflows = workflows
-    if report.fleet is not None:
-        report.fleet = _record(FleetMetrics, report.fleet, "report.fleet")
+    report.fleet = _record(FleetMetrics, report.fleet, "report.fleet")
     return report
 
 

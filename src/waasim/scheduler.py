@@ -42,6 +42,9 @@ class CostRows:
             config.catalog, key=lambda t: (-t.speed_factor, t.price_per_second, t.name)))
         self.cheapest_type = config.cheapest_type
         self._cheapest_at = self.fastest_first.index(self.cheapest_type)
+        # EFT's column. Not always the first: of two types equal in speed and
+        # price, `fastest_type` is the one with the larger name.
+        self.fastest_at = self.fastest_first.index(config.fastest_type)
         self._rows: dict[tuple[str, float], tuple[int, CostRow]] = {}
 
     def row(self, kind: str, total_runtime: float) -> CostRow:
@@ -110,26 +113,19 @@ class BudgetLedger:
         return sub
 
 
-def compute_eft_us(spec: WorkflowSpec, estimator: RuntimeEstimator,
-                   reference_type: VmType) -> dict[str, int]:
+def compute_eft_us(spec: WorkflowSpec, costs: CostRows) -> dict[str, int]:
     """Earliest-finish-time table in microseconds relative to arrival.
 
-    Max-plus recurrence over estimated runtimes on the reference type
-    (the fastest type in the catalog); no communication term.
+    Max-plus recurrence over each task's estimated runtime on the catalog's
+    fastest type, read from its cost row; no communication term.
     """
     eft: dict[str, int] = {}
     for tid in sorted(spec.tasks, key=lambda t: (spec.tasks[t].level, t)):
         task = spec.tasks[tid]
-        est_us = usec(estimator.estimate(task.kind, reference_type, task.total_runtime))
+        est_us = costs.row(task.kind, task.total_runtime).terms[costs.fastest_at][0]
         ready = max((eft[p] for p in task.parents), default=0)
         eft[tid] = ready + est_us
     return eft
-
-
-def compute_eft(spec: WorkflowSpec, estimator: RuntimeEstimator,
-                reference_type: VmType) -> dict[str, float]:
-    """EFT table in seconds (public convenience view)."""
-    return {tid: t / 1e6 for tid, t in compute_eft_us(spec, estimator, reference_type).items()}
 
 
 def distribution_order(tasks: list[TaskRecord], eft_us: dict[str, int]) -> list[TaskRecord]:
@@ -207,23 +203,19 @@ def _fold(ledger: BudgetLedger, pool: int, tasks: list[TaskRecord], resume: bool
 
 
 def distribute_budget(workflow_id: str, budget_nanos: int, tasks: list[TaskRecord],
-                      eft_us: dict[str, int], estimator: RuntimeEstimator,
-                      config: CloudConfig, costs: CostRows | None = None) -> BudgetLedger:
+                      eft_us: dict[str, int], costs: CostRows) -> BudgetLedger:
     """Build a fresh ledger and split the workflow budget across its tasks,
-    pricing them with `costs` (by default, rows of its own through
-    `estimator` and `config`)."""
+    pricing them with `costs`."""
     ordered = distribution_order(tasks, eft_us)
     ledger = BudgetLedger(workflow_id=workflow_id, budget_nanos=budget_nanos,
-                          unscheduled={t.id: t for t in ordered},
-                          costs=costs or CostRows(estimator, config))
+                          unscheduled={t.id: t for t in ordered}, costs=costs)
     _reprice(ledger, ordered)
     _fold(ledger, budget_nanos, ordered, resume=False)
     return ledger
 
 
 def update_budget(ledger: BudgetLedger, finished: TaskRecord, actual_cost_nanos: int,
-                  unscheduled: list[TaskRecord], estimator: RuntimeEstimator,
-                  config: CloudConfig) -> None:
+                  unscheduled: list[TaskRecord]) -> None:
     """Settle a finished task and redistribute the remaining budget.
 
     A surplus folds back into the unscheduled pool; an overrun is deducted
@@ -231,13 +223,11 @@ def update_budget(ledger: BudgetLedger, finished: TaskRecord, actual_cost_nanos:
     is then redistributed over `unscheduled`, the still-unscheduled tasks
     in distribution order, by a fold that resumes the last one: it stops
     as soon as it reaches the state the last fold was in (see `_fold`), so
-    a completion that changes nothing costs little. A ledger built without
-    `distribute_budget` is priced through `estimator` and `config`.
+    a completion that changes nothing costs little. The tasks are priced
+    with the ledger's `costs`.
     """
     if finished.id not in ledger.sub_budgets:
         raise IllegalState(f"task {finished.id!r} has no sub-budget entry")
-    if ledger.costs is None:
-        ledger.costs = CostRows(estimator, config)
     sub = ledger.sub_budgets.pop(finished.id)
     ledger.spent += actual_cost_nanos
     resume = _reprice(ledger, unscheduled)
@@ -276,8 +266,6 @@ class EbpsmPolicy:
         if homogeneous and len(config.catalog) != 1:
             raise ConfigError("homogeneous scheduling requires a single-type catalog")
         self.name = "ebpsm-homogeneous" if homogeneous else "ebpsm"
-        self.config = config
-        self.estimator = estimator
         self.homogeneous = homogeneous
         self.costs = CostRows(estimator, config)
         self.ledgers: dict[str, BudgetLedger] = {}
@@ -285,13 +273,10 @@ class EbpsmPolicy:
 
     def on_arrival(self, run, now_us: int) -> None:
         spec = run.spec
-        for task in spec.tasks.values():
-            self.estimator.register_kind(task.kind, task.total_runtime)
-        run.eft_us = compute_eft_us(spec, self.estimator, self.config.fastest_type)
+        run.eft_us = compute_eft_us(spec, self.costs)
         if not self.homogeneous:
             self.ledgers[spec.id] = distribute_budget(
-                spec.id, run.budget_nanos, list(spec.tasks.values()),
-                run.eft_us, self.estimator, self.config, self.costs)
+                spec.id, run.budget_nanos, list(spec.tasks.values()), run.eft_us, self.costs)
 
     def enqueue_ready(self, run, task: TaskRecord, now_us: int) -> None:
         key = (run.eft_us[task.id], run.arrival_us, run.spec.id, task.id)
@@ -336,8 +321,7 @@ class EbpsmPolicy:
                     now_us: int) -> None:
         ledger = self.ledgers.get(run.spec.id)
         if ledger is not None:
-            update_budget(ledger, task, actual_cost_nanos, list(ledger.unscheduled.values()),
-                          self.estimator, self.config)
+            update_budget(ledger, task, actual_cost_nanos, list(ledger.unscheduled.values()))
             if not ledger.sub_budgets:
                 # The workflow's last task finished: nothing reads its ledger again.
                 del self.ledgers[run.spec.id]
@@ -349,16 +333,14 @@ class FcfsPolicy:
     name = "fcfs"
     dedicated = True
 
-    def __init__(self, config: CloudConfig, estimator: RuntimeEstimator):
+    def __init__(self, config: CloudConfig):
         if len(config.catalog) != 1:
             raise ConfigError("fcfs scheduling requires a single-type catalog")
         self.config = config
-        self.estimator = estimator
         self._queue: deque[tuple[object, TaskRecord]] = deque()
 
     def on_arrival(self, run, now_us: int) -> None:
-        for task in run.spec.tasks.values():
-            self.estimator.register_kind(task.kind, task.total_runtime)
+        pass
 
     def enqueue_ready(self, run, task: TaskRecord, now_us: int) -> None:
         self._queue.append((run, task))
@@ -384,5 +366,5 @@ def make_policy(name: str, config: CloudConfig, estimator: RuntimeEstimator):
     if name == "ebpsm-homogeneous":
         return EbpsmPolicy(config, estimator, homogeneous=True)
     if name == "fcfs":
-        return FcfsPolicy(config, estimator)
+        return FcfsPolicy(config)
     raise ConfigError(f"unknown scheduler {name!r}")

@@ -8,7 +8,9 @@ import hashlib
 import json
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from .errors import CycleError, DanglingRefError, SchemaError
 
@@ -253,12 +255,25 @@ def workload_to_dict(workload: WorkloadSpec) -> dict:
     }
 
 
+def _workload_text(workload: WorkloadSpec) -> Iterator[str]:
+    """The canonical text of `workload` (indented JSON and a newline), in
+    chunks, so a consumer need not hold all of it."""
+    pieces = json.JSONEncoder(indent=2).iterencode(workload_to_dict(workload))
+    while chunk := "".join(islice(pieces, 8192)):
+        yield chunk
+    yield "\n"
+
+
 def serialize_workload(workload: WorkloadSpec) -> str:
-    return json.dumps(workload_to_dict(workload), indent=2) + "\n"
+    return "".join(_workload_text(workload))
 
 
 def workload_hash(workload: WorkloadSpec) -> str:
-    return hashlib.sha256(serialize_workload(workload).encode()).hexdigest()
+    """sha256 of `serialize_workload(workload)`, computed without building it."""
+    digest = hashlib.sha256()
+    for chunk in _workload_text(workload):
+        digest.update(chunk.encode())
+    return digest.hexdigest()
 
 
 def genome_template(chromosome: str, fan_out: int,

@@ -17,7 +17,7 @@ from waasim.cloud import (CloudConfig, VariabilityConfig, VmType,
                           estimated_cost_nanos)
 from waasim.estimator import EstimatorConfig, RuntimeEstimator
 from waasim.experiment import TemplateConfig
-from waasim.scheduler import compute_eft_us, distribute_budget, update_budget
+from waasim.scheduler import CostRows, compute_eft_us, distribute_budget, update_budget
 from waasim.units import substream_seed, usec
 from waasim.workflow import (WorkloadSpec, generate_workload, genome_template,
                              vina_template)
@@ -80,14 +80,13 @@ def brute_force_order(spec, reference_type):
 def test_c01_budget_distribution_correctness():
     start = time.monotonic()
     config = CloudConfig()
-    estimator = RuntimeEstimator(EstimatorConfig(mode="oracle"), config.catalog)
+    costs = CostRows(RuntimeEstimator(EstimatorConfig(mode="oracle"), config.catalog), config)
     rng = random.Random(101)
     for _ in range(1000):
         spec = random_dag(rng, max_tasks=12)
-        eft = compute_eft_us(spec, estimator, config.fastest_type)
+        eft = compute_eft_us(spec, costs)
         budget = rng.randrange(0, 2_000_000_000)
-        ledger = distribute_budget(spec.id, budget, list(spec.tasks.values()),
-                                   eft, estimator, config)
+        ledger = distribute_budget(spec.id, budget, list(spec.tasks.values()), eft, costs)
         assert ledger.identity_gap() == 0
         assert all(v >= 0 for v in ledger.sub_budgets.values())
         assert ledger.unassigned >= 0
@@ -165,14 +164,13 @@ class NaiveBudgetState:
 def test_c02_budget_update_correctness():
     start = time.monotonic()
     config = CloudConfig()
-    estimator = RuntimeEstimator(EstimatorConfig(mode="oracle"), config.catalog)
+    costs = CostRows(RuntimeEstimator(EstimatorConfig(mode="oracle"), config.catalog), config)
     rng = random.Random(202)
     for _ in range(300):
         spec = random_dag(rng, max_tasks=10)
-        eft = compute_eft_us(spec, estimator, config.fastest_type)
+        eft = compute_eft_us(spec, costs)
         budget = rng.randrange(0, 500_000_000)
-        ledger = distribute_budget(spec.id, budget, list(spec.tasks.values()),
-                                   eft, estimator, config)
+        ledger = distribute_budget(spec.id, budget, list(spec.tasks.values()), eft, costs)
         naive = NaiveBudgetState(budget, spec, eft, config)
         assert ledger.sub_budgets == naive.subs
         remaining = list(spec.tasks)
@@ -187,8 +185,7 @@ def test_c02_budget_update_correctness():
             if tid in ledger.unscheduled:
                 ledger.lock(tid)
             actual = rng.randrange(1, 300_000_000)
-            update_budget(ledger, spec.tasks[tid], actual, list(ledger.unscheduled.values()),
-                          estimator, config)
+            update_budget(ledger, spec.tasks[tid], actual, list(ledger.unscheduled.values()))
             uncompleted.discard(tid)
             naive.complete(tid, actual, uncompleted - set(ledger.unscheduled))
             assert ledger.identity_gap() == 0

@@ -171,6 +171,7 @@ def test_compare_command(tmp_path, capsys):
             ({**good, "workflows": 5}, f"{malformed}: report.workflows: must be a JSON list"),
             (slow, f"{malformed}: report.workflows[0].makespan_s: expected float"),
             ({**good, "fleet": {"vms": 1}}, f"{malformed}: report.fleet: unknown field 'vms'"),
+            ({**good, "fleet": None}, f"{malformed}: report.fleet: must be a JSON object"),
             ({**good, "workflows": []}, "the reports do not cover the same workflows"),
             (instant, f"workflow {good['workflows'][0]['workflow_id']!r}: "
                       "makespan_s must be > 0")):

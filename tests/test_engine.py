@@ -1,6 +1,8 @@
 """Simulation loop: event ordering, termination, traces, determinism."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +211,13 @@ def test_oracle_estimates_equal_actuals_without_variability(mono_cloud, oracle):
         if ev.name == "task_start":
             task = spec.tasks[ev.fields["task"]]
             assert ev.fields["runtime_us"] == round(task.total_runtime * 1e6)
+
+
+def test_readme_library_example_runs(capsys):
+    """README's "Library use" block is the documented library API."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    met_pct, utilization = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= met_pct <= 100.0 and 0.0 < utilization <= 100.0

@@ -5,11 +5,14 @@ import random
 import pytest
 
 from waasim.cloud import default_catalog
-from waasim.errors import ConfigError, UnknownKind
+from waasim.errors import ConfigError
 from waasim.estimator import EstimatorConfig, ExecutionRecord, RuntimeEstimator
 
 CATALOG = default_catalog()
 TYPES = {t.name: t for t in CATALOG}
+# The model runtime passed where history decides: far from every record, so
+# an estimate that read it would show.
+MODEL = 1e6
 
 
 def make(mode="history", window=10, margin=1.5):
@@ -18,32 +21,29 @@ def make(mode="history", window=10, margin=1.5):
 
 def test_oracle_divides_by_speed():
     est = make("oracle")
-    est.register_kind("k", 120.0)
-    assert est.estimate("k", TYPES["t2.large"]) == 60.0
+    assert est.estimate("k", TYPES["t2.large"], 120.0) == 60.0
     assert est.estimate("k", TYPES["t2.micro"], reference_runtime=50.0) == 50.0
-    with pytest.raises(UnknownKind):
-        est.estimate("unseen", TYPES["t2.micro"])
 
 
 def test_history_window_mean():
     est = make(window=2)
     est.record(ExecutionRecord("k", "t2.micro", 50.0))
     est.record(ExecutionRecord("k", "t2.micro", 70.0))
-    assert est.estimate("k", TYPES["t2.micro"]) == 60.0
+    assert est.estimate("k", TYPES["t2.micro"], MODEL) == 60.0
 
 
 def test_cross_type_scaling():
     est = make(window=5)
     est.record(ExecutionRecord("k", "t2.micro", 100.0))  # speed 1.0
-    assert est.estimate("k", TYPES["t2.large"]) == 50.0  # speed 2.0
+    assert est.estimate("k", TYPES["t2.large"], MODEL) == 50.0  # speed 2.0
 
 
 def test_record_then_estimate_online():
     est = make(window=1)
     est.record(ExecutionRecord("k", "t2.small", 33.0))
-    assert est.estimate("k", TYPES["t2.small"]) == 33.0
+    assert est.estimate("k", TYPES["t2.small"], MODEL) == 33.0
     est.record(ExecutionRecord("k", "t2.small", 44.0))
-    assert est.estimate("k", TYPES["t2.small"]) == 44.0
+    assert est.estimate("k", TYPES["t2.small"], MODEL) == 44.0
 
 
 def test_window_mean_against_bruteforce():
@@ -59,20 +59,19 @@ def test_window_mean_against_bruteforce():
     for vm_type in CATALOG:
         same = [r.actual_runtime for r in records if r.vm_type_name == vm_type.name]
         expected = sum(same[-window:]) / len(same[-window:])
-        assert est.estimate("k", vm_type) == pytest.approx(expected)
+        assert est.estimate("k", vm_type, MODEL) == pytest.approx(expected)
 
 
 def test_window_independence_of_old_records():
     est = make(window=3)
     for value in (100.0, 999.0, 10.0, 20.0, 30.0):
         est.record(ExecutionRecord("k", "t2.micro", value))
-    assert est.estimate("k", TYPES["t2.micro"]) == 20.0
+    assert est.estimate("k", TYPES["t2.micro"], MODEL) == 20.0
 
 
 def test_cold_start_margin():
     est = make(window=3, margin=1.5)
-    est.register_kind("fresh", 100.0)
-    assert est.estimate("fresh", TYPES["t2.large"]) == 100.0 / 2.0 * 1.5
+    assert est.estimate("fresh", TYPES["t2.large"], 100.0) == 100.0 / 2.0 * 1.5
 
 
 def test_monotone_in_speed_factor():
@@ -85,7 +84,7 @@ def test_monotone_in_speed_factor():
         noise = rng.uniform(0.95, 1.05)
         est.record(ExecutionRecord("k", vm_type.name, ref / vm_type.speed_factor * noise))
     ordered = sorted(CATALOG, key=lambda t: t.speed_factor)
-    estimates = [est.estimate("k", t) for t in ordered]
+    estimates = [est.estimate("k", t, MODEL) for t in ordered]
     assert all(b <= a for a, b in zip(estimates, estimates[1:]))
     assert all(e > 0 for e in estimates)
 
@@ -95,7 +94,7 @@ def test_history_csv_bootstrap(tmp_path):
     path.write_text("# kind,vm_type,runtime\nk,t2.micro,100\nk,t2.micro,200\n")
     est = make(window=5)
     assert est.load_history_csv(path) == 2
-    assert est.estimate("k", TYPES["t2.micro"]) == 150.0
+    assert est.estimate("k", TYPES["t2.micro"], MODEL) == 150.0
 
 
 def test_record_unknown_vm_type_names_it():

@@ -10,10 +10,10 @@ from waasim import engine
 from waasim.cloud import CloudConfig, Fleet
 from waasim.errors import ConfigError, IllegalState
 from waasim.estimator import EstimatorConfig, RuntimeEstimator
-from waasim.scheduler import (Assign, BudgetLedger, Provision, compute_eft,
+from waasim.scheduler import (Assign, BudgetLedger, CostRows, Provision,
                               compute_eft_us, distribute_budget,
                               distribution_order, make_policy, update_budget)
-from waasim.units import nanos
+from waasim.units import nanos, usec
 
 
 class FixedEstimator:
@@ -22,7 +22,7 @@ class FixedEstimator:
     def __init__(self, seconds=100.0):
         self.seconds = seconds
 
-    def estimate(self, kind, vm_type, reference_runtime=None):
+    def estimate(self, kind, vm_type, reference_runtime):
         return self.seconds
 
     def revision(self, kind):
@@ -36,34 +36,42 @@ def oracle_estimator(catalog=(MICRO, LARGE)):
     return RuntimeEstimator(EstimatorConfig(mode="oracle"), tuple(catalog))
 
 
+def oracle_costs(catalog=(MICRO, LARGE)):
+    return CostRows(oracle_estimator(catalog), CloudConfig(catalog=tuple(catalog)))
+
+
+def fixed_costs(seconds=100.0):
+    return CostRows(FixedEstimator(seconds), TWO_TYPES)
+
+
 # -- EFT ---------------------------------------------------------------------
 
 def test_eft_chain():
     spec = build_workflow([("A", "a", 10.0, []), ("B", "b", 20.0, ["A"])])
-    eft = compute_eft(spec, oracle_estimator((MICRO,)), MICRO)
-    assert eft == {"A": 10.0, "B": 30.0}
+    eft = compute_eft_us(spec, oracle_costs((MICRO,)))
+    assert eft == {"A": 10_000_000, "B": 30_000_000}
 
 
 def test_eft_diamond():
     spec = diamond_workflow()
-    eft = compute_eft(spec, oracle_estimator((MICRO,)), MICRO)
-    assert eft["d"] == 31.0
-    assert eft["b"] == 15.0 and eft["c"] == 30.0
+    eft = compute_eft_us(spec, oracle_costs((MICRO,)))
+    assert eft["d"] == 31_000_000
+    assert eft["b"] == 15_000_000 and eft["c"] == 30_000_000
 
 
 def test_eft_matches_recursive_oracle():
     rng = random.Random(321)
-    est = oracle_estimator((MICRO,))
+    costs = oracle_costs((MICRO,))
     for _ in range(100):
         spec = random_dag(rng)
 
         def recursive(tid):
             task = spec.tasks[tid]
-            start = max((recursive(p) for p in task.parents), default=0.0)
-            return start + task.total_runtime / MICRO.speed_factor
-        eft = compute_eft(spec, est, MICRO)
+            start = max((recursive(p) for p in task.parents), default=0)
+            return start + usec(task.total_runtime / MICRO.speed_factor)
+        eft = compute_eft_us(spec, costs)
         for tid in spec.tasks:
-            assert eft[tid] == pytest.approx(recursive(tid))
+            assert eft[tid] == recursive(tid)
         for tid, task in spec.tasks.items():
             assert all(eft[tid] >= eft[p] for p in task.parents)
 
@@ -72,14 +80,14 @@ def test_eft_matches_recursive_oracle():
 
 def chain_two() -> tuple:
     spec = chain_workflow([100.0, 100.0])
-    eft_us = compute_eft_us(spec, oracle_estimator((MICRO,)), MICRO)
+    eft_us = compute_eft_us(spec, oracle_costs((MICRO,)))
     return spec, eft_us
 
 
 def test_distribute_generous_budget_upgrades():
     spec, eft_us = chain_two()
     ledger = distribute_budget("w", nanos(0.01), list(spec.tasks.values()),
-                               eft_us, FixedEstimator(100.0), TWO_TYPES)
+                               eft_us, fixed_costs(100.0))
     assert ledger.sub_budgets == {"t0": nanos(0.00382), "t1": nanos(0.00382)}
     assert ledger.unassigned == nanos(0.00236)
     assert ledger.debt == 0
@@ -89,7 +97,7 @@ def test_distribute_generous_budget_upgrades():
 def test_distribute_tight_budget_stays_cheap():
     spec, eft_us = chain_two()
     ledger = distribute_budget("w", nanos(0.001), list(spec.tasks.values()),
-                               eft_us, FixedEstimator(100.0), TWO_TYPES)
+                               eft_us, fixed_costs(100.0))
     assert ledger.sub_budgets == {"t0": nanos(0.00041), "t1": nanos(0.00041)}
     assert ledger.unassigned == nanos(0.00018)
     assert ledger.identity_gap() == 0
@@ -98,7 +106,7 @@ def test_distribute_tight_budget_stays_cheap():
 def test_distribute_zero_budget_all_debt():
     spec, eft_us = chain_two()
     ledger = distribute_budget("w", 0, list(spec.tasks.values()),
-                               eft_us, FixedEstimator(100.0), TWO_TYPES)
+                               eft_us, fixed_costs(100.0))
     assert ledger.sub_budgets == {"t0": nanos(0.00041), "t1": nanos(0.00041)}
     assert ledger.unassigned == 0
     assert ledger.debt == sum(ledger.sub_budgets.values())
@@ -112,7 +120,7 @@ def test_distribute_never_starves_remaining_tasks():
     spec, eft_us = chain_two()
     budget = nanos(0.00082 * 1.01)
     ledger = distribute_budget("w", budget, list(spec.tasks.values()),
-                               eft_us, FixedEstimator(100.0), TWO_TYPES)
+                               eft_us, fixed_costs(100.0))
     assert ledger.sub_budgets == {"t0": nanos(0.00041), "t1": nanos(0.00041)}
     assert ledger.debt == 0
     assert sum(ledger.sub_budgets.values()) <= budget
@@ -120,7 +128,7 @@ def test_distribute_never_starves_remaining_tasks():
 
 def test_distribution_order_level_then_eft():
     spec = diamond_workflow()
-    eft_us = compute_eft_us(spec, oracle_estimator((MICRO,)), MICRO)
+    eft_us = compute_eft_us(spec, oracle_costs((MICRO,)))
     ordered = distribution_order(list(spec.tasks.values()), eft_us)
     assert [t.id for t in ordered] == ["a", "b", "c", "d"]
 
@@ -130,7 +138,8 @@ def test_distribution_order_level_then_eft():
 def settled_ledger() -> tuple:
     """Ledger with one finished-pending task f and one unscheduled task u."""
     spec = build_workflow([("f", "f", 100.0, []), ("u", "u", 100.0, ["f"])])
-    ledger = BudgetLedger("w", nanos(0.01), unscheduled={"u": spec.tasks["u"]})
+    ledger = BudgetLedger("w", nanos(0.01), unscheduled={"u": spec.tasks["u"]},
+                          costs=fixed_costs(100.0))
     ledger.sub_budgets = {"f": nanos(0.005), "u": nanos(0.002)}
     ledger.unassigned = nanos(0.003)
     return spec, ledger
@@ -138,8 +147,7 @@ def settled_ledger() -> tuple:
 
 def test_update_budget_surplus_folds_into_pool():
     spec, ledger = settled_ledger()
-    update_budget(ledger, spec.tasks["f"], nanos(0.003), [spec.tasks["u"]],
-                  FixedEstimator(100.0), TWO_TYPES)
+    update_budget(ledger, spec.tasks["f"], nanos(0.003), [spec.tasks["u"]])
     # pool = unassigned 0.003 + sub(u) 0.002 + surplus 0.002 = 0.007
     assert ledger.spent == nanos(0.003)
     assert ledger.sub_budgets["u"] + ledger.unassigned == nanos(0.007)
@@ -149,16 +157,14 @@ def test_update_budget_surplus_folds_into_pool():
 
 def test_update_budget_exact_cost_keeps_pool():
     spec, ledger = settled_ledger()
-    update_budget(ledger, spec.tasks["f"], nanos(0.005), [spec.tasks["u"]],
-                  FixedEstimator(100.0), TWO_TYPES)
+    update_budget(ledger, spec.tasks["f"], nanos(0.005), [spec.tasks["u"]])
     assert ledger.sub_budgets["u"] + ledger.unassigned == nanos(0.005)
     assert ledger.identity_gap() == 0
 
 
 def test_update_budget_overrun_shrinks_pool():
     spec, ledger = settled_ledger()
-    update_budget(ledger, spec.tasks["f"], nanos(0.007), [spec.tasks["u"]],
-                  FixedEstimator(100.0), TWO_TYPES)
+    update_budget(ledger, spec.tasks["f"], nanos(0.007), [spec.tasks["u"]])
     assert ledger.sub_budgets["u"] + ledger.unassigned == nanos(0.003)
     assert ledger.debt == 0
     assert ledger.identity_gap() == 0
@@ -166,8 +172,7 @@ def test_update_budget_overrun_shrinks_pool():
 
 def test_update_budget_overrun_beyond_pool_becomes_debt():
     spec, ledger = settled_ledger()
-    update_budget(ledger, spec.tasks["f"], nanos(0.02), [spec.tasks["u"]],
-                  FixedEstimator(100.0), TWO_TYPES)
+    update_budget(ledger, spec.tasks["f"], nanos(0.02), [spec.tasks["u"]])
     # shortfall 0.015 exceeds the 0.005 pool: 0.010 spills into debt and the
     # unscheduled task falls back to a cheapest-type debt-backed allocation.
     assert ledger.sub_budgets["u"] == nanos(0.00041)
@@ -180,26 +185,25 @@ def test_update_budget_unknown_task_raises():
     spec, ledger = settled_ledger()
     ghost = build_workflow([("g", "g", 1.0, [])]).tasks["g"]
     with pytest.raises(IllegalState):
-        update_budget(ledger, ghost, 1, [], FixedEstimator(), TWO_TYPES)
+        update_budget(ledger, ghost, 1, [])
 
 
 def test_update_budget_randomized_identity():
     rng = random.Random(777)
-    est = FixedEstimator(100.0)
+    costs = fixed_costs(100.0)
     for _ in range(100):
         spec = random_dag(rng, max_tasks=8)
         eft_us = {tid: i for i, tid in enumerate(sorted(spec.tasks))}
         budget = rng.randrange(0, 20_000_000)
         ledger = distribute_budget("w", budget, list(spec.tasks.values()),
-                                   eft_us, est, TWO_TYPES)
+                                   eft_us, costs)
         assert ledger.identity_gap() == 0
         remaining = sorted(spec.tasks)
         rng.shuffle(remaining)
         for tid in remaining:
             actual = rng.randrange(1, 8_000_000)
             ledger.lock(tid)
-            update_budget(ledger, spec.tasks[tid], actual, list(ledger.unscheduled.values()),
-                          est, TWO_TYPES)
+            update_budget(ledger, spec.tasks[tid], actual, list(ledger.unscheduled.values()))
             assert ledger.identity_gap() == 0
             assert all(v >= 0 for v in ledger.sub_budgets.values())
             assert ledger.unassigned >= 0

@@ -1,5 +1,6 @@
 """Workflow model: parsing, validation, levels, templates, workload generation."""
 
+import hashlib
 import json
 import random
 
@@ -10,7 +11,8 @@ from waasim.errors import CycleError, DanglingRefError, SchemaError
 from waasim.workflow import (GENOME_KINDS, compute_levels, generate_workload,
                              genome_template, parse_workflow, parse_workload,
                              serialize_workflow, serialize_workload,
-                             validate_workflow, vina_template, workload_hash)
+                             validate_workflow, vina_template, workload_hash,
+                             workload_to_dict)
 
 
 def test_parse_single_task():
@@ -208,6 +210,17 @@ def test_generate_workload_deterministic():
     assert workload_hash(a) == workload_hash(b)
     c = generate_workload(catalog, 10, 6.0, seed=100)
     assert workload_hash(a) != workload_hash(c)
+
+
+def test_workload_hash_is_sha256_of_serialized_text():
+    """The hash streams the canonical text in chunks; a workload this size
+    spans many of them."""
+    catalog = [(genome_template("chr21", 9), 0.1), (genome_template("chr22", 10), 0.25),
+               (vina_template(7, workflow_id="vina01"), 0.05), (vina_template(3), 0.01)]
+    workload = generate_workload(catalog, 200, 12.0, seed=8)
+    text = serialize_workload(workload)
+    assert text == json.dumps(workload_to_dict(workload), indent=2) + "\n"
+    assert workload_hash(workload) == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_generate_workload_argument_errors():
