@@ -178,6 +178,10 @@ class Fleet:
 
     def __init__(self, config: CloudConfig):
         self.config = config
+        # The config's delays in microseconds, converted once per simulation.
+        self.provisioning_delay_us = config.provisioning_delay_us
+        self.deprovisioning_delay_us = config.deprovisioning_delay_us
+        self.idle_threshold_us = config.idle_threshold_us
         self.instances: dict[str, VmInstance] = {}
         # The instances in state IDLE, in the order they went idle: idle-since order.
         self._idle: dict[str, VmInstance] = {}
@@ -188,7 +192,7 @@ class Fleet:
 
     def provision(self, vm_type: VmType, now_us: int) -> VmInstance:
         seq = len(self.instances) + 1
-        available = now_us + self.config.provisioning_delay_us
+        available = now_us + self.provisioning_delay_us
         vm = VmInstance(
             id=f"vm-{seq:04d}",
             seq=seq,
@@ -237,7 +241,7 @@ class Fleet:
         """Terminate every idle instance whose idle time reached the
         threshold, in provision order; busy and provisioning instances are
         untouched. Only the expired prefix of the idle index is read."""
-        cutoff = now_us - self.config.idle_threshold_us
+        cutoff = now_us - self.idle_threshold_us
         expired = sorted(takewhile(lambda vm: vm.idle_since_us <= cutoff,
                                    self._idle.values()), key=attrgetter("seq"))
         for vm in expired:
@@ -251,7 +255,7 @@ class Fleet:
     def release_due(self, now_us: int) -> list[VmInstance]:
         """The terminated instances whose deprovisioning delay has passed
         and that no earlier call returned, in provision order."""
-        cutoff = now_us - self.config.deprovisioning_delay_us
+        cutoff = now_us - self.deprovisioning_delay_us
         due = []
         while self._releasing and self._releasing[0].terminated_at_us <= cutoff:
             due.append(self._releasing.popleft())
@@ -260,9 +264,22 @@ class Fleet:
     def unreleased(self, now_us: int) -> bool:
         """Whether any instance is still held: live, or terminated but not
         yet past the deprovisioning delay."""
-        cutoff = now_us - self.config.deprovisioning_delay_us
+        cutoff = now_us - self.deprovisioning_delay_us
         return self._live > 0 or (
             bool(self._releasing) and self._releasing[-1].terminated_at_us > cutoff)
+
+    def next_due_us(self) -> int | None:
+        """The earliest time at which `idle_scan` or `release_due` can return
+        an instance, or None while no instance is idle or awaiting release.
+        Both queues are in time order, so only their heads are read."""
+        due = None
+        if self._idle:
+            due = next(iter(self._idle.values())).idle_since_us + self.idle_threshold_us
+        if self._releasing:
+            release = self._releasing[0].terminated_at_us + self.deprovisioning_delay_us
+            if due is None or release < due:
+                due = release
+        return due
 
     def total_bill_nanos(self) -> int:
         return sum(vm.bill_nanos for vm in self.instances.values())

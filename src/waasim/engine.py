@@ -106,6 +106,7 @@ class _Simulation:
         self.runs: dict[str, WorkflowRun] = {}
         self._completed = 0
         self._next_tick_us: int | None = None
+        self._scan_interval_us = cloud.scan_interval_us
 
     # -- event plumbing ----------------------------------------------------
 
@@ -257,8 +258,18 @@ class _Simulation:
             return
         if not self.fleet.unreleased(self.clock_us):
             return
-        interval = self.cloud.scan_interval_us
+        interval = self._scan_interval_us
         next_tick = (self.clock_us // interval + 1) * interval
+        # Skip the ticks that would find nothing: tick at the first multiple
+        # at or after the fleet's next due time, or the next event's time if
+        # that is earlier. Every skipped tick would have been alone in its
+        # batch, so no batch runs between this push and the push a tick every
+        # interval would make, and the tick keeps its rank at its time.
+        due = self.fleet.next_due_us()
+        if self._heap and (due is None or self._heap[0][0] < due):
+            due = self._heap[0][0]
+        if due is not None and due > next_tick:
+            next_tick = -(-due // interval) * interval
         self._next_tick_us = next_tick
         self._push(next_tick, self._on_scan_tick)
 

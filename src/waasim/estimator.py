@@ -72,10 +72,11 @@ class RuntimeEstimator:
             raise ConfigError(
                 f"execution record for kind {rec.task_kind!r}: "
                 f"unknown vm type {rec.vm_type_name!r}")
+        if self.config.mode == "oracle":
+            return  # no oracle estimate reads the records
         self._by_type[rec.task_kind, rec.vm_type_name].append(rec.actual_runtime)
         self._normalized[rec.task_kind].append(rec.actual_runtime * vm_type.speed_factor)
-        if self.config.mode == "history":
-            self._revisions[rec.task_kind] = self._revisions.get(rec.task_kind, 0) + 1
+        self._revisions[rec.task_kind] = self._revisions.get(rec.task_kind, 0) + 1
 
     def revision(self, kind: str) -> int:
         """A number that moves whenever a record may have changed the

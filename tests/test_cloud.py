@@ -127,6 +127,67 @@ def test_unreleased_until_last_release():
     assert not fleet.unreleased(usec(105.0))
 
 
+def test_next_due_is_none_with_nothing_to_expire_or_release():
+    fleet = Fleet(CloudConfig(provisioning_delay=5.0))
+    assert fleet.next_due_us() is None
+    vm = fleet.provision(table_type("t2.micro"), 0)
+    assert fleet.next_due_us() is None  # provisioning
+    fleet.mark_available(vm, usec(5.0))
+    fleet.start_task(vm, usec(5.0), usec(30.0))
+    assert fleet.next_due_us() is None  # busy
+
+
+def test_next_due_is_idle_head_plus_threshold():
+    fleet = Fleet(CloudConfig(provisioning_delay=0.0, idle_threshold=60.0))
+    a, b = (fleet.provision(table_type("t2.micro"), 0) for _ in range(2))
+    fleet.mark_available(b, usec(3.0))
+    fleet.mark_available(a, usec(7.0))
+    assert fleet.next_due_us() == usec(63.0)
+
+
+def test_next_due_is_release_head_plus_delay():
+    fleet = Fleet(CloudConfig(provisioning_delay=0.0, deprovisioning_delay=10.0))
+    a, b = (fleet.provision(table_type("t2.micro"), 0) for _ in range(2))
+    for vm, at in ((b, 4.0), (a, 9.0)):
+        fleet.mark_available(vm, 0)
+        fleet.terminate(vm, usec(at))
+    assert fleet.next_due_us() == usec(14.0)
+    assert fleet.release_due(usec(14.0)) == [b]
+    assert fleet.next_due_us() == usec(19.0)
+    assert fleet.release_due(usec(19.0)) == [a]
+    assert fleet.next_due_us() is None
+
+
+@pytest.mark.parametrize("idle_at, due", [
+    (25.0, 50.0),  # expires at 55: the release comes first
+    (20.0, 50.0),  # expires at 50 too
+    (10.0, 40.0),  # expires at 40, before the release
+])
+def test_next_due_is_the_earlier_of_expiry_and_release(idle_at, due):
+    fleet = Fleet(CloudConfig(provisioning_delay=0.0, deprovisioning_delay=10.0,
+                              idle_threshold=30.0))
+    idle, gone = (fleet.provision(table_type("t2.micro"), 0) for _ in range(2))
+    fleet.mark_available(gone, 0)
+    fleet.mark_available(idle, usec(idle_at))
+    fleet.terminate(gone, usec(40.0))  # released at 50
+    assert fleet.next_due_us() == usec(due)
+
+
+@pytest.mark.parametrize("leave", ["reuse", "terminate"])
+def test_next_due_moves_to_the_next_idle_vm(leave):
+    fleet = Fleet(CloudConfig(provisioning_delay=0.0, deprovisioning_delay=100.0,
+                              idle_threshold=60.0))
+    first, second = (fleet.provision(table_type("t2.micro"), 0) for _ in range(2))
+    fleet.mark_available(first, usec(1.0))
+    fleet.mark_available(second, usec(2.0))
+    assert fleet.next_due_us() == usec(61.0)
+    if leave == "reuse":
+        fleet.start_task(first, usec(5.0), usec(30.0))
+    else:
+        fleet.terminate(first, usec(5.0))
+    assert fleet.next_due_us() == usec(62.0)
+
+
 def test_busy_then_idle_terminates_at_first_due_tick():
     """A VM busy 300 s then idle must fall at the first scan >= idle+threshold."""
     config = CloudConfig(provisioning_delay=0.0, idle_threshold=60.0, scan_interval=10.0)

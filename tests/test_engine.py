@@ -107,6 +107,30 @@ def test_clock_monotone_and_event_counts(mono_cloud, oracle):
     assert terminations <= scans_bound + completions
 
 
+def test_scan_ticks_only_where_a_vm_can_come_due(monkeypatch, oracle):
+    """A scan tick that terminates and releases nothing is pushed only when
+    the next event capped it, so there is at most one such tick per time of
+    the other events. Ticking every interval would give thousands here: the
+    chain runs for hours on a VM or two."""
+    rng = random.Random(808)
+    spec = chain_workflow([24.0 * rng.randint(3, 25) for _ in range(100)], budget=0.2)
+    empty, tick_events = 0, set()
+    original = engine._Simulation._on_scan_tick
+
+    def tick(sim):
+        nonlocal empty
+        before = len(sim.trace)
+        original(sim)
+        tick_events.update(range(before, len(sim.trace)))
+        empty += len(sim.trace) == before
+
+    monkeypatch.setattr(engine._Simulation, "_on_scan_tick", tick)
+    trace = engine.run(single_workload(spec), "ebpsm", CloudConfig(), oracle, seed=0).trace
+    other_times = {ev.time_us for i, ev in enumerate(trace) if i not in tick_events}
+    assert sum(ev.name == "task_complete" for ev in trace) == 100
+    assert empty <= len(other_times)
+
+
 def test_every_vm_terminated_before_end(mono_cloud, oracle):
     spec = genome_template("chr22", 4, budget=1.0)
     sim = engine._Simulation(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)

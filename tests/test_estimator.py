@@ -133,3 +133,17 @@ def test_execution_record_rejects_non_finite(runtime):
     """One such record would make every history estimate of its kind NaN or inf."""
     with pytest.raises(ValueError, match="finite"):
         ExecutionRecord("k", "t2.micro", runtime)
+
+
+def test_oracle_keeps_no_records():
+    """No oracle estimate reads the history, so records are checked and
+    dropped; an unknown VM type is still an error."""
+    est = make("oracle", window=3)
+    before = [est.estimate(k, t, 90.0) for k in ("a", "b") for t in CATALOG]
+    for i in range(10):
+        est.record(ExecutionRecord("ab"[i % 2], CATALOG[i % len(CATALOG)].name, 7.0 + i))
+    with pytest.raises(ConfigError, match="'t9.huge'"):
+        est.record(ExecutionRecord("a", "t9.huge", 10.0))
+    assert not est._by_type and not est._normalized
+    assert [est.estimate(k, t, 90.0) for k in ("a", "b") for t in CATALOG] == before
+    assert est.revision("a") == est.revision("b") == 0

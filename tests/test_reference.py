@@ -1,10 +1,11 @@
 """Differential tests against the straightforward implementations that the
 windowed estimator, the per-type dispatch decision, the cost-row EFT, the
-fleet's idle index and release queue, and the resumed budget fold replaced.
-The references below scan every record, estimate once per idle VM and once
-per task on the fastest type for EFT, scan every instance, and on every
-budget update rebuild, re-sort and reprice the unscheduled tasks and refold
-all of them; the optimised code must agree with them exactly: equal floats,
+fleet's idle index and release queue, the skipped scan ticks and the resumed
+budget fold replaced. The references below scan every record, estimate once
+per idle VM and once per task on the fastest type for EFT, scan every
+instance at every scan interval, and on every budget update rebuild,
+re-sort and reprice the unscheduled tasks and refold all of them; the
+optimised code must agree with them exactly: equal floats,
 equal ledgers, identical traces and identical report bytes."""
 
 import math
@@ -146,6 +147,11 @@ class ReferenceFleet(Fleet):
     def unreleased(self, now_us):
         return [vm for vm in self.instances.values()
                 if vm.state != TERMINATED or self._release_at_us(vm) > now_us]
+
+    def next_due_us(self):
+        """Always due: the engine scans at every interval while a VM is held,
+        so the skipped ticks of the optimised fleet are checked against it."""
+        return 0
 
 
 def reference_eft_us(spec, estimator, reference_type):
