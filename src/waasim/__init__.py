@@ -16,6 +16,6 @@ from .scheduler import (BudgetLedger, EbpsmPolicy, FcfsPolicy, distribute_budget
 from .workflow import (TaskRecord, WorkflowSpec, WorkloadSpec, compute_levels,
                        generate_workload, genome_template, parse_workflow,
                        parse_workload, serialize_workflow, serialize_workload,
-                       validate_workflow, vina_template, workload_hash)
+                       vina_template, workload_hash)
 
 __version__ = "0.1.0"

@@ -3,6 +3,7 @@ per-second billing and the periodic idle-termination scan."""
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections import deque
@@ -185,6 +186,13 @@ class Fleet:
         self.instances: dict[str, VmInstance] = {}
         # The instances in state IDLE, in the order they went idle: idle-since order.
         self._idle: dict[str, VmInstance] = {}
+        # Per type name, a heap of the ids of its idle instances, least id
+        # string first: the order in which dispatch breaks ties. Built by the
+        # first `idle_head` call, so a fleet whose policy never reads it (FCFS)
+        # keeps none. An id stays in its heap after its instance leaves IDLE and
+        # is dropped when it reaches the top, so an instance can be in its
+        # heap more than once; `take_idle_head` drops every copy.
+        self._heads: dict[str, list[str]] | None = None
         # Terminated instances release_due has not returned, in termination
         # order, which is release order as the deprovisioning delay is constant.
         self._releasing: deque[VmInstance] = deque()
@@ -208,9 +216,7 @@ class Fleet:
     def mark_available(self, vm: VmInstance, now_us: int) -> None:
         if vm.state != PROVISIONING:
             raise IllegalState(f"{vm.id}: available while {vm.state}")
-        vm.state = IDLE
-        vm.idle_since_us = now_us
-        self._idle[vm.id] = vm
+        self._set_idle(vm, now_us)
 
     def start_task(self, vm: VmInstance, now_us: int, runtime_us: int) -> None:
         if vm.state != IDLE:
@@ -223,9 +229,14 @@ class Fleet:
     def finish_task(self, vm: VmInstance, now_us: int) -> None:
         if vm.state != BUSY:
             raise IllegalState(f"{vm.id}: cannot finish task while {vm.state}")
+        self._set_idle(vm, now_us)
+
+    def _set_idle(self, vm: VmInstance, now_us: int) -> None:
         vm.state = IDLE
         vm.idle_since_us = now_us
         self._idle[vm.id] = vm
+        if self._heads is not None:
+            heapq.heappush(self._heads.setdefault(vm.vm_type.name, []), vm.id)
 
     def terminate(self, vm: VmInstance, now_us: int) -> int:
         bill = finalize_billing(vm, now_us)
@@ -251,6 +262,33 @@ class Fleet:
     def idle_instances(self) -> list[VmInstance]:
         """The idle instances, in the order they went idle."""
         return list(self._idle.values())
+
+    def idle_head(self, vm_type: VmType) -> str | None:
+        """The least id string among the idle instances of `vm_type`, or
+        None if it has none."""
+        if self._heads is None:
+            self._heads = {}
+            for vm in self._idle.values():
+                self._heads.setdefault(vm.vm_type.name, []).append(vm.id)
+            for heap in self._heads.values():
+                heapq.heapify(heap)
+        heap = self._heads.get(vm_type.name)
+        while heap and self.instances[heap[0]].state != IDLE:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    def take_idle_head(self, vm_type: VmType) -> str:
+        """Take `idle_head(vm_type)` out of the index, so that no later call
+        returns it before it goes idle again. The instance stays IDLE until
+        its task starts."""
+        vm_id = self.idle_head(vm_type)
+        if vm_id is None:
+            raise IllegalState(f"no idle {vm_type.name} instance")
+        heap = self._heads[vm_type.name]
+        heapq.heappop(heap)
+        while heap and heap[0] == vm_id:
+            heapq.heappop(heap)
+        return vm_id
 
     def release_due(self, now_us: int) -> list[VmInstance]:
         """The terminated instances whose deprovisioning delay has passed

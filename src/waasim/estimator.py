@@ -8,12 +8,10 @@ type, normalized by speed factor.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 from .errors import ConfigError
 from .cloud import VmType
@@ -82,34 +80,6 @@ class RuntimeEstimator:
         """A number that moves whenever a record may have changed the
         estimates of `kind`; under "oracle" no record does, so it never moves."""
         return self._revisions.get(kind, 0)
-
-    def load_history_csv(self, path: str | Path) -> int:
-        """Bootstrap history from `kind,vm_type,actual_runtime` rows."""
-        count = 0
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row or row[0].strip().startswith("#"):
-                    continue
-                where = f"{path}: line {reader.line_num}"
-                if len(row) < 3:
-                    raise ConfigError(
-                        f"{where}: expected kind,vm_type,actual_runtime, got {len(row)} field(s)")
-                kind, vm_type = row[0].strip(), row[1].strip()
-                try:
-                    runtime = float(row[2])
-                except ValueError:
-                    raise ConfigError(
-                        f"{where}: actual_runtime {row[2].strip()!r} is not a number") from None
-                if not math.isfinite(runtime) or runtime <= 0:
-                    raise ConfigError(
-                        f"{where}: actual_runtime must be finite and > 0, got {runtime!r}")
-                try:
-                    self.record(ExecutionRecord(kind, vm_type, runtime))
-                except ConfigError as exc:
-                    raise ConfigError(f"{where}: {exc}") from None
-                count += 1
-        return count
 
     def estimate(self, kind: str, vm_type: VmType, reference_runtime: float) -> float:
         """Estimated runtime on `vm_type`, in seconds, of a `kind` task whose

@@ -315,6 +315,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     the process that simulates it; then a summary CSV, a budget-met summary
     and a manifest. Returns the manifest."""
     config.validate()
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     out = Path(output_dir if output_dir is not None else config.output_dir)
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)

@@ -284,38 +284,35 @@ class EbpsmPolicy:
 
     def schedule_ready(self, fleet: Fleet, now_us: int) -> list[Assign | Provision]:
         actions: list[Assign | Provision] = []
-        claimed: set[str] = set()
         while self._queue:
             _, run, task = heapq.heappop(self._queue)
-            actions.append(self._decide(run, task, fleet, claimed, now_us))
+            actions.append(self._decide(run, task, fleet, now_us))
         return actions
 
-    def _decide(self, run, task: TaskRecord, fleet: Fleet, claimed: set[str],
-                now_us: int) -> Assign | Provision:
+    def _decide(self, run, task: TaskRecord, fleet: Fleet, now_us: int) -> Assign | Provision:
+        """Reuse the idle VM least in (estimated runtime, price, id) among the
+        types the task's sub-budget affords, else provision the fastest such
+        type, else the cheapest type. Estimate and price depend on the type
+        alone, so only each type's least idle id is read; the VM taken leaves
+        the fleet's index, so no later decision of the batch takes it."""
         ledger = self.ledgers.get(run.spec.id)
         cap = math.inf if ledger is None else ledger.lock(task.id)
-        # Estimate and cost depend on the VM type alone: one term per type.
-        terms = {vm_type.name: (est_us, vm_type.price_nanos, cost <= cap)
-                 for vm_type, (est_us, cost)
-                 in zip(self.costs.fastest_first,
-                        self.costs.row(task.kind, task.total_runtime).terms)}
         best: tuple[int, int, str] | None = None
-        for vm in fleet.idle_instances():
-            if vm.id in claimed:
+        best_type = provision = None
+        for vm_type, (est_us, cost) in zip(self.costs.fastest_first,
+                                           self.costs.row(task.kind, task.total_runtime).terms):
+            if cost > cap:
                 continue
-            est_us, price, fits = terms[vm.vm_type.name]
-            if not fits:
-                continue
-            key = (est_us, price, vm.id)
-            if best is None or key < best:
-                best = key
+            if provision is None:
+                provision = vm_type
+            vm_id = fleet.idle_head(vm_type)
+            if vm_id is not None:
+                key = (est_us, vm_type.price_nanos, vm_id)
+                if best is None or key < best:
+                    best, best_type = key, vm_type
         if best is not None:
-            claimed.add(best[2])
-            return Assign(run, task, best[2])
-        for vm_type in self.costs.fastest_first:
-            if terms[vm_type.name][2]:
-                return Provision(run, task, vm_type)
-        return Provision(run, task, self.costs.cheapest_type)
+            return Assign(run, task, fleet.take_idle_head(best_type))
+        return Provision(run, task, provision or self.costs.cheapest_type)
 
     def on_complete(self, run, task: TaskRecord, actual_cost_nanos: int,
                     now_us: int) -> None:

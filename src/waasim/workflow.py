@@ -10,7 +10,7 @@ import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from .errors import CycleError, DanglingRefError, SchemaError
 
@@ -143,14 +143,6 @@ def _levels(workflow_id: str, tasks: dict[str, TaskRecord],
     return levels
 
 
-def validate_workflow(spec: WorkflowSpec) -> None:
-    """Re-check all invariants on an existing spec (used by the CLI)."""
-    rebuilt = _assemble(spec.id, list(spec.tasks.values()), spec.budget, spec.arrival_time)
-    for tid, task in spec.tasks.items():
-        if task.children != rebuilt.tasks[tid].children:
-            raise SchemaError(f"task {tid!r}: parent/child links are inconsistent")
-
-
 def _converted(convert, value, field: str, task: int | None = None):
     """`convert(value)`. A value it rejects raises a SchemaError naming the
     field, as `tasks[i].field` for the task at index `task`."""
@@ -255,13 +247,68 @@ def workload_to_dict(workload: WorkloadSpec) -> dict:
     }
 
 
+def _json_scalar(value) -> str:
+    """`value` as `json.dumps` writes it: a string, bool, int or float."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _indented(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """A JSON array (or, with brackets "{}", object) of encoded `items` as
+    `json.dumps(..., indent=2)` writes it at nesting depth `depth`."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{brackets[1]}"
+
+
+def _task_text(task: TaskRecord) -> str:
+    """The task's entry of `workload_to_dict`, encoded at its depth in a
+    workload: inside the task list of a workflow."""
+    fields = [f'"id": {_json_scalar(task.id)}',
+              f'"kind": {_json_scalar(task.kind)}',
+              f'"runtime": {_json_scalar(task.reference_runtime)}',
+              f'"parents": {_indented([_json_scalar(p) for p in sorted(task.parents)], 5)}']
+    if task.transfer_time:
+        fields.append(f'"transfer": {_json_scalar(task.transfer_time)}')
+    return _indented(fields, 4, "{}")
+
+
 def _workload_text(workload: WorkloadSpec) -> Iterator[str]:
-    """The canonical text of `workload` (indented JSON and a newline), in
-    chunks, so a consumer need not hold all of it."""
-    pieces = json.JSONEncoder(indent=2).iterencode(workload_to_dict(workload))
-    while chunk := "".join(islice(pieces, 8192)):
-        yield chunk
-    yield "\n"
+    """The canonical text of `workload`, `json.dumps(workload_to_dict(workload),
+    indent=2)` and a newline, in one chunk per workflow, so a consumer need
+    not hold all of it. Each distinct task record is encoded once, as
+    workflows drawn from one template share them."""
+    entries: dict[int, str] = {}  # by id() of a record the workload holds
+    yield (f'{{\n  "arrival_rate": {_json_scalar(workload.arrival_rate)},'
+           f'\n  "seed": {_json_scalar(workload.seed)},\n  "workflows": ')
+    opening = "[\n    "
+    for spec in workload.workflows:
+        tasks = []
+        for tid in sorted(spec.tasks):
+            task = spec.tasks[tid]
+            text = entries.get(id(task))
+            if text is None:
+                text = entries[id(task)] = _task_text(task)
+            tasks.append(text)
+        fields = [f'"id": {_json_scalar(spec.id)}',
+                  f'"budget": {_json_scalar(spec.budget)}',
+                  f'"arrival_time": {_json_scalar(spec.arrival_time)}',
+                  f'"tasks": {_indented(tasks, 3)}']
+        yield opening + _indented(fields, 2, "{}")
+        opening = ",\n    "
+    yield "\n  ]\n}\n" if workload.workflows else "[]\n}\n"
 
 
 def serialize_workload(workload: WorkloadSpec) -> str:

@@ -42,6 +42,15 @@ def test_run_command_bad_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_run_command_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    config = write_config(tmp_path)
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_command_bad_list_entries(tmp_path, capsys):
     config = write_config(tmp_path, templates=[
         {"name": "vina01", "shape": "vina", "ligand_cout": 3,

@@ -89,32 +89,10 @@ def test_monotone_in_speed_factor():
     assert all(e > 0 for e in estimates)
 
 
-def test_history_csv_bootstrap(tmp_path):
-    path = tmp_path / "hist.csv"
-    path.write_text("# kind,vm_type,runtime\nk,t2.micro,100\nk,t2.micro,200\n")
-    est = make(window=5)
-    assert est.load_history_csv(path) == 2
-    assert est.estimate("k", TYPES["t2.micro"], MODEL) == 150.0
-
-
 def test_record_unknown_vm_type_names_it():
     est = make()
     with pytest.raises(ConfigError, match="'t9.huge'"):
         est.record(ExecutionRecord("k", "t9.huge", 10.0))
-
-
-@pytest.mark.parametrize("body, message", [
-    ("k,t2.micro,100\nk,t2.micro\n", "line 2: expected kind,vm_type,actual_runtime"),
-    ("# header\nk,t2.micro,fast\n", "line 2: actual_runtime 'fast' is not a number"),
-    ("k,t2.micro,100\n\nk,t9.huge,100\n", "line 3: .*unknown vm type 't9.huge'"),
-    ("k,t2.micro,-5\n", "line 1: actual_runtime must be finite and > 0"),
-    ("k,t2.micro,nan\n", "line 1: actual_runtime must be finite and > 0"),
-])
-def test_history_csv_bad_rows(tmp_path, body, message):
-    path = tmp_path / "hist.csv"
-    path.write_text(body)
-    with pytest.raises(ConfigError, match=message):
-        make().load_history_csv(path)
 
 
 def test_config_validation():

@@ -82,7 +82,12 @@ class ReferenceEbpsmPolicy(EbpsmPolicy):
             self.ledgers[spec.id] = ledger
             self.scheduled[spec.id] = set()
 
-    def _decide(self, run, task, fleet, claimed, now_us):
+    def schedule_ready(self, fleet, now_us):
+        self.claimed = set()
+        return super().schedule_ready(fleet, now_us)
+
+    def _decide(self, run, task, fleet, now_us):
+        claimed = self.claimed
         ledger = self.ledgers.get(run.spec.id)
         if ledger is None:
             cap = math.inf

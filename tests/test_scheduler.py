@@ -284,6 +284,48 @@ def test_schedule_two_tasks_never_share_one_idle_vm():
     assert sum(1 for a in actions if isinstance(a, Assign)) == 1
 
 
+def test_one_batch_assigns_each_idle_vm_once():
+    """A VM that went idle again before its stale index entry reached the top
+    is in the index twice; one batch still assigns it only once."""
+    config = CloudConfig(catalog=(MICRO,), provisioning_delay=0.0)
+    policy = make_policy("ebpsm", config, oracle_estimator((MICRO,)))
+    spec = build_workflow([(f"t{i}", f"k{i}", 10.0, []) for i in range(4)])
+    run = make_run(spec)
+    policy.on_arrival(run, 0)
+    fleet = Fleet(config)
+    assert fleet.idle_head(MICRO) is None
+    for vm in (fleet.provision(MICRO, 0), fleet.provision(MICRO, 0)):
+        fleet.mark_available(vm, 0)
+        fleet.start_task(vm, 0, 1)
+        fleet.finish_task(vm, 1)
+    for tid in spec.tasks:
+        policy.enqueue_ready(run, run.spec.tasks[tid], 1)
+    actions = policy.schedule_ready(fleet, 1)
+    assert sorted(a.vm_id for a in actions if isinstance(a, Assign)) == ["vm-0001", "vm-0002"]
+    assert sum(1 for a in actions if isinstance(a, Provision)) == 2
+
+
+def test_equal_cost_idle_vms_go_in_id_string_order_past_vm_9999():
+    """Of idle VMs equal in estimate and price, dispatch takes the least id
+    string, as the decision key orders them: vm-10000 before vm-9999, though
+    vm-9999 was provisioned and went idle first."""
+    config = CloudConfig(catalog=(MICRO,), provisioning_delay=0.0)
+    policy = make_policy("ebpsm", config, oracle_estimator((MICRO,)))
+    spec = build_workflow([("a", "k", 10.0, []), ("b", "k", 10.0, [])])
+    run = make_run(spec)
+    policy.on_arrival(run, 0)
+    fleet = Fleet(config)
+    assert fleet.idle_head(MICRO) is None
+    vms = [fleet.provision(MICRO, 0) for _ in range(10_000)]
+    assert [vm.id for vm in vms[-2:]] == ["vm-9999", "vm-10000"]
+    fleet.mark_available(vms[-2], 0)
+    fleet.mark_available(vms[-1], 1)
+    for tid in ("a", "b"):
+        policy.enqueue_ready(run, run.spec.tasks[tid], 1)
+    actions = policy.schedule_ready(fleet, 1)
+    assert [(a.task.id, a.vm_id) for a in actions] == [("a", "vm-10000"), ("b", "vm-9999")]
+
+
 def test_polled_eft_keys_non_decreasing():
     config = CloudConfig(catalog=(MICRO,), provisioning_delay=0.0)
     policy = make_policy("ebpsm", config, oracle_estimator((MICRO,)))
@@ -322,6 +364,24 @@ def test_fcfs_provisions_one_vm_per_task(mono_cloud, oracle):
     assert result.report.fleet.total_vms == 26
     starts = [r for r in result.assignments if r[5] == "start"]
     assert len({r[3] for r in starts}) == len(starts)  # no instance reused
+
+
+def test_fcfs_fleet_keeps_no_idle_index(monkeypatch, oracle):
+    """FCFS never reads the idle index, so its fleet builds none and keeps no
+    stale entry per task."""
+    from waasim.workflow import genome_template
+    fleets = []
+
+    class RecordedFleet(Fleet):
+        def __init__(self, config):
+            super().__init__(config)
+            fleets.append(self)
+
+    monkeypatch.setattr(engine, "Fleet", RecordedFleet)
+    cloud = CloudConfig(catalog=(MICRO,), provisioning_delay=90.0)
+    engine.run(single_workload(genome_template("chr22", 22, budget=1.0)), "fcfs", cloud,
+               oracle, seed=0)
+    assert len(fleets) == 1 and fleets[0]._heads is None
 
 
 def test_fcfs_single_task_makespan(oracle):

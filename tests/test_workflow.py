@@ -3,15 +3,18 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_workflow, random_dag
 from waasim.errors import CycleError, DanglingRefError, SchemaError
-from waasim.workflow import (GENOME_KINDS, compute_levels, generate_workload,
-                             genome_template, parse_workflow, parse_workload,
-                             serialize_workflow, serialize_workload,
-                             validate_workflow, vina_template, workload_hash,
+from waasim.workflow import (GENOME_KINDS, TaskRecord, WorkloadSpec, _assemble,
+                             compute_levels, generate_workload, genome_template,
+                             parse_workflow, parse_workload, serialize_workflow,
+                             serialize_workload, vina_template, workload_hash,
                              workload_to_dict)
 
 
@@ -156,7 +159,6 @@ def test_genome_template_counts():
     assert sorted({t.kind for t in one.tasks.values()}) == sorted(GENOME_KINDS)
     with pytest.raises(ValueError):
         genome_template("chr21", 0)
-    validate_workflow(spec)
 
 
 def test_vina_template_counts():
@@ -166,7 +168,6 @@ def test_vina_template_counts():
     assert len(vina_template(1).tasks) == 1
     with pytest.raises(ValueError):
         vina_template(0)
-    validate_workflow(spec)
 
 
 def test_vina_template_runtimes_per_ligand():
@@ -220,6 +221,44 @@ def test_workload_hash_is_sha256_of_serialized_text():
     workload = generate_workload(catalog, 200, 12.0, seed=8)
     text = serialize_workload(workload)
     assert text == json.dumps(workload_to_dict(workload), indent=2) + "\n"
+    assert workload_hash(workload) == hashlib.sha256(text.encode()).hexdigest()
+
+
+# Ids that JSON must escape (quote, backslash, control characters) or that
+# are outside ASCII, in and beyond the Basic Multilingual Plane.
+NAMES = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7fé€😀'), st.characters()),
+                min_size=1, max_size=5)
+# Int-valued numbers too: library and config inputs can carry them.
+NUMBERS = st.one_of(st.integers(0, 10**12), st.floats(0.0, 1e300))
+RUNTIMES = st.one_of(st.integers(1, 10**6), st.floats(1e-6, 1e12))
+
+
+@st.composite
+def workloads(draw):
+    """Workflows drawn from a few templates, so they share task records."""
+    templates = []
+    for _ in range(draw(st.integers(1, 3))):
+        # Ids repeat across templates, on records that differ.
+        ids = draw(st.lists(st.one_of(st.sampled_from("abc"), NAMES), min_size=1, max_size=5,
+                            unique=True))
+        tasks = [TaskRecord(id=tid, kind=draw(NAMES), reference_runtime=draw(RUNTIMES),
+                            parents=frozenset(draw(st.lists(st.sampled_from(ids[:i]),
+                                                            unique=True)) if i else ()),
+                            transfer_time=draw(st.one_of(st.just(0.0), NUMBERS)))
+                 for i, tid in enumerate(ids)]
+        templates.append(_assemble(draw(NAMES), tasks, 0.0, 0.0))
+    workflows = [replace(draw(st.sampled_from(templates)), id=draw(NAMES),
+                         budget=draw(NUMBERS), arrival_time=draw(NUMBERS))
+                 for _ in range(draw(st.integers(0, 4)))]
+    return WorkloadSpec(workflows=workflows, arrival_rate=draw(NUMBERS),
+                        seed=draw(st.integers(0, 2**40)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(workloads())
+def test_canonical_text_is_indented_json_dumps(workload):
+    text = json.dumps(workload_to_dict(workload), indent=2) + "\n"
+    assert serialize_workload(workload) == text
     assert workload_hash(workload) == hashlib.sha256(text.encode()).hexdigest()
 
 
