@@ -13,7 +13,7 @@ from itertools import takewhile
 from operator import attrgetter
 
 from .errors import ConfigError, IllegalState
-from .units import ceil_whole_seconds, nanos, usec
+from .units import USEC_PER_SEC, ceil_whole_seconds, nanos, usec
 
 PROVISIONING = "provisioning"
 IDLE = "idle"
@@ -84,8 +84,8 @@ class CloudConfig:
             raise ConfigError("delays must be >= 0")
         if self.idle_threshold <= 0:
             raise ConfigError("idle_threshold must be > 0")
-        if self.scan_interval <= 0:
-            raise ConfigError("scan_interval must be > 0")
+        if self.scan_interval < 1e-6:
+            raise ConfigError("scan_interval must be >= 1e-06 (one microsecond)")
         if self.variability.mode not in ("none", "lognormal"):
             raise ConfigError(f"unknown variability mode {self.variability.mode!r}")
         if not (math.isfinite(self.variability.sigma) and self.variability.sigma >= 0):
@@ -128,18 +128,19 @@ def task_runtime_on(vm_type: VmType, reference_runtime: float,
         return base
     if rng is None:
         raise ValueError("lognormal variability requires an RNG")
-    return base * math.exp(rng.gauss(0.0, variability.sigma))
+    try:
+        runtime = base * math.exp(rng.gauss(0.0, variability.sigma))
+    except OverflowError:
+        runtime = math.inf
+    if runtime * USEC_PER_SEC == math.inf:  # where `usec(runtime)` would overflow
+        raise ConfigError(f"variability.sigma: {variability.sigma:g} drew a runtime "
+                          "too long to count in microseconds")
+    return runtime
 
 
 def estimated_cost_nanos(vm_type: VmType, est_runtime_us: int) -> int:
     """Per-second billing estimate: whole seconds rounded up times unit price."""
     return ceil_whole_seconds(est_runtime_us) * vm_type.price_nanos
-
-
-def estimated_task_cost(vm_type: VmType, est_runtime: float) -> float:
-    if est_runtime <= 0:
-        raise ValueError("est_runtime must be > 0")
-    return estimated_cost_nanos(vm_type, usec(est_runtime)) / 1e9
 
 
 @dataclass

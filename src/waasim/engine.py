@@ -14,7 +14,7 @@ from typing import Callable
 
 from .cloud import CloudConfig, Fleet, VmInstance, task_runtime_on
 from .errors import StallError
-from .estimator import EstimatorConfig, ExecutionRecord, RuntimeEstimator
+from .estimator import EstimatorConfig, RuntimeEstimator
 from .metrics import FleetMetrics, MetricsReport, WorkflowMetrics
 from .scheduler import Assign, make_policy
 from .units import ceil_whole_seconds, substream_seed, usec
@@ -93,7 +93,7 @@ class _Simulation:
     def __init__(self, workload: WorkloadSpec, scheduler: str, cloud: CloudConfig,
                  estimator_config: EstimatorConfig, seed: int, trace=None):
         self.cloud = cloud
-        self.estimator = RuntimeEstimator(estimator_config, cloud.catalog)
+        self.estimator = RuntimeEstimator(estimator_config)
         self.policy = make_policy(scheduler, cloud, self.estimator)
         self.var_rng = random.Random(substream_seed(seed, "variability"))
         self.seed = seed
@@ -164,14 +164,14 @@ class _Simulation:
         run.unfinished = len(run.spec.tasks)
         self._emit(ARRIVAL, workflow=workflow_id, tasks=len(run.spec.tasks),
                    budget_nanos=run.budget_nanos)
-        self.policy.on_arrival(run, self.clock_us)
+        self.policy.on_arrival(run)
         for tid in sorted(run.spec.tasks):
             if run.pending_parents[tid] == 0:
                 self._make_ready(run, run.spec.tasks[tid])
 
     def _make_ready(self, run: WorkflowRun, task: TaskRecord) -> None:
         self._emit("task_ready", workflow=run.spec.id, task=task.id)
-        self.policy.enqueue_ready(run, task, self.clock_us)
+        self.policy.enqueue_ready(run, task)
 
     def _on_vm_available(self, vm: VmInstance, run: WorkflowRun, task: TaskRecord) -> None:
         self.fleet.mark_available(vm, self.clock_us)
@@ -196,12 +196,8 @@ class _Simulation:
         run.cost_nanos += cost_nanos
         self._emit("task_complete", workflow=run.spec.id, task=task.id, vm=vm.id,
                    cost_nanos=cost_nanos)
-        self.estimator.record(ExecutionRecord(
-            task_kind=task.kind,
-            vm_type_name=vm.vm_type.name,
-            actual_runtime=runtime_us / 1e6,
-        ))
-        self.policy.on_complete(run, task, cost_nanos, self.clock_us)
+        self.estimator.record(task.kind, vm.vm_type, runtime_us / 1e6)
+        self.policy.on_complete(run, task, cost_nanos)
 
         self.fleet.finish_task(vm, self.clock_us)
         if self.policy.dedicated:
@@ -238,7 +234,7 @@ class _Simulation:
             self._emit("vm_released", vm=vm.id)
 
     def _dispatch(self) -> None:
-        actions = self.policy.schedule_ready(self.fleet, self.clock_us)
+        actions = self.policy.schedule_ready(self.fleet)
         for action in actions:
             task = action.task
             if isinstance(action, Assign):

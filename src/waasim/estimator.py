@@ -8,24 +8,12 @@ type, normalized by speed factor.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import partial
 
 from .errors import ConfigError
 from .cloud import VmType
-
-
-@dataclass(frozen=True)
-class ExecutionRecord:
-    task_kind: str
-    vm_type_name: str
-    actual_runtime: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.actual_runtime) and self.actual_runtime > 0):
-            raise ValueError("actual_runtime must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -53,9 +41,8 @@ class RuntimeEstimator:
     so the estimates are exactly equal to it.
     """
 
-    def __init__(self, config: EstimatorConfig, catalog: tuple[VmType, ...]):
+    def __init__(self, config: EstimatorConfig):
         self.config = config
-        self.catalog = {t.name: t for t in catalog}
         window = partial(deque, maxlen=config.window)
         # (kind, vm type name) -> last runtimes on that type, in seconds.
         self._by_type: defaultdict[tuple[str, str], deque[float]] = defaultdict(window)
@@ -64,17 +51,13 @@ class RuntimeEstimator:
         # kind -> number of records that may have changed its estimates.
         self._revisions: dict[str, int] = {}
 
-    def record(self, rec: ExecutionRecord) -> None:
-        vm_type = self.catalog.get(rec.vm_type_name)
-        if vm_type is None:
-            raise ConfigError(
-                f"execution record for kind {rec.task_kind!r}: "
-                f"unknown vm type {rec.vm_type_name!r}")
+    def record(self, kind: str, vm_type: VmType, runtime_s: float) -> None:
+        """Add a completed `kind` task's runtime on `vm_type`, in seconds."""
         if self.config.mode == "oracle":
             return  # no oracle estimate reads the records
-        self._by_type[rec.task_kind, rec.vm_type_name].append(rec.actual_runtime)
-        self._normalized[rec.task_kind].append(rec.actual_runtime * vm_type.speed_factor)
-        self._revisions[rec.task_kind] = self._revisions.get(rec.task_kind, 0) + 1
+        self._by_type[kind, vm_type.name].append(runtime_s)
+        self._normalized[kind].append(runtime_s * vm_type.speed_factor)
+        self._revisions[kind] = self._revisions.get(kind, 0) + 1
 
     def revision(self, kind: str) -> int:
         """A number that moves whenever a record may have changed the

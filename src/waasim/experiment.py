@@ -99,11 +99,21 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             raise ConfigError("templates: names must be unique")
         for tpl in self.templates:
+            path = f"templates[{tpl.name}]"
             if not tpl.budgets:
-                raise ConfigError(f"templates[{tpl.name}].budgets: must be non-empty")
+                raise ConfigError(f"{path}.budgets: must be non-empty")
             if any(b <= a for a, b in zip(tpl.budgets, tpl.budgets[1:])):
+                raise ConfigError(f"{path}.budgets: must be strictly increasing")
+            if tpl.budgets[0] < 0:
+                raise ConfigError(f"{path}.budgets: must be >= 0")
+            if tpl.shape == "genome" and tpl.fan_out < 1:
+                raise ConfigError(f"{path}.fan_out: must be >= 1")
+            if tpl.shape == "vina" and tpl.ligand_count < 1:
+                raise ConfigError(f"{path}.ligand_count: must be >= 1")
+            if (tpl.shape == "vina" and tpl.runtimes is not None
+                    and len(tpl.runtimes) != tpl.ligand_count):
                 raise ConfigError(
-                    f"templates[{tpl.name}].budgets: must be strictly increasing")
+                    f"{path}.runtimes: must have one entry per ligand ({tpl.ligand_count})")
         if not self.budget_levels:
             raise ConfigError("budget_levels: must be non-empty")
         for level in self.budget_levels:

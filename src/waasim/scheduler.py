@@ -271,25 +271,25 @@ class EbpsmPolicy:
         self.ledgers: dict[str, BudgetLedger] = {}
         self._queue: list[tuple[tuple[int, int, str, str], object, TaskRecord]] = []
 
-    def on_arrival(self, run, now_us: int) -> None:
+    def on_arrival(self, run) -> None:
         spec = run.spec
         run.eft_us = compute_eft_us(spec, self.costs)
         if not self.homogeneous:
             self.ledgers[spec.id] = distribute_budget(
                 spec.id, run.budget_nanos, list(spec.tasks.values()), run.eft_us, self.costs)
 
-    def enqueue_ready(self, run, task: TaskRecord, now_us: int) -> None:
+    def enqueue_ready(self, run, task: TaskRecord) -> None:
         key = (run.eft_us[task.id], run.arrival_us, run.spec.id, task.id)
         heapq.heappush(self._queue, (key, run, task))
 
-    def schedule_ready(self, fleet: Fleet, now_us: int) -> list[Assign | Provision]:
+    def schedule_ready(self, fleet: Fleet) -> list[Assign | Provision]:
         actions: list[Assign | Provision] = []
         while self._queue:
             _, run, task = heapq.heappop(self._queue)
-            actions.append(self._decide(run, task, fleet, now_us))
+            actions.append(self._decide(run, task, fleet))
         return actions
 
-    def _decide(self, run, task: TaskRecord, fleet: Fleet, now_us: int) -> Assign | Provision:
+    def _decide(self, run, task: TaskRecord, fleet: Fleet) -> Assign | Provision:
         """Reuse the idle VM least in (estimated runtime, price, id) among the
         types the task's sub-budget affords, else provision the fastest such
         type, else the cheapest type. Estimate and price depend on the type
@@ -314,8 +314,7 @@ class EbpsmPolicy:
             return Assign(run, task, fleet.take_idle_head(best_type))
         return Provision(run, task, provision or self.costs.cheapest_type)
 
-    def on_complete(self, run, task: TaskRecord, actual_cost_nanos: int,
-                    now_us: int) -> None:
+    def on_complete(self, run, task: TaskRecord, actual_cost_nanos: int) -> None:
         ledger = self.ledgers.get(run.spec.id)
         if ledger is not None:
             update_budget(ledger, task, actual_cost_nanos, list(ledger.unscheduled.values()))
@@ -336,21 +335,20 @@ class FcfsPolicy:
         self.config = config
         self._queue: deque[tuple[object, TaskRecord]] = deque()
 
-    def on_arrival(self, run, now_us: int) -> None:
+    def on_arrival(self, run) -> None:
         pass
 
-    def enqueue_ready(self, run, task: TaskRecord, now_us: int) -> None:
+    def enqueue_ready(self, run, task: TaskRecord) -> None:
         self._queue.append((run, task))
 
-    def schedule_ready(self, fleet: Fleet, now_us: int) -> list[Provision]:
+    def schedule_ready(self, fleet: Fleet) -> list[Provision]:
         actions = []
         while self._queue:
             run, task = self._queue.popleft()
             actions.append(Provision(run, task, self.config.catalog[0]))
         return actions
 
-    def on_complete(self, run, task: TaskRecord, actual_cost_nanos: int,
-                    now_us: int) -> None:
+    def on_complete(self, run, task: TaskRecord, actual_cost_nanos: int) -> None:
         pass
 
 

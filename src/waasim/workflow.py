@@ -14,8 +14,6 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import CycleError, DanglingRefError, SchemaError
 
-GENOME_KINDS = ("individuals", "sifting", "individuals_merge", "mutations_overlap", "frequency")
-
 # Synthetic desk-scale reference runtimes (seconds on the speed-1.0 VM type).
 # No published per-task runtimes exist for these applications; values are
 # chosen so default-budget runs exercise the full VM-type range.
@@ -76,9 +74,6 @@ class WorkloadSpec:
     arrival_rate: float
     seed: int = 0
 
-    def total_tasks(self) -> int:
-        return sum(len(w.tasks) for w in self.workflows)
-
 
 def _assemble(workflow_id: str, tasks: list[TaskRecord], budget: float,
               arrival_time: float) -> WorkflowSpec:
@@ -117,13 +112,9 @@ def _assemble(workflow_id: str, tasks: list[TaskRecord], budget: float,
     )
 
 
-def compute_levels(spec: WorkflowSpec) -> dict[str, int]:
-    """Longest-path-from-entry level for each task (entry tasks are level 0)."""
-    return _levels(spec.id, spec.tasks, {tid: t.children for tid, t in spec.tasks.items()})
-
-
 def _levels(workflow_id: str, tasks: dict[str, TaskRecord],
-            children: dict[str, set[str] | frozenset[str]]) -> dict[str, int]:
+            children: dict[str, set[str]]) -> dict[str, int]:
+    """Longest-path-from-entry level for each task (entry tasks are level 0)."""
     indegree = {tid: len(t.parents) for tid, t in tasks.items()}
     levels = {tid: 0 for tid, d in indegree.items() if d == 0}
     frontier = sorted(levels)
@@ -208,10 +199,6 @@ def workflow_to_dict(spec: WorkflowSpec, with_arrival: bool = False) -> dict:
             entry["transfer"] = task.transfer_time
         doc["tasks"].append(entry)
     return doc
-
-
-def serialize_workflow(spec: WorkflowSpec) -> str:
-    return json.dumps(workflow_to_dict(spec), indent=2) + "\n"
 
 
 def workload_from_dict(doc: dict) -> WorkloadSpec:

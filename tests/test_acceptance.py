@@ -80,7 +80,7 @@ def brute_force_order(spec, reference_type):
 def test_c01_budget_distribution_correctness():
     start = time.monotonic()
     config = CloudConfig()
-    costs = CostRows(RuntimeEstimator(EstimatorConfig(mode="oracle"), config.catalog), config)
+    costs = CostRows(RuntimeEstimator(EstimatorConfig(mode="oracle")), config)
     rng = random.Random(101)
     for _ in range(1000):
         spec = random_dag(rng, max_tasks=12)
@@ -164,7 +164,7 @@ class NaiveBudgetState:
 def test_c02_budget_update_correctness():
     start = time.monotonic()
     config = CloudConfig()
-    costs = CostRows(RuntimeEstimator(EstimatorConfig(mode="oracle"), config.catalog), config)
+    costs = CostRows(RuntimeEstimator(EstimatorConfig(mode="oracle")), config)
     rng = random.Random(202)
     for _ in range(300):
         spec = random_dag(rng, max_tasks=10)

@@ -63,6 +63,38 @@ def test_run_command_bad_list_entries(tmp_path, capsys):
     assert "cloud.catalog[0]: must be a JSON object" in capsys.readouterr().err
 
 
+def _vina(**fields):
+    return [{"name": "v", "shape": "vina", "ligand_count": 2, "budgets": [0.1],
+             "runtimes": [20.0, 12.0], **fields}]
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"templates": [{"name": "g", "shape": "genome", "budgets": [0.1], "fan_out": 0}]},
+     "templates[g].fan_out: must be >= 1"),
+    ({"templates": _vina(ligand_count=0, runtimes=None)},
+     "templates[v].ligand_count: must be >= 1"),
+    ({"templates": _vina(ligand_count=3)}, "templates[v].runtimes"),
+    ({"templates": _vina(budgets=[-1.0, 0.1])}, "templates[v].budgets: must be >= 0"),
+    ({"cloud": {"scan_interval": 1e-9}}, "scan_interval"),
+    ({"cloud": {"variability": {"mode": "lognormal", "sigma": 1000.0}}},
+     "variability.sigma"),
+], ids=["fan_out", "ligand_count", "runtimes", "budgets", "scan_interval", "sigma"])
+def test_run_command_rejects_values_that_fail_mid_run(tmp_path, capsys, overrides, field):
+    config = write_config(tmp_path, budget_levels=[1], **overrides)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
+def test_run_command_with_large_sigma(tmp_path, capsys):
+    """sigma 50 draws runtimes that round to 0 us."""
+    config = write_config(tmp_path, estimator={"mode": "history"},
+                          cloud={"variability": {"mode": "lognormal", "sigma": 50.0}})
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert "wrote 1 runs" in capsys.readouterr().out
+
+
 def test_zero_budget_report_is_strict_json(tmp_path):
     config = write_config(tmp_path, templates=[
         {"name": "v", "shape": "vina", "ligand_count": 1, "budgets": [0.0],

@@ -8,7 +8,7 @@ import pytest
 from conftest import MICRO, chain_workflow, single_workload
 from waasim import engine
 from waasim.cloud import (CloudConfig, Fleet, VariabilityConfig, VmType,
-                          default_catalog, estimated_task_cost, finalize_billing,
+                          default_catalog, estimated_cost_nanos, finalize_billing,
                           task_runtime_on)
 from waasim.errors import ConfigError, IllegalState
 from waasim.units import usec
@@ -61,10 +61,10 @@ def test_runtime_lognormal_mean():
     assert abs(mean - expected) / expected < 0.03
 
 
-def test_estimated_task_cost_examples():
-    assert estimated_task_cost(table_type("t2.large"), 100.0) == pytest.approx(0.00382)
-    assert estimated_task_cost(table_type("t2.micro"), 100.0) == pytest.approx(0.00041)
-    assert estimated_task_cost(table_type("t2.micro"), 99.2) == pytest.approx(0.00041)
+def test_estimated_cost_nanos_examples():
+    assert estimated_cost_nanos(table_type("t2.large"), usec(100.0)) == 3_820_000
+    assert estimated_cost_nanos(table_type("t2.micro"), usec(100.0)) == 410_000
+    assert estimated_cost_nanos(table_type("t2.micro"), usec(99.2)) == 410_000
 
 
 def test_idle_scan_boundary():

@@ -11,6 +11,7 @@ from conftest import (MICRO, chain_workflow, diamond_workflow, random_dag,
 from waasim import engine
 from waasim.cloud import CloudConfig
 from waasim.errors import StallError
+from waasim.estimator import EstimatorConfig
 from waasim.scheduler import make_policy
 from waasim.workflow import (WorkloadSpec, generate_workload, genome_template,
                              serialize_workload, vina_template)
@@ -30,6 +31,15 @@ def test_single_task_zero_delay_makespan(mono_cloud, oracle):
     assert wf.makespan_s == 100.0
     assert wf.cost_nanos == 100 * 4_100
     assert wf.budget_met
+
+
+def test_sub_microsecond_task_completes_under_history(mono_cloud):
+    """A runtime that rounds to 0 us is recorded as a 0 s execution."""
+    result = engine.run(single_workload(chain_workflow([1e-7])), "ebpsm", mono_cloud,
+                        EstimatorConfig(mode="history"), seed=0)
+    complete = [ev for ev in result.trace if ev.name == "task_complete"]
+    assert [ev.fields["cost_nanos"] for ev in complete] == [0]
+    assert result.report.workflows[0].makespan_us == 0
 
 
 def test_diamond_dependency_safety(mono_cloud, oracle):
@@ -156,16 +166,16 @@ def test_stall_error_on_broken_policy(monkeypatch, mono_cloud, oracle):
         dedicated = False
         ledgers = {}
 
-        def on_arrival(self, run, now_us):
+        def on_arrival(self, run):
             run.eft_us = {}
 
-        def enqueue_ready(self, run, task, now_us):
+        def enqueue_ready(self, run, task):
             pass
 
-        def schedule_ready(self, fleet, now_us):
+        def schedule_ready(self, fleet):
             return []
 
-        def on_complete(self, run, task, cost, now_us):
+        def on_complete(self, run, task, cost):
             pass
 
     monkeypatch.setattr(engine, "make_policy", lambda *a, **k: DeadPolicy())
@@ -181,9 +191,9 @@ def test_finished_workflows_release_their_state(monkeypatch, oracle):
         policy = make_policy(*args)
         on_arrival = policy.on_arrival
 
-        def record_arrival(run, now_us):
+        def record_arrival(run):
             runs.append(run)
-            on_arrival(run, now_us)
+            on_arrival(run)
 
         policy.on_arrival = record_arrival
         policies.append(policy)

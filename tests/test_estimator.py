@@ -6,7 +6,7 @@ import pytest
 
 from waasim.cloud import default_catalog
 from waasim.errors import ConfigError
-from waasim.estimator import EstimatorConfig, ExecutionRecord, RuntimeEstimator
+from waasim.estimator import EstimatorConfig, RuntimeEstimator
 
 CATALOG = default_catalog()
 TYPES = {t.name: t for t in CATALOG}
@@ -16,7 +16,7 @@ MODEL = 1e6
 
 
 def make(mode="history", window=10, margin=1.5):
-    return RuntimeEstimator(EstimatorConfig(mode, window, margin), CATALOG)
+    return RuntimeEstimator(EstimatorConfig(mode, window, margin))
 
 
 def test_oracle_divides_by_speed():
@@ -27,22 +27,22 @@ def test_oracle_divides_by_speed():
 
 def test_history_window_mean():
     est = make(window=2)
-    est.record(ExecutionRecord("k", "t2.micro", 50.0))
-    est.record(ExecutionRecord("k", "t2.micro", 70.0))
+    est.record("k", TYPES["t2.micro"], 50.0)
+    est.record("k", TYPES["t2.micro"], 70.0)
     assert est.estimate("k", TYPES["t2.micro"], MODEL) == 60.0
 
 
 def test_cross_type_scaling():
     est = make(window=5)
-    est.record(ExecutionRecord("k", "t2.micro", 100.0))  # speed 1.0
+    est.record("k", TYPES["t2.micro"], 100.0)  # speed 1.0
     assert est.estimate("k", TYPES["t2.large"], MODEL) == 50.0  # speed 2.0
 
 
 def test_record_then_estimate_online():
     est = make(window=1)
-    est.record(ExecutionRecord("k", "t2.small", 33.0))
+    est.record("k", TYPES["t2.small"], 33.0)
     assert est.estimate("k", TYPES["t2.small"], MODEL) == 33.0
-    est.record(ExecutionRecord("k", "t2.small", 44.0))
+    est.record("k", TYPES["t2.small"], 44.0)
     assert est.estimate("k", TYPES["t2.small"], MODEL) == 44.0
 
 
@@ -50,14 +50,13 @@ def test_window_mean_against_bruteforce():
     rng = random.Random(4242)
     window = 7
     est = make(window=window)
-    names = [t.name for t in CATALOG]
     records = []
     for _ in range(1000):
-        rec = ExecutionRecord("k", rng.choice(names), rng.uniform(1.0, 500.0))
-        records.append(rec)
-        est.record(rec)
+        vm_type, runtime = rng.choice(CATALOG), rng.uniform(1.0, 500.0)
+        records.append((vm_type, runtime))
+        est.record("k", vm_type, runtime)
     for vm_type in CATALOG:
-        same = [r.actual_runtime for r in records if r.vm_type_name == vm_type.name]
+        same = [runtime for t, runtime in records if t is vm_type]
         expected = sum(same[-window:]) / len(same[-window:])
         assert est.estimate("k", vm_type, MODEL) == pytest.approx(expected)
 
@@ -65,7 +64,7 @@ def test_window_mean_against_bruteforce():
 def test_window_independence_of_old_records():
     est = make(window=3)
     for value in (100.0, 999.0, 10.0, 20.0, 30.0):
-        est.record(ExecutionRecord("k", "t2.micro", value))
+        est.record("k", TYPES["t2.micro"], value)
     assert est.estimate("k", TYPES["t2.micro"], MODEL) == 20.0
 
 
@@ -82,17 +81,11 @@ def test_monotone_in_speed_factor():
     for _ in range(200):
         vm_type = CATALOG[rng.randrange(len(CATALOG))]
         noise = rng.uniform(0.95, 1.05)
-        est.record(ExecutionRecord("k", vm_type.name, ref / vm_type.speed_factor * noise))
+        est.record("k", vm_type, ref / vm_type.speed_factor * noise)
     ordered = sorted(CATALOG, key=lambda t: t.speed_factor)
     estimates = [est.estimate("k", t, MODEL) for t in ordered]
     assert all(b <= a for a, b in zip(estimates, estimates[1:]))
     assert all(e > 0 for e in estimates)
-
-
-def test_record_unknown_vm_type_names_it():
-    est = make()
-    with pytest.raises(ConfigError, match="'t9.huge'"):
-        est.record(ExecutionRecord("k", "t9.huge", 10.0))
 
 
 def test_config_validation():
@@ -102,26 +95,14 @@ def test_config_validation():
         EstimatorConfig(window=0)
     with pytest.raises(ConfigError, match="integer"):
         EstimatorConfig(window=2.0)
-    with pytest.raises(ValueError):
-        ExecutionRecord("k", "t2.micro", 0.0)
-
-
-@pytest.mark.parametrize("runtime", [float("nan"), float("inf"), float("-inf")])
-def test_execution_record_rejects_non_finite(runtime):
-    """One such record would make every history estimate of its kind NaN or inf."""
-    with pytest.raises(ValueError, match="finite"):
-        ExecutionRecord("k", "t2.micro", runtime)
 
 
 def test_oracle_keeps_no_records():
-    """No oracle estimate reads the history, so records are checked and
-    dropped; an unknown VM type is still an error."""
+    """No oracle estimate reads the history, so records are dropped."""
     est = make("oracle", window=3)
     before = [est.estimate(k, t, 90.0) for k in ("a", "b") for t in CATALOG]
     for i in range(10):
-        est.record(ExecutionRecord("ab"[i % 2], CATALOG[i % len(CATALOG)].name, 7.0 + i))
-    with pytest.raises(ConfigError, match="'t9.huge'"):
-        est.record(ExecutionRecord("a", "t9.huge", 10.0))
+        est.record("ab"[i % 2], CATALOG[i % len(CATALOG)], 7.0 + i)
     assert not est._by_type and not est._normalized
     assert [est.estimate(k, t, 90.0) for k in ("a", "b") for t in CATALOG] == before
     assert est.revision("a") == est.revision("b") == 0

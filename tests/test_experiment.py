@@ -306,7 +306,7 @@ def test_fcfs_vm_count_equals_task_count_in_runs(tmp_path):
     from waasim.workflow import generate_workload
     workload = generate_workload(config.build_catalog(), config.workflow_count,
                                  2.0, plan_runs(config)[0].workload_seed)
-    assert report.fleet.total_vms == workload.total_tasks()
+    assert report.fleet.total_vms == sum(len(w.tasks) for w in workload.workflows)
 
 
 def test_jobs_clamped_to_runs_and_cpus(tmp_path, monkeypatch):
@@ -384,13 +384,13 @@ def test_stalled_run_leaves_its_partial_files(tmp_path, monkeypatch):
         name = "dead"
         dedicated = False
 
-        def on_arrival(self, run, now_us):
+        def on_arrival(self, run):
             pass
 
-        def enqueue_ready(self, run, task, now_us):
+        def enqueue_ready(self, run, task):
             pass
 
-        def schedule_ready(self, fleet, now_us):
+        def schedule_ready(self, fleet):
             return []
 
     monkeypatch.setattr(engine, "make_policy", lambda *args: DeadPolicy())

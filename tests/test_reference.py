@@ -20,7 +20,7 @@ from waasim import engine
 from waasim.cloud import (IDLE, TERMINATED, CloudConfig, Fleet, VariabilityConfig, VmType,
                           default_catalog, estimated_cost_nanos)
 from waasim.errors import IllegalState
-from waasim.estimator import EstimatorConfig, ExecutionRecord, RuntimeEstimator
+from waasim.estimator import EstimatorConfig, RuntimeEstimator
 from waasim.metrics import report_to_json
 from waasim.scheduler import (SCHEDULER_NAMES, Assign, BudgetLedger, CostRows, EbpsmPolicy,
                               Provision, compute_eft_us, distribute_budget, make_policy,
@@ -33,30 +33,27 @@ KINDS = ("k0", "k1", "k2", "k3")
 
 
 class ReferenceEstimator:
-    """Keeps every record of a kind in one list and rescans it per call."""
+    """Keeps every (VM type, runtime) record of a kind in one list and
+    rescans it per call."""
 
-    def __init__(self, config: EstimatorConfig, catalog):
+    def __init__(self, config: EstimatorConfig):
         self.config = config
-        self.catalog = {t.name: t for t in catalog}
-        self._records: dict[str, list[ExecutionRecord]] = {}
+        self._records: dict[str, list[tuple[VmType, float]]] = {}
 
-    def record(self, rec):
-        self._records.setdefault(rec.task_kind, []).append(rec)
+    def record(self, kind, vm_type, runtime_s):
+        self._records.setdefault(kind, []).append((vm_type, runtime_s))
 
     def estimate(self, kind, vm_type, reference_runtime):
         records = self._records.get(kind, [])
         if self.config.mode == "oracle":
             return reference_runtime / vm_type.speed_factor
-        same_type = [r for r in records if r.vm_type_name == vm_type.name]
+        same_type = [runtime for t, runtime in records if t.name == vm_type.name]
         if same_type:
             window = same_type[-self.config.window:]
-            return sum(r.actual_runtime for r in window) / len(window)
+            return sum(window) / len(window)
         if records:
             window = records[-self.config.window:]
-            normalized = [
-                r.actual_runtime * self.catalog[r.vm_type_name].speed_factor
-                for r in window
-            ]
+            normalized = [runtime * t.speed_factor for t, runtime in window]
             return sum(normalized) / len(normalized) / vm_type.speed_factor
         return reference_runtime / vm_type.speed_factor * self.config.cold_start_margin
 
@@ -72,7 +69,7 @@ class ReferenceEbpsmPolicy(EbpsmPolicy):
         self.config, self.estimator = config, estimator
         self.scheduled: dict[str, set[str]] = {}
 
-    def on_arrival(self, run, now_us):
+    def on_arrival(self, run):
         spec = run.spec
         run.eft_us = reference_eft_us(spec, self.estimator, self.config.fastest_type)
         if not self.homogeneous:
@@ -82,11 +79,11 @@ class ReferenceEbpsmPolicy(EbpsmPolicy):
             self.ledgers[spec.id] = ledger
             self.scheduled[spec.id] = set()
 
-    def schedule_ready(self, fleet, now_us):
+    def schedule_ready(self, fleet):
         self.claimed = set()
-        return super().schedule_ready(fleet, now_us)
+        return super().schedule_ready(fleet)
 
-    def _decide(self, run, task, fleet, now_us):
+    def _decide(self, run, task, fleet):
         claimed = self.claimed
         ledger = self.ledgers.get(run.spec.id)
         if ledger is None:
@@ -113,7 +110,7 @@ class ReferenceEbpsmPolicy(EbpsmPolicy):
                 return Provision(run, task, vm_type)
         return Provision(run, task, self.config.cheapest_type)
 
-    def on_complete(self, run, task, actual_cost_nanos, now_us):
+    def on_complete(self, run, task, actual_cost_nanos):
         ledger = self.ledgers.get(run.spec.id)
         if ledger is not None:
             reference_update_budget(ledger, self.scheduled[run.spec.id], run.spec, task,
@@ -246,11 +243,11 @@ runtimes = st.integers(1, 10**11).map(lambda us: us / 1e6)
 @given(window=st.integers(1, 12),
        model=runtimes,
        records=st.lists(st.tuples(st.sampled_from(KINDS[:2]),
-                                  st.sampled_from([t.name for t in CATALOG]), runtimes),
+                                  st.sampled_from(CATALOG), runtimes),
                         max_size=80))
 def test_estimate_equals_reference(window, model, records):
     config = EstimatorConfig("history", window)
-    new, ref = RuntimeEstimator(config, CATALOG), ReferenceEstimator(config, CATALOG)
+    new, ref = RuntimeEstimator(config), ReferenceEstimator(config)
 
     def check():
         for kind in KINDS:
@@ -260,10 +257,9 @@ def test_estimate_equals_reference(window, model, records):
                             == ref.estimate(kind, vm_type, reference_runtime))
 
     check()
-    for kind, type_name, runtime in records:
-        rec = ExecutionRecord(kind, type_name, runtime)
-        new.record(rec)
-        ref.record(rec)
+    for kind, vm_type, runtime in records:
+        new.record(kind, vm_type, runtime)
+        ref.record(kind, vm_type, runtime)
         check()
 
 
@@ -401,7 +397,7 @@ def test_redistribution_matches_reference(chain, shape_seed, catalog, mode, wind
     else:
         spec = random_dag(shape, max_tasks=12)
     config = CloudConfig(catalog=catalog)
-    estimator = RuntimeEstimator(EstimatorConfig(mode, window), catalog)
+    estimator = RuntimeEstimator(EstimatorConfig(mode, window))
     cheapest_cost = sum(reference_cost_table(t, estimator, config)[config.cheapest_type.name]
                         for t in spec.tasks.values())
     twin = Twin(spec, round(cheapest_cost * budget_factor), estimator, config)
@@ -417,9 +413,8 @@ def test_redistribution_matches_reference(chain, shape_seed, catalog, mode, wind
         else:
             tid = running.pop(rng.randrange(len(running)))
             if rng.random() < 0.7:
-                estimator.record(ExecutionRecord(
-                    rng.choice([t.kind for t in spec.tasks.values()]),
-                    rng.choice(catalog).name, rng.randint(1, 600_000_000) / 1e6))
+                estimator.record(rng.choice([t.kind for t in spec.tasks.values()]),
+                                 rng.choice(catalog), rng.randint(1, 600_000_000) / 1e6)
             held = twin.ledger.sub_budgets[tid]
             twin.complete(tid, rng.choice([1, max(1, held // 2), held, held + 1, 2 * held + 7,
                                            rng.randrange(1, 2 * cheapest_cost + 2)]))
@@ -432,8 +427,7 @@ def test_redistribution_matches_reference(chain, shape_seed, catalog, mode, wind
 
 def _oracle_twin(spec, budget):
     config = CloudConfig(catalog=(MICRO, LARGE))
-    return Twin(spec, budget, RuntimeEstimator(EstimatorConfig("oracle"), config.catalog),
-                config)
+    return Twin(spec, budget, RuntimeEstimator(EstimatorConfig("oracle")), config)
 
 
 def test_refold_counts_a_suffix_debt_again():
@@ -465,10 +459,10 @@ def test_refold_reprices_a_later_row_after_a_history_record():
     a record of t2's kind changed t2's row, and t2 must be priced again.
     Cold start prices t2 at 75 s on LARGE, the record at 5 s."""
     config = CloudConfig(catalog=(MICRO, LARGE))
-    estimator = RuntimeEstimator(EstimatorConfig("history"), config.catalog)
+    estimator = RuntimeEstimator(EstimatorConfig("history"))
     twin = Twin(chain_workflow([100.0] * 3), 20_000_000, estimator, config)
     assert twin.ref.sub_budgets["t2"] == 75 * 38_200
     twin.lock("t0")
-    estimator.record(ExecutionRecord("t2", MICRO.name, 10.0))
+    estimator.record("t2", MICRO, 10.0)
     twin.complete("t0", twin.ledger.sub_budgets["t0"])
     assert twin.ref.sub_budgets["t2"] == 5 * 38_200

@@ -33,7 +33,7 @@ TWO_TYPES = CloudConfig(catalog=(MICRO, LARGE))
 
 
 def oracle_estimator(catalog=(MICRO, LARGE)):
-    return RuntimeEstimator(EstimatorConfig(mode="oracle"), tuple(catalog))
+    return RuntimeEstimator(EstimatorConfig(mode="oracle"))
 
 
 def oracle_costs(catalog=(MICRO, LARGE)):
@@ -228,10 +228,10 @@ def test_schedule_reuses_affordable_idle_vm():
     config = CloudConfig(catalog=(MICRO, LARGE), provisioning_delay=0.0)
     policy = make_policy("ebpsm", config, oracle_estimator())
     run = make_run(chain_workflow([100.0]))
-    policy.on_arrival(run, 0)
+    policy.on_arrival(run)
     fleet = idle_fleet(config, MICRO)
-    policy.enqueue_ready(run, run.spec.tasks["t0"], 0)
-    actions = policy.schedule_ready(fleet, 0)
+    policy.enqueue_ready(run, run.spec.tasks["t0"])
+    actions = policy.schedule_ready(fleet)
     assert len(actions) == 1 and isinstance(actions[0], Assign)
 
 
@@ -239,9 +239,9 @@ def test_schedule_provisions_fastest_affordable_type():
     config = CloudConfig(catalog=(MICRO, LARGE), provisioning_delay=0.0)
     policy = make_policy("ebpsm", config, oracle_estimator())
     run = make_run(chain_workflow([100.0]), budget=0.01)
-    policy.on_arrival(run, 0)
-    policy.enqueue_ready(run, run.spec.tasks["t0"], 0)
-    actions = policy.schedule_ready(Fleet(config), 0)
+    policy.on_arrival(run)
+    policy.enqueue_ready(run, run.spec.tasks["t0"])
+    actions = policy.schedule_ready(Fleet(config))
     assert isinstance(actions[0], Provision)
     assert actions[0].vm_type.name == "t2.large"
 
@@ -250,9 +250,9 @@ def test_schedule_falls_back_to_cheapest_type():
     config = CloudConfig(catalog=(MICRO, LARGE), provisioning_delay=0.0)
     policy = make_policy("ebpsm", config, oracle_estimator())
     run = make_run(chain_workflow([100.0]), budget=0.0)
-    policy.on_arrival(run, 0)
-    policy.enqueue_ready(run, run.spec.tasks["t0"], 0)
-    actions = policy.schedule_ready(Fleet(config), 0)
+    policy.on_arrival(run)
+    policy.enqueue_ready(run, run.spec.tasks["t0"])
+    actions = policy.schedule_ready(Fleet(config))
     assert isinstance(actions[0], Provision)
     assert actions[0].vm_type.name == "t2.micro"
 
@@ -262,11 +262,11 @@ def test_schedule_eft_order_gets_the_idle_vm():
     policy = make_policy("ebpsm", config, oracle_estimator((MICRO,)))
     spec = build_workflow([("slow", "s", 30.0, []), ("fast", "f", 20.0, [])])
     run = make_run(spec)
-    policy.on_arrival(run, 0)
+    policy.on_arrival(run)
     fleet = idle_fleet(config, MICRO, count=1)
-    policy.enqueue_ready(run, run.spec.tasks["slow"], 0)
-    policy.enqueue_ready(run, run.spec.tasks["fast"], 0)
-    actions = policy.schedule_ready(fleet, 0)
+    policy.enqueue_ready(run, run.spec.tasks["slow"])
+    policy.enqueue_ready(run, run.spec.tasks["fast"])
+    actions = policy.schedule_ready(fleet)
     assert isinstance(actions[0], Assign) and actions[0].task.id == "fast"
     assert isinstance(actions[1], Provision) and actions[1].task.id == "slow"
 
@@ -276,11 +276,11 @@ def test_schedule_two_tasks_never_share_one_idle_vm():
     policy = make_policy("ebpsm", config, oracle_estimator((MICRO,)))
     spec = build_workflow([("x", "x", 10.0, []), ("y", "y", 10.0, [])])
     run = make_run(spec)
-    policy.on_arrival(run, 0)
+    policy.on_arrival(run)
     fleet = idle_fleet(config, MICRO, count=1)
-    policy.enqueue_ready(run, run.spec.tasks["x"], 0)
-    policy.enqueue_ready(run, run.spec.tasks["y"], 0)
-    actions = policy.schedule_ready(fleet, 0)
+    policy.enqueue_ready(run, run.spec.tasks["x"])
+    policy.enqueue_ready(run, run.spec.tasks["y"])
+    actions = policy.schedule_ready(fleet)
     assert sum(1 for a in actions if isinstance(a, Assign)) == 1
 
 
@@ -291,7 +291,7 @@ def test_one_batch_assigns_each_idle_vm_once():
     policy = make_policy("ebpsm", config, oracle_estimator((MICRO,)))
     spec = build_workflow([(f"t{i}", f"k{i}", 10.0, []) for i in range(4)])
     run = make_run(spec)
-    policy.on_arrival(run, 0)
+    policy.on_arrival(run)
     fleet = Fleet(config)
     assert fleet.idle_head(MICRO) is None
     for vm in (fleet.provision(MICRO, 0), fleet.provision(MICRO, 0)):
@@ -299,8 +299,8 @@ def test_one_batch_assigns_each_idle_vm_once():
         fleet.start_task(vm, 0, 1)
         fleet.finish_task(vm, 1)
     for tid in spec.tasks:
-        policy.enqueue_ready(run, run.spec.tasks[tid], 1)
-    actions = policy.schedule_ready(fleet, 1)
+        policy.enqueue_ready(run, run.spec.tasks[tid])
+    actions = policy.schedule_ready(fleet)
     assert sorted(a.vm_id for a in actions if isinstance(a, Assign)) == ["vm-0001", "vm-0002"]
     assert sum(1 for a in actions if isinstance(a, Provision)) == 2
 
@@ -313,7 +313,7 @@ def test_equal_cost_idle_vms_go_in_id_string_order_past_vm_9999():
     policy = make_policy("ebpsm", config, oracle_estimator((MICRO,)))
     spec = build_workflow([("a", "k", 10.0, []), ("b", "k", 10.0, [])])
     run = make_run(spec)
-    policy.on_arrival(run, 0)
+    policy.on_arrival(run)
     fleet = Fleet(config)
     assert fleet.idle_head(MICRO) is None
     vms = [fleet.provision(MICRO, 0) for _ in range(10_000)]
@@ -321,8 +321,8 @@ def test_equal_cost_idle_vms_go_in_id_string_order_past_vm_9999():
     fleet.mark_available(vms[-2], 0)
     fleet.mark_available(vms[-1], 1)
     for tid in ("a", "b"):
-        policy.enqueue_ready(run, run.spec.tasks[tid], 1)
-    actions = policy.schedule_ready(fleet, 1)
+        policy.enqueue_ready(run, run.spec.tasks[tid])
+    actions = policy.schedule_ready(fleet)
     assert [(a.task.id, a.vm_id) for a in actions] == [("a", "vm-10000"), ("b", "vm-9999")]
 
 
@@ -333,12 +333,12 @@ def test_polled_eft_keys_non_decreasing():
     spec = build_workflow([(f"t{i}", f"k{i}", float(rng.randint(1, 500)), [])
                            for i in range(12)])
     run = make_run(spec)
-    policy.on_arrival(run, 0)
+    policy.on_arrival(run)
     ids = list(spec.tasks)
     rng.shuffle(ids)
     for tid in ids:
-        policy.enqueue_ready(run, run.spec.tasks[tid], 0)
-    actions = policy.schedule_ready(Fleet(config), 0)
+        policy.enqueue_ready(run, run.spec.tasks[tid])
+    actions = policy.schedule_ready(Fleet(config))
     keys = [run.eft_us[a.task.id] for a in actions]
     assert keys == sorted(keys)
 
