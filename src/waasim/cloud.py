@@ -219,7 +219,7 @@ class Fleet:
             raise IllegalState(f"{vm.id}: available while {vm.state}")
         self._set_idle(vm, now_us)
 
-    def start_task(self, vm: VmInstance, now_us: int, runtime_us: int) -> None:
+    def start_task(self, vm: VmInstance, runtime_us: int) -> None:
         if vm.state != IDLE:
             raise IllegalState(f"{vm.id}: cannot start task while {vm.state}")
         vm.state = BUSY

@@ -182,7 +182,7 @@ class _Simulation:
         runtime_s = task_runtime_on(vm.vm_type, task.total_runtime,
                                     self.var_rng, self.cloud.variability)
         runtime_us = usec(runtime_s)
-        self.fleet.start_task(vm, self.clock_us, runtime_us)
+        self.fleet.start_task(vm, runtime_us)
         self._emit("task_start", workflow=run.spec.id, task=task.id, vm=vm.id,
                    type=vm.vm_type.name, runtime_us=runtime_us)
         self._push(self.clock_us + runtime_us, self._on_task_completed,

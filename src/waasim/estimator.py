@@ -48,8 +48,11 @@ class RuntimeEstimator:
         self._by_type: defaultdict[tuple[str, str], deque[float]] = defaultdict(window)
         # kind -> last runtimes on any type, times that type's speed factor.
         self._normalized: defaultdict[str, deque[float]] = defaultdict(window)
-        # kind -> number of records that may have changed its estimates.
-        self._revisions: dict[str, int] = {}
+        # The records kept so far; under "oracle" none is, as none changes
+        # an estimate.
+        self.records = 0
+        # kind -> `records` just after its last record, ordered by that value.
+        self._last_record: dict[str, int] = {}
 
     def record(self, kind: str, vm_type: VmType, runtime_s: float) -> None:
         """Add a completed `kind` task's runtime on `vm_type`, in seconds."""
@@ -57,12 +60,19 @@ class RuntimeEstimator:
             return  # no oracle estimate reads the records
         self._by_type[kind, vm_type.name].append(runtime_s)
         self._normalized[kind].append(runtime_s * vm_type.speed_factor)
-        self._revisions[kind] = self._revisions.get(kind, 0) + 1
+        self.records += 1
+        self._last_record.pop(kind, None)
+        self._last_record[kind] = self.records
 
-    def revision(self, kind: str) -> int:
-        """A number that moves whenever a record may have changed the
-        estimates of `kind`; under "oracle" no record does, so it never moves."""
-        return self._revisions.get(kind, 0)
+    def recorded_since(self, records: int) -> list[str]:
+        """The kinds recorded since `self.records` was `records`: those whose
+        estimates may have changed since then. Costs one step per such kind."""
+        kinds = []
+        for kind in reversed(self._last_record):
+            if self._last_record[kind] <= records:
+                break
+            kinds.append(kind)
+        return kinds
 
     def estimate(self, kind: str, vm_type: VmType, reference_runtime: float) -> float:
         """Estimated runtime on `vm_type`, in seconds, of a `kind` task whose

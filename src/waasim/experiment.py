@@ -106,14 +106,22 @@ class ExperimentConfig:
                 raise ConfigError(f"{path}.budgets: must be strictly increasing")
             if tpl.budgets[0] < 0:
                 raise ConfigError(f"{path}.budgets: must be >= 0")
-            if tpl.shape == "genome" and tpl.fan_out < 1:
-                raise ConfigError(f"{path}.fan_out: must be >= 1")
+            if tpl.shape == "genome":
+                if tpl.fan_out < 1:
+                    raise ConfigError(f"{path}.fan_out: must be >= 1")
+                for kind in tpl.runtime_profile or {}:
+                    if kind not in GENOME_RUNTIMES:
+                        raise ConfigError(
+                            f"{path}.runtime_profile: unknown task kind {kind!r}")
             if tpl.shape == "vina" and tpl.ligand_count < 1:
                 raise ConfigError(f"{path}.ligand_count: must be >= 1")
-            if (tpl.shape == "vina" and tpl.runtimes is not None
-                    and len(tpl.runtimes) != tpl.ligand_count):
-                raise ConfigError(
-                    f"{path}.runtimes: must have one entry per ligand ({tpl.ligand_count})")
+            if tpl.shape == "vina" and tpl.runtimes is not None:
+                if len(tpl.runtimes) != tpl.ligand_count:
+                    raise ConfigError(
+                        f"{path}.runtimes: must have one entry per ligand ({tpl.ligand_count})")
+                for i, runtime in enumerate(tpl.runtimes):
+                    if not (math.isfinite(runtime) and runtime > 0):
+                        raise ConfigError(f"{path}.runtimes[{i}]: must be finite and > 0")
         if not self.budget_levels:
             raise ConfigError("budget_levels: must be non-empty")
         for level in self.budget_levels:

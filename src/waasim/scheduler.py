@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .cloud import CloudConfig, Fleet, VmType, estimated_cost_nanos
@@ -31,10 +31,14 @@ class CostRow(NamedTuple):
 
 class CostRows:
     """The cost rows of one policy, by (kind, total runtime), shared by its
-    budget ledgers and its dispatch decisions. The catalog is ordered once.
+    budget ledgers, its plans and its dispatch decisions. The catalog is
+    ordered once.
 
-    A row depends only on the estimator's records of its own kind, so it is
-    priced again only when the estimator's revision of that kind moved."""
+    A row depends only on the estimator's records of its own kind. `refresh`
+    prices again the rows of each kind recorded since the last refresh, so
+    between refreshes a row is a plain lookup. `changes` counts the rows
+    whose value a refresh changed: while it stands, every row read before
+    still holds."""
 
     def __init__(self, estimator: RuntimeEstimator, config: CloudConfig):
         self.estimator = estimator
@@ -45,21 +49,41 @@ class CostRows:
         # EFT's column. Not always the first: of two types equal in speed and
         # price, `fastest_type` is the one with the larger name.
         self.fastest_at = self.fastest_first.index(config.fastest_type)
-        self._rows: dict[tuple[str, float], tuple[int, CostRow]] = {}
+        # Every row priced so far. Its keys are never removed, so a caller
+        # that priced a key through `row` may index this dict directly.
+        self.rows: dict[tuple[str, float], CostRow] = {}
+        self._runtimes: dict[str, list[float]] = {}  # the keys of `rows`, by kind
+        self._records = 0  # the estimator's `records` at the last refresh
+        self.changes = 0
 
     def row(self, kind: str, total_runtime: float) -> CostRow:
         """The row of a `kind` task whose total runtime is `total_runtime`."""
-        revision = self.estimator.revision(kind)
-        kept = self._rows.get((kind, total_runtime))
-        if kept is not None and kept[0] == revision:
-            return kept[1]
+        row = self.rows.get((kind, total_runtime))
+        if row is None:
+            row = self.rows[kind, total_runtime] = self._price(kind, total_runtime)
+            self._runtimes.setdefault(kind, []).append(total_runtime)
+        return row
+
+    def _price(self, kind: str, total_runtime: float) -> CostRow:
         terms = []
         for vm_type in self.fastest_first:
             est_us = usec(self.estimator.estimate(kind, vm_type, total_runtime))
             terms.append((est_us, estimated_cost_nanos(vm_type, est_us)))
-        row = CostRow(tuple(terms), terms[self._cheapest_at][1])
-        self._rows[kind, total_runtime] = (revision, row)
-        return row
+        return CostRow(tuple(terms), terms[self._cheapest_at][1])
+
+    def refresh(self) -> int:
+        """Bring every row up to date with the estimator's records; returns
+        `changes`."""
+        records = self.estimator.records
+        if records != self._records:
+            for kind in self.estimator.recorded_since(self._records):
+                for runtime in self._runtimes.get(kind, ()):
+                    row = self._price(kind, runtime)
+                    if row != self.rows[kind, runtime]:
+                        self.rows[kind, runtime] = row
+                        self.changes += 1
+            self._records = records
+        return self.changes
 
 
 @dataclass
@@ -72,11 +96,13 @@ class BudgetLedger:
     `lock`.
 
     `costs` prices the tasks. The remaining fields are what the last fold
-    left, so the next one can resume (see `_fold`): the rows it priced
-    with, each unscheduled task's position and entering pool, the sum of
-    the unscheduled tasks' sub-budgets and their cheapest-cost reserve,
-    and the last position at which the next fold may not stop: that of the
-    last fold's last debt or of a task locked since, whichever is later.
+    left, so the next one can resume (see `_fold`): the `costs.changes` it
+    priced at, each task's position (kept after the task is locked, so
+    copies may share the dict) and each unscheduled task's entering pool,
+    the sum of the unscheduled tasks' sub-budgets and their cheapest-cost
+    reserve, and the last position at which the next fold may not stop:
+    that of the last fold's last debt or of a task locked since, whichever
+    is later.
     """
 
     workflow_id: str
@@ -87,7 +113,7 @@ class BudgetLedger:
     debt: int = 0
     unscheduled: dict[str, TaskRecord] = field(default_factory=dict)
     costs: CostRows | None = field(default=None, repr=False)
-    rows: dict[tuple[str, float], CostRow] = field(default_factory=dict, repr=False)
+    changes: int = field(default=-1, repr=False)
     position: dict[str, int] = field(default_factory=dict, repr=False)
     entry_pool: dict[str, int] = field(default_factory=dict, repr=False)
     unscheduled_budget: int = field(default=0, repr=False)
@@ -107,10 +133,16 @@ class BudgetLedger:
         task = self.unscheduled.pop(task_id)
         sub = self.sub_budgets[task_id]
         self.unscheduled_budget -= sub
-        self.reserve -= self.rows[task.kind, task.total_runtime].cheapest
+        self.reserve -= self.costs.rows[task.kind, task.total_runtime].cheapest
         del self.entry_pool[task_id]
-        self.resume_after = max(self.resume_after, self.position.pop(task_id))
+        self.resume_after = max(self.resume_after, self.position[task_id])
         return sub
+
+    def copy(self, workflow_id: str) -> BudgetLedger:
+        """This ledger for `workflow_id`, sharing nothing that either changes
+        in place."""
+        return replace(self, workflow_id=workflow_id, sub_budgets=dict(self.sub_budgets),
+                       unscheduled=dict(self.unscheduled), entry_pool=dict(self.entry_pool))
 
 
 def compute_eft_us(spec: WorkflowSpec, costs: CostRows) -> dict[str, int]:
@@ -119,6 +151,7 @@ def compute_eft_us(spec: WorkflowSpec, costs: CostRows) -> dict[str, int]:
     Max-plus recurrence over each task's estimated runtime on the catalog's
     fastest type, read from its cost row; no communication term.
     """
+    costs.refresh()
     eft: dict[str, int] = {}
     for tid in sorted(spec.tasks, key=lambda t: (spec.tasks[t].level, t)):
         task = spec.tasks[tid]
@@ -135,23 +168,19 @@ def distribution_order(tasks: list[TaskRecord], eft_us: dict[str, int]) -> list[
 
 
 def _reprice(ledger: BudgetLedger, tasks: list[TaskRecord]) -> bool:
-    """Bring the ledger's rows up to date for a fold over `tasks`, the
+    """Bring the ledger's costs up to date for a fold over `tasks`, the
     unscheduled tasks in distribution order.
 
     True when no row changed by value since the last fold, so its memory
     still holds. Otherwise the memory is rebuilt from `tasks`, and the fold
     must run to the end."""
     costs = ledger.costs
-    if ledger.rows and all(costs.row(kind, runtime) == row
-                           for (kind, runtime), row in ledger.rows.items()):
+    changes = costs.refresh()
+    if changes == ledger.changes:
         return True
-    ledger.rows = rows = {}
-    for task in tasks:
-        key = (task.kind, task.total_runtime)
-        if key not in rows:
-            rows[key] = costs.row(*key)
+    ledger.changes = changes
     ledger.position = {t.id: i for i, t in enumerate(tasks)}
-    ledger.reserve = sum(rows[t.kind, t.total_runtime].cheapest for t in tasks)
+    ledger.reserve = sum(costs.row(t.kind, t.total_runtime).cheapest for t in tasks)
     ledger.unscheduled_budget = sum(ledger.sub_budgets.get(t.id, 0) for t in tasks)
     return False
 
@@ -172,7 +201,7 @@ def _fold(ledger: BudgetLedger, pool: int, tasks: list[TaskRecord], resume: bool
     (so the later tasks add no debt to be counted again). From there on the
     last fold's sub-budgets and final pool stand as they are.
     """
-    subs, entry_pool, rows = ledger.sub_budgets, ledger.entry_pool, ledger.rows
+    subs, entry_pool, rows = ledger.sub_budgets, ledger.entry_pool, ledger.costs.rows
     position = ledger.position
     stop_after = ledger.resume_after if resume else math.inf
     reserve = ledger.reserve
@@ -255,9 +284,29 @@ class Provision:
     vm_type: VmType
 
 
+@dataclass
+class _Plan:
+    """What every workflow over one shared `tasks` mapping starts from while
+    no cost row changes: the EFT table and, per budget, the ledger its
+    distribution leaves, in distribution order and never folded again.
+    `users` counts the running workflows that arrived with `tasks`. The plan
+    holds `tasks`, so no other mapping takes its id() while the plan lives."""
+
+    tasks: dict[str, TaskRecord]
+    changes: int
+    eft_us: dict[str, int]
+    users: int
+    ledgers: dict[int, BudgetLedger] = field(default_factory=dict)
+
+
 class EbpsmPolicy:
     """EFT-ordered dispatch with VM reuse and per-task budget caps. The
-    homogeneous variant keeps no budget ledger: no cap binds its tasks."""
+    homogeneous variant keeps no budget ledger: no cap binds its tasks.
+
+    Workflows drawn from one template share its `tasks` mapping, so the
+    policy plans each mapping once (see `_Plan`) and hands every workflow
+    its own copy of the first ledger for its budget. A plan is dropped when
+    the last running workflow over its mapping finishes."""
 
     dedicated = False
 
@@ -269,14 +318,26 @@ class EbpsmPolicy:
         self.homogeneous = homogeneous
         self.costs = CostRows(estimator, config)
         self.ledgers: dict[str, BudgetLedger] = {}
+        self._plans: dict[int, _Plan] = {}  # by id() of the `tasks` it holds
         self._queue: list[tuple[tuple[int, int, str, str], object, TaskRecord]] = []
 
     def on_arrival(self, run) -> None:
         spec = run.spec
-        run.eft_us = compute_eft_us(spec, self.costs)
+        changes = self.costs.refresh()
+        plan = self._plans.get(id(spec.tasks))
+        if plan is None or plan.changes != changes:
+            plan = self._plans[id(spec.tasks)] = _Plan(
+                spec.tasks, changes, compute_eft_us(spec, self.costs),
+                users=0 if plan is None else plan.users)
+        plan.users += 1
+        run.eft_us = plan.eft_us
         if not self.homogeneous:
-            self.ledgers[spec.id] = distribute_budget(
-                spec.id, run.budget_nanos, list(spec.tasks.values()), run.eft_us, self.costs)
+            first = plan.ledgers.get(run.budget_nanos)
+            if first is None:
+                first = plan.ledgers[run.budget_nanos] = distribute_budget(
+                    spec.id, run.budget_nanos, list(spec.tasks.values()), plan.eft_us,
+                    self.costs)
+            self.ledgers[spec.id] = first.copy(spec.id)
 
     def enqueue_ready(self, run, task: TaskRecord) -> None:
         key = (run.eft_us[task.id], run.arrival_us, run.spec.id, task.id)
@@ -295,6 +356,7 @@ class EbpsmPolicy:
         type, else the cheapest type. Estimate and price depend on the type
         alone, so only each type's least idle id is read; the VM taken leaves
         the fleet's index, so no later decision of the batch takes it."""
+        self.costs.refresh()
         ledger = self.ledgers.get(run.spec.id)
         cap = math.inf if ledger is None else ledger.lock(task.id)
         best: tuple[int, int, str] | None = None
@@ -315,12 +377,17 @@ class EbpsmPolicy:
         return Provision(run, task, provision or self.costs.cheapest_type)
 
     def on_complete(self, run, task: TaskRecord, actual_cost_nanos: int) -> None:
+        """Settle `task`. The engine counts it out of `run.unfinished` first."""
         ledger = self.ledgers.get(run.spec.id)
         if ledger is not None:
             update_budget(ledger, task, actual_cost_nanos, list(ledger.unscheduled.values()))
-            if not ledger.sub_budgets:
-                # The workflow's last task finished: nothing reads its ledger again.
-                del self.ledgers[run.spec.id]
+        if run.unfinished == 0:
+            # The workflow's last task finished: nothing reads its ledger again.
+            self.ledgers.pop(run.spec.id, None)
+            plan = self._plans[id(run.spec.tasks)]
+            plan.users -= 1
+            if not plan.users:
+                del self._plans[id(run.spec.tasks)]
 
 
 class FcfsPolicy:

@@ -317,6 +317,9 @@ def genome_template(chromosome: str, fan_out: int,
     tasks plus one scoring task feed a merge, which feeds two exit tasks."""
     if fan_out < 1:
         raise ValueError("fan_out must be >= 1")
+    for kind in runtime_profile or {}:
+        if kind not in GENOME_RUNTIMES:
+            raise ValueError(f"runtime_profile: unknown task kind {kind!r}")
     profile = dict(GENOME_RUNTIMES)
     profile.update(runtime_profile or {})
     width = max(2, len(str(fan_out)))

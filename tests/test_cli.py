@@ -74,11 +74,17 @@ def _vina(**fields):
     ({"templates": _vina(ligand_count=0, runtimes=None)},
      "templates[v].ligand_count: must be >= 1"),
     ({"templates": _vina(ligand_count=3)}, "templates[v].runtimes"),
+    ({"templates": _vina(runtimes=[0.0, 5.0])},
+     "templates[v].runtimes[0]: must be finite and > 0"),
+    ({"templates": [{"name": "g", "shape": "genome", "budgets": [0.1],
+                     "runtime_profile": {"individual": 1.0}}]},
+     "templates[g].runtime_profile: unknown task kind 'individual'"),
     ({"templates": _vina(budgets=[-1.0, 0.1])}, "templates[v].budgets: must be >= 0"),
     ({"cloud": {"scan_interval": 1e-9}}, "scan_interval"),
     ({"cloud": {"variability": {"mode": "lognormal", "sigma": 1000.0}}},
      "variability.sigma"),
-], ids=["fan_out", "ligand_count", "runtimes", "budgets", "scan_interval", "sigma"])
+], ids=["fan_out", "ligand_count", "runtimes", "runtime_value", "runtime_profile", "budgets",
+        "scan_interval", "sigma"])
 def test_run_command_rejects_values_that_fail_mid_run(tmp_path, capsys, overrides, field):
     config = write_config(tmp_path, budget_levels=[1], **overrides)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2

@@ -83,7 +83,7 @@ def test_idle_scan_skips_busy_and_provisioning():
     fleet = Fleet(config)
     busy = fleet.provision(table_type("t2.micro"), 0)
     fleet.mark_available(busy, usec(50.0))
-    fleet.start_task(busy, usec(50.0), usec(300.0))
+    fleet.start_task(busy, usec(300.0))
     cold = fleet.provision(table_type("t2.micro"), usec(50.0))
     assert fleet.idle_scan(usec(200.0)) == []
     assert busy.state == "busy" and cold.state == "provisioning"
@@ -118,7 +118,7 @@ def test_unreleased_until_last_release():
     assert fleet.unreleased(0)
     for vm in (a, b):
         fleet.mark_available(vm, usec(5.0))
-    fleet.start_task(b, usec(5.0), usec(30.0))
+    fleet.start_task(b, usec(30.0))
     assert fleet.idle_scan(usec(65.0)) == [a]
     assert fleet.unreleased(usec(80.0))  # b is still live
     fleet.finish_task(b, usec(35.0 + 60.0))
@@ -133,7 +133,7 @@ def test_next_due_is_none_with_nothing_to_expire_or_release():
     vm = fleet.provision(table_type("t2.micro"), 0)
     assert fleet.next_due_us() is None  # provisioning
     fleet.mark_available(vm, usec(5.0))
-    fleet.start_task(vm, usec(5.0), usec(30.0))
+    fleet.start_task(vm, usec(30.0))
     assert fleet.next_due_us() is None  # busy
 
 
@@ -182,7 +182,7 @@ def test_next_due_moves_to_the_next_idle_vm(leave):
     fleet.mark_available(second, usec(2.0))
     assert fleet.next_due_us() == usec(61.0)
     if leave == "reuse":
-        fleet.start_task(first, usec(5.0), usec(30.0))
+        fleet.start_task(first, usec(30.0))
     else:
         fleet.terminate(first, usec(5.0))
     assert fleet.next_due_us() == usec(62.0)
@@ -194,7 +194,7 @@ def test_busy_then_idle_terminates_at_first_due_tick():
     fleet = Fleet(config)
     vm = fleet.provision(table_type("t2.micro"), 0)
     fleet.mark_available(vm, 0)
-    fleet.start_task(vm, 0, usec(300.0))
+    fleet.start_task(vm, usec(300.0))
     fleet.finish_task(vm, usec(300.0))
     ticks = [usec(10.0 * k) for k in range(1, 40)]
     terminated_at = next(t for t in ticks if fleet.idle_scan(t))
@@ -240,7 +240,7 @@ def test_terminated_vm_never_receives_work():
     fleet.mark_available(vm, 0)
     fleet.terminate(vm, usec(100.0))
     with pytest.raises(IllegalState):
-        fleet.start_task(vm, usec(200.0), usec(10.0))
+        fleet.start_task(vm, usec(10.0))
 
 
 def test_vm_type_validation():

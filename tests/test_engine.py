@@ -14,7 +14,7 @@ from waasim.errors import StallError
 from waasim.estimator import EstimatorConfig
 from waasim.scheduler import make_policy
 from waasim.workflow import (WorkloadSpec, generate_workload, genome_template,
-                             serialize_workload, vina_template)
+                             parse_workload, serialize_workload, vina_template)
 
 
 def test_empty_workload():
@@ -185,6 +185,8 @@ def test_stall_error_on_broken_policy(monkeypatch, mono_cloud, oracle):
 
 
 def test_finished_workflows_release_their_state(monkeypatch, oracle):
+    """Whether its workflows share their template's task mapping or were
+    parsed one by one, a run leaves the policy no ledger and no plan."""
     policies, runs = [], []
 
     def capture(*args):
@@ -200,12 +202,14 @@ def test_finished_workflows_release_their_state(monkeypatch, oracle):
         return policy
 
     spec = genome_template("chr21", 3, budget=1.0)
-    workload = generate_workload([(spec, 0.02), (spec, 0.2)], 6, 12.0, seed=3)
+    shared = generate_workload([(spec, 0.02), (spec, 0.2)], 6, 12.0, seed=3)
+    parsed = parse_workload(serialize_workload(shared))
+    assert len({id(w.tasks) for w in parsed.workflows}) == 6
     monkeypatch.setattr(engine, "make_policy", capture)
-    engine.run(workload, "ebpsm", CloudConfig(), oracle, seed=0)
-    (policy,) = policies
-    assert len(runs) == 6
-    assert policy.ledgers == {}
+    for workload in (shared, parsed):
+        engine.run(workload, "ebpsm", CloudConfig(), oracle, seed=0)
+    assert len(policies) == 2 and len(runs) == 12
+    assert all(policy.ledgers == {} and policy._plans == {} for policy in policies)
     assert all(run.eft_us is None and not run.pending_parents for run in runs)
 
 

@@ -105,4 +105,4 @@ def test_oracle_keeps_no_records():
         est.record("ab"[i % 2], CATALOG[i % len(CATALOG)], 7.0 + i)
     assert not est._by_type and not est._normalized
     assert [est.estimate(k, t, 90.0) for k in ("a", "b") for t in CATALOG] == before
-    assert est.revision("a") == est.revision("b") == 0
+    assert est.records == 0 and est.recorded_since(0) == []

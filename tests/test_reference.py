@@ -10,6 +10,7 @@ equal ledgers, identical traces and identical report bytes."""
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,10 +18,12 @@ from hypothesis import strategies as st
 
 from conftest import LARGE, MICRO, chain_workflow, random_dag
 from waasim import engine
+from waasim import scheduler as scheduler_module
 from waasim.cloud import (IDLE, TERMINATED, CloudConfig, Fleet, VariabilityConfig, VmType,
                           default_catalog, estimated_cost_nanos)
 from waasim.errors import IllegalState
 from waasim.estimator import EstimatorConfig, RuntimeEstimator
+from waasim.experiment import ExperimentConfig
 from waasim.metrics import report_to_json
 from waasim.scheduler import (SCHEDULER_NAMES, Assign, BudgetLedger, CostRows, EbpsmPolicy,
                               Provision, compute_eft_us, distribute_budget, make_policy,
@@ -342,6 +345,63 @@ def test_engine_matches_reference(scheduler, catalog, mode, window, variability,
         ref_trace, ref_report = simulate()
     assert trace == ref_trace
     assert report == ref_report
+
+
+@pytest.mark.parametrize("variability", ["none", "lognormal"])
+@pytest.mark.parametrize("mode", ["oracle", "history"])
+@pytest.mark.parametrize("scheduler", ["ebpsm", "ebpsm-homogeneous"])
+def test_shared_plans_match_unshared_workflows(monkeypatch, scheduler, mode, variability):
+    """Workflows drawn from one template share its `tasks` mapping, and the
+    policy plans each mapping once. With every workflow's mapping copied, no
+    arrival can reuse a plan; the trace and the report must not change."""
+    catalog = CATALOG if scheduler == "ebpsm" else (MICRO,)
+    cloud = CloudConfig(catalog=catalog, variability=VariabilityConfig(
+        variability, 0.2 if variability == "lognormal" else 0.0))
+    shared = generate_workload(ExperimentConfig().build_catalog(), 60, 12.0, seed=5)
+    unshared = replace(shared, workflows=[replace(w, tasks=dict(w.tasks))
+                                          for w in shared.workflows])
+    plans = []
+    compute_eft = scheduler_module.compute_eft_us
+
+    def counted(*args):
+        plans[-1] += 1
+        return compute_eft(*args)
+
+    monkeypatch.setattr(scheduler_module, "compute_eft_us", counted)
+    outputs = []
+    for workload in (shared, unshared):
+        plans.append(0)
+        result = engine.run(workload, scheduler, cloud, EstimatorConfig(mode), seed=3)
+        outputs.append((engine.checkpoint_trace(result.trace), report_to_json(result.report)))
+    assert plans[0] < plans[1] == 60
+    assert outputs[0] == outputs[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(catalog=catalogs(),
+       window=st.integers(1, 4),
+       steps=st.lists(st.tuples(
+           st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, 3), runtimes),
+                    max_size=4),
+           st.lists(st.tuples(st.sampled_from(KINDS), st.sampled_from([42.5, 100.0, 300.0])),
+                    max_size=4)),
+           max_size=10))
+def test_cost_rows_reprice_on_record(catalog, window, steps):
+    """After any records, every row `CostRows` returns is the row a fresh
+    table prices, and `changes` counts exactly the kept rows that changed."""
+    config = CloudConfig(catalog=catalog)
+    estimator = RuntimeEstimator(EstimatorConfig("history", window))
+    costs = CostRows(estimator, config)
+    for records, lookups in steps:
+        before, changes = dict(costs.rows), costs.changes
+        for kind, type_index, runtime in records:
+            estimator.record(kind, catalog[type_index % len(catalog)], runtime)
+        costs.refresh()
+        assert costs.changes - changes == sum(costs.rows[k] != row for k, row in before.items())
+        fresh = CostRows(estimator, config)
+        for key in lookups:
+            costs.row(*key)
+        assert all(row == fresh.row(*key) for key, row in costs.rows.items())
 
 
 class Twin:

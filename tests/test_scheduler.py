@@ -17,16 +17,16 @@ from waasim.units import nanos, usec
 
 
 class FixedEstimator:
-    """Type-independent estimates: every task takes `seconds` on any VM."""
+    """Type-independent estimates: every task takes `seconds` on any VM.
+    It keeps no records."""
+
+    records = 0
 
     def __init__(self, seconds=100.0):
         self.seconds = seconds
 
     def estimate(self, kind, vm_type, reference_runtime):
         return self.seconds
-
-    def revision(self, kind):
-        return 0
 
 
 TWO_TYPES = CloudConfig(catalog=(MICRO, LARGE))
@@ -296,7 +296,7 @@ def test_one_batch_assigns_each_idle_vm_once():
     assert fleet.idle_head(MICRO) is None
     for vm in (fleet.provision(MICRO, 0), fleet.provision(MICRO, 0)):
         fleet.mark_available(vm, 0)
-        fleet.start_task(vm, 0, 1)
+        fleet.start_task(vm, 1)
         fleet.finish_task(vm, 1)
     for tid in spec.tasks:
         policy.enqueue_ready(run, run.spec.tasks[tid])

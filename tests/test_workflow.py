@@ -157,6 +157,8 @@ def test_genome_template_counts():
     assert sorted({t.kind for t in one.tasks.values()}) == sorted(GENOME_RUNTIMES)
     with pytest.raises(ValueError):
         genome_template("chr21", 0)
+    with pytest.raises(ValueError, match="unknown task kind 'individual'"):
+        genome_template("chr21", 2, runtime_profile={"individual": 1.0})
 
 
 def test_vina_template_counts():
