@@ -20,24 +20,69 @@ from .scheduler import Assign, make_policy
 from .units import ceil_whole_seconds, substream_seed, usec
 from .workflow import TaskRecord, WorkloadSpec, workload_hash
 
-ARRIVAL = "workflow_arrival"
-VM_AVAILABLE = "vm_available"
+# Each event is one record: the tuple (time_us, event, v1, v2, ...), whose
+# values follow the event's keys here. A None key is a value the trace line
+# leaves out: `task_complete` carries its VM's type only so that every
+# record of the assignment log has its VM type at index 5.
+_FIELDS = {
+    "workflow_arrival": ("workflow", "tasks", "budget_nanos"),
+    "task_ready": ("workflow", "task"),
+    "provision_request": ("workflow", "task", "vm", "type", "available_at_us"),
+    "vm_available": ("vm", "type"),
+    "task_assign": ("workflow", "task", "vm", "type"),
+    "task_start": ("workflow", "task", "vm", "type", "runtime_us"),
+    "task_complete": ("workflow", "task", "vm", None, "cost_nanos"),
+    "vm_idle": ("vm",),
+    "vm_terminated": ("vm", "billed_s", "bill_nanos"),
+    "vm_released": ("vm",),
+    "workflow_complete": ("workflow", "makespan_us", "cost_nanos"),
+    "simulation_end": ("workflows", "vms"),
+}
+
+# Per event, the bound `format` of its trace line's template.
+_FORMATS = {
+    name: ("{0}\t" + name + "\t" + " ".join(
+        f"{key}={{{i}}}" for i, key in enumerate(keys, 2) if key is not None)).format
+    for name, keys in _FIELDS.items()
+}
 
 
-@dataclass
+def render(rec: tuple) -> str:
+    """The trace line of a record, without its newline. Ids are arbitrary
+    strings, so a line is stripped of the whitespace its last value may end
+    in."""
+    return _FORMATS[rec[1]](*rec).rstrip()
+
+
+def checkpoint_trace(trace: list[tuple]) -> str:
+    """Stable text serialization used for golden-trace regression tests."""
+    return "\n".join(map(render, trace)) + "\n"
+
+
 class TraceEvent:
-    time_us: int
-    name: str
-    fields: dict
+    """A view of one record, built on demand."""
+
+    __slots__ = ("record",)
+
+    def __init__(self, record: tuple):
+        self.record = record
+
+    @property
+    def time_us(self) -> int:
+        return self.record[0]
+
+    @property
+    def name(self) -> str:
+        return self.record[1]
+
+    @property
+    def fields(self) -> dict:
+        """The trace line's values by key."""
+        return {key: value for key, value in zip(_FIELDS[self.record[1]], self.record[2:])
+                if key is not None}
 
     def render(self) -> str:
-        parts = " ".join(f"{k}={v}" for k, v in self.fields.items())
-        return f"{self.time_us}\t{self.name}\t{parts}".rstrip()
-
-
-def checkpoint_trace(trace: list[TraceEvent]) -> str:
-    """Stable text serialization used for golden-trace regression tests."""
-    return "\n".join(ev.render() for ev in trace) + "\n"
+        return render(self.record)
 
 
 @dataclass
@@ -55,38 +100,29 @@ class WorkflowRun:
     done_at_us: int | None = None
 
 
-# Trace events that are also rows of the assignment log, with their row name.
+# Records that are also rows of the assignment log, with their row's event.
 _ASSIGNMENT_EVENTS = {"task_assign": "assign", "task_start": "start",
                       "task_complete": "complete", "provision_request": "provision"}
 
 
-def assignment_row(ev: TraceEvent, vm_types: dict[str, str]) -> tuple | None:
+def assignment_row(rec: tuple) -> tuple | None:
     """The assignment-log row (time_us, workflow, task, vm id, vm type,
-    event) of `ev`, or None if `ev` is not one. Pass one `vm_types` dict
-    over a run's events in order: it keeps each VM's type from the VM's
-    `provision_request` or `task_assign` event, which precedes every other
-    row of that VM."""
-    event = _ASSIGNMENT_EVENTS.get(ev.name)
-    if event is None:
-        return None
-    f = ev.fields
-    if ev.name in ("provision_request", "task_assign"):
-        vm_types[f["vm"]] = f["type"]
-    return (ev.time_us, f["workflow"], f["task"], f["vm"], vm_types[f["vm"]], event)
+    event) of a record, or None if the record is not one."""
+    event = _ASSIGNMENT_EVENTS.get(rec[1])
+    return None if event is None else (rec[0], *rec[2:6], event)
 
 
 @dataclass
 class SimulationResult:
-    """`trace` is the sink given to `run`: a list of every event by default."""
+    """`trace` is the sink given to `run`: a list of every record by default."""
 
     report: MetricsReport
-    trace: list[TraceEvent]
+    trace: list[tuple]
 
     @property
     def assignments(self) -> list[tuple]:
         """The assignment-log rows of an in-memory trace, in event order."""
-        vm_types: dict[str, str] = {}
-        return [row for ev in self.trace if (row := assignment_row(ev, vm_types))]
+        return [row for rec in self.trace if (row := assignment_row(rec))]
 
 
 class _Simulation:
@@ -103,6 +139,7 @@ class _Simulation:
         self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = 0
         self.trace = [] if trace is None else trace
+        self._append = self.trace.append
         self.runs: dict[str, WorkflowRun] = {}
         self._completed = 0
         self._next_tick_us: int | None = None
@@ -116,9 +153,6 @@ class _Simulation:
         assert time_us >= self.clock_us
         self._seq += 1
         heapq.heappush(self._heap, (time_us, self._seq, handler, payload))
-
-    def _emit(self, name: str, **fields) -> None:
-        self.trace.append(TraceEvent(self.clock_us, name, fields))
 
     # -- main loop ----------------------------------------------------------
 
@@ -146,8 +180,8 @@ class _Simulation:
         unfinished = len(self.runs) - self._completed
         if unfinished:
             raise StallError(f"event queue drained with {unfinished} unfinished workflows")
-        self._emit("simulation_end",
-                   workflows=len(self.runs), vms=len(self.fleet.instances))
+        self._append((self.clock_us, "simulation_end",
+                      len(self.runs), len(self.fleet.instances)))
         return SimulationResult(report=self._build_report(), trace=self.trace)
 
     def _finished(self) -> bool:
@@ -162,20 +196,20 @@ class _Simulation:
             tid: len(t.parents) for tid, t in run.spec.tasks.items()
         }
         run.unfinished = len(run.spec.tasks)
-        self._emit(ARRIVAL, workflow=workflow_id, tasks=len(run.spec.tasks),
-                   budget_nanos=run.budget_nanos)
+        self._append((self.clock_us, "workflow_arrival", workflow_id, len(run.spec.tasks),
+                      run.budget_nanos))
         self.policy.on_arrival(run)
         for tid in sorted(run.spec.tasks):
             if run.pending_parents[tid] == 0:
                 self._make_ready(run, run.spec.tasks[tid])
 
     def _make_ready(self, run: WorkflowRun, task: TaskRecord) -> None:
-        self._emit("task_ready", workflow=run.spec.id, task=task.id)
+        self._append((self.clock_us, "task_ready", run.spec.id, task.id))
         self.policy.enqueue_ready(run, task)
 
     def _on_vm_available(self, vm: VmInstance, run: WorkflowRun, task: TaskRecord) -> None:
         self.fleet.mark_available(vm, self.clock_us)
-        self._emit(VM_AVAILABLE, vm=vm.id, type=vm.vm_type.name)
+        self._append((self.clock_us, "vm_available", vm.id, vm.vm_type.name))
         self._start_task(run, task, vm)
 
     def _start_task(self, run: WorkflowRun, task: TaskRecord, vm: VmInstance) -> None:
@@ -183,8 +217,8 @@ class _Simulation:
                                     self.var_rng, self.cloud.variability)
         runtime_us = usec(runtime_s)
         self.fleet.start_task(vm, runtime_us)
-        self._emit("task_start", workflow=run.spec.id, task=task.id, vm=vm.id,
-                   type=vm.vm_type.name, runtime_us=runtime_us)
+        self._append((self.clock_us, "task_start", run.spec.id, task.id, vm.id,
+                      vm.vm_type.name, runtime_us))
         self._push(self.clock_us + runtime_us, self._on_task_completed,
                    (run, task, vm, runtime_us))
 
@@ -194,8 +228,8 @@ class _Simulation:
 
         cost_nanos = ceil_whole_seconds(runtime_us) * vm.vm_type.price_nanos
         run.cost_nanos += cost_nanos
-        self._emit("task_complete", workflow=run.spec.id, task=task.id, vm=vm.id,
-                   cost_nanos=cost_nanos)
+        self._append((self.clock_us, "task_complete", run.spec.id, task.id, vm.id,
+                      vm.vm_type.name, cost_nanos))
         self.estimator.record(task.kind, vm.vm_type, runtime_us / 1e6)
         self.policy.on_complete(run, task, cost_nanos)
 
@@ -204,7 +238,7 @@ class _Simulation:
             self.fleet.terminate(vm, self.clock_us)
             self._retire([vm])
         else:
-            self._emit("vm_idle", vm=vm.id)
+            self._append((self.clock_us, "vm_idle", vm.id))
 
         for child_id in sorted(task.children):
             run.pending_parents[child_id] -= 1
@@ -217,9 +251,8 @@ class _Simulation:
             run.eft_us = None
             run.pending_parents.clear()
             self._completed += 1
-            self._emit("workflow_complete", workflow=run.spec.id,
-                       makespan_us=self.clock_us - run.arrival_us,
-                       cost_nanos=run.cost_nanos)
+            self._append((self.clock_us, "workflow_complete", run.spec.id,
+                          self.clock_us - run.arrival_us, run.cost_nanos))
 
     def _on_scan_tick(self) -> None:
         self._next_tick_us = None
@@ -228,10 +261,10 @@ class _Simulation:
     def _retire(self, terminated: list[VmInstance]) -> None:
         """Trace VMs just terminated, then every VM whose release came due."""
         for vm in terminated:
-            self._emit("vm_terminated", vm=vm.id, billed_s=vm.billed_seconds,
-                       bill_nanos=vm.bill_nanos)
+            self._append((self.clock_us, "vm_terminated", vm.id, vm.billed_seconds,
+                          vm.bill_nanos))
         for vm in self.fleet.release_due(self.clock_us):
-            self._emit("vm_released", vm=vm.id)
+            self._append((self.clock_us, "vm_released", vm.id))
 
     def _dispatch(self) -> None:
         actions = self.policy.schedule_ready(self.fleet)
@@ -239,14 +272,13 @@ class _Simulation:
             task = action.task
             if isinstance(action, Assign):
                 vm = self.fleet.instances[action.vm_id]
-                self._emit("task_assign", workflow=action.run.spec.id, task=task.id,
-                           vm=vm.id, type=vm.vm_type.name)
+                self._append((self.clock_us, "task_assign", action.run.spec.id, task.id,
+                              vm.id, vm.vm_type.name))
                 self._start_task(action.run, task, vm)
             else:
                 vm = self.fleet.provision(action.vm_type, self.clock_us)
-                self._emit("provision_request", workflow=action.run.spec.id,
-                           task=task.id, vm=vm.id, type=vm.vm_type.name,
-                           available_at_us=vm.available_at_us)
+                self._append((self.clock_us, "provision_request", action.run.spec.id,
+                              task.id, vm.id, vm.vm_type.name, vm.available_at_us))
                 self._push(vm.available_at_us, self._on_vm_available, (vm, action.run, task))
 
     def _maybe_schedule_tick(self) -> None:
@@ -322,9 +354,9 @@ def run(workload: WorkloadSpec, scheduler: str = "ebpsm",
         seed: int = 0, trace=None) -> SimulationResult:
     """Simulate a workload under one scheduling policy.
 
-    Each event is appended to `trace` as it is emitted: any object with
-    `append` and `__len__`, by default a new list. `result.trace` is that
-    object."""
+    Each event's record is appended to `trace` as it is emitted: any
+    object with `append` and `__len__`, by default a new list.
+    `result.trace` is that object."""
     sim = _Simulation(
         workload,
         scheduler,

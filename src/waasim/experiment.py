@@ -109,10 +109,13 @@ class ExperimentConfig:
             if tpl.shape == "genome":
                 if tpl.fan_out < 1:
                     raise ConfigError(f"{path}.fan_out: must be >= 1")
-                for kind in tpl.runtime_profile or {}:
+                for kind, runtime in (tpl.runtime_profile or {}).items():
                     if kind not in GENOME_RUNTIMES:
                         raise ConfigError(
                             f"{path}.runtime_profile: unknown task kind {kind!r}")
+                    if not (math.isfinite(runtime) and runtime > 0):
+                        raise ConfigError(
+                            f"{path}.runtime_profile.{kind}: must be finite and > 0")
             if tpl.shape == "vina" and tpl.ligand_count < 1:
                 raise ConfigError(f"{path}.ligand_count: must be >= 1")
             if tpl.shape == "vina" and tpl.runtimes is not None:
@@ -250,22 +253,21 @@ def execute_run(config: ExperimentConfig, spec: RunSpec,
 
 
 class _RunWriter:
-    """One run's `trace` sink: writes each event's trace line (if given a
+    """One run's `trace` sink: writes each record's trace line (if given a
     trace file) and assignment-log row as the engine emits it, and keeps
-    only the count of events."""
+    only the count of records."""
 
     def __init__(self, assign_file, trace_file):
         self._trace_file = trace_file
         self._rows = csv.writer(assign_file, lineterminator="\n")
         self._rows.writerow(ASSIGNMENT_CSV_COLUMNS)
-        self._vm_types: dict[str, str] = {}
         self._events = 0
 
-    def append(self, ev: engine.TraceEvent) -> None:
+    def append(self, rec: tuple) -> None:
         self._events += 1
         if self._trace_file is not None:
-            self._trace_file.write(ev.render() + "\n")
-        row = engine.assignment_row(ev, self._vm_types)
+            self._trace_file.write(engine.render(rec) + "\n")
+        row = engine.assignment_row(rec)
         if row is not None:
             self._rows.writerow(assignment_csv_row(row))
 

@@ -6,7 +6,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import get_type_hints
 
 from .errors import SchemaError
@@ -55,7 +55,17 @@ class MetricsReport:
         return [w.cost_per_budget for w in self.workflows if not w.budget_met]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report as new JSON-ready dicts with the keys in field order:
+        what `dataclasses.asdict` gives, without its recursive deep copy."""
+        fleet = self.fleet
+        return {
+            "scheduler": self.scheduler,
+            "seed": self.seed,
+            "workload_hash": self.workload_hash,
+            "workflows": [vars(w).copy() for w in self.workflows],
+            "fleet": None if fleet is None else {**vars(fleet),
+                                                 "vm_counts": dict(fleet.vm_counts)},
+        }
 
 
 def report_to_json(report: MetricsReport) -> str:

@@ -344,6 +344,12 @@ class EbpsmPolicy:
         heapq.heappush(self._queue, (key, run, task))
 
     def schedule_ready(self, fleet: Fleet) -> list[Assign | Provision]:
+        """Decide every queued task. No record comes between the decisions of
+        one batch, so one refresh brings every row they read up to date; an
+        empty batch leaves the repricing to the next batch that reads rows."""
+        if not self._queue:
+            return []
+        self.costs.refresh()
         actions: list[Assign | Provision] = []
         while self._queue:
             _, run, task = heapq.heappop(self._queue)
@@ -356,7 +362,6 @@ class EbpsmPolicy:
         type, else the cheapest type. Estimate and price depend on the type
         alone, so only each type's least idle id is read; the VM taken leaves
         the fleet's index, so no later decision of the batch takes it."""
-        self.costs.refresh()
         ledger = self.ledgers.get(run.spec.id)
         cap = math.inf if ledger is None else ledger.lock(task.id)
         best: tuple[int, int, str] | None = None

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from waasim.cloud import CloudConfig, VmType
+from waasim.engine import TraceEvent
 from waasim.estimator import EstimatorConfig
 from waasim.workflow import TaskRecord, WorkflowSpec, WorkloadSpec, _assemble
 
@@ -54,6 +55,11 @@ def single_workload(spec: WorkflowSpec, arrival=0.0) -> WorkloadSpec:
     wf = spec.copy()
     wf.arrival_time = arrival
     return WorkloadSpec(workflows=[wf], arrival_rate=1.0, seed=0)
+
+
+def events(trace) -> list[TraceEvent]:
+    """A view of each record of an in-memory trace, in order."""
+    return [TraceEvent(rec) for rec in trace]
 
 
 MICRO = VmType("t2.micro", 1, 1024, 0.0000041, 1.0)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import scipy.stats
 
-from conftest import random_dag, single_workload
+from conftest import events, random_dag, single_workload
 from waasim import engine
 from waasim.cloud import (CloudConfig, VariabilityConfig, VmType,
                           estimated_cost_nanos)
@@ -32,7 +32,7 @@ AUDIT_POOL: list[tuple[str, dict, CloudConfig, list]] = []
 
 def _remember(label, workload, cloud, result):
     specs = {wf.id: wf for wf in workload.workflows}
-    AUDIT_POOL.append((label, specs, cloud, result.trace))
+    AUDIT_POOL.append((label, specs, cloud, events(result.trace)))
 
 
 def _report(cid, detail):

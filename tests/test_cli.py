@@ -79,11 +79,15 @@ def _vina(**fields):
     ({"templates": [{"name": "g", "shape": "genome", "budgets": [0.1],
                      "runtime_profile": {"individual": 1.0}}]},
      "templates[g].runtime_profile: unknown task kind 'individual'"),
+    ({"templates": [{"name": "g", "shape": "genome", "budgets": [0.1],
+                     "runtime_profile": {"sifting": 0.0}}]},
+     "templates[g].runtime_profile.sifting: must be finite and > 0"),
     ({"templates": _vina(budgets=[-1.0, 0.1])}, "templates[v].budgets: must be >= 0"),
     ({"cloud": {"scan_interval": 1e-9}}, "scan_interval"),
     ({"cloud": {"variability": {"mode": "lognormal", "sigma": 1000.0}}},
      "variability.sigma"),
-], ids=["fan_out", "ligand_count", "runtimes", "runtime_value", "runtime_profile", "budgets",
+], ids=["fan_out", "ligand_count", "runtimes", "runtime_value", "runtime_profile",
+        "runtime_profile_value", "budgets",
         "scan_interval", "sigma"])
 def test_run_command_rejects_values_that_fail_mid_run(tmp_path, capsys, overrides, field):
     config = write_config(tmp_path, budget_levels=[1], **overrides)

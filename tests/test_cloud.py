@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import MICRO, chain_workflow, single_workload
+from conftest import MICRO, chain_workflow, events, single_workload
 from waasim import engine
 from waasim.cloud import (CloudConfig, Fleet, VariabilityConfig, VmType,
                           default_catalog, estimated_cost_nanos, finalize_billing,
@@ -278,7 +278,7 @@ def test_no_idle_exceeds_threshold_plus_scan(mono_cloud, oracle):
     result = engine.run(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
     bound_us = mono_cloud.idle_threshold_us + mono_cloud.scan_interval_us
     idle_since = {}
-    for ev in result.trace:
+    for ev in events(result.trace):
         if ev.name == "vm_idle" or ev.name == "vm_available":
             idle_since[ev.fields["vm"]] = ev.time_us
         elif ev.name == "task_start":

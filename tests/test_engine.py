@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (MICRO, chain_workflow, diamond_workflow, random_dag,
+from conftest import (MICRO, chain_workflow, diamond_workflow, events, random_dag,
                       single_workload)
 from waasim import engine
 from waasim.cloud import CloudConfig
@@ -21,7 +21,7 @@ def test_empty_workload():
     result = engine.run(WorkloadSpec([], 1.0, 0), "ebpsm")
     assert result.report.workflows == []
     assert result.report.fleet.total_cost_usd == 0.0
-    assert result.trace[-1].name == "simulation_end"
+    assert events(result.trace)[-1].name == "simulation_end"
 
 
 def test_single_task_zero_delay_makespan(mono_cloud, oracle):
@@ -37,7 +37,7 @@ def test_sub_microsecond_task_completes_under_history(mono_cloud):
     """A runtime that rounds to 0 us is recorded as a 0 s execution."""
     result = engine.run(single_workload(chain_workflow([1e-7])), "ebpsm", mono_cloud,
                         EstimatorConfig(mode="history"), seed=0)
-    complete = [ev for ev in result.trace if ev.name == "task_complete"]
+    complete = [ev for ev in events(result.trace) if ev.name == "task_complete"]
     assert [ev.fields["cost_nanos"] for ev in complete] == [0]
     assert result.report.workflows[0].makespan_us == 0
 
@@ -45,9 +45,9 @@ def test_sub_microsecond_task_completes_under_history(mono_cloud):
 def test_diamond_dependency_safety(mono_cloud, oracle):
     result = engine.run(single_workload(diamond_workflow()), "ebpsm",
                         mono_cloud, oracle, seed=0)
-    starts = {ev.fields["task"]: ev.time_us for ev in result.trace
+    starts = {ev.fields["task"]: ev.time_us for ev in events(result.trace)
               if ev.name == "task_start"}
-    completes = {ev.fields["task"]: ev.time_us for ev in result.trace
+    completes = {ev.fields["task"]: ev.time_us for ev in events(result.trace)
                  if ev.name == "task_complete"}
     assert starts["d"] >= max(completes["b"], completes["c"])
     assert starts["b"] >= completes["a"] and starts["c"] >= completes["a"]
@@ -88,11 +88,11 @@ def test_idle_threshold_changes_only_termination_tail(oracle):
     a = engine.run(workload, "ebpsm", base, oracle, seed=0)
     b = engine.run(workload, "ebpsm", longer, oracle, seed=0)
     tail = ("vm_terminated", "vm_released", "simulation_end")
-    head_a = [ev.render() for ev in a.trace if ev.name not in tail]
-    head_b = [ev.render() for ev in b.trace if ev.name not in tail]
+    head_a = [ev.render() for ev in events(a.trace) if ev.name not in tail]
+    head_b = [ev.render() for ev in events(b.trace) if ev.name not in tail]
     assert head_a == head_b
-    last_term_a = max(ev.time_us for ev in a.trace if ev.name == "vm_terminated")
-    last_term_b = max(ev.time_us for ev in b.trace if ev.name == "vm_terminated")
+    last_term_a = max(ev.time_us for ev in events(a.trace) if ev.name == "vm_terminated")
+    last_term_b = max(ev.time_us for ev in events(b.trace) if ev.name == "vm_terminated")
     assert last_term_b - last_term_a == 60_000_000
 
 
@@ -104,16 +104,17 @@ def test_clock_monotone_and_event_counts(mono_cloud, oracle):
         s.budget = 1.0
     workload = WorkloadSpec(specs, 2.0, 0)
     result = engine.run(workload, "ebpsm", mono_cloud, oracle, seed=0)
-    times = [ev.time_us for ev in result.trace]
+    trace = events(result.trace)
+    times = [ev.time_us for ev in trace]
     assert times == sorted(times)
-    arrivals = sum(1 for ev in result.trace if ev.name == "workflow_arrival")
-    completions = sum(1 for ev in result.trace if ev.name == "task_complete")
+    arrivals = sum(1 for ev in trace if ev.name == "workflow_arrival")
+    completions = sum(1 for ev in trace if ev.name == "task_complete")
     assert arrivals == len(specs)
     assert completions == sum(len(s.tasks) for s in specs)
-    end = result.trace[-1]
+    end = trace[-1]
     assert end.name == "simulation_end"
     scans_bound = end.time_us // mono_cloud.scan_interval_us + 1
-    terminations = sum(1 for ev in result.trace if ev.name == "vm_terminated")
+    terminations = sum(1 for ev in trace if ev.name == "vm_terminated")
     assert terminations <= scans_bound + completions
 
 
@@ -135,7 +136,7 @@ def test_scan_ticks_only_where_a_vm_can_come_due(monkeypatch, oracle):
         empty += len(sim.trace) == before
 
     monkeypatch.setattr(engine._Simulation, "_on_scan_tick", tick)
-    trace = engine.run(single_workload(spec), "ebpsm", CloudConfig(), oracle, seed=0).trace
+    trace = events(engine.run(single_workload(spec), "ebpsm", CloudConfig(), oracle, seed=0).trace)
     other_times = {ev.time_us for i, ev in enumerate(trace) if i not in tick_events}
     assert sum(ev.name == "task_complete" for ev in trace) == 100
     assert empty <= len(other_times)
@@ -146,7 +147,7 @@ def test_every_vm_terminated_before_end(mono_cloud, oracle):
     sim = engine._Simulation(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
     result = sim.run()
     assert all(vm.state == "terminated" for vm in sim.fleet.instances.values())
-    terminated = {ev.fields["vm"] for ev in result.trace if ev.name == "vm_terminated"}
+    terminated = {ev.fields["vm"] for ev in events(result.trace) if ev.name == "vm_terminated"}
     assert terminated == set(sim.fleet.instances)
 
 
@@ -154,7 +155,7 @@ def test_fleet_cost_matches_trace_bills(mono_cloud, oracle):
     spec = genome_template("chr21", 3, budget=1.0)
     sim = engine._Simulation(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
     result = sim.run()
-    billed = sum(ev.fields["bill_nanos"] for ev in result.trace
+    billed = sum(ev.fields["bill_nanos"] for ev in events(result.trace)
                  if ev.name == "vm_terminated")
     assert billed == sim.fleet.total_bill_nanos()
     assert billed == result.report.fleet.total_cost_nanos
@@ -236,7 +237,7 @@ def test_assignment_log_deterministic(mono_cloud, oracle):
 def test_bag_release_all_at_arrival(mono_cloud, oracle):
     workload = single_workload(vina_template(5, workflow_id="bag", budget=1.0))
     result = engine.run(workload, "ebpsm", mono_cloud, oracle, seed=0)
-    ready = [ev for ev in result.trace if ev.name == "task_ready"]
+    ready = [ev for ev in events(result.trace) if ev.name == "task_ready"]
     assert len(ready) == 5
     assert {ev.time_us for ev in ready} == {0}
 
@@ -245,7 +246,7 @@ def test_oracle_estimates_equal_actuals_without_variability(mono_cloud, oracle):
     """End-to-end: every task's recorded runtime equals its model estimate."""
     spec = genome_template("chr21", 3, budget=1.0)
     result = engine.run(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
-    for ev in result.trace:
+    for ev in events(result.trace):
         if ev.name == "task_start":
             task = spec.tasks[ev.fields["task"]]
             assert ev.fields["runtime_us"] == round(task.total_runtime * 1e6)
@@ -259,3 +260,21 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     met_pct, utilization = map(float, capsys.readouterr().out.split())
     assert 0.0 <= met_pct <= 100.0 and 0.0 < utilization <= 100.0
+
+
+def test_readme_trace_table_is_the_field_table():
+    """README's "Trace format" table is generated from `_FIELDS`, which
+    names exactly the 12 events of the trace."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Trace format", 1)[1].split("\n## ", 1)[0]
+    rows = ["| event | values after `time_us` and the event |", "| --- | --- |"]
+    for name, keys in engine._FIELDS.items():
+        values = ", ".join("VM type (not rendered)" if key is None else f"`{key}`"
+                           for key in keys)
+        rows.append(f"| `{name}` | {values} |")
+    assert "\n".join(rows) in section
+    assert re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE) == [
+        "workflow_arrival", "task_ready", "provision_request", "vm_available",
+        "task_assign", "task_start", "task_complete", "vm_idle", "vm_terminated",
+        "vm_released", "workflow_complete", "simulation_end"]
+    assert len(engine._FIELDS) == 12

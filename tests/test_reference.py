@@ -8,15 +8,16 @@ re-sort and reprice the unscheduled tasks and refold all of them; the
 optimised code must agree with them exactly: equal floats,
 equal ledgers, identical traces and identical report bytes."""
 
+import json
 import math
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import LARGE, MICRO, chain_workflow, random_dag
+from conftest import LARGE, MICRO, build_workflow, chain_workflow, random_dag, single_workload
 from waasim import engine
 from waasim import scheduler as scheduler_module
 from waasim.cloud import (IDLE, TERMINATED, CloudConfig, Fleet, VariabilityConfig, VmType,
@@ -37,14 +38,23 @@ KINDS = ("k0", "k1", "k2", "k3")
 
 class ReferenceEstimator:
     """Keeps every (VM type, runtime) record of a kind in one list and
-    rescans it per call."""
+    rescans it per call, and the kind of every record in order."""
 
     def __init__(self, config: EstimatorConfig):
         self.config = config
         self._records: dict[str, list[tuple[VmType, float]]] = {}
+        self._kinds: list[str] = []
+
+    @property
+    def records(self):
+        return len(self._kinds)
 
     def record(self, kind, vm_type, runtime_s):
         self._records.setdefault(kind, []).append((vm_type, runtime_s))
+        self._kinds.append(kind)
+
+    def recorded_since(self, records):
+        return set(self._kinds[records:])
 
     def estimate(self, kind, vm_type, reference_runtime):
         records = self._records.get(kind, [])
@@ -237,6 +247,40 @@ def reference_make_policy(name, config, estimator):
     return make_policy(name, config, estimator)
 
 
+def reference_render(ev):
+    """The trace line of a view, joined from its fields one by one."""
+    parts = " ".join(f"{k}={v}" for k, v in ev.fields.items())
+    return f"{ev.time_us}\t{ev.name}\t{parts}".rstrip()
+
+
+REFERENCE_ROW_EVENTS = {"task_assign": "assign", "task_start": "start",
+                        "task_complete": "complete", "provision_request": "provision"}
+
+
+def reference_assignments(views):
+    """The assignment log, each VM's type taken from its earlier
+    `provision_request` or `task_assign` event."""
+    vm_types, rows = {}, []
+    for ev in views:
+        if ev.name in REFERENCE_ROW_EVENTS:
+            f = ev.fields
+            if "type" in f:
+                vm_types[f["vm"]] = f["type"]
+            rows.append((ev.time_us, f["workflow"], f["task"], f["vm"], vm_types[f["vm"]],
+                         REFERENCE_ROW_EVENTS[ev.name]))
+    return rows
+
+
+def checked_outputs(result):
+    """The trace text and report JSON of `result`, after checking each
+    record's line and the assignment log against the references."""
+    views = [engine.TraceEvent(rec) for rec in result.trace]
+    for rec, ev in zip(result.trace, views):
+        assert engine.render(rec) == reference_render(ev)
+    assert result.assignments == reference_assignments(views)
+    return engine.checkpoint_trace(result.trace), report_to_json(result.report)
+
+
 # Whole microseconds, as the engine records them: sums of these round, so
 # a changed summation order would show.
 runtimes = st.integers(1, 10**11).map(lambda us: us / 1e6)
@@ -264,6 +308,9 @@ def test_estimate_equals_reference(window, model, records):
         new.record(kind, vm_type, runtime)
         ref.record(kind, vm_type, runtime)
         check()
+        assert new.records == ref.records
+        for since in range(0, new.records + 1, 7):
+            assert set(new.recorded_since(since)) == ref.recorded_since(since)
 
 
 # The default catalog, or 2-4 drawn types. In half of the drawn catalogs
@@ -335,7 +382,7 @@ def test_engine_matches_reference(scheduler, catalog, mode, window, variability,
 
     def simulate():
         result = engine.run(workload, scheduler, cloud, estimator, seed=run_seed)
-        return engine.checkpoint_trace(result.trace), report_to_json(result.report)
+        return checked_outputs(result)
 
     trace, report = simulate()
     with pytest.MonkeyPatch.context() as mp:
@@ -372,7 +419,7 @@ def test_shared_plans_match_unshared_workflows(monkeypatch, scheduler, mode, var
     for workload in (shared, unshared):
         plans.append(0)
         result = engine.run(workload, scheduler, cloud, EstimatorConfig(mode), seed=3)
-        outputs.append((engine.checkpoint_trace(result.trace), report_to_json(result.report)))
+        outputs.append(checked_outputs(result))
     assert plans[0] < plans[1] == 60
     assert outputs[0] == outputs[1]
 
@@ -526,3 +573,31 @@ def test_refold_reprices_a_later_row_after_a_history_record():
     estimator.record("t2", MICRO, 10.0)
     twin.complete("t0", twin.ledger.sub_budgets["t0"])
     assert twin.ref.sub_budgets["t2"] == 5 * 38_200
+
+
+def test_render_strips_an_id_that_ends_in_whitespace(mono_cloud, oracle):
+    """Ids are arbitrary strings: a `task_ready` line ends in its task id,
+    and the line loses the id's trailing space, as the reference does."""
+    spec = build_workflow([("a ", "k", 10.0, []), ("b\t", "k", 5.0, ["a "])])
+    result = engine.run(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
+    ready = [rec for rec in result.trace if rec[1] == "task_ready"]
+    assert [rec[3] for rec in ready] == ["a ", "b\t"]
+    assert [engine.render(rec) for rec in ready] == \
+        ["0\ttask_ready\tworkflow=wf task=a", "10000000\ttask_ready\tworkflow=wf task=b"]
+    assert checked_outputs(result)[0].count("task=a ") == 3
+
+
+def test_report_dict_equals_asdict():
+    """`to_dict` builds what `dataclasses.asdict` gives, key order included,
+    and shares no mutable part with the report."""
+    catalog = [(spec, budget) for spec, _ in ExperimentConfig().build_catalog()[:4]
+               for budget in (0.0, 0.25)]
+    report = engine.run(generate_workload(catalog, 12, 12.0, seed=3), "ebpsm",
+                        seed=3).report
+    assert any(math.isinf(w.cost_per_budget) for w in report.workflows)
+    for r in (report, replace(report, workflows=[], fleet=None)):
+        assert json.dumps(r.to_dict()) == json.dumps(asdict(r))
+    doc = report.to_dict()
+    doc["workflows"][0]["cost_per_budget"] = None
+    doc["fleet"]["vm_counts"].clear()
+    assert json.dumps(report.to_dict()) == json.dumps(asdict(report))
