@@ -14,7 +14,7 @@ from typing import Callable
 
 from .cloud import CloudConfig, Fleet, VmInstance, task_runtime_on
 from .errors import StallError
-from .estimator import EstimatorConfig, RuntimeEstimator
+from .estimator import EstimatorConfig
 from .metrics import FleetMetrics, MetricsReport, WorkflowMetrics
 from .scheduler import Assign, make_policy
 from .units import ceil_whole_seconds, substream_seed, usec
@@ -129,8 +129,7 @@ class _Simulation:
     def __init__(self, workload: WorkloadSpec, scheduler: str, cloud: CloudConfig,
                  estimator_config: EstimatorConfig, seed: int, trace=None):
         self.cloud = cloud
-        self.estimator = RuntimeEstimator(estimator_config)
-        self.policy = make_policy(scheduler, cloud, self.estimator)
+        self.policy = make_policy(scheduler, cloud, estimator_config)
         self.var_rng = random.Random(substream_seed(seed, "variability"))
         self.seed = seed
         self.workload = workload
@@ -230,8 +229,7 @@ class _Simulation:
         run.cost_nanos += cost_nanos
         self._append((self.clock_us, "task_complete", run.spec.id, task.id, vm.id,
                       vm.vm_type.name, cost_nanos))
-        self.estimator.record(task.kind, vm.vm_type, runtime_us / 1e6)
-        self.policy.on_complete(run, task, cost_nanos)
+        self.policy.on_complete(run, task, vm.vm_type, runtime_us, cost_nanos)
 
         self.fleet.finish_task(vm, self.clock_us)
         if self.policy.dedicated:
@@ -247,8 +245,7 @@ class _Simulation:
 
         if run.unfinished == 0:
             run.done_at_us = self.clock_us
-            # Nothing reads a finished workflow's dispatch state again.
-            run.eft_us = None
+            # Nothing reads a finished workflow's dependency counts again.
             run.pending_parents.clear()
             self._completed += 1
             self._append((self.clock_us, "workflow_complete", run.spec.id,

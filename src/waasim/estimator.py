@@ -48,31 +48,16 @@ class RuntimeEstimator:
         self._by_type: defaultdict[tuple[str, str], deque[float]] = defaultdict(window)
         # kind -> last runtimes on any type, times that type's speed factor.
         self._normalized: defaultdict[str, deque[float]] = defaultdict(window)
-        # The records kept so far; under "oracle" none is, as none changes
-        # an estimate.
-        self.records = 0
-        # kind -> `records` just after its last record, ordered by that value.
-        self._last_record: dict[str, int] = {}
 
-    def record(self, kind: str, vm_type: VmType, runtime_s: float) -> None:
-        """Add a completed `kind` task's runtime on `vm_type`, in seconds."""
+    def record(self, kind: str, vm_type: VmType, runtime_s: float) -> bool:
+        """Add a completed `kind` task's runtime on `vm_type`, in seconds.
+        Returns whether the record was kept: under "oracle" none is, as no
+        oracle estimate reads the records."""
         if self.config.mode == "oracle":
-            return  # no oracle estimate reads the records
+            return False
         self._by_type[kind, vm_type.name].append(runtime_s)
         self._normalized[kind].append(runtime_s * vm_type.speed_factor)
-        self.records += 1
-        self._last_record.pop(kind, None)
-        self._last_record[kind] = self.records
-
-    def recorded_since(self, records: int) -> list[str]:
-        """The kinds recorded since `self.records` was `records`: those whose
-        estimates may have changed since then. Costs one step per such kind."""
-        kinds = []
-        for kind in reversed(self._last_record):
-            if self._last_record[kind] <= records:
-                break
-            kinds.append(kind)
-        return kinds
+        return True
 
     def estimate(self, kind: str, vm_type: VmType, reference_runtime: float) -> float:
         """Estimated runtime on `vm_type`, in seconds, of a `kind` task whose

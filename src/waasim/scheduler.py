@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .cloud import CloudConfig, Fleet, VmType, estimated_cost_nanos
 from .errors import ConfigError, IllegalState
-from .estimator import RuntimeEstimator
+from .estimator import EstimatorConfig, RuntimeEstimator
 from .units import usec
 from .workflow import TaskRecord, WorkflowSpec
 
@@ -34,10 +34,10 @@ class CostRows:
     budget ledgers, its plans and its dispatch decisions. The catalog is
     ordered once.
 
-    A row depends only on the estimator's records of its own kind. `refresh`
-    prices again the rows of each kind recorded since the last refresh, so
-    between refreshes a row is a plain lookup. `changes` counts the rows
-    whose value a refresh changed: while it stands, every row read before
+    A row depends only on the estimator's records of its own kind, and
+    every record goes through `record`, which prices the rows of that kind
+    again; so a row is always a plain lookup. `changes` counts the rows
+    whose value a record changed: while it stands, every row read before
     still holds."""
 
     def __init__(self, estimator: RuntimeEstimator, config: CloudConfig):
@@ -53,7 +53,6 @@ class CostRows:
         # that priced a key through `row` may index this dict directly.
         self.rows: dict[tuple[str, float], CostRow] = {}
         self._runtimes: dict[str, list[float]] = {}  # the keys of `rows`, by kind
-        self._records = 0  # the estimator's `records` at the last refresh
         self.changes = 0
 
     def row(self, kind: str, total_runtime: float) -> CostRow:
@@ -71,19 +70,15 @@ class CostRows:
             terms.append((est_us, estimated_cost_nanos(vm_type, est_us)))
         return CostRow(tuple(terms), terms[self._cheapest_at][1])
 
-    def refresh(self) -> int:
-        """Bring every row up to date with the estimator's records; returns
-        `changes`."""
-        records = self.estimator.records
-        if records != self._records:
-            for kind in self.estimator.recorded_since(self._records):
-                for runtime in self._runtimes.get(kind, ()):
-                    row = self._price(kind, runtime)
-                    if row != self.rows[kind, runtime]:
-                        self.rows[kind, runtime] = row
-                        self.changes += 1
-            self._records = records
-        return self.changes
+    def record(self, kind: str, vm_type: VmType, runtime_s: float) -> None:
+        """Record a completed `kind` task's runtime on `vm_type`, in seconds,
+        and price the rows of `kind` again if the estimator kept it."""
+        if self.estimator.record(kind, vm_type, runtime_s):
+            for runtime in self._runtimes.get(kind, ()):
+                row = self._price(kind, runtime)
+                if row != self.rows[kind, runtime]:
+                    self.rows[kind, runtime] = row
+                    self.changes += 1
 
 
 @dataclass
@@ -151,7 +146,6 @@ def compute_eft_us(spec: WorkflowSpec, costs: CostRows) -> dict[str, int]:
     Max-plus recurrence over each task's estimated runtime on the catalog's
     fastest type, read from its cost row; no communication term.
     """
-    costs.refresh()
     eft: dict[str, int] = {}
     for tid in sorted(spec.tasks, key=lambda t: (spec.tasks[t].level, t)):
         task = spec.tasks[tid]
@@ -168,14 +162,14 @@ def distribution_order(tasks: list[TaskRecord], eft_us: dict[str, int]) -> list[
 
 
 def _reprice(ledger: BudgetLedger, tasks: list[TaskRecord]) -> bool:
-    """Bring the ledger's costs up to date for a fold over `tasks`, the
-    unscheduled tasks in distribution order.
+    """Ready the ledger for a fold over `tasks`, the unscheduled tasks in
+    distribution order.
 
     True when no row changed by value since the last fold, so its memory
     still holds. Otherwise the memory is rebuilt from `tasks`, and the fold
     must run to the end."""
     costs = ledger.costs
-    changes = costs.refresh()
+    changes = costs.changes
     if changes == ledger.changes:
         return True
     ledger.changes = changes
@@ -323,7 +317,7 @@ class EbpsmPolicy:
 
     def on_arrival(self, run) -> None:
         spec = run.spec
-        changes = self.costs.refresh()
+        changes = self.costs.changes
         plan = self._plans.get(id(spec.tasks))
         if plan is None or plan.changes != changes:
             plan = self._plans[id(spec.tasks)] = _Plan(
@@ -344,12 +338,6 @@ class EbpsmPolicy:
         heapq.heappush(self._queue, (key, run, task))
 
     def schedule_ready(self, fleet: Fleet) -> list[Assign | Provision]:
-        """Decide every queued task. No record comes between the decisions of
-        one batch, so one refresh brings every row they read up to date; an
-        empty batch leaves the repricing to the next batch that reads rows."""
-        if not self._queue:
-            return []
-        self.costs.refresh()
         actions: list[Assign | Provision] = []
         while self._queue:
             _, run, task = heapq.heappop(self._queue)
@@ -381,13 +369,18 @@ class EbpsmPolicy:
             return Assign(run, task, fleet.take_idle_head(best_type))
         return Provision(run, task, provision or self.costs.cheapest_type)
 
-    def on_complete(self, run, task: TaskRecord, actual_cost_nanos: int) -> None:
-        """Settle `task`. The engine counts it out of `run.unfinished` first."""
+    def on_complete(self, run, task: TaskRecord, vm_type: VmType, runtime_us: int,
+                    actual_cost_nanos: int) -> None:
+        """Record `task`'s runtime on `vm_type`, then settle it. The engine
+        counts it out of `run.unfinished` first."""
+        self.costs.record(task.kind, vm_type, runtime_us / 1e6)
         ledger = self.ledgers.get(run.spec.id)
         if ledger is not None:
             update_budget(ledger, task, actual_cost_nanos, list(ledger.unscheduled.values()))
         if run.unfinished == 0:
-            # The workflow's last task finished: nothing reads its ledger again.
+            # The workflow's last task finished: nothing reads its dispatch
+            # state, ledger or plan again.
+            run.eft_us = None
             self.ledgers.pop(run.spec.id, None)
             plan = self._plans[id(run.spec.tasks)]
             plan.users -= 1
@@ -420,18 +413,25 @@ class FcfsPolicy:
             actions.append(Provision(run, task, self.config.catalog[0]))
         return actions
 
-    def on_complete(self, run, task: TaskRecord, actual_cost_nanos: int) -> None:
+    def on_complete(self, run, task: TaskRecord, vm_type: VmType, runtime_us: int,
+                    actual_cost_nanos: int) -> None:
         pass
 
 
-SCHEDULER_NAMES = ("ebpsm", "ebpsm-homogeneous", "fcfs")
+# Each scheduler's name and how to build it from the cloud and estimator
+# configs; only the EBPSM variants estimate runtimes.
+_POLICIES = {
+    "ebpsm": lambda cloud, estimator: EbpsmPolicy(cloud, RuntimeEstimator(estimator)),
+    "ebpsm-homogeneous": lambda cloud, estimator: EbpsmPolicy(
+        cloud, RuntimeEstimator(estimator), homogeneous=True),
+    "fcfs": lambda cloud, estimator: FcfsPolicy(cloud),
+}
+
+SCHEDULER_NAMES = tuple(_POLICIES)
 
 
-def make_policy(name: str, config: CloudConfig, estimator: RuntimeEstimator):
-    if name == "ebpsm":
-        return EbpsmPolicy(config, estimator)
-    if name == "ebpsm-homogeneous":
-        return EbpsmPolicy(config, estimator, homogeneous=True)
-    if name == "fcfs":
-        return FcfsPolicy(config)
-    raise ConfigError(f"unknown scheduler {name!r}")
+def make_policy(name: str, config: CloudConfig, estimator: EstimatorConfig):
+    factory = _POLICIES.get(name)
+    if factory is None:
+        raise ConfigError(f"unknown scheduler {name!r}")
+    return factory(config, estimator)

@@ -27,11 +27,11 @@ def _small_workload():
     return generate_workload([(spec, 0.05), (spec, 0.2)], 4, 6.0, seed=5)
 
 
-def _run(name):
+def _run(name, mode="oracle"):
     """A small run under `name`; FCFS needs a single-type catalog."""
     cloud = CloudConfig(catalog=default_catalog()[:1]) if name == "fcfs" else None
     return engine.run(_small_workload(), scheduler=name, cloud=cloud,
-                      estimator=EstimatorConfig(mode="oracle"), seed=1)
+                      estimator=EstimatorConfig(mode=mode), seed=1)
 
 
 @pytest.mark.parametrize("module, path, metric", LAYERS["SPANS"],
@@ -94,6 +94,20 @@ def test_tracer_runs_and_restores():
     assert metrics["scheduler.update_tasks"] > 0
     assert metrics["scheduler.decisions"] > 0
     assert metrics["engine.events"] > 0
+
+
+def test_tracer_times_estimator_records():
+    """The policy's cost rows pass each completion to the estimator, so the
+    tracer still times `RuntimeEstimator.record`; FCFS records nothing."""
+    tracer = LAYERS["Tracer"]()
+    tracer.install()
+    try:
+        _run("fcfs", mode="history")
+        assert tracer.calls["RuntimeEstimator.record"] == 0
+        _run("ebpsm", mode="history")
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["RuntimeEstimator.record"] > 0
 
 
 def test_streamed_trace_length_is_its_line_count(tmp_path, monkeypatch):

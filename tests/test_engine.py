@@ -176,7 +176,7 @@ def test_stall_error_on_broken_policy(monkeypatch, mono_cloud, oracle):
         def schedule_ready(self, fleet):
             return []
 
-        def on_complete(self, run, task, cost):
+        def on_complete(self, run, task, vm_type, runtime_us, cost):
             pass
 
     monkeypatch.setattr(engine, "make_policy", lambda *a, **k: DeadPolicy())

@@ -102,7 +102,6 @@ def test_oracle_keeps_no_records():
     est = make("oracle", window=3)
     before = [est.estimate(k, t, 90.0) for k in ("a", "b") for t in CATALOG]
     for i in range(10):
-        est.record("ab"[i % 2], CATALOG[i % len(CATALOG)], 7.0 + i)
+        assert est.record("ab"[i % 2], CATALOG[i % len(CATALOG)], 7.0 + i) is False
     assert not est._by_type and not est._normalized
     assert [est.estimate(k, t, 90.0) for k in ("a", "b") for t in CATALOG] == before
-    assert est.records == 0 and est.recorded_since(0) == []

@@ -38,23 +38,15 @@ KINDS = ("k0", "k1", "k2", "k3")
 
 class ReferenceEstimator:
     """Keeps every (VM type, runtime) record of a kind in one list and
-    rescans it per call, and the kind of every record in order."""
+    rescans it per call."""
 
     def __init__(self, config: EstimatorConfig):
         self.config = config
         self._records: dict[str, list[tuple[VmType, float]]] = {}
-        self._kinds: list[str] = []
-
-    @property
-    def records(self):
-        return len(self._kinds)
 
     def record(self, kind, vm_type, runtime_s):
         self._records.setdefault(kind, []).append((vm_type, runtime_s))
-        self._kinds.append(kind)
-
-    def recorded_since(self, records):
-        return set(self._kinds[records:])
+        return True
 
     def estimate(self, kind, vm_type, reference_runtime):
         records = self._records.get(kind, [])
@@ -123,7 +115,8 @@ class ReferenceEbpsmPolicy(EbpsmPolicy):
                 return Provision(run, task, vm_type)
         return Provision(run, task, self.config.cheapest_type)
 
-    def on_complete(self, run, task, actual_cost_nanos):
+    def on_complete(self, run, task, vm_type, runtime_us, actual_cost_nanos):
+        self.estimator.record(task.kind, vm_type, runtime_us / 1e6)
         ledger = self.ledgers.get(run.spec.id)
         if ledger is not None:
             reference_update_budget(ledger, self.scheduled[run.spec.id], run.spec, task,
@@ -239,12 +232,15 @@ def reference_update_budget(ledger, scheduled, spec, finished, actual_cost_nanos
     reference_allocate(ledger, pool, unscheduled, eft_us, estimator, config)
 
 
-def reference_make_policy(name, config, estimator):
+def reference_make_policy(name, config, estimator_config):
+    """`make_policy`, with the EBPSM variants replaced by the reference
+    policy over a `ReferenceEstimator`."""
     if name == "ebpsm":
-        return ReferenceEbpsmPolicy(config, estimator)
+        return ReferenceEbpsmPolicy(config, ReferenceEstimator(estimator_config))
     if name == "ebpsm-homogeneous":
-        return ReferenceEbpsmPolicy(config, estimator, homogeneous=True)
-    return make_policy(name, config, estimator)
+        return ReferenceEbpsmPolicy(config, ReferenceEstimator(estimator_config),
+                                    homogeneous=True)
+    return make_policy(name, config, estimator_config)
 
 
 def reference_render(ev):
@@ -305,12 +301,9 @@ def test_estimate_equals_reference(window, model, records):
 
     check()
     for kind, vm_type, runtime in records:
-        new.record(kind, vm_type, runtime)
+        assert new.record(kind, vm_type, runtime)
         ref.record(kind, vm_type, runtime)
         check()
-        assert new.records == ref.records
-        for since in range(0, new.records + 1, 7):
-            assert set(new.recorded_since(since)) == ref.recorded_since(since)
 
 
 # The default catalog, or 2-4 drawn types. In half of the drawn catalogs
@@ -386,7 +379,6 @@ def test_engine_matches_reference(scheduler, catalog, mode, window, variability,
 
     trace, report = simulate()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "RuntimeEstimator", ReferenceEstimator)
         mp.setattr(engine, "make_policy", reference_make_policy)
         mp.setattr(engine, "Fleet", ReferenceFleet)
         ref_trace, ref_report = simulate()
@@ -435,16 +427,17 @@ def test_shared_plans_match_unshared_workflows(monkeypatch, scheduler, mode, var
            max_size=10))
 def test_cost_rows_reprice_on_record(catalog, window, steps):
     """After any records, every row `CostRows` returns is the row a fresh
-    table prices, and `changes` counts exactly the kept rows that changed."""
+    table prices, and each record adds to `changes` exactly the number of
+    kept rows that it changed."""
     config = CloudConfig(catalog=catalog)
     estimator = RuntimeEstimator(EstimatorConfig("history", window))
     costs = CostRows(estimator, config)
     for records, lookups in steps:
-        before, changes = dict(costs.rows), costs.changes
         for kind, type_index, runtime in records:
-            estimator.record(kind, catalog[type_index % len(catalog)], runtime)
-        costs.refresh()
-        assert costs.changes - changes == sum(costs.rows[k] != row for k, row in before.items())
+            before, changes = dict(costs.rows), costs.changes
+            costs.record(kind, catalog[type_index % len(catalog)], runtime)
+            assert costs.changes - changes == sum(costs.rows[k] != row
+                                                  for k, row in before.items())
         fresh = CostRows(estimator, config)
         for key in lookups:
             costs.row(*key)
@@ -457,11 +450,11 @@ class Twin:
 
     def __init__(self, spec, budget, estimator, config):
         self.spec, self.estimator, self.config = spec, estimator, config
-        costs = CostRows(estimator, config)
-        self.eft_us = compute_eft_us(spec, costs)
+        self.costs = CostRows(estimator, config)
+        self.eft_us = compute_eft_us(spec, self.costs)
         assert self.eft_us == reference_eft_us(spec, estimator, config.fastest_type)
         tasks = list(spec.tasks.values())
-        self.ledger = distribute_budget(spec.id, budget, tasks, self.eft_us, costs)
+        self.ledger = distribute_budget(spec.id, budget, tasks, self.eft_us, self.costs)
         self.ref = BudgetLedger(spec.id, budget)
         reference_allocate(self.ref, budget, tasks, self.eft_us, estimator, config)
         self.scheduled: set[str] = set()
@@ -520,8 +513,8 @@ def test_redistribution_matches_reference(chain, shape_seed, catalog, mode, wind
         else:
             tid = running.pop(rng.randrange(len(running)))
             if rng.random() < 0.7:
-                estimator.record(rng.choice([t.kind for t in spec.tasks.values()]),
-                                 rng.choice(catalog), rng.randint(1, 600_000_000) / 1e6)
+                twin.costs.record(rng.choice([t.kind for t in spec.tasks.values()]),
+                                  rng.choice(catalog), rng.randint(1, 600_000_000) / 1e6)
             held = twin.ledger.sub_budgets[tid]
             twin.complete(tid, rng.choice([1, max(1, held // 2), held, held + 1, 2 * held + 7,
                                            rng.randrange(1, 2 * cheapest_cost + 2)]))
@@ -566,11 +559,11 @@ def test_refold_reprices_a_later_row_after_a_history_record():
     a record of t2's kind changed t2's row, and t2 must be priced again.
     Cold start prices t2 at 75 s on LARGE, the record at 5 s."""
     config = CloudConfig(catalog=(MICRO, LARGE))
-    estimator = RuntimeEstimator(EstimatorConfig("history"))
-    twin = Twin(chain_workflow([100.0] * 3), 20_000_000, estimator, config)
+    twin = Twin(chain_workflow([100.0] * 3), 20_000_000,
+                RuntimeEstimator(EstimatorConfig("history")), config)
     assert twin.ref.sub_budgets["t2"] == 75 * 38_200
     twin.lock("t0")
-    estimator.record("t2", MICRO, 10.0)
+    twin.costs.record("t2", MICRO, 10.0)
     twin.complete("t0", twin.ledger.sub_budgets["t0"])
     assert twin.ref.sub_budgets["t2"] == 5 * 38_200
 

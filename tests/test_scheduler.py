@@ -17,10 +17,7 @@ from waasim.units import nanos, usec
 
 
 class FixedEstimator:
-    """Type-independent estimates: every task takes `seconds` on any VM.
-    It keeps no records."""
-
-    records = 0
+    """Type-independent estimates: every task takes `seconds` on any VM."""
 
     def __init__(self, seconds=100.0):
         self.seconds = seconds
@@ -32,12 +29,11 @@ class FixedEstimator:
 TWO_TYPES = CloudConfig(catalog=(MICRO, LARGE))
 
 
-def oracle_estimator(catalog=(MICRO, LARGE)):
-    return RuntimeEstimator(EstimatorConfig(mode="oracle"))
+ORACLE = EstimatorConfig(mode="oracle")
 
 
 def oracle_costs(catalog=(MICRO, LARGE)):
-    return CostRows(oracle_estimator(catalog), CloudConfig(catalog=tuple(catalog)))
+    return CostRows(RuntimeEstimator(ORACLE), CloudConfig(catalog=tuple(catalog)))
 
 
 def fixed_costs(seconds=100.0):
@@ -74,6 +70,33 @@ def test_eft_matches_recursive_oracle():
             assert eft[tid] == recursive(tid)
         for tid, task in spec.tasks.items():
             assert all(eft[tid] >= eft[p] for p in task.parents)
+
+
+# -- cost rows ---------------------------------------------------------------
+
+def test_oracle_record_reprices_nothing(monkeypatch):
+    """No oracle estimate reads a record, so recording one prices no row
+    again and leaves `changes` as it was; a history record of the same kind
+    prices its rows again."""
+    estimates = []
+    estimate = RuntimeEstimator.estimate
+
+    def counted(self, *args):
+        estimates.append(args)
+        return estimate(self, *args)
+
+    monkeypatch.setattr(RuntimeEstimator, "estimate", counted)
+    oracle, history = oracle_costs(), CostRows(RuntimeEstimator(EstimatorConfig()), TWO_TYPES)
+    for costs in (oracle, history):
+        costs.row("k", 100.0)
+        costs.row("j", 50.0)
+    rows = dict(oracle.rows)
+    estimates.clear()
+    for runtime in (1.0, 500.0):
+        oracle.record("k", LARGE, runtime)
+    assert estimates == [] and oracle.changes == 0 and oracle.rows == rows
+    history.record("k", LARGE, 1.0)
+    assert len(estimates) == len(TWO_TYPES.catalog) and history.changes == 1
 
 
 # -- budget distribution -----------------------------------------------------
@@ -226,7 +249,7 @@ def idle_fleet(config, vm_type, count=1, now_us=0):
 
 def test_schedule_reuses_affordable_idle_vm():
     config = CloudConfig(catalog=(MICRO, LARGE), provisioning_delay=0.0)
-    policy = make_policy("ebpsm", config, oracle_estimator())
+    policy = make_policy("ebpsm", config, ORACLE)
     run = make_run(chain_workflow([100.0]))
     policy.on_arrival(run)
     fleet = idle_fleet(config, MICRO)
@@ -237,7 +260,7 @@ def test_schedule_reuses_affordable_idle_vm():
 
 def test_schedule_provisions_fastest_affordable_type():
     config = CloudConfig(catalog=(MICRO, LARGE), provisioning_delay=0.0)
-    policy = make_policy("ebpsm", config, oracle_estimator())
+    policy = make_policy("ebpsm", config, ORACLE)
     run = make_run(chain_workflow([100.0]), budget=0.01)
     policy.on_arrival(run)
     policy.enqueue_ready(run, run.spec.tasks["t0"])
@@ -248,7 +271,7 @@ def test_schedule_provisions_fastest_affordable_type():
 
 def test_schedule_falls_back_to_cheapest_type():
     config = CloudConfig(catalog=(MICRO, LARGE), provisioning_delay=0.0)
-    policy = make_policy("ebpsm", config, oracle_estimator())
+    policy = make_policy("ebpsm", config, ORACLE)
     run = make_run(chain_workflow([100.0]), budget=0.0)
     policy.on_arrival(run)
     policy.enqueue_ready(run, run.spec.tasks["t0"])
@@ -259,7 +282,7 @@ def test_schedule_falls_back_to_cheapest_type():
 
 def test_schedule_eft_order_gets_the_idle_vm():
     config = CloudConfig(catalog=(MICRO,), provisioning_delay=0.0)
-    policy = make_policy("ebpsm", config, oracle_estimator((MICRO,)))
+    policy = make_policy("ebpsm", config, ORACLE)
     spec = build_workflow([("slow", "s", 30.0, []), ("fast", "f", 20.0, [])])
     run = make_run(spec)
     policy.on_arrival(run)
@@ -273,7 +296,7 @@ def test_schedule_eft_order_gets_the_idle_vm():
 
 def test_schedule_two_tasks_never_share_one_idle_vm():
     config = CloudConfig(catalog=(MICRO,), provisioning_delay=0.0)
-    policy = make_policy("ebpsm", config, oracle_estimator((MICRO,)))
+    policy = make_policy("ebpsm", config, ORACLE)
     spec = build_workflow([("x", "x", 10.0, []), ("y", "y", 10.0, [])])
     run = make_run(spec)
     policy.on_arrival(run)
@@ -288,7 +311,7 @@ def test_one_batch_assigns_each_idle_vm_once():
     """A VM that went idle again before its stale index entry reached the top
     is in the index twice; one batch still assigns it only once."""
     config = CloudConfig(catalog=(MICRO,), provisioning_delay=0.0)
-    policy = make_policy("ebpsm", config, oracle_estimator((MICRO,)))
+    policy = make_policy("ebpsm", config, ORACLE)
     spec = build_workflow([(f"t{i}", f"k{i}", 10.0, []) for i in range(4)])
     run = make_run(spec)
     policy.on_arrival(run)
@@ -310,7 +333,7 @@ def test_equal_cost_idle_vms_go_in_id_string_order_past_vm_9999():
     string, as the decision key orders them: vm-10000 before vm-9999, though
     vm-9999 was provisioned and went idle first."""
     config = CloudConfig(catalog=(MICRO,), provisioning_delay=0.0)
-    policy = make_policy("ebpsm", config, oracle_estimator((MICRO,)))
+    policy = make_policy("ebpsm", config, ORACLE)
     spec = build_workflow([("a", "k", 10.0, []), ("b", "k", 10.0, [])])
     run = make_run(spec)
     policy.on_arrival(run)
@@ -328,7 +351,7 @@ def test_equal_cost_idle_vms_go_in_id_string_order_past_vm_9999():
 
 def test_polled_eft_keys_non_decreasing():
     config = CloudConfig(catalog=(MICRO,), provisioning_delay=0.0)
-    policy = make_policy("ebpsm", config, oracle_estimator((MICRO,)))
+    policy = make_policy("ebpsm", config, ORACLE)
     rng = random.Random(5)
     spec = build_workflow([(f"t{i}", f"k{i}", float(rng.randint(1, 500)), [])
                            for i in range(12)])
@@ -348,11 +371,11 @@ def test_polled_eft_keys_non_decreasing():
 def test_fcfs_requires_homogeneous_catalog():
     config = CloudConfig(catalog=(MICRO, LARGE))
     with pytest.raises(ConfigError):
-        make_policy("fcfs", config, oracle_estimator())
+        make_policy("fcfs", config, ORACLE)
     with pytest.raises(ConfigError):
-        make_policy("ebpsm-homogeneous", config, oracle_estimator())
+        make_policy("ebpsm-homogeneous", config, ORACLE)
     with pytest.raises(ConfigError):
-        make_policy("mystery", CloudConfig(catalog=(MICRO,)), oracle_estimator((MICRO,)))
+        make_policy("mystery", CloudConfig(catalog=(MICRO,)), ORACLE)
 
 
 def test_fcfs_provisions_one_vm_per_task(mono_cloud, oracle):
