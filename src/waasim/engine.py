@@ -17,7 +17,7 @@ from .errors import StallError
 from .estimator import EstimatorConfig
 from .metrics import FleetMetrics, MetricsReport, WorkflowMetrics
 from .scheduler import Assign, make_policy
-from .units import ceil_whole_seconds, substream_seed, usec
+from .units import ceil_whole_seconds, nanos, substream_seed, usec
 from .workflow import TaskRecord, WorkloadSpec, workload_hash
 
 # Each event is one record: the tuple (time_us, event, v1, v2, ...), whose
@@ -160,7 +160,7 @@ class _Simulation:
             run = WorkflowRun(
                 spec=wf,
                 arrival_us=usec(wf.arrival_time),
-                budget_nanos=round(wf.budget * 1e9),
+                budget_nanos=nanos(wf.budget),
             )
             self.runs[wf.id] = run
             self._push(run.arrival_us, self._on_arrival, (wf.id,))

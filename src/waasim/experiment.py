@@ -23,7 +23,7 @@ from .errors import ConfigError, ManifestMismatch, SchemaError
 from .estimator import EstimatorConfig
 from .metrics import (ASSIGNMENT_CSV_COLUMNS, MetricsReport, assignment_csv_row,
                       report_from_json, report_to_json, workflows_to_csv)
-from .scheduler import SCHEDULER_NAMES
+from .scheduler import make_policy
 from .units import substream_seed
 from .workflow import (GENOME_RUNTIMES, VINA01_RUNTIMES, VINA02_RUNTIMES,
                        WorkflowSpec, generate_workload, genome_template,
@@ -91,8 +91,10 @@ class ExperimentConfig:
         if not self.schedulers:
             raise ConfigError("schedulers: must be non-empty")
         for name in self.schedulers:
-            if name not in SCHEDULER_NAMES:
-                raise ConfigError(f"schedulers: unknown scheduler {name!r}")
+            try:
+                make_policy(name, self.cloud, self.estimator)
+            except ConfigError as exc:
+                raise ConfigError(f"schedulers: {exc}") from None
         if not self.templates:
             raise ConfigError("templates: must be non-empty")
         names = [t.name for t in self.templates]
@@ -125,6 +127,7 @@ class ExperimentConfig:
                 for i, runtime in enumerate(tpl.runtimes):
                     if not (math.isfinite(runtime) and runtime > 0):
                         raise ConfigError(f"{path}.runtimes[{i}]: must be finite and > 0")
+            tpl.build()
         if not self.budget_levels:
             raise ConfigError("budget_levels: must be non-empty")
         for level in self.budget_levels:

@@ -90,17 +90,16 @@ class BudgetLedger:
     dispatched, in distribution order; dispatch takes a task out with
     `lock`.
 
-    `costs` prices the tasks. The remaining fields are what the last fold
-    left, so the next one can resume (see `_fold`): the `costs.changes` it
-    priced at, each task's position (kept after the task is locked, so
-    copies may share the dict) and each unscheduled task's entering pool,
-    the sum of the unscheduled tasks' sub-budgets and their cheapest-cost
-    reserve, and the last position at which the next fold may not stop:
-    that of the last fold's last debt or of a task locked since, whichever
-    is later.
+    `costs` prices the tasks, and `position` numbers them in distribution
+    order, once per distribution (copies share it). The remaining fields
+    are what the last fold left, so the next one can resume (see `_fold`):
+    the `costs.changes` it priced at, each unscheduled task's entering
+    pool, the sum of the unscheduled tasks' sub-budgets and their
+    cheapest-cost reserve, and the last position at which the next fold
+    may not stop: that of the last fold's last debt or of a task locked
+    since, whichever is later.
     """
 
-    workflow_id: str
     budget_nanos: int
     unassigned: int = 0
     sub_budgets: dict[str, int] = field(default_factory=dict)
@@ -113,7 +112,7 @@ class BudgetLedger:
     entry_pool: dict[str, int] = field(default_factory=dict, repr=False)
     unscheduled_budget: int = field(default=0, repr=False)
     reserve: int = field(default=0, repr=False)
-    resume_after: int = field(default=-1, repr=False)
+    resume_after: float = field(default=-1, repr=False)
 
     def identity_gap(self) -> int:
         """Zero when the ledger identity holds exactly."""
@@ -133,10 +132,9 @@ class BudgetLedger:
         self.resume_after = max(self.resume_after, self.position[task_id])
         return sub
 
-    def copy(self, workflow_id: str) -> BudgetLedger:
-        """This ledger for `workflow_id`, sharing nothing that either changes
-        in place."""
-        return replace(self, workflow_id=workflow_id, sub_budgets=dict(self.sub_budgets),
+    def copy(self) -> BudgetLedger:
+        """This ledger, sharing nothing that either changes in place."""
+        return replace(self, sub_budgets=dict(self.sub_budgets),
                        unscheduled=dict(self.unscheduled), entry_pool=dict(self.entry_pool))
 
 
@@ -161,43 +159,31 @@ def distribution_order(tasks: list[TaskRecord], eft_us: dict[str, int]) -> list[
     return sorted(tasks, key=lambda t: (t.level, eft_us[t.id], t.id))
 
 
-def _reprice(ledger: BudgetLedger, tasks: list[TaskRecord]) -> bool:
-    """Ready the ledger for a fold over `tasks`, the unscheduled tasks in
-    distribution order.
-
-    True when no row changed by value since the last fold, so its memory
-    still holds. Otherwise the memory is rebuilt from `tasks`, and the fold
-    must run to the end."""
-    costs = ledger.costs
-    changes = costs.changes
-    if changes == ledger.changes:
-        return True
-    ledger.changes = changes
-    ledger.position = {t.id: i for i, t in enumerate(tasks)}
-    ledger.reserve = sum(costs.row(t.kind, t.total_runtime).cheapest for t in tasks)
-    ledger.unscheduled_budget = sum(ledger.sub_budgets.get(t.id, 0) for t in tasks)
-    return False
-
-
-def _fold(ledger: BudgetLedger, pool: int, tasks: list[TaskRecord], resume: bool) -> None:
-    """Assign a sub-budget to every task of `tasks`, in distribution order,
-    spending `pool`.
+def _fold(ledger: BudgetLedger, pool: int, tasks: list[TaskRecord]) -> None:
+    """Assign a sub-budget to every task of `tasks`, the unscheduled tasks
+    in distribution order, spending `pool`.
 
     Each task in turn gets the fastest type it can afford while the pool
     still covers all later tasks at the cheapest type; when nothing
     qualifies it falls back to the cheapest type, with any shortfall
     recorded as debt so execution can always proceed.
 
-    The fold is a left fold over (pool, reserve, debt). With `resume`, it
-    stops at the first task the last fold entered in the same state: the
-    same pool, a position after every task locked since (so the same
-    reserve and the same later tasks) and after the last fold's last debt
-    (so the later tasks add no debt to be counted again). From there on the
-    last fold's sub-budgets and final pool stand as they are.
+    The fold is a left fold over (pool, reserve, debt). It stops at the
+    first task the last fold entered in the same state: the same pool, a
+    position after every task locked since (so the same reserve and the
+    same later tasks) and after the last fold's last debt (so the later
+    tasks add no debt to be counted again). From there on the last fold's
+    sub-budgets and final pool stand as they are. When a cost row has
+    changed since the last fold, the reserve is summed again and the fold
+    runs to the end.
     """
-    subs, entry_pool, rows = ledger.sub_budgets, ledger.entry_pool, ledger.costs.rows
-    position = ledger.position
-    stop_after = ledger.resume_after if resume else math.inf
+    costs = ledger.costs
+    if ledger.changes != costs.changes:
+        ledger.changes = costs.changes
+        ledger.reserve = sum(costs.row(t.kind, t.total_runtime).cheapest for t in tasks)
+        ledger.resume_after = math.inf
+    subs, entry_pool, rows = ledger.sub_budgets, ledger.entry_pool, costs.rows
+    position, stop_after = ledger.position, ledger.resume_after
     reserve = ledger.reserve
     last_debt = -1
     for task in tasks:
@@ -225,15 +211,14 @@ def _fold(ledger: BudgetLedger, pool: int, tasks: list[TaskRecord], resume: bool
     ledger.resume_after = last_debt
 
 
-def distribute_budget(workflow_id: str, budget_nanos: int, tasks: list[TaskRecord],
-                      eft_us: dict[str, int], costs: CostRows) -> BudgetLedger:
+def distribute_budget(budget_nanos: int, tasks: list[TaskRecord], eft_us: dict[str, int],
+                      costs: CostRows) -> BudgetLedger:
     """Build a fresh ledger and split the workflow budget across its tasks,
     pricing them with `costs`."""
     ordered = distribution_order(tasks, eft_us)
-    ledger = BudgetLedger(workflow_id=workflow_id, budget_nanos=budget_nanos,
-                          unscheduled={t.id: t for t in ordered}, costs=costs)
-    _reprice(ledger, ordered)
-    _fold(ledger, budget_nanos, ordered, resume=False)
+    ledger = BudgetLedger(budget_nanos=budget_nanos, unscheduled={t.id: t for t in ordered},
+                          costs=costs, position={t.id: i for i, t in enumerate(ordered)})
+    _fold(ledger, budget_nanos, ordered)
     return ledger
 
 
@@ -253,13 +238,11 @@ def update_budget(ledger: BudgetLedger, finished: TaskRecord, actual_cost_nanos:
         raise IllegalState(f"task {finished.id!r} has no sub-budget entry")
     sub = ledger.sub_budgets.pop(finished.id)
     ledger.spent += actual_cost_nanos
-    resume = _reprice(ledger, unscheduled)
-
     pool = ledger.unassigned + ledger.unscheduled_budget + sub - actual_cost_nanos
     if pool < 0:
         ledger.debt += -pool
         pool = 0
-    _fold(ledger, pool, unscheduled, resume)
+    _fold(ledger, pool, unscheduled)
 
 
 @dataclass
@@ -329,9 +312,8 @@ class EbpsmPolicy:
             first = plan.ledgers.get(run.budget_nanos)
             if first is None:
                 first = plan.ledgers[run.budget_nanos] = distribute_budget(
-                    spec.id, run.budget_nanos, list(spec.tasks.values()), plan.eft_us,
-                    self.costs)
-            self.ledgers[spec.id] = first.copy(spec.id)
+                    run.budget_nanos, list(spec.tasks.values()), plan.eft_us, self.costs)
+            self.ledgers[spec.id] = first.copy()
 
     def enqueue_ready(self, run, task: TaskRecord) -> None:
         key = (run.eft_us[task.id], run.arrival_us, run.spec.id, task.id)

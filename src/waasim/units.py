@@ -9,18 +9,26 @@ from __future__ import annotations
 
 import hashlib
 
+from .errors import ConfigError
+
 USEC_PER_SEC = 1_000_000
 NANOS_PER_DOLLAR = 1_000_000_000
 
 
 def usec(seconds: float) -> int:
     """Convert seconds to integer microseconds."""
-    return round(seconds * USEC_PER_SEC)
+    try:
+        return round(seconds * USEC_PER_SEC)
+    except (OverflowError, ValueError):
+        raise ConfigError(f"{seconds:g} s cannot be counted in integer microseconds") from None
 
 
 def nanos(dollars: float) -> int:
     """Convert dollars to integer nano-dollars."""
-    return round(dollars * NANOS_PER_DOLLAR)
+    try:
+        return round(dollars * NANOS_PER_DOLLAR)
+    except (OverflowError, ValueError):
+        raise ConfigError(f"${dollars:g} cannot be counted in integer nano-dollars") from None
 
 
 def ceil_whole_seconds(time_us: int) -> int:

@@ -86,7 +86,7 @@ def test_c01_budget_distribution_correctness():
         spec = random_dag(rng, max_tasks=12)
         eft = compute_eft_us(spec, costs)
         budget = rng.randrange(0, 2_000_000_000)
-        ledger = distribute_budget(spec.id, budget, list(spec.tasks.values()), eft, costs)
+        ledger = distribute_budget(budget, list(spec.tasks.values()), eft, costs)
         assert ledger.identity_gap() == 0
         assert all(v >= 0 for v in ledger.sub_budgets.values())
         assert ledger.unassigned >= 0
@@ -170,7 +170,7 @@ def test_c02_budget_update_correctness():
         spec = random_dag(rng, max_tasks=10)
         eft = compute_eft_us(spec, costs)
         budget = rng.randrange(0, 500_000_000)
-        ledger = distribute_budget(spec.id, budget, list(spec.tasks.values()), eft, costs)
+        ledger = distribute_budget(budget, list(spec.tasks.values()), eft, costs)
         naive = NaiveBudgetState(budget, spec, eft, config)
         assert ledger.sub_budgets == naive.subs
         remaining = list(spec.tasks)

@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, file outputs, round trips."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
 from waasim.cli import main
+from waasim.cloud import default_catalog
 from waasim.metrics import report_from_json
 from waasim.workflow import parse_workload
 
@@ -68,6 +70,13 @@ def _vina(**fields):
              "runtimes": [20.0, 12.0], **fields}]
 
 
+def _catalog(**first):
+    """The default catalog, with `first` changed in its first type."""
+    catalog = [asdict(t) for t in default_catalog()]
+    catalog[0].update(first)
+    return {"catalog": catalog}
+
+
 @pytest.mark.parametrize("overrides, field", [
     ({"templates": [{"name": "g", "shape": "genome", "budgets": [0.1], "fan_out": 0}]},
      "templates[g].fan_out: must be >= 1"),
@@ -86,15 +95,44 @@ def _vina(**fields):
     ({"cloud": {"scan_interval": 1e-9}}, "scan_interval"),
     ({"cloud": {"variability": {"mode": "lognormal", "sigma": 1000.0}}},
      "variability.sigma"),
+    ({"templates": _vina(budgets=[1e300])}, "cannot be counted in integer nano-dollars"),
+    ({"cloud": _catalog(price_per_second=1e300)}, "cannot be counted in integer nano-dollars"),
+    ({"cloud": _catalog(speed_factor=1e-310)}, "cannot be counted in integer microseconds"),
+    ({"templates": _vina(runtimes=[1e303, 20.0])}, "cannot be counted in integer microseconds"),
+    ({"cloud": {"provisioning_delay": 1e303}}, "cannot be counted in integer microseconds"),
+    ({"arrival_rates": [1e-310]}, "cannot be counted in integer microseconds"),
+    ({"estimator": {"cold_start_margin": 1e308}}, "cannot be counted in integer microseconds"),
 ], ids=["fan_out", "ligand_count", "runtimes", "runtime_value", "runtime_profile",
         "runtime_profile_value", "budgets",
-        "scan_interval", "sigma"])
+        "scan_interval", "sigma", "huge_budget", "huge_price", "tiny_speed",
+        "huge_runtime", "huge_delay", "tiny_rate", "huge_margin"])
 def test_run_command_rejects_values_that_fail_mid_run(tmp_path, capsys, overrides, field):
     config = write_config(tmp_path, budget_levels=[1], **overrides)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"schedulers": ["ebpsm", "fcfs"]},
+     "schedulers: fcfs scheduling requires a single-type catalog"),
+    ({"schedulers": ["ebpsm-homogeneous"]},
+     "schedulers: homogeneous scheduling requires a single-type catalog"),
+    ({"templates": [{"name": "x", "shape": "blob", "budgets": [0.1]}]},
+     "templates[x].shape: unknown shape 'blob'"),
+], ids=["fcfs", "homogeneous", "shape"])
+def test_run_command_rejects_at_load_what_a_run_would_reject(tmp_path, capsys, overrides,
+                                                              message):
+    """A scheduler that cannot run on the (default, four-type) catalog and a
+    template that cannot be built stop the sweep before any run is
+    written."""
+    config = write_config(tmp_path, budget_levels=[1], **overrides)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_run_command_with_large_sigma(tmp_path, capsys):

@@ -27,8 +27,8 @@ from waasim.estimator import EstimatorConfig, RuntimeEstimator
 from waasim.experiment import ExperimentConfig
 from waasim.metrics import report_to_json
 from waasim.scheduler import (SCHEDULER_NAMES, Assign, BudgetLedger, CostRows, EbpsmPolicy,
-                              Provision, compute_eft_us, distribute_budget, make_policy,
-                              update_budget)
+                              Provision, compute_eft_us, distribute_budget,
+                              distribution_order, make_policy, update_budget)
 from waasim.units import usec
 from waasim.workflow import generate_workload
 
@@ -78,7 +78,7 @@ class ReferenceEbpsmPolicy(EbpsmPolicy):
         spec = run.spec
         run.eft_us = reference_eft_us(spec, self.estimator, self.config.fastest_type)
         if not self.homogeneous:
-            ledger = BudgetLedger(spec.id, run.budget_nanos)
+            ledger = BudgetLedger(run.budget_nanos)
             reference_allocate(ledger, run.budget_nanos, list(spec.tasks.values()),
                                run.eft_us, self.estimator, self.config)
             self.ledgers[spec.id] = ledger
@@ -454,8 +454,8 @@ class Twin:
         self.eft_us = compute_eft_us(spec, self.costs)
         assert self.eft_us == reference_eft_us(spec, estimator, config.fastest_type)
         tasks = list(spec.tasks.values())
-        self.ledger = distribute_budget(spec.id, budget, tasks, self.eft_us, self.costs)
-        self.ref = BudgetLedger(spec.id, budget)
+        self.ledger = distribute_budget(budget, tasks, self.eft_us, self.costs)
+        self.ref = BudgetLedger(budget)
         reference_allocate(self.ref, budget, tasks, self.eft_us, estimator, config)
         self.scheduled: set[str] = set()
         self.check()
@@ -478,6 +478,15 @@ class Twin:
         assert (ledger.unassigned, ledger.spent, ledger.debt) == (
             ref.unassigned, ref.spent, ref.debt)
         assert ledger.identity_gap() == 0 and ref.identity_gap() == 0
+        # What the ledger keeps instead of rebuilding it on each fold.
+        costs, unscheduled = self.costs, ledger.unscheduled
+        assert list(ledger.entry_pool) == list(unscheduled)
+        assert ledger.unscheduled_budget == sum(ledger.sub_budgets[t] for t in unscheduled)
+        ordered = distribution_order(list(self.spec.tasks.values()), self.eft_us)
+        assert ledger.position == {t.id: i for i, t in enumerate(ordered)}
+        if ledger.changes == costs.changes:
+            assert ledger.reserve == sum(costs.rows[t.kind, t.total_runtime].cheapest
+                                         for t in unscheduled.values())
 
 
 @settings(max_examples=200, deadline=None)

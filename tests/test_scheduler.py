@@ -109,7 +109,7 @@ def chain_two() -> tuple:
 
 def test_distribute_generous_budget_upgrades():
     spec, eft_us = chain_two()
-    ledger = distribute_budget("w", nanos(0.01), list(spec.tasks.values()),
+    ledger = distribute_budget(nanos(0.01), list(spec.tasks.values()),
                                eft_us, fixed_costs(100.0))
     assert ledger.sub_budgets == {"t0": nanos(0.00382), "t1": nanos(0.00382)}
     assert ledger.unassigned == nanos(0.00236)
@@ -119,7 +119,7 @@ def test_distribute_generous_budget_upgrades():
 
 def test_distribute_tight_budget_stays_cheap():
     spec, eft_us = chain_two()
-    ledger = distribute_budget("w", nanos(0.001), list(spec.tasks.values()),
+    ledger = distribute_budget(nanos(0.001), list(spec.tasks.values()),
                                eft_us, fixed_costs(100.0))
     assert ledger.sub_budgets == {"t0": nanos(0.00041), "t1": nanos(0.00041)}
     assert ledger.unassigned == nanos(0.00018)
@@ -128,7 +128,7 @@ def test_distribute_tight_budget_stays_cheap():
 
 def test_distribute_zero_budget_all_debt():
     spec, eft_us = chain_two()
-    ledger = distribute_budget("w", 0, list(spec.tasks.values()),
+    ledger = distribute_budget(0, list(spec.tasks.values()),
                                eft_us, fixed_costs(100.0))
     assert ledger.sub_budgets == {"t0": nanos(0.00041), "t1": nanos(0.00041)}
     assert ledger.unassigned == 0
@@ -142,7 +142,7 @@ def test_distribute_never_starves_remaining_tasks():
     within the original budget."""
     spec, eft_us = chain_two()
     budget = nanos(0.00082 * 1.01)
-    ledger = distribute_budget("w", budget, list(spec.tasks.values()),
+    ledger = distribute_budget(budget, list(spec.tasks.values()),
                                eft_us, fixed_costs(100.0))
     assert ledger.sub_budgets == {"t0": nanos(0.00041), "t1": nanos(0.00041)}
     assert ledger.debt == 0
@@ -161,9 +161,10 @@ def test_distribution_order_level_then_eft():
 def settled_ledger() -> tuple:
     """Ledger with one finished-pending task f and one unscheduled task u."""
     spec = build_workflow([("f", "f", 100.0, []), ("u", "u", 100.0, ["f"])])
-    ledger = BudgetLedger("w", nanos(0.01), unscheduled={"u": spec.tasks["u"]},
-                          costs=fixed_costs(100.0))
+    ledger = BudgetLedger(nanos(0.01), unscheduled={"u": spec.tasks["u"]},
+                          costs=fixed_costs(100.0), position={"f": 0, "u": 1})
     ledger.sub_budgets = {"f": nanos(0.005), "u": nanos(0.002)}
+    ledger.unscheduled_budget = nanos(0.002)
     ledger.unassigned = nanos(0.003)
     return spec, ledger
 
@@ -218,7 +219,7 @@ def test_update_budget_randomized_identity():
         spec = random_dag(rng, max_tasks=8)
         eft_us = {tid: i for i, tid in enumerate(sorted(spec.tasks))}
         budget = rng.randrange(0, 20_000_000)
-        ledger = distribute_budget("w", budget, list(spec.tasks.values()),
+        ledger = distribute_budget(budget, list(spec.tasks.values()),
                                    eft_us, costs)
         assert ledger.identity_gap() == 0
         remaining = sorted(spec.tasks)
