@@ -10,10 +10,10 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .cloud import CloudConfig, Fleet, VmInstance, task_runtime_on
-from .errors import StallError
+from .errors import ConfigError, StallError
 from .estimator import EstimatorConfig
 from .metrics import FleetMetrics, MetricsReport, WorkflowMetrics
 from .scheduler import Assign, make_policy
@@ -47,6 +47,11 @@ _FORMATS = {
 }
 
 
+# Records the engine gathers before it hands them to the trace sink in one
+# `extend` call, at the end of a time step.
+_CHUNK = 512
+
+
 def render(rec: tuple) -> str:
     """The trace line of a record, without its newline. Ids are arbitrary
     strings, so a line is stripped of the whitespace its last value may end
@@ -54,9 +59,15 @@ def render(rec: tuple) -> str:
     return _FORMATS[rec[1]](*rec).rstrip()
 
 
+def render_lines(records: list[tuple]) -> str:
+    """The trace lines of one or more records, each ending in a newline."""
+    formats = _FORMATS
+    return "\n".join([formats[rec[1]](*rec).rstrip() for rec in records]) + "\n"
+
+
 def checkpoint_trace(trace: list[tuple]) -> str:
     """Stable text serialization used for golden-trace regression tests."""
-    return "\n".join(map(render, trace)) + "\n"
+    return render_lines(trace)
 
 
 class TraceEvent:
@@ -105,11 +116,11 @@ _ASSIGNMENT_EVENTS = {"task_assign": "assign", "task_start": "start",
                       "task_complete": "complete", "provision_request": "provision"}
 
 
-def assignment_row(rec: tuple) -> tuple | None:
-    """The assignment-log row (time_us, workflow, task, vm id, vm type,
-    event) of a record, or None if the record is not one."""
-    event = _ASSIGNMENT_EVENTS.get(rec[1])
-    return None if event is None else (rec[0], *rec[2:6], event)
+def assignment_rows(records: Iterable[tuple]) -> Iterator[tuple]:
+    """The assignment-log rows (time_us, workflow, task, vm id, vm type,
+    event) of those records that are one, in order."""
+    events = _ASSIGNMENT_EVENTS
+    return ((rec[0], *rec[2:6], events[rec[1]]) for rec in records if rec[1] in events)
 
 
 @dataclass
@@ -122,7 +133,7 @@ class SimulationResult:
     @property
     def assignments(self) -> list[tuple]:
         """The assignment-log rows of an in-memory trace, in event order."""
-        return [row for rec in self.trace if (row := assignment_row(rec))]
+        return list(assignment_rows(self.trace))
 
 
 class _Simulation:
@@ -138,7 +149,9 @@ class _Simulation:
         self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = 0
         self.trace = [] if trace is None else trace
-        self._append = self.trace.append
+        # Handlers append records here; `_flush` hands them to the sink.
+        self._chunk: list[tuple] = []
+        self._append = self._chunk.append
         self.runs: dict[str, WorkflowRun] = {}
         self._completed = 0
         self._next_tick_us: int | None = None
@@ -165,23 +178,35 @@ class _Simulation:
             self.runs[wf.id] = run
             self._push(run.arrival_us, self._on_arrival, (wf.id,))
 
-        while self._heap:
-            now = self._heap[0][0]
-            self.clock_us = now
-            while self._heap and self._heap[0][0] == now:
-                _, _, handler, payload = heapq.heappop(self._heap)
-                handler(*payload)
-            self._dispatch()
-            self._maybe_schedule_tick()
-            if self._finished():
-                break
+        # A run that raises still hands the sink every record it emitted.
+        chunk = self._chunk
+        try:
+            while self._heap:
+                now = self._heap[0][0]
+                self.clock_us = now
+                while self._heap and self._heap[0][0] == now:
+                    _, _, handler, payload = heapq.heappop(self._heap)
+                    handler(*payload)
+                self._dispatch()
+                self._maybe_schedule_tick()
+                if len(chunk) >= _CHUNK:
+                    self._flush()
+                if self._finished():
+                    break
 
-        unfinished = len(self.runs) - self._completed
-        if unfinished:
-            raise StallError(f"event queue drained with {unfinished} unfinished workflows")
-        self._append((self.clock_us, "simulation_end",
-                      len(self.runs), len(self.fleet.instances)))
+            unfinished = len(self.runs) - self._completed
+            if unfinished:
+                raise StallError(f"event queue drained with {unfinished} unfinished workflows")
+            self._append((self.clock_us, "simulation_end",
+                          len(self.runs), len(self.fleet.instances)))
+        finally:
+            self._flush()
         return SimulationResult(report=self._build_report(), trace=self.trace)
+
+    def _flush(self) -> None:
+        if self._chunk:
+            self.trace.extend(self._chunk)
+            self._chunk.clear()
 
     def _finished(self) -> bool:
         return (self._completed == len(self.runs)
@@ -301,41 +326,50 @@ class _Simulation:
     # -- reporting ----------------------------------------------------------
 
     def _build_report(self) -> MetricsReport:
+        # Exact integer totals can outgrow a float; reporting them in
+        # dollars, seconds or ratios then raises OverflowError.
+        too_large = "its cost or time is too large to report as a float"
         workflows = []
-        for wf_id in sorted(self.runs):
-            run = self.runs[wf_id]
-            cost_usd = run.cost_nanos / 1e9
-            budget_usd = run.budget_nanos / 1e9
-            met = run.cost_nanos <= run.budget_nanos
-            if run.budget_nanos > 0:
-                ratio = run.cost_nanos / run.budget_nanos
-            else:
-                ratio = 0.0 if run.cost_nanos == 0 else float("inf")
-            makespan_us = run.done_at_us - run.arrival_us
-            workflows.append(WorkflowMetrics(
-                workflow_id=wf_id,
-                arrival_s=run.arrival_us / 1e6,
-                makespan_s=makespan_us / 1e6,
-                cost_usd=cost_usd,
-                budget_usd=budget_usd,
-                budget_met=met,
-                cost_per_budget=ratio,
-                cost_nanos=run.cost_nanos,
-                makespan_us=makespan_us,
-            ))
+        try:
+            for wf_id in sorted(self.runs):
+                run = self.runs[wf_id]
+                cost_usd = run.cost_nanos / 1e9
+                budget_usd = run.budget_nanos / 1e9
+                met = run.cost_nanos <= run.budget_nanos
+                if run.budget_nanos > 0:
+                    ratio = run.cost_nanos / run.budget_nanos
+                else:
+                    ratio = 0.0 if run.cost_nanos == 0 else float("inf")
+                makespan_us = run.done_at_us - run.arrival_us
+                workflows.append(WorkflowMetrics(
+                    workflow_id=wf_id,
+                    arrival_s=run.arrival_us / 1e6,
+                    makespan_s=makespan_us / 1e6,
+                    cost_usd=cost_usd,
+                    budget_usd=budget_usd,
+                    budget_met=met,
+                    cost_per_budget=ratio,
+                    cost_nanos=run.cost_nanos,
+                    makespan_us=makespan_us,
+                ))
+        except OverflowError:
+            raise ConfigError(f"workflow {wf_id!r}: {too_large}") from None
         busy_us = sum(vm.busy_usec for vm in self.fleet.instances.values())
         billed_s = sum(vm.billed_seconds for vm in self.fleet.instances.values())
         total_nanos = self.fleet.total_bill_nanos()
-        utilization = 100.0 * busy_us / (billed_s * 1e6) if billed_s else 0.0
-        fleet = FleetMetrics(
-            vm_counts=self.fleet.counts_by_type(),
-            total_vms=len(self.fleet.instances),
-            busy_seconds=busy_us / 1e6,
-            billed_seconds=billed_s,
-            utilization_pct=utilization,
-            total_cost_usd=total_nanos / 1e9,
-            total_cost_nanos=total_nanos,
-        )
+        try:
+            utilization = 100.0 * busy_us / (billed_s * 1e6) if billed_s else 0.0
+            fleet = FleetMetrics(
+                vm_counts=self.fleet.counts_by_type(),
+                total_vms=len(self.fleet.instances),
+                busy_seconds=busy_us / 1e6,
+                billed_seconds=billed_s,
+                utilization_pct=utilization,
+                total_cost_usd=total_nanos / 1e9,
+                total_cost_nanos=total_nanos,
+            )
+        except OverflowError:
+            raise ConfigError(f"the fleet: {too_large}") from None
         return MetricsReport(
             scheduler=self.policy.name,
             seed=self.seed,
@@ -351,9 +385,10 @@ def run(workload: WorkloadSpec, scheduler: str = "ebpsm",
         seed: int = 0, trace=None) -> SimulationResult:
     """Simulate a workload under one scheduling policy.
 
-    Each event's record is appended to `trace` as it is emitted: any
-    object with `append` and `__len__`, by default a new list.
-    `result.trace` is that object."""
+    The events' records are handed to `trace` in order, in chunks of a few
+    hundred, each through one `extend` call at the end of a time step:
+    `trace` is any object with `extend` and `__len__`, by default a new
+    list. `result.trace` is that object."""
     sim = _Simulation(
         workload,
         scheduler,

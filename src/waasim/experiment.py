@@ -3,7 +3,6 @@ metrics aggregation, CSV output and report comparison."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import hashlib
 import io
@@ -21,8 +20,8 @@ from . import engine
 from .cloud import CloudConfig, VmType
 from .errors import ConfigError, ManifestMismatch, SchemaError
 from .estimator import EstimatorConfig
-from .metrics import (ASSIGNMENT_CSV_COLUMNS, MetricsReport, assignment_csv_row,
-                      report_from_json, report_to_json, workflows_to_csv)
+from .metrics import (ASSIGNMENT_CSV_COLUMNS, MetricsReport, report_from_json,
+                      report_to_json, workflows_to_csv, write_assignments)
 from .scheduler import make_policy
 from .units import substream_seed
 from .workflow import (GENOME_RUNTIMES, VINA01_RUNTIMES, VINA02_RUNTIMES,
@@ -249,16 +248,19 @@ def plan_runs(config: ExperimentConfig) -> list[RunSpec]:
 
 def execute_run(config: ExperimentConfig, spec: RunSpec,
                 trace=None) -> engine.SimulationResult:
-    workload = generate_workload(config.build_catalog(), config.workflow_count,
-                                 spec.rate, spec.workload_seed)
+    try:
+        workload = generate_workload(config.build_catalog(), config.workflow_count,
+                                     spec.rate, spec.workload_seed)
+    except ValueError as exc:
+        raise ConfigError(f"arrival_rates: {exc}") from None
     return engine.run(workload, scheduler=spec.scheduler, cloud=config.cloud,
                       estimator=config.estimator, seed=spec.run_seed, trace=trace)
 
 
 class _RunWriter:
-    """One run's `trace` sink: writes each record's trace line (if given a
-    trace file) and assignment-log row as the engine emits it, and keeps
-    only the count of records."""
+    """One run's `trace` sink: writes each chunk of records the engine hands
+    over as trace lines (if given a trace file) and assignment-log rows, and
+    keeps only the count of records."""
 
     def __init__(self, assign_file, trace_file):
         self._trace_file = trace_file
@@ -266,13 +268,11 @@ class _RunWriter:
         self._rows.writerow(ASSIGNMENT_CSV_COLUMNS)
         self._events = 0
 
-    def append(self, rec: tuple) -> None:
-        self._events += 1
+    def extend(self, records: list[tuple]) -> None:
+        self._events += len(records)
         if self._trace_file is not None:
-            self._trace_file.write(engine.render(rec) + "\n")
-        row = engine.assignment_row(rec)
-        if row is not None:
-            self._rows.writerow(assignment_csv_row(row))
+            self._trace_file.write(engine.render_lines(records))
+        write_assignments(self._rows, engine.assignment_rows(records))
 
     def __len__(self) -> int:
         return self._events
@@ -348,6 +348,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     jobs = min(jobs, len(specs), os.cpu_count() or 1)
     args = (repeat(config), specs, repeat(runs_dir))
     if jobs > 1:
+        # Imported here: it costs every other run several milliseconds.
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_write_run, *args))
     else:

@@ -7,10 +7,10 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import get_type_hints
+from typing import Iterable, get_type_hints
 
 from .errors import SchemaError
-from .units import format_dollars, format_seconds
+from .units import USEC_PER_SEC, format_dollars, format_seconds
 
 
 @dataclass
@@ -145,15 +145,16 @@ def workflows_to_csv(report: MetricsReport) -> str:
 ASSIGNMENT_CSV_COLUMNS = ("time", "workflow", "task", "vm_id", "vm_type", "event")
 
 
-def assignment_csv_row(row: tuple) -> list:
-    """An assignment-log row as written: its time in seconds, then the rest."""
-    time_us, *rest = row
-    return [format_seconds(time_us), *rest]
+def write_assignments(writer, rows: Iterable[tuple]) -> None:
+    """Write assignment-log rows through a `csv.writer`, each with its time
+    (never negative) in seconds, as `format_seconds` gives it."""
+    writer.writerows((f"{row[0] // USEC_PER_SEC}.{row[0] % USEC_PER_SEC:06d}", *row[1:])
+                     for row in rows)
 
 
-def assignments_to_csv(rows: list[tuple]) -> str:
+def assignments_to_csv(rows: Iterable[tuple]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ASSIGNMENT_CSV_COLUMNS)
-    writer.writerows(map(assignment_csv_row, rows))
+    write_assignments(writer, rows)
     return buf.getvalue()

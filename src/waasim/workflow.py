@@ -386,6 +386,10 @@ def generate_workload(catalog: list[tuple[WorkflowSpec, float]], count: int,
     for i in range(count):
         template, budget = catalog[rng.randrange(len(catalog))]
         clock += rng.expovariate(rate_per_sec)
-        workflows.append(replace(template, id=f"wf{i:0{width}d}-{template.id}",
+        wf_id = f"wf{i:0{width}d}-{template.id}"
+        if not math.isfinite(clock):
+            raise ValueError(f"workflow {wf_id!r}: arrival time {clock:g} s cannot be counted "
+                             f"in integer microseconds; rate {rate_wf_per_min:g} is too small")
+        workflows.append(replace(template, id=wf_id,
                                  budget=budget, arrival_time=clock))
     return WorkloadSpec(workflows=workflows, arrival_rate=rate_wf_per_min, seed=seed)

@@ -77,6 +77,10 @@ def _catalog(**first):
     return {"catalog": catalog}
 
 
+# One type whose cost of a long task is an exact integer too large for a float.
+_PRICEY = {"catalog": [{"name": "t2.micro", "price_per_second": 1e280, "speed_factor": 1.0}]}
+
+
 @pytest.mark.parametrize("overrides, field", [
     ({"templates": [{"name": "g", "shape": "genome", "budgets": [0.1], "fan_out": 0}]},
      "templates[g].fan_out: must be >= 1"),
@@ -102,10 +106,16 @@ def _catalog(**first):
     ({"cloud": {"provisioning_delay": 1e303}}, "cannot be counted in integer microseconds"),
     ({"arrival_rates": [1e-310]}, "cannot be counted in integer microseconds"),
     ({"estimator": {"cold_start_margin": 1e308}}, "cannot be counted in integer microseconds"),
+    ({"cloud": _PRICEY, "templates": _vina(runtimes=[1e295, 20.0])},
+     "workflow 'wf000-v': its cost or time is too large to report as a float"),
+    ({"cloud": _PRICEY,
+      "templates": _vina(budgets=[1e299], runtimes=[1.2e19, 20.0]), "workflow_count": 2},
+     "the fleet: its cost or time is too large to report as a float"),
 ], ids=["fan_out", "ligand_count", "runtimes", "runtime_value", "runtime_profile",
         "runtime_profile_value", "budgets",
         "scan_interval", "sigma", "huge_budget", "huge_price", "tiny_speed",
-        "huge_runtime", "huge_delay", "tiny_rate", "huge_margin"])
+        "huge_runtime", "huge_delay", "tiny_rate", "huge_margin", "huge_cost",
+        "huge_fleet_cost"])
 def test_run_command_rejects_values_that_fail_mid_run(tmp_path, capsys, overrides, field):
     config = write_config(tmp_path, budget_levels=[1], **overrides)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
@@ -225,6 +235,15 @@ def test_gen_workload_rejects_bad_rate(capsys, rate):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: rate must be finite and > 0\n"
+
+
+def test_gen_workload_rejects_a_rate_too_small_for_finite_arrivals(capsys):
+    assert main(["gen-workload", "--template", "vina01", "--count", "2",
+                 "--rate", "1e-310", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: workflow 'wf000-vina01': arrival time inf s cannot be "
+                            "counted in integer microseconds; rate 1e-310 is too small\n")
 
 
 def test_compare_command(tmp_path, capsys):

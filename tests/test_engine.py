@@ -161,7 +161,41 @@ def test_fleet_cost_matches_trace_bills(mono_cloud, oracle):
     assert billed == result.report.fleet.total_cost_nanos
 
 
+class RecordingSink:
+    """A trace sink that keeps each chunk it is handed."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def extend(self, records):
+        self.chunks.append(list(records))
+
+    def __len__(self):
+        return sum(map(len, self.chunks))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])
+def test_sink_receives_the_trace_in_time_step_chunks(monkeypatch, oracle, chunk):
+    """With provisioning and runtimes above zero, no two time steps share a
+    time, so a chunk handed over at a time step's end is followed by a later
+    time, or by `simulation_end` alone."""
+    workload = generate_workload([(genome_template("g", 4), 0.05)], 30, 6.0, seed=5)
+    expected = engine.run(workload, "ebpsm", CloudConfig(), oracle, seed=5).trace
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    sink = RecordingSink()
+    result = engine.run(workload, "ebpsm", CloudConfig(), oracle, seed=5, trace=sink)
+    assert result.trace is sink
+    assert [rec for records in sink.chunks for rec in records] == expected
+    assert len(sink) == len(expected) > 2 * engine._CHUNK
+    assert all(len(records) >= chunk for records in sink.chunks[:-1])
+    for before, after in zip(sink.chunks, sink.chunks[1:]):
+        assert before[-1][0] < after[0][0] or after == expected[-1:]
+    if chunk == 1:
+        assert all(len({rec[0] for rec in records}) == 1 for records in sink.chunks)
+
+
 def test_stall_error_on_broken_policy(monkeypatch, mono_cloud, oracle):
+    """The records emitted before the stall still reach the sink."""
     class DeadPolicy:
         name = "dead"
         dedicated = False
@@ -180,9 +214,12 @@ def test_stall_error_on_broken_policy(monkeypatch, mono_cloud, oracle):
             pass
 
     monkeypatch.setattr(engine, "make_policy", lambda *a, **k: DeadPolicy())
+    sink = RecordingSink()
     with pytest.raises(StallError):
         engine.run(single_workload(chain_workflow([5.0])), "ebpsm",
-                   mono_cloud, oracle, seed=0)
+                   mono_cloud, oracle, seed=0, trace=sink)
+    assert [[rec[1] for rec in records] for records in sink.chunks] == \
+        [["workflow_arrival", "task_ready"]]
 
 
 def test_finished_workflows_release_their_state(monkeypatch, oracle):

@@ -4,9 +4,13 @@ import concurrent.futures
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import waasim
 from waasim.errors import ConfigError, ManifestMismatch, SchemaError
 from waasim.experiment import (ExperimentConfig, TemplateConfig, compare,
                                compare_files, config_from_dict, config_hash,
@@ -404,3 +408,41 @@ def test_stalled_run_leaves_its_partial_files(tmp_path, monkeypatch):
     assert (tmp_path / "runs" / f"{run_id}.assign.csv").read_text() == \
         "time,workflow,task,vm_id,vm_type,event\n"
     assert not (tmp_path / "runs" / f"{run_id}.report.json").exists()
+
+
+@pytest.mark.parametrize("chunk", [1, None])
+def test_failed_run_leaves_the_records_it_emitted(tmp_path, monkeypatch, chunk):
+    """A run that fails mid-way writes every record it emitted, the same
+    records an in-memory run of it holds when it fails."""
+    from waasim import engine
+    from waasim.cloud import VariabilityConfig
+    from waasim.engine import assignment_rows, checkpoint_trace
+    from waasim.experiment import execute_run
+    from waasim.metrics import assignments_to_csv
+
+    if chunk is not None:
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+    config = _quoted_name_config(schedulers=["ebpsm"], arrival_rates=[2.0])
+    config.cloud.variability = VariabilityConfig(mode="lognormal", sigma=1000.0)
+    with pytest.raises(ConfigError, match="variability.sigma"):
+        run_experiment(config, output_dir=tmp_path)
+    spec = plan_runs(config)[0]
+    records = []
+    with pytest.raises(ConfigError, match="variability.sigma"):
+        execute_run(config, spec, trace=records)
+    assert any(rec[1] == "task_start" for rec in records)
+    runs = tmp_path / "runs"
+    assert (runs / f"{spec.run_id}.trace").read_text() == checkpoint_trace(records)
+    assert (runs / f"{spec.run_id}.assign.csv").read_text() == \
+        assignments_to_csv(assignment_rows(records))
+
+
+def test_import_leaves_process_pools_unloaded():
+    """`concurrent.futures` (and the `logging` it loads) is imported only
+    by a sweep with jobs > 1."""
+    code = ("import sys, waasim, waasim.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(waasim.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

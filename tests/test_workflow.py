@@ -270,6 +270,8 @@ def test_generate_workload_argument_errors():
         generate_workload(catalog, 0, 1.0, seed=0)
     with pytest.raises(ValueError):
         generate_workload(catalog, 5, 0.0, seed=0)
+    with pytest.raises(ValueError, match="arrival time inf s"):
+        generate_workload(catalog, 2, 1e-310, seed=1)
 
 
 def test_interarrival_mean_property():
