@@ -16,7 +16,7 @@ from .cloud import CloudConfig, Fleet, VmInstance, task_runtime_on
 from .errors import ConfigError, StallError
 from .estimator import EstimatorConfig
 from .metrics import FleetMetrics, MetricsReport, WorkflowMetrics
-from .scheduler import Assign, make_policy
+from .scheduler import Assign, BudgetLedger, make_policy
 from .units import ceil_whole_seconds, nanos, substream_seed, usec
 from .workflow import TaskRecord, WorkloadSpec, workload_hash
 
@@ -104,7 +104,10 @@ class WorkflowRun:
     spec: object
     arrival_us: int
     budget_nanos: int
-    eft_us: dict[str, int] | None = None
+    # The policy's plan and budget ledger for this workflow, set on arrival
+    # and dropped when the workflow completes.
+    plan: object = None
+    ledger: BudgetLedger | None = None
     pending_parents: dict[str, int] = field(default_factory=dict)
     unfinished: int = 0
     cost_nanos: int = 0
@@ -170,13 +173,15 @@ class _Simulation:
 
     def run(self) -> SimulationResult:
         for wf in self.workload.workflows:
+            if wf.id in self.runs:
+                raise ConfigError(f"workflow id {wf.id!r} occurs more than once in the workload")
             run = WorkflowRun(
                 spec=wf,
                 arrival_us=usec(wf.arrival_time),
                 budget_nanos=nanos(wf.budget),
             )
             self.runs[wf.id] = run
-            self._push(run.arrival_us, self._on_arrival, (wf.id,))
+            self._push(run.arrival_us, self._on_arrival, (run,))
 
         # A run that raises still hands the sink every record it emitted.
         chunk = self._chunk
@@ -214,13 +219,12 @@ class _Simulation:
 
     # -- event handlers -----------------------------------------------------
 
-    def _on_arrival(self, workflow_id: str) -> None:
-        run = self.runs[workflow_id]
+    def _on_arrival(self, run: WorkflowRun) -> None:
         run.pending_parents = {
             tid: len(t.parents) for tid, t in run.spec.tasks.items()
         }
         run.unfinished = len(run.spec.tasks)
-        self._append((self.clock_us, "workflow_arrival", workflow_id, len(run.spec.tasks),
+        self._append((self.clock_us, "workflow_arrival", run.spec.id, len(run.spec.tasks),
                       run.budget_nanos))
         self.policy.on_arrival(run)
         for tid in sorted(run.spec.tasks):
@@ -270,8 +274,10 @@ class _Simulation:
 
         if run.unfinished == 0:
             run.done_at_us = self.clock_us
-            # Nothing reads a finished workflow's dependency counts again.
+            # Nothing reads a finished workflow's dependency counts, plan or
+            # ledger again.
             run.pending_parents.clear()
+            run.plan = run.ledger = None
             self._completed += 1
             self._append((self.clock_us, "workflow_complete", run.spec.id,
                           self.clock_us - run.arrival_us, run.cost_nanos))

@@ -8,6 +8,7 @@ type, normalized by speed factor.
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import partial
@@ -25,8 +26,8 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("oracle", "history"):
             raise ConfigError(f"unknown estimator mode {self.mode!r}")
-        if not isinstance(self.window, int) or self.window < 1:
-            raise ConfigError("window must be an integer >= 1")
+        if not isinstance(self.window, int) or not 1 <= self.window <= sys.maxsize:
+            raise ConfigError(f"estimator.window: must be an integer from 1 to {sys.maxsize}")
         if self.cold_start_margin < 1:
             raise ConfigError("cold_start_margin must be >= 1")
 

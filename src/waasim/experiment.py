@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import sys
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from itertools import repeat
@@ -87,9 +88,20 @@ class ExperimentConfig:
         if not self.arrival_rates or any(
                 not math.isfinite(r) or r <= 0 for r in self.arrival_rates):
             raise ConfigError("arrival_rates: every rate must be finite and > 0")
+        # Run ids and seeds are derived from a rate's label, so two rates
+        # with one label would write the same runs.
+        rates_by_label: dict[str, float] = {}
+        for rate in self.arrival_rates:
+            label = _rate_label(rate)
+            if label in rates_by_label:
+                raise ConfigError(f"arrival_rates: {rates_by_label[label]!r} and {rate!r} "
+                                  f"share the run label rate{label}")
+            rates_by_label[label] = rate
         if not self.schedulers:
             raise ConfigError("schedulers: must be non-empty")
-        for name in self.schedulers:
+        for i, name in enumerate(self.schedulers):
+            if name in self.schedulers[:i]:
+                raise ConfigError(f"schedulers: {name!r} is listed twice")
             try:
                 make_policy(name, self.cloud, self.estimator)
             except ConfigError as exc:
@@ -117,8 +129,8 @@ class ExperimentConfig:
                     if not (math.isfinite(runtime) and runtime > 0):
                         raise ConfigError(
                             f"{path}.runtime_profile.{kind}: must be finite and > 0")
-            if tpl.shape == "vina" and tpl.ligand_count < 1:
-                raise ConfigError(f"{path}.ligand_count: must be >= 1")
+            if tpl.shape == "vina" and not 1 <= tpl.ligand_count <= sys.maxsize:
+                raise ConfigError(f"{path}.ligand_count: must be >= 1 and <= {sys.maxsize}")
             if tpl.shape == "vina" and tpl.runtimes is not None:
                 if len(tpl.runtimes) != tpl.ligand_count:
                     raise ConfigError(

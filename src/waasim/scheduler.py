@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -266,13 +267,12 @@ class _Plan:
     """What every workflow over one shared `tasks` mapping starts from while
     no cost row changes: the EFT table and, per budget, the ledger its
     distribution leaves, in distribution order and never folded again.
-    `users` counts the running workflows that arrived with `tasks`. The plan
-    holds `tasks`, so no other mapping takes its id() while the plan lives."""
+    Each running workflow holds its plan; the plan holds `tasks`, so no
+    other mapping takes its id() while the plan lives."""
 
     tasks: dict[str, TaskRecord]
     changes: int
     eft_us: dict[str, int]
-    users: int
     ledgers: dict[int, BudgetLedger] = field(default_factory=dict)
 
 
@@ -282,8 +282,8 @@ class EbpsmPolicy:
 
     Workflows drawn from one template share its `tasks` mapping, so the
     policy plans each mapping once (see `_Plan`) and hands every workflow
-    its own copy of the first ledger for its budget. A plan is dropped when
-    the last running workflow over its mapping finishes."""
+    its own copy of the first ledger for its budget. The policy finds a
+    plan by its mapping only while some running workflow holds it."""
 
     dedicated = False
 
@@ -294,8 +294,8 @@ class EbpsmPolicy:
         self.name = "ebpsm-homogeneous" if homogeneous else "ebpsm"
         self.homogeneous = homogeneous
         self.costs = CostRows(estimator, config)
-        self.ledgers: dict[str, BudgetLedger] = {}
-        self._plans: dict[int, _Plan] = {}  # by id() of the `tasks` it holds
+        # By id() of the `tasks` each plan holds.
+        self._plans: weakref.WeakValueDictionary[int, _Plan] = weakref.WeakValueDictionary()
         self._queue: list[tuple[tuple[int, int, str, str], object, TaskRecord]] = []
 
     def on_arrival(self, run) -> None:
@@ -304,19 +304,17 @@ class EbpsmPolicy:
         plan = self._plans.get(id(spec.tasks))
         if plan is None or plan.changes != changes:
             plan = self._plans[id(spec.tasks)] = _Plan(
-                spec.tasks, changes, compute_eft_us(spec, self.costs),
-                users=0 if plan is None else plan.users)
-        plan.users += 1
-        run.eft_us = plan.eft_us
+                spec.tasks, changes, compute_eft_us(spec, self.costs))
+        run.plan = plan
         if not self.homogeneous:
             first = plan.ledgers.get(run.budget_nanos)
             if first is None:
                 first = plan.ledgers[run.budget_nanos] = distribute_budget(
                     run.budget_nanos, list(spec.tasks.values()), plan.eft_us, self.costs)
-            self.ledgers[spec.id] = first.copy()
+            run.ledger = first.copy()
 
     def enqueue_ready(self, run, task: TaskRecord) -> None:
-        key = (run.eft_us[task.id], run.arrival_us, run.spec.id, task.id)
+        key = (run.plan.eft_us[task.id], run.arrival_us, run.spec.id, task.id)
         heapq.heappush(self._queue, (key, run, task))
 
     def schedule_ready(self, fleet: Fleet) -> list[Assign | Provision]:
@@ -332,8 +330,7 @@ class EbpsmPolicy:
         type, else the cheapest type. Estimate and price depend on the type
         alone, so only each type's least idle id is read; the VM taken leaves
         the fleet's index, so no later decision of the batch takes it."""
-        ledger = self.ledgers.get(run.spec.id)
-        cap = math.inf if ledger is None else ledger.lock(task.id)
+        cap = math.inf if run.ledger is None else run.ledger.lock(task.id)
         best: tuple[int, int, str] | None = None
         best_type = provision = None
         for vm_type, (est_us, cost) in zip(self.costs.fastest_first,
@@ -353,21 +350,11 @@ class EbpsmPolicy:
 
     def on_complete(self, run, task: TaskRecord, vm_type: VmType, runtime_us: int,
                     actual_cost_nanos: int) -> None:
-        """Record `task`'s runtime on `vm_type`, then settle it. The engine
-        counts it out of `run.unfinished` first."""
+        """Record `task`'s runtime on `vm_type`, then settle it."""
         self.costs.record(task.kind, vm_type, runtime_us / 1e6)
-        ledger = self.ledgers.get(run.spec.id)
+        ledger = run.ledger
         if ledger is not None:
             update_budget(ledger, task, actual_cost_nanos, list(ledger.unscheduled.values()))
-        if run.unfinished == 0:
-            # The workflow's last task finished: nothing reads its dispatch
-            # state, ledger or plan again.
-            run.eft_us = None
-            self.ledgers.pop(run.spec.id, None)
-            plan = self._plans[id(run.spec.tasks)]
-            plan.users -= 1
-            if not plan.users:
-                del self._plans[id(run.spec.tasks)]
 
 
 class FcfsPolicy:

@@ -210,6 +210,11 @@ def workload_from_dict(doc: dict) -> WorkloadSpec:
     if not isinstance(doc["workflows"], list):
         raise SchemaError("workload document: 'workflows' must be a list")
     workflows = [workflow_from_dict(w) for w in doc["workflows"]]
+    seen: set[str] = set()
+    for i, spec in enumerate(workflows):
+        if spec.id in seen:
+            raise SchemaError(f"workflows[{i}].id: duplicate workflow id {spec.id!r}")
+        seen.add(spec.id)
     arrivals = [w.arrival_time for w in workflows]
     if any(b < a for a, b in zip(arrivals, arrivals[1:])):
         raise SchemaError("workload document: arrival_time must be non-decreasing")

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file outputs, round trips."""
 
 import json
+import sys
 from dataclasses import asdict
 
 import pytest
@@ -131,11 +132,20 @@ def test_run_command_rejects_values_that_fail_mid_run(tmp_path, capsys, override
      "schedulers: homogeneous scheduling requires a single-type catalog"),
     ({"templates": [{"name": "x", "shape": "blob", "budgets": [0.1]}]},
      "templates[x].shape: unknown shape 'blob'"),
-], ids=["fcfs", "homogeneous", "shape"])
+    ({"schedulers": ["ebpsm", "ebpsm"]}, "schedulers: 'ebpsm' is listed twice"),
+    ({"arrival_rates": [6.0, 6.0000001]},
+     "arrival_rates: 6.0 and 6.0000001 share the run label rate6"),
+    ({"estimator": {"window": 2**63}},
+     f"estimator.window: must be an integer from 1 to {sys.maxsize}"),
+    ({"templates": _vina(ligand_count=10**30, runtimes=None)},
+     f"templates[v].ligand_count: must be >= 1 and <= {sys.maxsize}"),
+], ids=["fcfs", "homogeneous", "shape", "same_scheduler", "same_rate_label", "huge_window",
+        "huge_ligand_count"])
 def test_run_command_rejects_at_load_what_a_run_would_reject(tmp_path, capsys, overrides,
                                                               message):
-    """A scheduler that cannot run on the (default, four-type) catalog and a
-    template that cannot be built stop the sweep before any run is
+    """A scheduler that cannot run on the (default, four-type) catalog, a
+    template that cannot be built, runs that would share a run id and a
+    size too large for an index stop the sweep before any run is
     written."""
     config = write_config(tmp_path, budget_levels=[1], **overrides)
     out = tmp_path / "out"

@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from conftest import (MICRO, chain_workflow, diamond_workflow, events, random_dag,
                       single_workload)
 from waasim import engine
-from waasim.cloud import CloudConfig
-from waasim.errors import StallError
+from waasim.cloud import CloudConfig, VariabilityConfig
+from waasim.errors import ConfigError, StallError
 from waasim.estimator import EstimatorConfig
 from waasim.scheduler import make_policy
 from waasim.workflow import (WorkloadSpec, generate_workload, genome_template,
@@ -199,10 +200,9 @@ def test_stall_error_on_broken_policy(monkeypatch, mono_cloud, oracle):
     class DeadPolicy:
         name = "dead"
         dedicated = False
-        ledgers = {}
 
         def on_arrival(self, run):
-            run.eft_us = {}
+            pass
 
         def enqueue_ready(self, run, task):
             pass
@@ -222,10 +222,25 @@ def test_stall_error_on_broken_policy(monkeypatch, mono_cloud, oracle):
         [["workflow_arrival", "task_ready"]]
 
 
-def test_finished_workflows_release_their_state(monkeypatch, oracle):
+def test_duplicate_workflow_ids_are_rejected_before_any_record(mono_cloud, oracle):
+    """The engine tracks and reports workflows by id, so two sharing one
+    would be simulated as one."""
+    first = chain_workflow([5.0], wid="w")
+    workload = WorkloadSpec([first, replace(first, arrival_time=5.0)], 1.0, 0)
+    sink = RecordingSink()
+    with pytest.raises(ConfigError, match="workflow id 'w' occurs more than once"):
+        engine.run(workload, "ebpsm", mono_cloud, oracle, seed=0, trace=sink)
+    assert sink.chunks == []
+
+
+@pytest.mark.parametrize("mode", ["oracle", "history"])
+def test_finished_workflows_release_their_state(monkeypatch, mode):
     """Whether its workflows share their template's task mapping or were
-    parsed one by one, a run leaves the policy no ledger and no plan."""
-    policies, runs = [], []
+    parsed one by one, a run leaves the policy no plan and each workflow no
+    plan, ledger or dependency counts. Under "history" with variable
+    runtimes the cost rows change mid-run, so plans go stale and are
+    replaced while older workflows still hold them."""
+    policies, runs, replaced = [], [], []
 
     def capture(*args):
         policy = make_policy(*args)
@@ -233,6 +248,8 @@ def test_finished_workflows_release_their_state(monkeypatch, oracle):
 
         def record_arrival(run):
             runs.append(run)
+            held = policy._plans.get(id(run.spec.tasks))
+            replaced.append(held is not None and held.changes != policy.costs.changes)
             on_arrival(run)
 
         policy.on_arrival = record_arrival
@@ -240,19 +257,21 @@ def test_finished_workflows_release_their_state(monkeypatch, oracle):
         return policy
 
     spec = genome_template("chr21", 3, budget=1.0)
-    shared = generate_workload([(spec, 0.02), (spec, 0.2)], 6, 12.0, seed=3)
+    shared = generate_workload([(spec, 0.02), (spec, 0.2)], 6, 0.5, seed=3)
     parsed = parse_workload(serialize_workload(shared))
     assert len({id(w.tasks) for w in parsed.workflows}) == 6
     monkeypatch.setattr(engine, "make_policy", capture)
+    cloud = CloudConfig(variability=VariabilityConfig("lognormal", 0.2))
     for workload in (shared, parsed):
-        engine.run(workload, "ebpsm", CloudConfig(), oracle, seed=0)
+        engine.run(workload, "ebpsm", cloud, EstimatorConfig(mode), seed=0)
     assert len(policies) == 2 and len(runs) == 12
-    assert all(policy.ledgers == {} and policy._plans == {} for policy in policies)
-    assert all(run.eft_us is None and not run.pending_parents for run in runs)
+    assert any(replaced) == (mode == "history")
+    assert all(len(policy._plans) == 0 for policy in policies)
+    assert all(run.plan is None and run.ledger is None and not run.pending_parents
+               for run in runs)
 
 
 def test_variability_changes_runtimes_reproducibly(oracle):
-    from waasim.cloud import VariabilityConfig
     cloud = CloudConfig(catalog=(MICRO,), provisioning_delay=0.0,
                         deprovisioning_delay=0.0,
                         variability=VariabilityConfig("lognormal", 0.2))

@@ -12,6 +12,7 @@ import json
 import math
 import random
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -76,12 +77,12 @@ class ReferenceEbpsmPolicy(EbpsmPolicy):
 
     def on_arrival(self, run):
         spec = run.spec
-        run.eft_us = reference_eft_us(spec, self.estimator, self.config.fastest_type)
+        run.plan = SimpleNamespace(
+            eft_us=reference_eft_us(spec, self.estimator, self.config.fastest_type))
         if not self.homogeneous:
-            ledger = BudgetLedger(run.budget_nanos)
-            reference_allocate(ledger, run.budget_nanos, list(spec.tasks.values()),
-                               run.eft_us, self.estimator, self.config)
-            self.ledgers[spec.id] = ledger
+            run.ledger = BudgetLedger(run.budget_nanos)
+            reference_allocate(run.ledger, run.budget_nanos, list(spec.tasks.values()),
+                               run.plan.eft_us, self.estimator, self.config)
             self.scheduled[spec.id] = set()
 
     def schedule_ready(self, fleet):
@@ -90,11 +91,10 @@ class ReferenceEbpsmPolicy(EbpsmPolicy):
 
     def _decide(self, run, task, fleet):
         claimed = self.claimed
-        ledger = self.ledgers.get(run.spec.id)
-        if ledger is None:
+        if run.ledger is None:
             cap = math.inf
         else:
-            cap = ledger.sub_budgets[task.id]
+            cap = run.ledger.sub_budgets[task.id]
             self.scheduled[run.spec.id].add(task.id)
         best = None
         for vm in fleet.idle_instances():
@@ -117,10 +117,9 @@ class ReferenceEbpsmPolicy(EbpsmPolicy):
 
     def on_complete(self, run, task, vm_type, runtime_us, actual_cost_nanos):
         self.estimator.record(task.kind, vm_type, runtime_us / 1e6)
-        ledger = self.ledgers.get(run.spec.id)
-        if ledger is not None:
-            reference_update_budget(ledger, self.scheduled[run.spec.id], run.spec, task,
-                                    actual_cost_nanos, run.eft_us, self.estimator,
+        if run.ledger is not None:
+            reference_update_budget(run.ledger, self.scheduled[run.spec.id], run.spec, task,
+                                    actual_cost_nanos, run.plan.eft_us, self.estimator,
                                     self.config)
 
 

@@ -363,7 +363,7 @@ def test_polled_eft_keys_non_decreasing():
     for tid in ids:
         policy.enqueue_ready(run, run.spec.tasks[tid])
     actions = policy.schedule_ready(Fleet(config))
-    keys = [run.eft_us[a.task.id] for a in actions]
+    keys = [run.plan.eft_us[a.task.id] for a in actions]
     assert keys == sorted(keys)
 
 

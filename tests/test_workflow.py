@@ -89,6 +89,14 @@ def test_parse_workload_workflows_not_a_list():
         parse_workload(json.dumps({"arrival_rate": 1.0, "workflows": 5}))
 
 
+def test_parse_workload_rejects_duplicate_workflow_ids():
+    workflow = {"id": "w", "budget": 1.0, "tasks": [{"id": "A", "kind": "a", "runtime": 5}]}
+    doc = {"arrival_rate": 1.0, "workflows": [{**workflow, "arrival_time": 0.0},
+                                              {**workflow, "arrival_time": 5.0}]}
+    with pytest.raises(SchemaError, match=r"^workflows\[1\]\.id: duplicate workflow id 'w'$"):
+        parse_workload(json.dumps(doc))
+
+
 def test_parse_cycle():
     doc = {"id": "c", "budget": 0.1, "tasks": [
         {"id": "A", "kind": "a", "runtime": 1, "parents": ["B"]},
