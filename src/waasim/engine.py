@@ -39,10 +39,11 @@ _FIELDS = {
     "simulation_end": ("workflows", "vms"),
 }
 
-# Per event, the bound `format` of its trace line's template.
-_FORMATS = {
-    name: ("{0}\t" + name + "\t" + " ".join(
-        f"{key}={{{i}}}" for i, key in enumerate(keys, 2) if key is not None)).format
+# Per event, the %-template of its trace line, applied to the record itself:
+# its first two `%s` take the time and the event, and a None key's `%.0s`
+# takes that value and prints nothing.
+_TEMPLATES = {
+    name: "%s\t%s\t" + "".join(f" {key}=%s" if key else "%.0s" for key in keys).lstrip(" ")
     for name, keys in _FIELDS.items()
 }
 
@@ -56,13 +57,13 @@ def render(rec: tuple) -> str:
     """The trace line of a record, without its newline. Ids are arbitrary
     strings, so a line is stripped of the whitespace its last value may end
     in."""
-    return _FORMATS[rec[1]](*rec).rstrip()
+    return (_TEMPLATES[rec[1]] % rec).rstrip()
 
 
 def render_lines(records: list[tuple]) -> str:
     """The trace lines of one or more records, each ending in a newline."""
-    formats = _FORMATS
-    return "\n".join([formats[rec[1]](*rec).rstrip() for rec in records]) + "\n"
+    templates = _TEMPLATES
+    return "\n".join([(templates[rec[1]] % rec).rstrip() for rec in records]) + "\n"
 
 
 def checkpoint_trace(trace: list[tuple]) -> str:
@@ -123,7 +124,8 @@ def assignment_rows(records: Iterable[tuple]) -> Iterator[tuple]:
     """The assignment-log rows (time_us, workflow, task, vm id, vm type,
     event) of those records that are one, in order."""
     events = _ASSIGNMENT_EVENTS
-    return ((rec[0], *rec[2:6], events[rec[1]]) for rec in records if rec[1] in events)
+    return ((rec[0], rec[2], rec[3], rec[4], rec[5], events[rec[1]])
+            for rec in records if rec[1] in events)
 
 
 @dataclass

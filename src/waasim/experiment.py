@@ -21,8 +21,8 @@ from . import engine
 from .cloud import CloudConfig, VmType
 from .errors import ConfigError, ManifestMismatch, SchemaError
 from .estimator import EstimatorConfig
-from .metrics import (ASSIGNMENT_CSV_COLUMNS, MetricsReport, report_from_json,
-                      report_to_json, workflows_to_csv, write_assignments)
+from .metrics import (ASSIGNMENT_CSV_HEADER, AssignmentCsv, MetricsReport, report_from_json,
+                      report_to_json, workflows_to_csv)
 from .scheduler import make_policy
 from .units import substream_seed
 from .workflow import (GENOME_RUNTIMES, VINA01_RUNTIMES, VINA02_RUNTIMES,
@@ -138,7 +138,11 @@ class ExperimentConfig:
                 for i, runtime in enumerate(tpl.runtimes):
                     if not (math.isfinite(runtime) and runtime > 0):
                         raise ConfigError(f"{path}.runtimes[{i}]: must be finite and > 0")
-            tpl.build()
+            try:
+                tpl.build()
+            except MemoryError:
+                size = "fan_out" if tpl.shape == "genome" else "ligand_count"
+                raise ConfigError(f"{path}.{size}: too many tasks to build") from None
         if not self.budget_levels:
             raise ConfigError("budget_levels: must be non-empty")
         for level in self.budget_levels:
@@ -271,20 +275,21 @@ def execute_run(config: ExperimentConfig, spec: RunSpec,
 
 class _RunWriter:
     """One run's `trace` sink: writes each chunk of records the engine hands
-    over as trace lines (if given a trace file) and assignment-log rows, and
-    keeps only the count of records."""
+    over as trace lines (if given a trace file) and assignment-log rows, one
+    write per file, and keeps only the count of records."""
 
     def __init__(self, assign_file, trace_file):
+        self._assign_file = assign_file
         self._trace_file = trace_file
-        self._rows = csv.writer(assign_file, lineterminator="\n")
-        self._rows.writerow(ASSIGNMENT_CSV_COLUMNS)
+        self._log = AssignmentCsv()
+        assign_file.write(ASSIGNMENT_CSV_HEADER)
         self._events = 0
 
     def extend(self, records: list[tuple]) -> None:
         self._events += len(records)
         if self._trace_file is not None:
             self._trace_file.write(engine.render_lines(records))
-        write_assignments(self._rows, engine.assignment_rows(records))
+        self._assign_file.write(self._log.render(engine.assignment_rows(records)))
 
     def __len__(self) -> int:
         return self._events

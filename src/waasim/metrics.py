@@ -7,6 +7,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, get_type_hints
 
 from .errors import SchemaError
@@ -143,18 +144,44 @@ def workflows_to_csv(report: MetricsReport) -> str:
 
 
 ASSIGNMENT_CSV_COLUMNS = ("time", "workflow", "task", "vm_id", "vm_type", "event")
+ASSIGNMENT_CSV_HEADER = ",".join(ASSIGNMENT_CSV_COLUMNS) + "\n"
+# A row's time (never negative) in seconds, as `format_seconds` gives it,
+# then its five values as CSV fields.
+_ASSIGNMENT_ROW = "%d.%06d,%s,%s,%s,%s,%s\n"
+# Rows `assignments_to_csv` renders at a time: its memory stays bounded.
+_CSV_CHUNK = 512
 
 
-def write_assignments(writer, rows: Iterable[tuple]) -> None:
-    """Write assignment-log rows through a `csv.writer`, each with its time
-    (never negative) in seconds, as `format_seconds` gives it."""
-    writer.writerows((f"{row[0] // USEC_PER_SEC}.{row[0] % USEC_PER_SEC:06d}", *row[1:])
-                     for row in rows)
+class AssignmentCsv(dict):
+    """Renders assignment-log rows as the text a `csv.writer` with "\n" line
+    ends writes for them. As a dict it maps each string met so far to its
+    CSV field, so each distinct id is quoted once."""
+
+    def __missing__(self, value) -> str:
+        field = value
+        if type(value) is not str or any(c in value for c in ',"\r\n'):
+            # csv's own field: quoted only where its QUOTE_MINIMAL must.
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow((value, ""))
+            field = buf.getvalue()[:-2]
+        if type(value) is str:
+            # Only strings are kept: 1, 1.0 and True are one key but three fields.
+            self[value] = field
+        return field
+
+    def render(self, rows: Iterable[tuple]) -> str:
+        """The lines of `rows`, each ending in a newline."""
+        row, fields = _ASSIGNMENT_ROW, self
+        return "".join([row % (time_us // USEC_PER_SEC, time_us % USEC_PER_SEC, fields[wf],
+                               fields[task], fields[vm], fields[vm_type], fields[event])
+                        for time_us, wf, task, vm, vm_type, event in rows])
 
 
 def assignments_to_csv(rows: Iterable[tuple]) -> str:
+    """The assignment log of `rows`: its header, then one line per row."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ASSIGNMENT_CSV_COLUMNS)
-    write_assignments(writer, rows)
+    buf.write(ASSIGNMENT_CSV_HEADER)
+    log, rows = AssignmentCsv(), iter(rows)
+    while text := log.render(islice(rows, _CSV_CHUNK)):
+        buf.write(text)
     return buf.getvalue()

@@ -139,8 +139,11 @@ def test_run_command_rejects_values_that_fail_mid_run(tmp_path, capsys, override
      f"estimator.window: must be an integer from 1 to {sys.maxsize}"),
     ({"templates": _vina(ligand_count=10**30, runtimes=None)},
      f"templates[v].ligand_count: must be >= 1 and <= {sys.maxsize}"),
+    # Fails the size check of the first allocation at once: nothing is allocated.
+    ({"templates": _vina(ligand_count=2**62, runtimes=None)},
+     "templates[v].ligand_count: too many tasks to build"),
 ], ids=["fcfs", "homogeneous", "shape", "same_scheduler", "same_rate_label", "huge_window",
-        "huge_ligand_count"])
+        "huge_ligand_count", "unbuildable_ligand_count"])
 def test_run_command_rejects_at_load_what_a_run_would_reject(tmp_path, capsys, overrides,
                                                               message):
     """A scheduler that cannot run on the (default, four-type) catalog, a

@@ -1,37 +1,42 @@
 """Differential tests against the straightforward implementations that the
 windowed estimator, the per-type dispatch decision, the cost-row EFT, the
 fleet's idle index and release queue, the skipped scan ticks and the resumed
-budget fold replaced. The references below scan every record, estimate once
-per idle VM and once per task on the fastest type for EFT, scan every
-instance at every scan interval, and on every budget update rebuild,
-re-sort and reprice the unscheduled tasks and refold all of them; the
-optimised code must agree with them exactly: equal floats,
-equal ledgers, identical traces and identical report bytes."""
+budget fold replaced, and that the trace's %-templates and the assignment
+log's cached quoting replaced. The references below scan every record,
+estimate once per idle VM and once per task on the fastest type for EFT,
+scan every instance at every scan interval, on every budget update rebuild,
+re-sort and reprice the unscheduled tasks and refold all of them, format
+each trace line with `str.format` and write each row through `csv.writer`;
+the optimised code must agree with them exactly: equal floats, equal
+ledgers, identical traces and identical report and log bytes."""
 
+import csv
+import io
 import json
 import math
 import random
 from dataclasses import asdict, replace
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import LARGE, MICRO, build_workflow, chain_workflow, random_dag, single_workload
-from waasim import engine
+from waasim import engine, metrics
 from waasim import scheduler as scheduler_module
 from waasim.cloud import (IDLE, TERMINATED, CloudConfig, Fleet, VariabilityConfig, VmType,
                           default_catalog, estimated_cost_nanos)
 from waasim.errors import IllegalState
 from waasim.estimator import EstimatorConfig, RuntimeEstimator
-from waasim.experiment import ExperimentConfig
-from waasim.metrics import report_to_json
+from waasim.experiment import ExperimentConfig, _RunWriter
+from waasim.metrics import ASSIGNMENT_CSV_COLUMNS, report_to_json
 from waasim.scheduler import (SCHEDULER_NAMES, Assign, BudgetLedger, CostRows, EbpsmPolicy,
                               Provision, compute_eft_us, distribute_budget,
                               distribution_order, make_policy, update_budget)
-from waasim.units import usec
-from waasim.workflow import generate_workload
+from waasim.units import USEC_PER_SEC, usec
+from waasim.workflow import WorkloadSpec, generate_workload
 
 CATALOG = default_catalog()
 KINDS = ("k0", "k1", "k2", "k3")
@@ -246,6 +251,29 @@ def reference_render(ev):
     """The trace line of a view, joined from its fields one by one."""
     parts = " ".join(f"{k}={v}" for k, v in ev.fields.items())
     return f"{ev.time_us}\t{ev.name}\t{parts}".rstrip()
+
+
+# Per event, the bound `format` of a `str.format` template of its trace line.
+REFERENCE_FORMATS = {
+    name: ("{0}\t" + name + "\t" + " ".join(
+        f"{key}={{{i}}}" for i, key in enumerate(keys, 2) if key is not None)).format
+    for name, keys in engine._FIELDS.items()
+}
+
+
+def reference_line(rec):
+    """The trace line of a record, filled by its `str.format` template."""
+    return REFERENCE_FORMATS[rec[1]](*rec).rstrip()
+
+
+def reference_csv(rows):
+    """The assignment log as `csv.writer.writerows` writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(ASSIGNMENT_CSV_COLUMNS)
+    writer.writerows((f"{row[0] // USEC_PER_SEC}.{row[0] % USEC_PER_SEC:06d}", *row[1:])
+                     for row in rows)
+    return buf.getvalue()
 
 
 REFERENCE_ROW_EVENTS = {"task_assign": "assign", "task_start": "start",
@@ -574,6 +602,69 @@ def test_refold_reprices_a_later_row_after_a_history_record():
     twin.costs.record("t2", MICRO, 10.0)
     twin.complete("t0", twin.ledger.sub_budgets["t0"])
     assert twin.ref.sub_budgets["t2"] == 5 * 38_200
+
+
+# Ids are arbitrary strings: these are weighted toward the characters CSV
+# quotes, the whitespace a trace line strips and text that is not ASCII.
+ids = st.text(st.sampled_from(',"\r\n \t') | st.characters(codec="utf-8"), max_size=4)
+# Whole microseconds, as small as one, so a time's fraction needs its zeros.
+times = st.integers(0, 10**9).map(lambda us: us / 1e6)
+
+
+@st.composite
+def id_workloads(draw):
+    """A cloud of one or two types and a workload of small DAGs, with
+    every workflow, task and VM type named by a drawn id."""
+    type_names = draw(st.lists(ids, min_size=1, max_size=2, unique=True))
+    catalog = tuple(replace(vm_type, name=name) for vm_type, name in zip((MICRO, LARGE),
+                                                                         type_names))
+    workflows = []
+    for wid in draw(st.lists(ids, min_size=1, max_size=3, unique=True)):
+        task_ids = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+        rows = [(tid, f"k{i % 2}", draw(times.filter(bool)),
+                 [parent for parent in task_ids[:i] if draw(st.booleans())])
+                for i, tid in enumerate(task_ids)]
+        workflows.append(build_workflow(rows, budget=draw(st.sampled_from([0.0, 0.01, 1.0])),
+                                        arrival=draw(times), wid=wid))
+    return CloudConfig(catalog=catalog), WorkloadSpec(workflows, arrival_rate=1.0)
+
+
+@pytest.mark.parametrize("chunk", [1, engine._CHUNK])
+@settings(max_examples=80, deadline=None)
+@given(drawn=id_workloads())
+def test_renderers_match_format_and_csv_writer(chunk, drawn):
+    """Every trace line, in memory and as `waasim run` streams it, is the
+    `str.format` template's, and every assignment log is the bytes
+    `csv.writer` writes, whatever the ids hold and however the records
+    arrive in chunks."""
+    cloud, workload = drawn
+    trace_file, assign_file = io.StringIO(), io.StringIO()
+    with mock.patch.object(engine, "_CHUNK", chunk), \
+            mock.patch.object(metrics, "_CSV_CHUNK", chunk):
+        result = engine.run(workload, "ebpsm", cloud, EstimatorConfig("oracle"), seed=0)
+        engine.run(workload, "ebpsm", cloud, EstimatorConfig("oracle"), seed=0,
+                   trace=_RunWriter(assign_file, trace_file))
+        lines = [reference_line(rec) for rec in result.trace]
+        assert [engine.render(rec) for rec in result.trace] == lines
+        assert [engine.TraceEvent(rec).render() for rec in result.trace] == lines
+        trace_text = "".join(line + "\n" for line in lines)
+        assert engine.checkpoint_trace(result.trace) == trace_text
+        assert trace_file.getvalue() == trace_text
+        log = reference_csv(reference_assignments(map(engine.TraceEvent, result.trace)))
+        assert metrics.assignments_to_csv(result.assignments) == log
+        assert assign_file.getvalue() == log
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 10**13), *[st.one_of(
+    ids, st.integers(), st.booleans(), st.none(), st.floats(allow_nan=False))] * 5),
+    max_size=12))
+def test_assignment_csv_matches_csv_writer_on_any_values(rows):
+    """A log's quoting cache is shared by all its rows and keeps only
+    strings: equal keys of other types (1, 1.0, True) keep csv's own
+    fields."""
+    with mock.patch.object(metrics, "_CSV_CHUNK", 5):
+        assert metrics.assignments_to_csv(rows) == reference_csv(rows)
 
 
 def test_render_strips_an_id_that_ends_in_whitespace(mono_cloud, oracle):
