@@ -29,10 +29,10 @@ class VmType:
     """
 
     name: str
-    vcpus: int
-    memory_mb: int
-    price_per_second: float
-    speed_factor: float
+    vcpus: int = field(metadata={"if_absent": 1})
+    memory_mb: int = field(metadata={"if_absent": 1024})
+    price_per_second: float = field(metadata={"as_float": True})
+    speed_factor: float = field(metadata={"as_float": True})
 
     def __post_init__(self) -> None:
         if self.price_per_second <= 0:

@@ -6,7 +6,7 @@ class WaasimError(Exception):
 
 
 class SchemaError(WaasimError):
-    """A workflow or config document is malformed (missing/invalid field)."""
+    """A workflow, workload or report document is malformed (missing/invalid field)."""
 
 
 class CycleError(WaasimError):

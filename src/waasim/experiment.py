@@ -11,19 +11,18 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
 
 from . import engine
-from .cloud import CloudConfig, VmType
+from .cloud import CloudConfig
 from .errors import ConfigError, ManifestMismatch, SchemaError
 from .estimator import EstimatorConfig
 from .metrics import (ASSIGNMENT_CSV_HEADER, AssignmentCsv, MetricsReport, report_from_json,
                       report_to_json, workflows_to_csv)
 from .scheduler import make_policy
+from .schema import decode, load
 from .units import substream_seed
 from .workflow import (GENOME_RUNTIMES, VINA01_RUNTIMES, VINA02_RUNTIMES,
                        WorkflowSpec, generate_workload, genome_template,
@@ -34,7 +33,7 @@ from .workflow import (GENOME_RUNTIMES, VINA01_RUNTIMES, VINA02_RUNTIMES,
 class TemplateConfig:
     name: str
     shape: str  # "genome" or "vina"
-    budgets: list[float]
+    budgets: list[float] = field(metadata={"as_float": True})
     fan_out: int = 10
     ligand_count: int = 7
     runtime_profile: dict[str, float] | None = None
@@ -160,64 +159,17 @@ class ExperimentConfig:
         return catalog
 
 
-# Decoding rules the annotations do not state: catalog entries default
-# vcpus and memory_mb, and these fields are stored as floats whatever JSON
-# number they were given.
-_DEFAULTS = {VmType: {"vcpus": 1, "memory_mb": 1024}}
-_AS_FLOAT = {(VmType, "price_per_second"), (VmType, "speed_factor"),
-             (TemplateConfig, "budgets")}
-
-# JSON types a scalar annotation accepts. They are checked, never coerced (an
-# int passes as a float and stays an int), so config.json keeps them.
-_SCALARS = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
-
-
-def _decode(hint, value, path: str, as_float: bool = False):
-    """`value` decoded as the annotation `hint`; errors name the JSON `path`."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:  # X | None
-        return None if value is None else _decode(args[0], value, path, as_float)
-    if (is_dataclass(hint) or origin is dict) and not isinstance(value, dict):
-        raise ConfigError(f"{path}: must be a JSON object")
-    if is_dataclass(hint):
-        hints = get_type_hints(hint)
-        if unknown := [key for key in value if key not in hints]:
-            raise ConfigError(f"{path}: unknown field {unknown[0]!r}")
-        kwargs = dict(_DEFAULTS.get(hint, {}))
-        for f in fields(hint):
-            if f.name in value:
-                kwargs[f.name] = _decode(hints[f.name], value[f.name], f"{path}.{f.name}",
-                                         (hint, f.name) in _AS_FLOAT)
-            elif f.name not in kwargs and f.default is MISSING is f.default_factory:
-                raise ConfigError(f"{path}.{f.name}: missing field")
-        return hint(**kwargs)
-    if origin is dict:  # dict[str, X]
-        return {k: _decode(args[1], v, f"{path}.{k}", as_float) for k, v in value.items()}
-    if origin in (list, tuple):  # list[X] or tuple[X, ...]
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: must be a JSON list")
-        return origin(_decode(args[0], v, f"{path}[{i}]", as_float)
-                      for i, v in enumerate(value))
-    if type(value) not in _SCALARS[hint]:
-        raise ConfigError(f"{path}: expected {hint.__name__}")
-    if type(value) is float and not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite")
-    return float(value) if as_float else value
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Decode an ExperimentConfig from parsed JSON, then validate it."""
-    config = _decode(ExperimentConfig, doc, "config")
+    config = decode(doc, ExperimentConfig, "config", ConfigError)
     config.validate()
     return config
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON: {exc}") from exc
-    return config_from_dict(doc)
+    config = load(Path(path).read_text(), ExperimentConfig, "config", ConfigError)
+    config.validate()
+    return config
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

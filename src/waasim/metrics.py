@@ -8,9 +8,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, get_type_hints
+from typing import Iterable
 
 from .errors import SchemaError
+from .schema import load
 from .units import USEC_PER_SEC, format_dollars, format_seconds
 
 
@@ -22,9 +23,10 @@ class WorkflowMetrics:
     cost_usd: float
     budget_usd: float
     budget_met: bool
-    cost_per_budget: float
-    cost_nanos: int = 0
-    makespan_us: int = 0
+    # report_to_json writes an infinite ratio as null.
+    cost_per_budget: float = field(metadata={"if_null": math.inf})
+    cost_nanos: int
+    makespan_us: int
 
 
 @dataclass
@@ -35,7 +37,7 @@ class FleetMetrics:
     billed_seconds: int
     utilization_pct: float
     total_cost_usd: float
-    total_cost_nanos: int = 0
+    total_cost_nanos: int
 
 
 @dataclass
@@ -43,8 +45,8 @@ class MetricsReport:
     scheduler: str
     seed: int
     workload_hash: str
-    workflows: list[WorkflowMetrics] = field(default_factory=list)
-    fleet: FleetMetrics | None = None
+    workflows: list[WorkflowMetrics]
+    fleet: FleetMetrics | None
 
     def budget_met_pct(self) -> float:
         if not self.workflows:
@@ -79,43 +81,12 @@ def report_to_json(report: MetricsReport) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-# JSON types of the scalar report fields.
-_SCALARS = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
-
-
-def _record(cls, doc, path: str):
-    """`cls(**doc)`, for a JSON object holding exactly the fields of `cls`
-    (report_to_json writes them all), each scalar of its annotated type."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: must be a JSON object")
-    hints = get_type_hints(cls)
-    for key, value in doc.items():
-        if key not in hints:
-            raise SchemaError(f"{path}: unknown field {key!r}")
-        if hints[key] in _SCALARS and type(value) not in _SCALARS[hints[key]]:
-            raise SchemaError(f"{path}.{key}: expected {hints[key].__name__}")
-    if missing := [key for key in hints if key not in doc]:
-        raise SchemaError(f"{path}.{missing[0]}: missing field")
-    return cls(**doc)
-
-
 def report_from_json(text: str) -> MetricsReport:
-    """Read a report written by report_to_json, where a null `cost_per_budget`
-    is infinity. A malformed report raises SchemaError naming the field."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    report = _record(MetricsReport, doc, "report")
-    if not isinstance(report.workflows, list):
-        raise SchemaError("report.workflows: must be a JSON list")
-    workflows = []
-    for i, w in enumerate(report.workflows):
-        if isinstance(w, dict) and w.get("cost_per_budget", 0.0) is None:
-            w = {**w, "cost_per_budget": math.inf}
-        workflows.append(_record(WorkflowMetrics, w, f"report.workflows[{i}]"))
-    report.workflows = workflows
-    report.fleet = _record(FleetMetrics, report.fleet, "report.fleet")
+    """Read a report written by report_to_json, which always writes a fleet.
+    A malformed report raises SchemaError naming the field."""
+    report = load(text, MetricsReport, "report", SchemaError)
+    if report.fleet is None:
+        raise SchemaError("report.fleet: must be a JSON object")
     return report
 
 

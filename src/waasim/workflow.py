@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import json
 import math
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
 from .errors import CycleError, DanglingRefError, SchemaError
+from .schema import load
 
 # Synthetic desk-scale reference runtimes (seconds on the speed-1.0 VM type).
 # No published per-task runtimes exist for these applications; values are
@@ -103,10 +103,12 @@ def _assemble(workflow_id: str, tasks: list[TaskRecord], budget: float,
             children[parent].add(task.id)
 
     levels = _levels(workflow_id, by_id, children)
+    # Each record built afresh: dataclasses.replace costs twice as much.
     return WorkflowSpec(
         id=workflow_id,
-        tasks={tid: replace(by_id[tid], children=frozenset(children[tid]), level=levels[tid])
-               for tid in sorted(by_id)},
+        tasks={tid: TaskRecord(t.id, t.kind, t.reference_runtime, t.parents,
+                               frozenset(children[tid]), levels[tid], t.transfer_time)
+               for tid, t in sorted(by_id.items())},
         budget=budget,
         arrival_time=arrival_time,
     )
@@ -134,52 +136,41 @@ def _levels(workflow_id: str, tasks: dict[str, TaskRecord],
     return levels
 
 
-def _converted(convert, value, field: str, task: int | None = None):
-    """`convert(value)`. A value it rejects raises a SchemaError naming the
-    field, as `tasks[i].field` for the task at index `task`."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        path = field if task is None else f"tasks[{task}].{field}"
-        raise SchemaError(f"{path}: invalid value {value!r}") from exc
+# The workflow and workload documents as JSON holds them: numbers may be ints.
+@dataclass
+class _TaskDoc:
+    id: str
+    kind: str
+    runtime: float
+    parents: list[str] = field(default_factory=list)
+    transfer: float = 0.0
 
 
-def workflow_from_dict(doc: dict) -> WorkflowSpec:
-    if not isinstance(doc, dict):
-        raise SchemaError("workflow document must be a JSON object")
-    for key in ("id", "budget", "tasks"):
-        if key not in doc:
-            raise SchemaError(f"workflow document: missing field {key!r}")
-    if not isinstance(doc["tasks"], list):
-        raise SchemaError("workflow document: 'tasks' must be a list")
-    tasks = []
-    for i, entry in enumerate(doc["tasks"]):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"tasks[{i}]: must be an object")
-        for key in ("id", "kind", "runtime"):
-            if key not in entry:
-                raise SchemaError(f"tasks[{i}]: missing field {key!r}")
-        parents = entry.get("parents", [])
-        if not isinstance(parents, list):
-            raise SchemaError(f"tasks[{i}].parents: must be a list")
-        tasks.append(TaskRecord(
-            id=str(entry["id"]),
-            kind=str(entry["kind"]),
-            reference_runtime=_converted(float, entry["runtime"], "runtime", i),
-            parents=frozenset(str(p) for p in parents),
-            transfer_time=_converted(float, entry.get("transfer", 0.0), "transfer", i),
-        ))
-    return _assemble(str(doc["id"]), tasks, _converted(float, doc["budget"], "budget"),
-                     _converted(float, doc.get("arrival_time", 0.0), "arrival_time"))
+@dataclass
+class _WorkflowDoc:
+    id: str
+    budget: float
+    tasks: list[_TaskDoc]
+    arrival_time: float = 0.0
+
+
+@dataclass
+class _WorkloadDoc:
+    arrival_rate: float
+    workflows: list[_WorkflowDoc]
+    seed: int = 0
+
+
+def _workflow_spec(doc: _WorkflowDoc) -> WorkflowSpec:
+    tasks = [TaskRecord(id=t.id, kind=t.kind, reference_runtime=float(t.runtime),
+                        parents=frozenset(t.parents), transfer_time=float(t.transfer))
+             for t in doc.tasks]
+    return _assemble(doc.id, tasks, float(doc.budget), float(doc.arrival_time))
 
 
 def parse_workflow(text: str) -> WorkflowSpec:
     """Parse and fully validate a canonical workflow JSON document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    return workflow_from_dict(doc)
+    return _workflow_spec(load(text, _WorkflowDoc, "workflow", SchemaError))
 
 
 def workflow_to_dict(spec: WorkflowSpec, with_arrival: bool = False) -> dict:
@@ -201,15 +192,9 @@ def workflow_to_dict(spec: WorkflowSpec, with_arrival: bool = False) -> dict:
     return doc
 
 
-def workload_from_dict(doc: dict) -> WorkloadSpec:
-    if not isinstance(doc, dict):
-        raise SchemaError("workload document must be a JSON object")
-    for key in ("arrival_rate", "workflows"):
-        if key not in doc:
-            raise SchemaError(f"workload document: missing field {key!r}")
-    if not isinstance(doc["workflows"], list):
-        raise SchemaError("workload document: 'workflows' must be a list")
-    workflows = [workflow_from_dict(w) for w in doc["workflows"]]
+def parse_workload(text: str) -> WorkloadSpec:
+    doc = load(text, _WorkloadDoc, "workload", SchemaError)
+    workflows = [_workflow_spec(w) for w in doc.workflows]
     seen: set[str] = set()
     for i, spec in enumerate(workflows):
         if spec.id in seen:
@@ -218,17 +203,8 @@ def workload_from_dict(doc: dict) -> WorkloadSpec:
     arrivals = [w.arrival_time for w in workflows]
     if any(b < a for a, b in zip(arrivals, arrivals[1:])):
         raise SchemaError("workload document: arrival_time must be non-decreasing")
-    return WorkloadSpec(workflows=workflows,
-                        arrival_rate=_converted(float, doc["arrival_rate"], "arrival_rate"),
-                        seed=_converted(int, doc.get("seed", 0), "seed"))
-
-
-def parse_workload(text: str) -> WorkloadSpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    return workload_from_dict(doc)
+    return WorkloadSpec(workflows=workflows, arrival_rate=float(doc.arrival_rate),
+                        seed=doc.seed)
 
 
 def workload_to_dict(workload: WorkloadSpec) -> dict:

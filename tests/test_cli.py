@@ -142,14 +142,28 @@ def test_run_command_rejects_values_that_fail_mid_run(tmp_path, capsys, override
     # Fails the size check of the first allocation at once: nothing is allocated.
     ({"templates": _vina(ligand_count=2**62, runtimes=None)},
      "templates[v].ligand_count: too many tasks to build"),
+    # Integers too large for a float, where a float belongs.
+    ({"estimator": {"cold_start_margin": 10**400}},
+     "config.estimator.cold_start_margin: must be finite"),
+    ({"cloud": {"variability": {"mode": "lognormal", "sigma": 10**400}}},
+     "config.cloud.variability.sigma: must be finite"),
+    ({"cloud": _catalog(price_per_second=10**400)},
+     "config.cloud.catalog[0].price_per_second: must be finite"),
+    ({"cloud": _catalog(speed_factor=10**400)},
+     "config.cloud.catalog[0].speed_factor: must be finite"),
+    ({"templates": _vina(budgets=[10**400])}, "config.templates[0].budgets[0]: must be finite"),
+    # A lone surrogate, which the escape \ud800 gives, cannot be written out.
+    ({"templates": _vina(name="v\ud800")},
+     "config.templates[0].name: must be encodable as UTF-8"),
 ], ids=["fcfs", "homogeneous", "shape", "same_scheduler", "same_rate_label", "huge_window",
-        "huge_ligand_count", "unbuildable_ligand_count"])
+        "huge_ligand_count", "unbuildable_ligand_count", "huge_int_margin", "huge_int_sigma",
+        "huge_int_price", "huge_int_speed", "huge_int_budget", "surrogate_name"])
 def test_run_command_rejects_at_load_what_a_run_would_reject(tmp_path, capsys, overrides,
                                                               message):
     """A scheduler that cannot run on the (default, four-type) catalog, a
-    template that cannot be built, runs that would share a run id and a
-    size too large for an index stop the sweep before any run is
-    written."""
+    template that cannot be built, runs that would share a run id, a
+    size too large for an index and a value the decoder cannot read stop
+    the sweep before any run is written."""
     config = write_config(tmp_path, budget_levels=[1], **overrides)
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 2
@@ -217,7 +231,38 @@ def test_validate_command(tmp_path, capsys):
                    ' "tasks": [{"id": "A", "kind": "a", "runtime": 1e999}]}')
     capsys.readouterr()
     assert main(["validate", "--workflow", str(bad)]) == 2
-    assert capsys.readouterr().err == "error: workflow 'w': budget must be finite and >= 0\n"
+    assert capsys.readouterr().err == "error: workflow.budget: must be finite\n"
+
+
+@pytest.mark.parametrize("task, message", [
+    ({"runtime": True}, "workflow.tasks[0].runtime: expected float"),
+    ({"runtime": "300"}, "workflow.tasks[0].runtime: expected float"),
+    ({"runtime": 10**400}, "workflow.tasks[0].runtime: must be finite"),
+    ({"kind": None}, "workflow.tasks[0].kind: expected str"),
+    ({"id": {"a": 1}}, "workflow.tasks[0].id: expected str"),
+    ({"parents": [1]}, "workflow.tasks[0].parents[0]: expected str"),
+    ({"transfr": 5.0}, "workflow.tasks[0]: unknown field 'transfr'"),
+], ids=["bool_runtime", "string_runtime", "huge_int_runtime", "null_kind", "object_id",
+        "int_parent", "unknown_field"])
+def test_validate_rejects_mistyped_fields(tmp_path, capsys, task, message):
+    """A value of the wrong JSON type is rejected, not converted."""
+    path = tmp_path / "wf.json"
+    path.write_text(json.dumps({"id": "w", "budget": 0.5, "tasks": [
+        {"id": "A", "kind": "a", "runtime": 5, **task}]}))
+    assert main(["validate", "--workflow", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"id": "w", "budget": ' + "1" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+    ("[" * 100_000, "maximum recursion depth exceeded"),
+], ids=["too_many_digits", "too_deep"])
+def test_validate_rejects_json_too_long_or_deep_to_read(tmp_path, capsys, text, message):
+    path = tmp_path / "wf.json"
+    path.write_text(text)
+    assert main(["validate", "--workflow", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: workflow: invalid JSON: ") and message in err
 
 
 def test_gen_workload_roundtrip(tmp_path, capsys):
@@ -287,12 +332,27 @@ def test_compare_command(tmp_path, capsys):
     slow["workflows"][0]["makespan_s"] = "x"
     instant = json.loads(a.read_text())
     instant["workflows"][0]["makespan_s"] = 0.0
+
+    def first_workflow(**fields):
+        return {**good, "workflows": [{**good["workflows"][0], **fields},
+                                      *good["workflows"][1:]]}
+    unpriced = first_workflow()
+    del unpriced["workflows"][0]["cost_nanos"]
     for doc, message in (
             ({"scheduler": "x"}, f"{malformed}: report.seed: missing field"),
             ({**good, "workflows": 5}, f"{malformed}: report.workflows: must be a JSON list"),
             (slow, f"{malformed}: report.workflows[0].makespan_s: expected float"),
             ({**good, "fleet": {"vms": 1}}, f"{malformed}: report.fleet: unknown field 'vms'"),
             ({**good, "fleet": None}, f"{malformed}: report.fleet: must be a JSON object"),
+            ({**good, "fleet": {**good["fleet"], "vm_counts": [1]}},
+             f"{malformed}: report.fleet.vm_counts: must be a JSON object"),
+            (first_workflow(budget_met=1),
+             f"{malformed}: report.workflows[0].budget_met: expected bool"),
+            (unpriced, f"{malformed}: report.workflows[0].cost_nanos: missing field"),
+            (first_workflow(makespan_s=10**400),
+             f"{malformed}: report.workflows[0].makespan_s: must be finite"),
+            (first_workflow(workflow_id="w\ud800"),
+             f"{malformed}: report.workflows[0].workflow_id: must be encodable as UTF-8"),
             ({**good, "workflows": []}, "the reports do not cover the same workflows"),
             (instant, f"workflow {good['workflows'][0]['workflow_id']!r}: "
                       "makespan_s must be > 0")):

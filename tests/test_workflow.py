@@ -57,35 +57,46 @@ def test_parse_missing_field(missing):
     ("runtime", "x", r"tasks\[0\]\.runtime"),
     ("transfer", "x", r"tasks\[0\]\.transfer"),
     ("parents", 5, r"tasks\[0\]\.parents"),
-    ("parents", "A", r"tasks\[0\]\.parents: must be a list"),
-    ("parents", {"A": 1}, r"tasks\[0\]\.parents: must be a list"),
+    ("parents", "A", r"tasks\[0\]\.parents: must be a JSON list"),
+    ("parents", {"A": 1}, r"tasks\[0\]\.parents: must be a JSON list"),
     ("budget", None, "budget"),
-    ("runtime", float("nan"), "task 'A': runtime must be finite"),
-    ("runtime", "1e999", "task 'A': runtime must be finite"),
-    ("transfer", float("inf"), "task 'A': transfer must be finite"),
-    ("budget", float("nan"), "workflow 'w': budget must be finite"),
-    ("arrival_time", float("inf"), "workflow 'w': arrival_time must be finite"),
+    ("runtime", float("nan"), r"tasks\[0\]\.runtime: must be finite"),
+    ("runtime", "1e999", r"tasks\[0\]\.runtime: must be finite"),
+    ("transfer", float("inf"), r"tasks\[0\]\.transfer: must be finite"),
+    ("budget", float("nan"), r"workflow\.budget: must be finite"),
+    ("arrival_time", float("inf"), r"workflow\.arrival_time: must be finite"),
 ])
 def test_parse_unconvertible_value(field, value, message):
     doc = {"id": "w", "budget": 0.1,
            "tasks": [{"id": "A", "kind": "a", "runtime": 1, "parents": []}]}
     (doc if field in ("budget", "arrival_time") else doc["tasks"][0])[field] = value
+    # "1e999" goes in as the bare literal, which json.loads reads as infinity.
     with pytest.raises(SchemaError, match=message):
-        parse_workflow(json.dumps(doc))
+        parse_workflow(json.dumps(doc).replace('"1e999"', "1e999"))
 
 
 def test_parse_converts_as_before():
-    """Values that convert keep converting, so no workload hash changes."""
-    doc = {"id": "w", "budget": "0.5",
-           "tasks": [{"id": "A", "kind": "a", "runtime": "2", "transfer": 1, "parents": []}]}
-    spec = parse_workflow(json.dumps(doc))
-    assert spec.budget == 0.5
-    assert spec.tasks["A"].reference_runtime == 2.0
-    assert spec.tasks["A"].transfer_time == 1.0
+    """Integers are read as floats, so no workload text or hash changes;
+    strings are not read as numbers."""
+    floats = {"id": "w", "budget": 1.0, "arrival_time": 3.0,
+              "tasks": [{"id": "A", "kind": "a", "runtime": 2.0, "transfer": 1.0}]}
+    ints = {"id": "w", "budget": 1, "arrival_time": 3,
+            "tasks": [{"id": "A", "kind": "a", "runtime": 2, "transfer": 1}]}
+    spec = parse_workflow(json.dumps(ints))
+    assert spec == parse_workflow(json.dumps(floats))
+    assert type(spec.budget) is float and type(spec.tasks["A"].reference_runtime) is float
+    assert serialize_workload(parse_workload(json.dumps(
+        {"arrival_rate": 2, "workflows": [ints]}))) == serialize_workload(parse_workload(
+            json.dumps({"arrival_rate": 2.0, "workflows": [floats]})))
+    for doc, message in (({**floats, "budget": "0.5"}, "workflow.budget: expected float"),
+                         ({**floats, "tasks": [{"id": "A", "kind": "a", "runtime": "2"}]},
+                          r"workflow.tasks\[0\].runtime: expected float")):
+        with pytest.raises(SchemaError, match=message):
+            parse_workflow(json.dumps(doc))
 
 
 def test_parse_workload_workflows_not_a_list():
-    with pytest.raises(SchemaError, match="'workflows' must be a list"):
+    with pytest.raises(SchemaError, match="^workload.workflows: must be a JSON list$"):
         parse_workload(json.dumps({"arrival_rate": 1.0, "workflows": 5}))
 
 
@@ -95,6 +106,13 @@ def test_parse_workload_rejects_duplicate_workflow_ids():
                                               {**workflow, "arrival_time": 5.0}]}
     with pytest.raises(SchemaError, match=r"^workflows\[1\]\.id: duplicate workflow id 'w'$"):
         parse_workload(json.dumps(doc))
+
+
+def test_parse_workload_rejects_a_lone_surrogate():
+    workflow = {"id": "w\ud800", "budget": 1.0, "tasks": [{"id": "A", "kind": "a", "runtime": 5}]}
+    with pytest.raises(SchemaError, match=r"^workload.workflows\[0\].id: must be encodable "
+                                          "as UTF-8$"):
+        parse_workload(json.dumps({"arrival_rate": 1.0, "workflows": [workflow]}))
 
 
 def test_parse_cycle():
