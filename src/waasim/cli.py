@@ -9,9 +9,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, StallError, WaasimError
+from .errors import ConfigError, SchemaError, StallError, WaasimError
 from .experiment import (compare_files, default_templates, load_config,
                          run_experiment)
+from .schema import read_file
 from .workflow import generate_workload, parse_workflow, serialize_workload
 
 
@@ -62,7 +63,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    spec = parse_workflow(Path(args.workflow).read_text())
+    spec = parse_workflow(read_file(args.workflow, SchemaError))
     entries = len(spec.entry_ids())
     exits = len(spec.exit_ids())
     levels = max(t.level for t in spec.tasks.values()) + 1

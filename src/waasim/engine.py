@@ -16,7 +16,7 @@ from .cloud import CloudConfig, Fleet, VmInstance, task_runtime_on
 from .errors import ConfigError, StallError
 from .estimator import EstimatorConfig
 from .metrics import FleetMetrics, MetricsReport, WorkflowMetrics
-from .scheduler import Assign, BudgetLedger, make_policy
+from .scheduler import BudgetLedger, make_policy
 from .units import ceil_whole_seconds, nanos, substream_seed, usec
 from .workflow import TaskRecord, WorkloadSpec, workload_hash
 
@@ -222,16 +222,15 @@ class _Simulation:
     # -- event handlers -----------------------------------------------------
 
     def _on_arrival(self, run: WorkflowRun) -> None:
-        run.pending_parents = {
-            tid: len(t.parents) for tid, t in run.spec.tasks.items()
-        }
-        run.unfinished = len(run.spec.tasks)
-        self._append((self.clock_us, "workflow_arrival", run.spec.id, len(run.spec.tasks),
+        tasks = run.spec.tasks
+        run.pending_parents = {tid: len(t.parents) for tid, t in tasks.items()}
+        run.unfinished = len(tasks)
+        self._append((self.clock_us, "workflow_arrival", run.spec.id, len(tasks),
                       run.budget_nanos))
         self.policy.on_arrival(run)
-        for tid in sorted(run.spec.tasks):
-            if run.pending_parents[tid] == 0:
-                self._make_ready(run, run.spec.tasks[tid])
+        for task in tasks.values():
+            if not task.parents:
+                self._make_ready(run, task)
 
     def _make_ready(self, run: WorkflowRun, task: TaskRecord) -> None:
         self._append((self.clock_us, "task_ready", run.spec.id, task.id))
@@ -269,7 +268,7 @@ class _Simulation:
         else:
             self._append((self.clock_us, "vm_idle", vm.id))
 
-        for child_id in sorted(task.children):
+        for child_id in task.children:
             run.pending_parents[child_id] -= 1
             if run.pending_parents[child_id] == 0:
                 self._make_ready(run, run.spec.tasks[child_id])
@@ -297,19 +296,18 @@ class _Simulation:
             self._append((self.clock_us, "vm_released", vm.id))
 
     def _dispatch(self) -> None:
-        actions = self.policy.schedule_ready(self.fleet)
-        for action in actions:
-            task = action.task
-            if isinstance(action, Assign):
-                vm = self.fleet.instances[action.vm_id]
-                self._append((self.clock_us, "task_assign", action.run.spec.id, task.id,
+        # The target tells the decisions apart (see scheduler.Assign, Provision).
+        for run, task, target in self.policy.schedule_ready(self.fleet):
+            if type(target) is str:
+                vm = self.fleet.instances[target]
+                self._append((self.clock_us, "task_assign", run.spec.id, task.id,
                               vm.id, vm.vm_type.name))
-                self._start_task(action.run, task, vm)
+                self._start_task(run, task, vm)
             else:
-                vm = self.fleet.provision(action.vm_type, self.clock_us)
-                self._append((self.clock_us, "provision_request", action.run.spec.id,
+                vm = self.fleet.provision(target, self.clock_us)
+                self._append((self.clock_us, "provision_request", run.spec.id,
                               task.id, vm.id, vm.vm_type.name, vm.available_at_us))
-                self._push(vm.available_at_us, self._on_vm_available, (vm, action.run, task))
+                self._push(vm.available_at_us, self._on_vm_available, (vm, run, task))
 
     def _maybe_schedule_tick(self) -> None:
         if self._next_tick_us is not None:

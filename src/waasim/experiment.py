@@ -22,7 +22,7 @@ from .estimator import EstimatorConfig
 from .metrics import (ASSIGNMENT_CSV_HEADER, AssignmentCsv, MetricsReport, report_from_json,
                       report_to_json, workflows_to_csv)
 from .scheduler import make_policy
-from .schema import decode, load
+from .schema import decode, load, read_file
 from .units import substream_seed
 from .workflow import (GENOME_RUNTIMES, VINA01_RUNTIMES, VINA02_RUNTIMES,
                        WorkflowSpec, generate_workload, genome_template,
@@ -167,7 +167,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    config = load(Path(path).read_text(), ExperimentConfig, "config", ConfigError)
+    config = load(read_file(path, ConfigError), ExperimentConfig, "config", ConfigError)
     config.validate()
     return config
 
@@ -431,8 +431,9 @@ def compare(report_a: MetricsReport, report_b: MetricsReport) -> ComparisonRepor
 
 
 def _read_report(path: str | Path) -> MetricsReport:
+    text = read_file(path, SchemaError)
     try:
-        return report_from_json(Path(path).read_text())
+        return report_from_json(text)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 

@@ -46,7 +46,7 @@ class MetricsReport:
     seed: int
     workload_hash: str
     workflows: list[WorkflowMetrics]
-    fleet: FleetMetrics | None
+    fleet: FleetMetrics
 
     def budget_met_pct(self) -> float:
         if not self.workflows:
@@ -60,14 +60,12 @@ class MetricsReport:
     def to_dict(self) -> dict:
         """The report as new JSON-ready dicts with the keys in field order:
         what `dataclasses.asdict` gives, without its recursive deep copy."""
-        fleet = self.fleet
         return {
             "scheduler": self.scheduler,
             "seed": self.seed,
             "workload_hash": self.workload_hash,
             "workflows": [vars(w).copy() for w in self.workflows],
-            "fleet": None if fleet is None else {**vars(fleet),
-                                                 "vm_counts": dict(fleet.vm_counts)},
+            "fleet": {**vars(self.fleet), "vm_counts": dict(self.fleet.vm_counts)},
         }
 
 
@@ -82,12 +80,9 @@ def report_to_json(report: MetricsReport) -> str:
 
 
 def report_from_json(text: str) -> MetricsReport:
-    """Read a report written by report_to_json, which always writes a fleet.
-    A malformed report raises SchemaError naming the field."""
-    report = load(text, MetricsReport, "report", SchemaError)
-    if report.fleet is None:
-        raise SchemaError("report.fleet: must be a JSON object")
-    return report
+    """Read a report written by report_to_json. A malformed report raises
+    SchemaError naming the field."""
+    return load(text, MetricsReport, "report", SchemaError)
 
 
 WORKFLOW_CSV_COLUMNS = (

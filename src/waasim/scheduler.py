@@ -146,11 +146,10 @@ def compute_eft_us(spec: WorkflowSpec, costs: CostRows) -> dict[str, int]:
     fastest type, read from its cost row; no communication term.
     """
     eft: dict[str, int] = {}
-    for tid in sorted(spec.tasks, key=lambda t: (spec.tasks[t].level, t)):
-        task = spec.tasks[tid]
+    for task in sorted(spec.tasks.values(), key=lambda t: t.level):
         est_us = costs.row(task.kind, task.total_runtime).terms[costs.fastest_at][0]
         ready = max((eft[p] for p in task.parents), default=0)
-        eft[tid] = ready + est_us
+        eft[task.id] = ready + est_us
     return eft
 
 
@@ -246,17 +245,15 @@ def update_budget(ledger: BudgetLedger, finished: TaskRecord, actual_cost_nanos:
     _fold(ledger, pool, unscheduled)
 
 
-@dataclass
-class Assign:
-    """Dispatch decision: run the task on an already-leased idle instance."""
+class Assign(NamedTuple):
+    """Dispatch decision: run the task on the idle instance `vm_id`, a str."""
     run: object
     task: TaskRecord
     vm_id: str
 
 
-@dataclass
-class Provision:
-    """Dispatch decision: lease a new instance of `vm_type` for the task."""
+class Provision(NamedTuple):
+    """Dispatch decision: lease a new `vm_type`, never a str, for the task."""
     run: object
     task: TaskRecord
     vm_type: VmType

@@ -11,8 +11,17 @@ import json
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
 from math import isfinite
+from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
+
+
+def read_file(path, error: type[Exception]) -> str:
+    """The text of the document file at `path`, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def load(text: str, cls: type, root: str, error: type[Exception]):

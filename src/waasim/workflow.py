@@ -36,20 +36,21 @@ class TaskRecord:
     id: str
     kind: str
     reference_runtime: float
-    parents: frozenset[str] = frozenset()
-    children: frozenset[str] = frozenset()
+    parents: tuple[str, ...] = ()
+    children: tuple[str, ...] = ()
     level: int = 0
     transfer_time: float = 0.0
+    # Reference runtime plus any explicit data-transfer overhead.
+    total_runtime: float = field(init=False)
 
-    @property
-    def total_runtime(self) -> float:
-        """Reference runtime plus any explicit data-transfer overhead."""
-        return self.reference_runtime + self.transfer_time
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "total_runtime", self.reference_runtime + self.transfer_time)
 
 
 @dataclass
 class WorkflowSpec:
-    """A validated DAG of tasks with a user budget and arrival time."""
+    """A validated DAG of tasks with a user budget and arrival time. `tasks`
+    is in id order; each task's `parents` and `children` are sorted tuples."""
 
     id: str
     tasks: dict[str, TaskRecord]
@@ -77,7 +78,7 @@ class WorkloadSpec:
 
 def _assemble(workflow_id: str, tasks: list[TaskRecord], budget: float,
               arrival_time: float) -> WorkflowSpec:
-    """Derive children, validate every invariant and compute levels."""
+    """Derive sorted children, validate every invariant and compute levels."""
     if not tasks:
         raise SchemaError(f"workflow {workflow_id!r}: tasks must be non-empty")
     if not (math.isfinite(budget) and budget >= 0):
@@ -95,31 +96,33 @@ def _assemble(workflow_id: str, tasks: list[TaskRecord], budget: float,
             raise SchemaError(f"task {task.id!r}: transfer must be finite and >= 0")
         by_id[task.id] = task
 
-    children: dict[str, set[str]] = {tid: set() for tid in by_id}
-    for task in tasks:
-        for parent in task.parents:
+    ordered = sorted(by_id.items())
+    parents = {tid: tuple(sorted(set(t.parents))) for tid, t in ordered}
+    children: dict[str, list[str]] = {tid: [] for tid, _ in ordered}
+    for tid, _ in ordered:
+        for parent in parents[tid]:
             if parent not in by_id:
-                raise DanglingRefError(f"task {task.id!r}: unknown parent {parent!r}")
-            children[parent].add(task.id)
+                raise DanglingRefError(f"task {tid!r}: unknown parent {parent!r}")
+            children[parent].append(tid)  # in id order, so already sorted
 
-    levels = _levels(workflow_id, by_id, children)
+    levels = _levels(workflow_id, parents, children)
     # Each record built afresh: dataclasses.replace costs twice as much.
     return WorkflowSpec(
         id=workflow_id,
-        tasks={tid: TaskRecord(t.id, t.kind, t.reference_runtime, t.parents,
-                               frozenset(children[tid]), levels[tid], t.transfer_time)
-               for tid, t in sorted(by_id.items())},
+        tasks={tid: TaskRecord(t.id, t.kind, t.reference_runtime, parents[tid],
+                               tuple(children[tid]), levels[tid], t.transfer_time)
+               for tid, t in ordered},
         budget=budget,
         arrival_time=arrival_time,
     )
 
 
-def _levels(workflow_id: str, tasks: dict[str, TaskRecord],
-            children: dict[str, set[str]]) -> dict[str, int]:
+def _levels(workflow_id: str, parents: dict[str, tuple[str, ...]],
+            children: dict[str, list[str]]) -> dict[str, int]:
     """Longest-path-from-entry level for each task (entry tasks are level 0)."""
-    indegree = {tid: len(t.parents) for tid, t in tasks.items()}
+    indegree = {tid: len(p) for tid, p in parents.items()}
     levels = {tid: 0 for tid, d in indegree.items() if d == 0}
-    frontier = sorted(levels)
+    frontier = list(levels)
     seen = len(frontier)
     while frontier:
         nxt: list[str] = []
@@ -130,8 +133,8 @@ def _levels(workflow_id: str, tasks: dict[str, TaskRecord],
                 if indegree[child] == 0:
                     nxt.append(child)
                     seen += 1
-        frontier = sorted(nxt)
-    if seen != len(tasks):
+        frontier = nxt
+    if seen != len(parents):
         raise CycleError(f"workflow {workflow_id!r}: task graph contains a cycle")
     return levels
 
@@ -163,7 +166,7 @@ class _WorkloadDoc:
 
 def _workflow_spec(doc: _WorkflowDoc) -> WorkflowSpec:
     tasks = [TaskRecord(id=t.id, kind=t.kind, reference_runtime=float(t.runtime),
-                        parents=frozenset(t.parents), transfer_time=float(t.transfer))
+                        parents=tuple(t.parents), transfer_time=float(t.transfer))
              for t in doc.tasks]
     return _assemble(doc.id, tasks, float(doc.budget), float(doc.arrival_time))
 
@@ -247,7 +250,7 @@ def _task_text(task: TaskRecord) -> str:
     fields = [f'"id": {_json_scalar(task.id)}',
               f'"kind": {_json_scalar(task.kind)}',
               f'"runtime": {_json_scalar(task.reference_runtime)}',
-              f'"parents": {_indented([_json_scalar(p) for p in sorted(task.parents)], 5)}']
+              f'"parents": {_indented([_json_scalar(p) for p in task.parents], 5)}']
     if task.transfer_time:
         fields.append(f'"transfer": {_json_scalar(task.transfer_time)}')
     return _indented(fields, 4, "{}")
@@ -264,8 +267,7 @@ def _workload_text(workload: WorkloadSpec) -> Iterator[str]:
     opening = "[\n    "
     for spec in workload.workflows:
         tasks = []
-        for tid in sorted(spec.tasks):
-            task = spec.tasks[tid]
+        for task in spec.tasks.values():
             text = entries.get(id(task))
             if text is None:
                 text = entries[id(task)] = _task_text(task)
@@ -301,21 +303,21 @@ def genome_template(chromosome: str, fan_out: int,
     for kind in runtime_profile or {}:
         if kind not in GENOME_RUNTIMES:
             raise ValueError(f"runtime_profile: unknown task kind {kind!r}")
-    profile = dict(GENOME_RUNTIMES)
-    profile.update(runtime_profile or {})
+    profile = {kind: float(runtime)
+               for kind, runtime in {**GENOME_RUNTIMES, **(runtime_profile or {})}.items()}
     width = max(2, len(str(fan_out)))
     tasks = [
         TaskRecord(id=f"individuals_{i:0{width}d}", kind="individuals",
                    reference_runtime=profile["individuals"])
         for i in range(1, fan_out + 1)
     ]
-    ind_ids = frozenset(t.id for t in tasks)
+    ind_ids = tuple(t.id for t in tasks)
     tasks.append(TaskRecord(id="sifting", kind="sifting",
                             reference_runtime=profile["sifting"]))
     tasks.append(TaskRecord(id="individuals_merge", kind="individuals_merge",
                             reference_runtime=profile["individuals_merge"],
                             parents=ind_ids))
-    join = frozenset({"individuals_merge", "sifting"})
+    join = ("individuals_merge", "sifting")
     tasks.append(TaskRecord(id="mutations_overlap", kind="mutations_overlap",
                             reference_runtime=profile["mutations_overlap"], parents=join))
     tasks.append(TaskRecord(id="frequency", kind="frequency",

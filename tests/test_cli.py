@@ -211,6 +211,20 @@ def test_run_command_missing_file(tmp_path, capsys):
         assert "Is a directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "validate", "compare"])
+def test_document_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    """Each document file is read as UTF-8, and one that is not is an
+    error naming the file, not a traceback."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'\xff{"id": "w"}')
+    argv = {"run": ["run", "--config", str(path)],
+            "validate": ["validate", "--workflow", str(path)],
+            "compare": ["compare", str(path), str(path)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text: ") and "0xff" in err
+
+
 def test_validate_command(tmp_path, capsys):
     doc = {"id": "w", "budget": 0.5, "tasks": [
         {"id": "A", "kind": "a", "runtime": 5, "parents": []},

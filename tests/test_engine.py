@@ -1,5 +1,6 @@
 """Simulation loop: event ordering, termination, traces, determinism."""
 
+import json
 import random
 import re
 from dataclasses import replace
@@ -23,6 +24,22 @@ def test_empty_workload():
     assert result.report.workflows == []
     assert result.report.fleet.total_cost_usd == 0.0
     assert events(result.trace)[-1].name == "simulation_end"
+
+
+def test_a_parent_listed_twice_counts_once(mono_cloud, oracle):
+    """A task that lists one parent twice waits for that parent once: it is
+    released when the parent completes, as if the parent were listed once."""
+    def simulate(parents):
+        workload = parse_workload(json.dumps({"arrival_rate": 1.0, "workflows": [
+            {"id": "w", "budget": 1.0, "tasks": [
+                {"id": "a", "kind": "a", "runtime": 10.0},
+                {"id": "b", "kind": "b", "runtime": 5.0, "parents": parents}]}]}))
+        result = engine.run(workload, "ebpsm", mono_cloud, oracle, seed=0)
+        return engine.checkpoint_trace(result.trace), result.report
+
+    twice, once = simulate(["a", "a"]), simulate(["a"])
+    assert twice == once
+    assert "task_complete\tworkflow=w task=b" in twice[0]
 
 
 def test_single_task_zero_delay_makespan(mono_cloud, oracle):

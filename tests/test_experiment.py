@@ -18,6 +18,7 @@ from waasim.experiment import (ExperimentConfig, TemplateConfig, compare,
                                summarize_budget_met)
 from waasim.metrics import (FleetMetrics, MetricsReport, WorkflowMetrics,
                             report_from_json)
+from waasim.workflow import generate_workload, workload_hash
 
 
 def desk_templates():
@@ -151,6 +152,20 @@ def test_config_hash_of_integer_valued_config():
     assert config_hash(config).startswith("67ab57edf8ae5135")
     assert config.cloud.catalog[0].vcpus == 1 and config.cloud.catalog[0].memory_mb == 1024
     assert config_hash(ExperimentConfig()).startswith("54deb07f8c06137f")
+
+
+def test_integer_runtime_profile_gives_the_float_profile_workload():
+    """A genome template's runtimes are floats whichever JSON number a
+    config gives, so `5` and `5.0` draw the same workload text and hash."""
+    hashes = []
+    for runtime in (5, 5.0):
+        config = config_from_dict({"templates": [
+            {"name": "g", "shape": "genome", "budgets": [1], "fan_out": 2,
+             "runtime_profile": {"sifting": runtime}}], "budget_levels": [1]})
+        spec = config.build_catalog()[0][0]
+        assert type(spec.tasks["sifting"].reference_runtime) is float
+        hashes.append(workload_hash(generate_workload(config.build_catalog(), 3, 6.0, seed=1)))
+    assert hashes[0] == hashes[1]
 
 
 def test_plan_runs_matrix():

@@ -8,9 +8,13 @@ scan every instance at every scan interval, on every budget update rebuild,
 re-sort and reprice the unscheduled tasks and refold all of them, format
 each trace line with `str.format` and write each row through `csv.writer`;
 the optimised code must agree with them exactly: equal floats, equal
-ledgers, identical traces and identical report and log bytes."""
+ledgers, identical traces and identical report and log bytes. The event
+loop itself is checked against `ReferenceSimulation`, a loop written from
+README's description that drives these references."""
 
+import bisect
 import csv
+import hashlib
 import io
 import json
 import math
@@ -35,8 +39,9 @@ from waasim.metrics import ASSIGNMENT_CSV_COLUMNS, report_to_json
 from waasim.scheduler import (SCHEDULER_NAMES, Assign, BudgetLedger, CostRows, EbpsmPolicy,
                               Provision, compute_eft_us, distribute_budget,
                               distribution_order, make_policy, update_budget)
-from waasim.units import USEC_PER_SEC, usec
-from waasim.workflow import WorkloadSpec, generate_workload
+from waasim.units import USEC_PER_SEC, nanos, substream_seed, usec
+from waasim.workflow import (TaskRecord, WorkloadSpec, _assemble, generate_workload,
+                             workload_to_dict)
 
 CATALOG = default_catalog()
 KINDS = ("k0", "k1", "k2", "k3")
@@ -687,9 +692,227 @@ def test_report_dict_equals_asdict():
     report = engine.run(generate_workload(catalog, 12, 12.0, seed=3), "ebpsm",
                         seed=3).report
     assert any(math.isinf(w.cost_per_budget) for w in report.workflows)
-    for r in (report, replace(report, workflows=[], fleet=None)):
+    for r in (report, replace(report, workflows=[])):
         assert json.dumps(r.to_dict()) == json.dumps(asdict(r))
     doc = report.to_dict()
     doc["workflows"][0]["cost_per_budget"] = None
     doc["fleet"]["vm_counts"].clear()
     assert json.dumps(report.to_dict()) == json.dumps(asdict(report))
+
+
+class ReferenceSimulation:
+    """The event loop as README describes it, written apart from the
+    engine's: one list of (time_us, seq, handler, payload) kept sorted and
+    popped one event at a time; the batch's dispatch once the next event is
+    later; a scan at every multiple of `scan_interval` while any VM is held;
+    each child released in `sorted()` order; every record rendered with
+    `reference_render`. The scheduler, fleet and estimator are the
+    references above."""
+
+    def __init__(self, workload, scheduler, cloud, estimator_config, seed):
+        self.workload, self.cloud, self.seed = workload, cloud, seed
+        self.policy = reference_make_policy(scheduler, cloud, estimator_config)
+        self.fleet = ReferenceFleet(cloud)
+        self.rng = random.Random(substream_seed(seed, "variability"))
+        self.events, self.seq, self.now = [], 0, 0
+        self.records, self.busy_us, self.tick_pending = [], 0, False
+        self.runs = {}
+
+    def push(self, time_us, handler, *payload):
+        self.seq += 1
+        bisect.insort(self.events, (time_us, self.seq, handler, payload))
+
+    def emit(self, event, *values):
+        self.records.append((self.now, event, *values))
+
+    def simulate(self):
+        for spec in self.workload.workflows:
+            run = SimpleNamespace(spec=spec, arrival_us=usec(spec.arrival_time),
+                                  budget_nanos=nanos(spec.budget), plan=None, ledger=None,
+                                  waiting={t.id: len(t.parents) for t in spec.tasks.values()},
+                                  unfinished=len(spec.tasks), cost_nanos=0, done_at_us=None)
+            self.runs[spec.id] = run
+            self.push(run.arrival_us, self.arrive, run)
+        interval = usec(self.cloud.scan_interval)
+        while self.events:
+            self.now, _, handler, payload = self.events.pop(0)
+            handler(*payload)
+            if self.events and self.events[0][0] == self.now:
+                continue
+            self.dispatch()
+            if not self.tick_pending and self.fleet.unreleased(self.now):
+                self.tick_pending = True
+                self.push((self.now // interval + 1) * interval, self.scan)
+            if self.finished() and not self.fleet.unreleased(self.now):
+                break
+        assert self.finished(), "the reference stalled"
+        self.emit("simulation_end", len(self.runs), len(self.fleet.instances))
+        lines = [reference_render(engine.TraceEvent(rec)) for rec in self.records]
+        return "".join(line + "\n" for line in lines), self.report()
+
+    def finished(self):
+        return all(run.unfinished == 0 for run in self.runs.values())
+
+    def arrive(self, run):
+        self.emit("workflow_arrival", run.spec.id, len(run.spec.tasks), run.budget_nanos)
+        self.policy.on_arrival(run)
+        for tid in sorted(run.spec.tasks):
+            if run.waiting[tid] == 0:
+                self.ready(run, run.spec.tasks[tid])
+
+    def ready(self, run, task):
+        self.emit("task_ready", run.spec.id, task.id)
+        self.policy.enqueue_ready(run, task)
+
+    def dispatch(self):
+        for action in self.policy.schedule_ready(self.fleet):
+            run, task = action.run, action.task
+            if isinstance(action, Assign):
+                vm = self.fleet.instances[action.vm_id]
+                self.emit("task_assign", run.spec.id, task.id, vm.id, vm.vm_type.name)
+                self.start(run, task, vm)
+            else:
+                vm = self.fleet.provision(action.vm_type, self.now)
+                self.emit("provision_request", run.spec.id, task.id, vm.id,
+                          vm.vm_type.name, vm.available_at_us)
+                self.push(vm.available_at_us, self.available, vm, run, task)
+
+    def available(self, vm, run, task):
+        self.fleet.mark_available(vm, self.now)
+        self.emit("vm_available", vm.id, vm.vm_type.name)
+        self.start(run, task, vm)
+
+    def start(self, run, task, vm):
+        runtime_s = (task.reference_runtime + task.transfer_time) / vm.vm_type.speed_factor
+        variability = self.cloud.variability
+        if variability.mode == "lognormal" and variability.sigma:
+            runtime_s *= math.exp(self.rng.gauss(0.0, variability.sigma))
+        runtime_us = usec(runtime_s)
+        self.busy_us += runtime_us
+        self.fleet.start_task(vm, runtime_us)
+        self.emit("task_start", run.spec.id, task.id, vm.id, vm.vm_type.name, runtime_us)
+        self.push(self.now + runtime_us, self.complete, run, task, vm, runtime_us)
+
+    def complete(self, run, task, vm, runtime_us):
+        cost = -(-runtime_us // USEC_PER_SEC) * vm.vm_type.price_nanos
+        run.cost_nanos += cost
+        run.unfinished -= 1
+        self.emit("task_complete", run.spec.id, task.id, vm.id, vm.vm_type.name, cost)
+        self.policy.on_complete(run, task, vm.vm_type, runtime_us, cost)
+        self.fleet.finish_task(vm, self.now)
+        if self.policy.dedicated:
+            self.fleet.terminate(vm, self.now)
+            self.terminated([vm])
+        else:
+            self.emit("vm_idle", vm.id)
+        for child in sorted(task.children):
+            run.waiting[child] -= 1
+            if run.waiting[child] == 0:
+                self.ready(run, run.spec.tasks[child])
+        if run.unfinished == 0:
+            run.done_at_us = self.now
+            self.emit("workflow_complete", run.spec.id, self.now - run.arrival_us,
+                      run.cost_nanos)
+
+    def scan(self):
+        self.tick_pending = False
+        self.terminated(self.fleet.idle_scan(self.now))
+
+    def terminated(self, vms):
+        for vm in vms:
+            self.emit("vm_terminated", vm.id, vm.billed_seconds, vm.bill_nanos)
+        for vm in self.fleet.release_due(self.now):
+            self.emit("vm_released", vm.id)
+
+    def report(self):
+        workflows = []
+        for wid in sorted(self.runs):
+            run = self.runs[wid]
+            cost, budget = run.cost_nanos, run.budget_nanos
+            makespan_us = run.done_at_us - run.arrival_us
+            ratio = cost / budget if budget else (0.0 if cost == 0 else math.inf)
+            workflows.append({
+                "workflow_id": wid, "arrival_s": run.arrival_us / 1e6,
+                "makespan_s": makespan_us / 1e6, "cost_usd": cost / 1e9,
+                "budget_usd": budget / 1e9, "budget_met": cost <= budget,
+                "cost_per_budget": ratio, "cost_nanos": cost, "makespan_us": makespan_us})
+        vms = self.fleet.instances.values()
+        billed_s = sum(vm.billed_seconds for vm in vms)
+        bill = sum(vm.bill_nanos for vm in vms)
+        counts = {t.name: sum(vm.vm_type.name == t.name for vm in vms) for t in self.cloud.catalog}
+        text = json.dumps(workload_to_dict(self.workload), indent=2) + "\n"
+        return {"scheduler": self.policy.name, "seed": self.seed,
+                "workload_hash": hashlib.sha256(text.encode()).hexdigest(),
+                "workflows": workflows,
+                "fleet": {"vm_counts": counts, "total_vms": len(vms),
+                          "busy_seconds": self.busy_us / 1e6, "billed_seconds": billed_s,
+                          "utilization_pct": (100.0 * self.busy_us / (billed_s * 1e6)
+                                              if billed_s else 0.0),
+                          "total_cost_usd": bill / 1e9, "total_cost_nanos": bill}}
+
+
+@st.composite
+def dags(draw):
+    """A chain, diamond, bag or random DAG whose ids are drawn, so its tasks'
+    id order, drawn order and any set order differ. Runtimes come from a few
+    values, so tasks often end at one time; 2.5 s bills a part second."""
+    shape = draw(st.sampled_from(["chain", "diamond", "bag", "random"]))
+    n = 4 if shape == "diamond" else draw(st.integers(1, 6))
+    tids = draw(st.lists(ids, min_size=n, max_size=n, unique=True))
+    parents = {"chain": lambda i: tids[i - 1:i],
+               "diamond": lambda i: [[], tids[:1], tids[:1], tids[1:3]][i],
+               "bag": lambda i: [],
+               "random": lambda i: [p for p in tids[:i] if draw(st.booleans())]}[shape]
+    tasks = [TaskRecord(tid, draw(st.sampled_from(KINDS)),
+                        draw(st.sampled_from([10.0, 10.0, 30.0, 2.5])),
+                        parents=tuple(parents(i)),
+                        transfer_time=draw(st.sampled_from([0.0, 0.0, 0.0, 2.5])))
+             for i, tid in enumerate(tids)]
+    return _assemble(draw(ids), tasks, 0.0, 0.0)
+
+
+# Each workflow is drawn as (template index, budget factor, arrival gap).
+# Gaps of 0 and runtimes of a few values make same-time events common.
+@settings(max_examples=70, deadline=None)
+@given(scheduler=st.sampled_from(SCHEDULER_NAMES),
+       catalog=catalogs(),
+       mode=st.sampled_from(["oracle", "history"]),
+       variability=st.sampled_from(["none", "lognormal"]),
+       templates=st.lists(dags(), min_size=1, max_size=3),
+       draws=st.lists(st.tuples(st.integers(0, 2), st.sampled_from([0.0, 0.6, 1.0, 3.0]),
+                                st.sampled_from([0.0, 0.0, 10.0, 2.5, 90.0])),
+                      min_size=1, max_size=12),
+       provisioning_delay=st.sampled_from([0.0, 30.0]),
+       deprovisioning_delay=st.sampled_from([0.0, 10.0, 35.0]),
+       idle_threshold=st.sampled_from([1.0, 60.0]),
+       scan_interval=st.sampled_from([3.0, 10.0]),
+       run_seed=st.integers(0, 1000))
+def test_engine_matches_reference_simulation(scheduler, catalog, mode, variability, templates,
+                                             draws, provisioning_delay, deprovisioning_delay,
+                                             idle_threshold, scan_interval, run_seed):
+    """`engine.run`'s trace text and report equal the reference loop's.
+    Workflows drawn from one template share its task records, as
+    `generate_workload` draws them."""
+    if scheduler in ("fcfs", "ebpsm-homogeneous"):
+        catalog = (MICRO,)
+    cheapest_price = min(t.price_per_second for t in catalog)
+    workflows, clock = [], 0.0
+    for i, (index, budget_factor, gap) in enumerate(draws):
+        spec = templates[index % len(templates)]
+        cheapest_cost = sum(t.reference_runtime + t.transfer_time
+                            for t in spec.tasks.values()) * cheapest_price
+        clock += gap
+        workflows.append(replace(spec, id=f"wf{i}-{spec.id}",
+                                 budget=cheapest_cost * budget_factor, arrival_time=clock))
+    workload = WorkloadSpec(workflows, arrival_rate=1.0)
+    cloud = CloudConfig(catalog=catalog, provisioning_delay=provisioning_delay,
+                        deprovisioning_delay=deprovisioning_delay,
+                        idle_threshold=idle_threshold, scan_interval=scan_interval,
+                        variability=VariabilityConfig(
+                            variability, 0.3 if variability == "lognormal" else 0.0))
+    estimator = EstimatorConfig(mode, 3)
+    result = engine.run(workload, scheduler, cloud, estimator, seed=run_seed)
+    trace, report = ReferenceSimulation(workload, scheduler, cloud, estimator,
+                                        run_seed).simulate()
+    assert engine.checkpoint_trace(result.trace) == trace
+    assert result.report.to_dict() == report
