@@ -17,6 +17,25 @@ from .errors import ConfigError
 from .cloud import VmType
 
 
+class _Window:
+    """The last `maxlen` runtimes of one kind (on one type, or normalized),
+    and whether all of them are one value, known in O(1): appending that
+    value again leaves the window, and so every estimate, as it was."""
+
+    __slots__ = ("values", "run", "full")
+
+    def __init__(self, maxlen: int):
+        self.values: deque[float] = deque((), maxlen)
+        self.run = 0  # how many values at the end equal the last one
+        self.full: float | None = None  # the value every slot holds, if any
+
+    def push(self, value: float) -> None:
+        values = self.values
+        self.run = self.run + 1 if values and values[-1] == value else 1
+        self.full = value if self.run >= values.maxlen else None
+        values.append(value)
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     mode: str = "history"  # "oracle" or "history"
@@ -44,20 +63,32 @@ class RuntimeEstimator:
 
     def __init__(self, config: EstimatorConfig):
         self.config = config
-        window = partial(deque, maxlen=config.window)
-        # (kind, vm type name) -> last runtimes on that type, in seconds.
-        self._by_type: defaultdict[tuple[str, str], deque[float]] = defaultdict(window)
+        window = partial(_Window, config.window)
+        # kind -> vm type name -> last runtimes on that type, in seconds.
+        # Keyed by kind first: a pair of strings as one key costs a tuple
+        # per record.
+        self._by_type: defaultdict[str, defaultdict[str, _Window]] = defaultdict(
+            partial(defaultdict, window))
         # kind -> last runtimes on any type, times that type's speed factor.
-        self._normalized: defaultdict[str, deque[float]] = defaultdict(window)
+        self._normalized: defaultdict[str, _Window] = defaultdict(window)
 
     def record(self, kind: str, vm_type: VmType, runtime_s: float) -> bool:
         """Add a completed `kind` task's runtime on `vm_type`, in seconds.
-        Returns whether the record was kept: under "oracle" none is, as no
-        oracle estimate reads the records."""
+        Returns whether an estimate can have moved. Under "oracle" none can,
+        as no oracle estimate reads the records, and none is kept. Nor can
+        one when both windows the record goes to, the (kind, type) one and
+        the kind's normalized one, are already full of exactly the value it
+        adds to them: their content stays as it was, and the record is
+        dropped."""
         if self.config.mode == "oracle":
             return False
-        self._by_type[kind, vm_type.name].append(runtime_s)
-        self._normalized[kind].append(runtime_s * vm_type.speed_factor)
+        same_type = self._by_type[kind][vm_type.name]
+        normalized = self._normalized[kind]
+        normalized_s = runtime_s * vm_type.speed_factor
+        if same_type.full == runtime_s and normalized.full == normalized_s:
+            return False
+        same_type.push(runtime_s)
+        normalized.push(normalized_s)
         return True
 
     def estimate(self, kind: str, vm_type: VmType, reference_runtime: float) -> float:
@@ -66,10 +97,14 @@ class RuntimeEstimator:
         if self.config.mode == "oracle":
             return reference_runtime / vm_type.speed_factor
 
-        same_type = self._by_type.get((kind, vm_type.name))
-        if same_type:
-            return sum(same_type) / len(same_type)
-        normalized = self._normalized.get(kind)
-        if normalized:
-            return sum(normalized) / len(normalized) / vm_type.speed_factor
-        return reference_runtime / vm_type.speed_factor * self.config.cold_start_margin
+        # A record makes and fills both of its windows, so a kind with
+        # windows by type also has a normalized one, and none is empty.
+        by_type = self._by_type.get(kind)
+        if by_type is None:
+            return reference_runtime / vm_type.speed_factor * self.config.cold_start_margin
+        same_type = by_type.get(vm_type.name)
+        if same_type is not None:
+            values = same_type.values
+            return sum(values) / len(values)
+        values = self._normalized[kind].values
+        return sum(values) / len(values) / vm_type.speed_factor

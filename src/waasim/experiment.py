@@ -119,8 +119,8 @@ class ExperimentConfig:
             if tpl.budgets[0] < 0:
                 raise ConfigError(f"{path}.budgets: must be >= 0")
             if tpl.shape == "genome":
-                if tpl.fan_out < 1:
-                    raise ConfigError(f"{path}.fan_out: must be >= 1")
+                if not 1 <= tpl.fan_out <= sys.maxsize:
+                    raise ConfigError(f"{path}.fan_out: must be >= 1 and <= {sys.maxsize}")
                 for kind, runtime in (tpl.runtime_profile or {}).items():
                     if kind not in GENOME_RUNTIMES:
                         raise ConfigError(

@@ -37,9 +37,9 @@ class CostRows:
 
     A row depends only on the estimator's records of its own kind, and
     every record goes through `record`, which prices the rows of that kind
-    again; so a row is always a plain lookup. `changes` counts the rows
-    whose value a record changed: while it stands, every row read before
-    still holds."""
+    again when the record can have moved an estimate; so a row is always a
+    plain lookup. `changes` counts the rows whose value a record changed:
+    while it stands, every row read before still holds."""
 
     def __init__(self, estimator: RuntimeEstimator, config: CloudConfig):
         self.estimator = estimator
@@ -73,7 +73,9 @@ class CostRows:
 
     def record(self, kind: str, vm_type: VmType, runtime_s: float) -> None:
         """Record a completed `kind` task's runtime on `vm_type`, in seconds,
-        and price the rows of `kind` again if the estimator kept it."""
+        and price the rows of `kind` again if the estimator reports that an
+        estimate can have moved; a record that leaves the estimator's
+        windows as they were prices nothing."""
         if self.estimator.record(kind, vm_type, runtime_s):
             for runtime in self._runtimes.get(kind, ()):
                 row = self._price(kind, runtime)

@@ -305,11 +305,14 @@ def genome_template(chromosome: str, fan_out: int,
             raise ValueError(f"runtime_profile: unknown task kind {kind!r}")
     profile = {kind: float(runtime)
                for kind, runtime in {**GENOME_RUNTIMES, **(runtime_profile or {})}.items()}
+    # One runtime per extraction task, allocated at once: a fan_out too
+    # large to hold fails here with MemoryError, before any task is built.
+    runtimes = (profile["individuals"],) * fan_out
     width = max(2, len(str(fan_out)))
     tasks = [
         TaskRecord(id=f"individuals_{i:0{width}d}", kind="individuals",
-                   reference_runtime=profile["individuals"])
-        for i in range(1, fan_out + 1)
+                   reference_runtime=runtime)
+        for i, runtime in enumerate(runtimes, 1)
     ]
     ind_ids = tuple(t.id for t in tasks)
     tasks.append(TaskRecord(id="sifting", kind="sifting",

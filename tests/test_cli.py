@@ -142,6 +142,11 @@ def test_run_command_rejects_values_that_fail_mid_run(tmp_path, capsys, override
     # Fails the size check of the first allocation at once: nothing is allocated.
     ({"templates": _vina(ligand_count=2**62, runtimes=None)},
      "templates[v].ligand_count: too many tasks to build"),
+    ({"templates": [{"name": "g", "shape": "genome", "budgets": [0.1], "fan_out": 10**30}]},
+     f"templates[g].fan_out: must be >= 1 and <= {sys.maxsize}"),
+    # As above: the first allocation fails its size check before any task is built.
+    ({"templates": [{"name": "g", "shape": "genome", "budgets": [0.1], "fan_out": 2**62}]},
+     "templates[g].fan_out: too many tasks to build"),
     # Integers too large for a float, where a float belongs.
     ({"estimator": {"cold_start_margin": 10**400}},
      "config.estimator.cold_start_margin: must be finite"),
@@ -156,7 +161,8 @@ def test_run_command_rejects_values_that_fail_mid_run(tmp_path, capsys, override
     ({"templates": _vina(name="v\ud800")},
      "config.templates[0].name: must be encodable as UTF-8"),
 ], ids=["fcfs", "homogeneous", "shape", "same_scheduler", "same_rate_label", "huge_window",
-        "huge_ligand_count", "unbuildable_ligand_count", "huge_int_margin", "huge_int_sigma",
+        "huge_ligand_count", "unbuildable_ligand_count", "huge_fan_out",
+        "unbuildable_fan_out", "huge_int_margin", "huge_int_sigma",
         "huge_int_price", "huge_int_speed", "huge_int_budget", "surrogate_name"])
 def test_run_command_rejects_at_load_what_a_run_would_reject(tmp_path, capsys, overrides,
                                                               message):

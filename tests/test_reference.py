@@ -312,30 +312,59 @@ def checked_outputs(result):
 # Whole microseconds, as the engine records them: sums of these round, so
 # a changed summation order would show.
 runtimes = st.integers(1, 10**11).map(lambda us: us / 1e6)
+# Runtimes from a small set, so that windows fill with one value. Some
+# normalize to the same value on different default types (2.0 on t2.large
+# and 4.0 on t2.micro; 4.0 on t2.large and 5.0 on t2.medium), so a kind's
+# normalized window can be full of one value drawn from several types.
+few_runtimes = st.sampled_from([2.0, 4.0, 5.0])
+
+
+def reference_windows(ref, kind, vm_type):
+    """The two windows a `kind` record on `vm_type` appends to, read from
+    the reference's full history: the (kind, type) one and the kind's
+    normalized one."""
+    records = ref._records.get(kind, [])
+    window = ref.config.window
+    return ([runtime for t, runtime in records if t.name == vm_type.name][-window:],
+            [runtime * t.speed_factor for t, runtime in records][-window:])
 
 
 @settings(max_examples=150, deadline=None)
 @given(window=st.integers(1, 12),
        model=runtimes,
-       records=st.lists(st.tuples(st.sampled_from(KINDS[:2]),
-                                  st.sampled_from(CATALOG), runtimes),
-                        max_size=80))
-def test_estimate_equals_reference(window, model, records):
+       runs=st.lists(st.tuples(st.sampled_from(KINDS[:2]), st.sampled_from(CATALOG),
+                               st.one_of(runtimes, few_runtimes), st.integers(1, 13)),
+                     max_size=20))
+def test_estimate_equals_reference(window, model, runs):
+    """Every estimate equals the reference's, and `record` returns False
+    exactly when the reference's two windows were both full of the value the
+    record adds to them; then no estimate moves. Records come in runs of
+    equal records, so that windows fill."""
     config = EstimatorConfig("history", window)
     new, ref = RuntimeEstimator(config), ReferenceEstimator(config)
+    records = [record for *record, times in runs for _ in range(times)]
 
-    def check():
-        for kind in KINDS:
-            for vm_type in CATALOG:
-                for reference_runtime in (model, 42.5):
-                    assert (new.estimate(kind, vm_type, reference_runtime)
-                            == ref.estimate(kind, vm_type, reference_runtime))
+    def estimates():
+        values = [new.estimate(kind, vm_type, reference_runtime)
+                  for kind in KINDS for vm_type in CATALOG
+                  for reference_runtime in (model, 42.5)]
+        assert values == [ref.estimate(kind, vm_type, reference_runtime)
+                          for kind in KINDS for vm_type in CATALOG
+                          for reference_runtime in (model, 42.5)]
+        return values
 
-    check()
+    before = estimates()
     for kind, vm_type, runtime in records:
-        assert new.record(kind, vm_type, runtime)
+        same_type, normalized = reference_windows(ref, kind, vm_type)
+        full = (same_type == [runtime] * window
+                and normalized == [runtime * vm_type.speed_factor] * window)
+        moved = new.record(kind, vm_type, runtime)
         ref.record(kind, vm_type, runtime)
-        check()
+        assert moved is not full
+        after = estimates()
+        if not moved:
+            assert after == before
+        before = after
 
 
 # The default catalog, or 2-4 drawn types. In half of the drawn catalogs
@@ -448,11 +477,64 @@ def test_shared_plans_match_unshared_workflows(monkeypatch, scheduler, mode, var
     assert outputs[0] == outputs[1]
 
 
+# `RuntimeEstimator.estimate` calls of each scheduler's run below when
+# every record reprices its kind's rows, as under `lognormal`.
+REPRICE_EVERY_RECORD = {"ebpsm": 2648, "ebpsm-homogeneous": 662}
+
+
+@pytest.mark.parametrize("variability", ["none", "lognormal"])
+@pytest.mark.parametrize("scheduler", ["ebpsm", "ebpsm-homogeneous"])
+def test_unmoved_windows_price_nothing(monkeypatch, scheduler, variability):
+    """Without runtime variability a kind's runtimes on a type repeat, so
+    most `history` records leave both windows full of the value they add
+    and price no row: the run makes under half the `estimate` calls of
+    repricing on every record. Under `lognormal` the windows move on every
+    record. Either way the run matches the reference simulation."""
+    catalog = CATALOG if scheduler == "ebpsm" else (MICRO,)
+    cloud = CloudConfig(catalog=catalog, variability=VariabilityConfig(
+        variability, 0.2 if variability == "lognormal" else 0.0))
+    workload = generate_workload(ExperimentConfig().build_catalog(), 60, 12.0, seed=5)
+    calls = [0]
+    estimate = RuntimeEstimator.estimate
+
+    def counted(*args):
+        calls[0] += 1
+        return estimate(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RuntimeEstimator, "estimate", counted)
+        result = engine.run(workload, scheduler, cloud, EstimatorConfig("history"), seed=3)
+    if variability == "none":
+        assert calls[0] < REPRICE_EVERY_RECORD[scheduler] / 2
+    else:
+        assert calls[0] == REPRICE_EVERY_RECORD[scheduler]
+    monkeypatch.setattr(engine, "make_policy", reference_make_policy)
+    monkeypatch.setattr(engine, "Fleet", ReferenceFleet)
+    reference = engine.run(workload, scheduler, cloud, EstimatorConfig("history"), seed=3)
+    assert checked_outputs(result) == checked_outputs(reference)
+
+
+class CountingEstimator(RuntimeEstimator):
+    """Counts `estimate` calls and keeps what the last `record` returned."""
+
+    estimates = 0
+    moved = None
+
+    def estimate(self, *args):
+        self.estimates += 1
+        return super().estimate(*args)
+
+    def record(self, *args):
+        self.moved = super().record(*args)
+        return self.moved
+
+
 @settings(max_examples=150, deadline=None)
 @given(catalog=catalogs(),
        window=st.integers(1, 4),
        steps=st.lists(st.tuples(
-           st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, 3), runtimes),
+           st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, 3),
+                              st.one_of(runtimes, few_runtimes), st.integers(1, 5)),
                     max_size=4),
            st.lists(st.tuples(st.sampled_from(KINDS), st.sampled_from([42.5, 100.0, 300.0])),
                     max_size=4)),
@@ -460,19 +542,26 @@ def test_shared_plans_match_unshared_workflows(monkeypatch, scheduler, mode, var
 def test_cost_rows_reprice_on_record(catalog, window, steps):
     """After any records, every row `CostRows` returns is the row a fresh
     table prices, and each record adds to `changes` exactly the number of
-    kept rows that it changed."""
+    kept rows that it changed. A record that the estimator reports as
+    moving no estimate prices nothing. Records come in runs of equal
+    records, so that windows fill."""
     config = CloudConfig(catalog=catalog)
-    estimator = RuntimeEstimator(EstimatorConfig("history", window))
+    estimator = CountingEstimator(EstimatorConfig("history", window))
     costs = CostRows(estimator, config)
     for records, lookups in steps:
-        for kind, type_index, runtime in records:
-            before, changes = dict(costs.rows), costs.changes
+        for kind, type_index, runtime in (record for *record, times in records
+                                          for _ in range(times)):
+            before, changes, estimates = dict(costs.rows), costs.changes, estimator.estimates
             costs.record(kind, catalog[type_index % len(catalog)], runtime)
+            if not estimator.moved:
+                assert estimator.estimates == estimates
             assert costs.changes - changes == sum(costs.rows[k] != row
                                                   for k, row in before.items())
-        fresh = CostRows(estimator, config)
+            fresh = CostRows(estimator, config)
+            assert all(row == fresh.row(*key) for key, row in costs.rows.items())
         for key in lookups:
             costs.row(*key)
+        fresh = CostRows(estimator, config)
         assert all(row == fresh.row(*key) for key, row in costs.rows.items())
 
 
