@@ -2,7 +2,7 @@
 
 from .cloud import (CloudConfig, Fleet, VariabilityConfig, VmInstance, VmType,
                     default_catalog, finalize_billing, task_runtime_on)
-from .engine import SimulationResult, TraceEvent, checkpoint_trace, run
+from .engine import SimulationResult, checkpoint_trace, run
 from .errors import (ConfigError, CycleError, DanglingRefError, IllegalState,
                      ManifestMismatch, SchemaError, StallError, WaasimError)
 from .estimator import EstimatorConfig, RuntimeEstimator

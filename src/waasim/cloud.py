@@ -145,7 +145,8 @@ def estimated_cost_nanos(vm_type: VmType, est_runtime_us: int) -> int:
 
 @dataclass
 class VmInstance:
-    """A leased machine with lease, idle and billing accounting."""
+    """A leased machine and where it is in its lifecycle: provisioning,
+    idle, busy or terminated, and since when."""
 
     id: str
     seq: int  # provision order
@@ -154,24 +155,20 @@ class VmInstance:
     available_at_us: int
     billing_start_us: int
     idle_since_us: int | None = None
-    busy_usec: int = 0
-    billed_seconds: int = 0
-    bill_nanos: int = 0
     terminated_at_us: int | None = None
 
 
-def finalize_billing(vm: VmInstance, termination_time_us: int) -> int:
-    """Close out a lease: ceil of active seconds times the unit price.
+def finalize_billing(vm: VmInstance) -> tuple[int, int]:
+    """The bill of a terminated instance's lease: (billed_seconds,
+    bill_nanos), the ceil of its active seconds and that times the unit price.
 
     Active lease time starts at the instance's billing start (by default
     its availability instant, excluding the provisioning delay).
     """
-    if vm.state == TERMINATED:
-        raise IllegalState(f"{vm.id} is already terminated")
-    active_us = max(0, termination_time_us - vm.billing_start_us)
-    vm.billed_seconds = ceil_whole_seconds(active_us)
-    vm.bill_nanos = vm.billed_seconds * vm.vm_type.price_nanos
-    return vm.bill_nanos
+    if vm.terminated_at_us is None:
+        raise IllegalState(f"{vm.id} is not terminated")
+    billed_seconds = ceil_whole_seconds(max(0, vm.terminated_at_us - vm.billing_start_us))
+    return billed_seconds, billed_seconds * vm.vm_type.price_nanos
 
 
 class Fleet:
@@ -219,12 +216,11 @@ class Fleet:
             raise IllegalState(f"{vm.id}: available while {vm.state}")
         self._set_idle(vm, now_us)
 
-    def start_task(self, vm: VmInstance, runtime_us: int) -> None:
+    def start_task(self, vm: VmInstance) -> None:
         if vm.state != IDLE:
             raise IllegalState(f"{vm.id}: cannot start task while {vm.state}")
         vm.state = BUSY
         vm.idle_since_us = None
-        vm.busy_usec += runtime_us
         del self._idle[vm.id]
 
     def finish_task(self, vm: VmInstance, now_us: int) -> None:
@@ -239,15 +235,15 @@ class Fleet:
         if self._heads is not None:
             heapq.heappush(self._heads.setdefault(vm.vm_type.name, []), vm.id)
 
-    def terminate(self, vm: VmInstance, now_us: int) -> int:
-        bill = finalize_billing(vm, now_us)
+    def terminate(self, vm: VmInstance, now_us: int) -> None:
+        if vm.state == TERMINATED:
+            raise IllegalState(f"{vm.id} is already terminated")
         self._idle.pop(vm.id, None)
         vm.state = TERMINATED
         vm.idle_since_us = None
         vm.terminated_at_us = now_us
         self._live -= 1
         self._releasing.append(vm)
-        return bill
 
     def idle_scan(self, now_us: int) -> list[VmInstance]:
         """Terminate every idle instance whose idle time reached the
@@ -319,12 +315,3 @@ class Fleet:
             if due is None or release < due:
                 due = release
         return due
-
-    def total_bill_nanos(self) -> int:
-        return sum(vm.bill_nanos for vm in self.instances.values())
-
-    def counts_by_type(self) -> dict[str, int]:
-        counts = {t.name: 0 for t in self.config.catalog}
-        for vm in self.instances.values():
-            counts[vm.vm_type.name] += 1
-        return counts

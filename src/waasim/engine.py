@@ -12,10 +12,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .cloud import CloudConfig, Fleet, VmInstance, task_runtime_on
+from .cloud import CloudConfig, Fleet, VmInstance, finalize_billing, task_runtime_on
 from .errors import ConfigError, StallError
 from .estimator import EstimatorConfig
-from .metrics import FleetMetrics, MetricsReport, WorkflowMetrics
+from .metrics import MetricsReport, ReportFold
 from .scheduler import BudgetLedger, make_policy
 from .units import ceil_whole_seconds, nanos, substream_seed, usec
 from .workflow import TaskRecord, WorkloadSpec, workload_hash
@@ -60,41 +60,11 @@ def render(rec: tuple) -> str:
     return (_TEMPLATES[rec[1]] % rec).rstrip()
 
 
-def render_lines(records: list[tuple]) -> str:
-    """The trace lines of one or more records, each ending in a newline."""
+def checkpoint_trace(records: list[tuple]) -> str:
+    """The trace lines of one or more records, each ending in a newline: the
+    stable text of a trace, as the golden traces hold it."""
     templates = _TEMPLATES
     return "\n".join([(templates[rec[1]] % rec).rstrip() for rec in records]) + "\n"
-
-
-def checkpoint_trace(trace: list[tuple]) -> str:
-    """Stable text serialization used for golden-trace regression tests."""
-    return render_lines(trace)
-
-
-class TraceEvent:
-    """A view of one record, built on demand."""
-
-    __slots__ = ("record",)
-
-    def __init__(self, record: tuple):
-        self.record = record
-
-    @property
-    def time_us(self) -> int:
-        return self.record[0]
-
-    @property
-    def name(self) -> str:
-        return self.record[1]
-
-    @property
-    def fields(self) -> dict:
-        """The trace line's values by key."""
-        return {key: value for key, value in zip(_FIELDS[self.record[1]], self.record[2:])
-                if key is not None}
-
-    def render(self) -> str:
-        return render(self.record)
 
 
 @dataclass
@@ -112,7 +82,6 @@ class WorkflowRun:
     pending_parents: dict[str, int] = field(default_factory=dict)
     unfinished: int = 0
     cost_nanos: int = 0
-    done_at_us: int | None = None
 
 
 # Records that are also rows of the assignment log, with their row's event.
@@ -154,6 +123,7 @@ class _Simulation:
         self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = 0
         self.trace = [] if trace is None else trace
+        self._fold = ReportFold(cloud.catalog)
         # Handlers append records here; `_flush` hands them to the sink.
         self._chunk: list[tuple] = []
         self._append = self._chunk.append
@@ -208,10 +178,12 @@ class _Simulation:
                           len(self.runs), len(self.fleet.instances)))
         finally:
             self._flush()
-        return SimulationResult(report=self._build_report(), trace=self.trace)
+        report = self._fold.report(self.policy.name, self.seed, workload_hash(self.workload))
+        return SimulationResult(report=report, trace=self.trace)
 
     def _flush(self) -> None:
         if self._chunk:
+            self._fold.extend(self._chunk)
             self.trace.extend(self._chunk)
             self._chunk.clear()
 
@@ -245,7 +217,7 @@ class _Simulation:
         runtime_s = task_runtime_on(vm.vm_type, task.total_runtime,
                                     self.var_rng, self.cloud.variability)
         runtime_us = usec(runtime_s)
-        self.fleet.start_task(vm, runtime_us)
+        self.fleet.start_task(vm)
         self._append((self.clock_us, "task_start", run.spec.id, task.id, vm.id,
                       vm.vm_type.name, runtime_us))
         self._push(self.clock_us + runtime_us, self._on_task_completed,
@@ -274,7 +246,6 @@ class _Simulation:
                 self._make_ready(run, run.spec.tasks[child_id])
 
         if run.unfinished == 0:
-            run.done_at_us = self.clock_us
             # Nothing reads a finished workflow's dependency counts, plan or
             # ledger again.
             run.pending_parents.clear()
@@ -290,8 +261,7 @@ class _Simulation:
     def _retire(self, terminated: list[VmInstance]) -> None:
         """Trace VMs just terminated, then every VM whose release came due."""
         for vm in terminated:
-            self._append((self.clock_us, "vm_terminated", vm.id, vm.billed_seconds,
-                          vm.bill_nanos))
+            self._append((self.clock_us, "vm_terminated", vm.id, *finalize_billing(vm)))
         for vm in self.fleet.release_due(self.clock_us):
             self._append((self.clock_us, "vm_released", vm.id))
 
@@ -328,61 +298,6 @@ class _Simulation:
             next_tick = -(-due // interval) * interval
         self._next_tick_us = next_tick
         self._push(next_tick, self._on_scan_tick)
-
-    # -- reporting ----------------------------------------------------------
-
-    def _build_report(self) -> MetricsReport:
-        # Exact integer totals can outgrow a float; reporting them in
-        # dollars, seconds or ratios then raises OverflowError.
-        too_large = "its cost or time is too large to report as a float"
-        workflows = []
-        try:
-            for wf_id in sorted(self.runs):
-                run = self.runs[wf_id]
-                cost_usd = run.cost_nanos / 1e9
-                budget_usd = run.budget_nanos / 1e9
-                met = run.cost_nanos <= run.budget_nanos
-                if run.budget_nanos > 0:
-                    ratio = run.cost_nanos / run.budget_nanos
-                else:
-                    ratio = 0.0 if run.cost_nanos == 0 else float("inf")
-                makespan_us = run.done_at_us - run.arrival_us
-                workflows.append(WorkflowMetrics(
-                    workflow_id=wf_id,
-                    arrival_s=run.arrival_us / 1e6,
-                    makespan_s=makespan_us / 1e6,
-                    cost_usd=cost_usd,
-                    budget_usd=budget_usd,
-                    budget_met=met,
-                    cost_per_budget=ratio,
-                    cost_nanos=run.cost_nanos,
-                    makespan_us=makespan_us,
-                ))
-        except OverflowError:
-            raise ConfigError(f"workflow {wf_id!r}: {too_large}") from None
-        busy_us = sum(vm.busy_usec for vm in self.fleet.instances.values())
-        billed_s = sum(vm.billed_seconds for vm in self.fleet.instances.values())
-        total_nanos = self.fleet.total_bill_nanos()
-        try:
-            utilization = 100.0 * busy_us / (billed_s * 1e6) if billed_s else 0.0
-            fleet = FleetMetrics(
-                vm_counts=self.fleet.counts_by_type(),
-                total_vms=len(self.fleet.instances),
-                busy_seconds=busy_us / 1e6,
-                billed_seconds=billed_s,
-                utilization_pct=utilization,
-                total_cost_usd=total_nanos / 1e9,
-                total_cost_nanos=total_nanos,
-            )
-        except OverflowError:
-            raise ConfigError(f"the fleet: {too_large}") from None
-        return MetricsReport(
-            scheduler=self.policy.name,
-            seed=self.seed,
-            workload_hash=workload_hash(self.workload),
-            workflows=workflows,
-            fleet=fleet,
-        )
 
 
 def run(workload: WorkloadSpec, scheduler: str = "ebpsm",

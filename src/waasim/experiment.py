@@ -240,7 +240,7 @@ class _RunWriter:
     def extend(self, records: list[tuple]) -> None:
         self._events += len(records)
         if self._trace_file is not None:
-            self._trace_file.write(engine.render_lines(records))
+            self._trace_file.write(engine.checkpoint_trace(records))
         self._assign_file.write(self._log.render(engine.assignment_rows(records)))
 
     def __len__(self) -> int:

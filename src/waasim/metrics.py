@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable
 
-from .errors import SchemaError
+from .errors import ConfigError, IllegalState, SchemaError
 from .schema import load
 from .units import USEC_PER_SEC, format_dollars, format_seconds
 
@@ -67,6 +67,97 @@ class MetricsReport:
             "workflows": [vars(w).copy() for w in self.workflows],
             "fleet": {**vars(self.fleet), "vm_counts": dict(self.fleet.vm_counts)},
         }
+
+
+# The kinds of record a report reads. About three records in four are of
+# other kinds, and one set lookup passes them over.
+_REPORTED = frozenset(("task_start", "provision_request", "vm_terminated",
+                       "workflow_arrival", "workflow_complete"))
+
+
+class ReportFold:
+    """Folds one run's records (engine `_FIELDS` gives their layout) into the
+    figures of its report, chunk by chunk, in event order. It reads five
+    kinds of record and skips the rest, so a stored list trace can be folded
+    again to rebuild its run's report. The VM counts start at zero for each
+    type of `catalog`, in catalog order."""
+
+    def __init__(self, catalog):
+        self.vm_counts = {t.name: 0 for t in catalog}
+        # Per workflow id, (arrival_us, budget_nanos) and (makespan_us, cost_nanos).
+        self.arrivals: dict[str, tuple[int, int]] = {}
+        self.completions: dict[str, tuple[int, int]] = {}
+        self.busy_us = 0
+        self.billed_s = 0
+        self.bill_nanos = 0
+
+    def extend(self, records: Iterable[tuple]) -> None:
+        counts, arrivals, completions = self.vm_counts, self.arrivals, self.completions
+        busy_us, billed_s, bill_nanos = self.busy_us, self.billed_s, self.bill_nanos
+        reported = _REPORTED
+        # Most frequent first.
+        for rec in records:
+            event = rec[1]
+            if event not in reported:
+                continue
+            if event == "task_start":
+                busy_us += rec[6]
+            elif event == "provision_request":
+                counts[rec[5]] += 1
+            elif event == "vm_terminated":
+                billed_s += rec[3]
+                bill_nanos += rec[4]
+            elif event == "workflow_arrival":
+                arrivals[rec[2]] = rec[0], rec[4]
+            elif event == "workflow_complete":
+                completions[rec[2]] = rec[3], rec[4]
+        self.busy_us, self.billed_s, self.bill_nanos = busy_us, billed_s, bill_nanos
+
+    def report(self, scheduler: str, seed: int, workload_hash: str) -> MetricsReport:
+        """The report of the records folded so far. Raises IllegalState if a
+        workflow among them has not completed."""
+        # Exact integer totals can outgrow a float; reporting them in
+        # dollars, seconds or ratios then raises OverflowError.
+        too_large = "its cost or time is too large to report as a float"
+        workflows = []
+        try:
+            for wf_id in sorted(self.arrivals):
+                arrival_us, budget_nanos = self.arrivals[wf_id]
+                if wf_id not in self.completions:
+                    raise IllegalState(f"workflow {wf_id!r} has not completed")
+                makespan_us, cost_nanos = self.completions[wf_id]
+                if budget_nanos > 0:
+                    ratio = cost_nanos / budget_nanos
+                else:
+                    ratio = 0.0 if cost_nanos == 0 else float("inf")
+                workflows.append(WorkflowMetrics(
+                    workflow_id=wf_id,
+                    arrival_s=arrival_us / 1e6,
+                    makespan_s=makespan_us / 1e6,
+                    cost_usd=cost_nanos / 1e9,
+                    budget_usd=budget_nanos / 1e9,
+                    budget_met=cost_nanos <= budget_nanos,
+                    cost_per_budget=ratio,
+                    cost_nanos=cost_nanos,
+                    makespan_us=makespan_us,
+                ))
+        except OverflowError:
+            raise ConfigError(f"workflow {wf_id!r}: {too_large}") from None
+        busy_us, billed_s, total_nanos = self.busy_us, self.billed_s, self.bill_nanos
+        try:
+            utilization = 100.0 * busy_us / (billed_s * 1e6) if billed_s else 0.0
+            fleet = FleetMetrics(
+                vm_counts=dict(self.vm_counts),
+                total_vms=sum(self.vm_counts.values()),
+                busy_seconds=busy_us / 1e6,
+                billed_seconds=billed_s,
+                utilization_pct=utilization,
+                total_cost_usd=total_nanos / 1e9,
+                total_cost_nanos=total_nanos,
+            )
+        except OverflowError:
+            raise ConfigError(f"the fleet: {too_large}") from None
+        return MetricsReport(scheduler, seed, workload_hash, workflows, fleet)
 
 
 def report_to_json(report: MetricsReport) -> str:

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
+from waasim import engine
 from waasim.cloud import CloudConfig, VmType
-from waasim.engine import TraceEvent
 from waasim.estimator import EstimatorConfig
 from waasim.workflow import TaskRecord, WorkflowSpec, WorkloadSpec, _assemble
 
@@ -55,6 +55,33 @@ def single_workload(spec: WorkflowSpec, arrival=0.0) -> WorkloadSpec:
     wf = spec.copy()
     wf.arrival_time = arrival
     return WorkloadSpec(workflows=[wf], arrival_rate=1.0, seed=0)
+
+
+class TraceEvent:
+    """A view of one record, built on demand."""
+
+    __slots__ = ("record",)
+
+    def __init__(self, record: tuple):
+        self.record = record
+
+    @property
+    def time_us(self) -> int:
+        return self.record[0]
+
+    @property
+    def name(self) -> str:
+        return self.record[1]
+
+    @property
+    def fields(self) -> dict:
+        """The trace line's values by key."""
+        return {key: value for key, value in zip(engine._FIELDS[self.record[1]],
+                                                 self.record[2:])
+                if key is not None}
+
+    def render(self) -> str:
+        return engine.render(self.record)
 
 
 def events(trace) -> list[TraceEvent]:

@@ -83,7 +83,7 @@ def test_idle_scan_skips_busy_and_provisioning():
     fleet = Fleet(config)
     busy = fleet.provision(table_type("t2.micro"), 0)
     fleet.mark_available(busy, usec(50.0))
-    fleet.start_task(busy, usec(300.0))
+    fleet.start_task(busy)
     cold = fleet.provision(table_type("t2.micro"), usec(50.0))
     assert fleet.idle_scan(usec(200.0)) == []
     assert busy.state == "busy" and cold.state == "provisioning"
@@ -118,7 +118,7 @@ def test_unreleased_until_last_release():
     assert fleet.unreleased(0)
     for vm in (a, b):
         fleet.mark_available(vm, usec(5.0))
-    fleet.start_task(b, usec(30.0))
+    fleet.start_task(b)
     assert fleet.idle_scan(usec(65.0)) == [a]
     assert fleet.unreleased(usec(80.0))  # b is still live
     fleet.finish_task(b, usec(35.0 + 60.0))
@@ -133,7 +133,7 @@ def test_next_due_is_none_with_nothing_to_expire_or_release():
     vm = fleet.provision(table_type("t2.micro"), 0)
     assert fleet.next_due_us() is None  # provisioning
     fleet.mark_available(vm, usec(5.0))
-    fleet.start_task(vm, usec(30.0))
+    fleet.start_task(vm)
     assert fleet.next_due_us() is None  # busy
 
 
@@ -182,7 +182,7 @@ def test_next_due_moves_to_the_next_idle_vm(leave):
     fleet.mark_available(second, usec(2.0))
     assert fleet.next_due_us() == usec(61.0)
     if leave == "reuse":
-        fleet.start_task(first, usec(30.0))
+        fleet.start_task(first)
     else:
         fleet.terminate(first, usec(5.0))
     assert fleet.next_due_us() == usec(62.0)
@@ -194,11 +194,18 @@ def test_busy_then_idle_terminates_at_first_due_tick():
     fleet = Fleet(config)
     vm = fleet.provision(table_type("t2.micro"), 0)
     fleet.mark_available(vm, 0)
-    fleet.start_task(vm, usec(300.0))
+    fleet.start_task(vm)
     fleet.finish_task(vm, usec(300.0))
     ticks = [usec(10.0 * k) for k in range(1, 40)]
     terminated_at = next(t for t in ticks if fleet.idle_scan(t))
     assert terminated_at == usec(360.0)
+
+
+def terminated(fleet, type_name, at_us):
+    """A VM of `type_name` leased at 0 and terminated at `at_us`."""
+    vm = fleet.provision(table_type(type_name), 0)
+    fleet.terminate(vm, at_us)
+    return vm
 
 
 def test_finalize_billing_examples():
@@ -206,23 +213,20 @@ def test_finalize_billing_examples():
     fleet = Fleet(config)
     vm = fleet.provision(table_type("t2.medium"), 0)
     fleet.mark_available(vm, 0)
-    assert finalize_billing(vm, usec(1000.0)) == 16_400_000  # $0.0164
-    vm2 = fleet.provision(table_type("t2.micro"), 0)
-    assert finalize_billing(vm2, 0) == 0
-    vm3 = fleet.provision(table_type("t2.micro"), 0)
-    assert finalize_billing(vm3, usec(999.5)) == 1000 * 4_100
+    fleet.terminate(vm, usec(1000.0))
+    assert finalize_billing(vm) == (1000, 16_400_000)  # $0.0164
+    assert finalize_billing(terminated(fleet, "t2.micro", 0)) == (0, 0)
+    assert finalize_billing(terminated(fleet, "t2.micro", usec(999.5))) == (1000, 1000 * 4_100)
+    with pytest.raises(IllegalState):
+        finalize_billing(fleet.provision(table_type("t2.micro"), 0))
 
 
 def test_finalize_billing_excludes_provisioning_delay():
-    config = CloudConfig(provisioning_delay=90.0)
-    fleet = Fleet(config)
-    vm = fleet.provision(table_type("t2.micro"), 0)
-    assert finalize_billing(vm, usec(100.0)) == 10 * 4_100
+    fleet = Fleet(CloudConfig(provisioning_delay=90.0))
+    assert finalize_billing(terminated(fleet, "t2.micro", usec(100.0))) == (10, 10 * 4_100)
 
-    billed = CloudConfig(provisioning_delay=90.0, bill_provisioning=True)
-    fleet2 = Fleet(billed)
-    vm2 = fleet2.provision(table_type("t2.micro"), 0)
-    assert finalize_billing(vm2, usec(100.0)) == 100 * 4_100
+    fleet2 = Fleet(CloudConfig(provisioning_delay=90.0, bill_provisioning=True))
+    assert finalize_billing(terminated(fleet2, "t2.micro", usec(100.0))) == (100, 100 * 4_100)
 
 
 def test_terminate_twice_raises():
@@ -240,7 +244,7 @@ def test_terminated_vm_never_receives_work():
     fleet.mark_available(vm, 0)
     fleet.terminate(vm, usec(100.0))
     with pytest.raises(IllegalState):
-        fleet.start_task(vm, usec(10.0))
+        fleet.start_task(vm)
 
 
 def test_vm_type_validation():
@@ -259,18 +263,20 @@ def test_fastest_and_cheapest():
 
 
 def test_fleet_cost_conservation(mono_cloud, oracle):
-    """Sum of finalized bills equals ceil-per-VM accrual of lease seconds."""
+    """Each VM is billed the ceil of its lease seconds, and the bills sum to
+    the report's fleet cost."""
     spec = chain_workflow([30.0, 45.0, 15.0], budget=1.0)
     sim = engine._Simulation(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
-    sim.run()
-    fleet = sim.fleet
-    total = 0
-    for vm in fleet.instances.values():
+    result = sim.run()
+    bills = {ev.fields["vm"]: ev.fields for ev in events(result.trace)
+             if ev.name == "vm_terminated"}
+    assert bills.keys() == sim.fleet.instances.keys()
+    for vm in sim.fleet.instances.values():
         assert vm.state == "terminated"
         lease_us = vm.terminated_at_us - vm.billing_start_us
-        assert vm.billed_seconds == -(-lease_us // 1_000_000)
-        total += vm.billed_seconds * vm.vm_type.price_nanos
-    assert total == fleet.total_bill_nanos()
+        assert bills[vm.id]["billed_s"] == -(-lease_us // 1_000_000)
+        assert bills[vm.id]["bill_nanos"] == bills[vm.id]["billed_s"] * vm.vm_type.price_nanos
+    assert sum(f["bill_nanos"] for f in bills.values()) == result.report.fleet.total_cost_nanos
 
 
 def test_no_idle_exceeds_threshold_plus_scan(mono_cloud, oracle):

@@ -12,8 +12,9 @@ from conftest import (MICRO, chain_workflow, diamond_workflow, events, random_da
                       single_workload)
 from waasim import engine
 from waasim.cloud import CloudConfig, VariabilityConfig
-from waasim.errors import ConfigError, StallError
+from waasim.errors import ConfigError, IllegalState, StallError
 from waasim.estimator import EstimatorConfig
+from waasim.metrics import ReportFold
 from waasim.scheduler import make_policy
 from waasim.workflow import (WorkloadSpec, generate_workload, genome_template,
                              parse_workload, serialize_workload, vina_template)
@@ -170,13 +171,19 @@ def test_every_vm_terminated_before_end(mono_cloud, oracle):
 
 
 def test_fleet_cost_matches_trace_bills(mono_cloud, oracle):
+    """Each `vm_terminated` record bills the ceil of its VM's lease, and the
+    bills sum to the report's fleet cost."""
     spec = genome_template("chr21", 3, budget=1.0)
     sim = engine._Simulation(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
     result = sim.run()
-    billed = sum(ev.fields["bill_nanos"] for ev in events(result.trace)
-                 if ev.name == "vm_terminated")
-    assert billed == sim.fleet.total_bill_nanos()
-    assert billed == result.report.fleet.total_cost_nanos
+    billed = 0
+    for ev in events(result.trace):
+        if ev.name == "vm_terminated":
+            vm = sim.fleet.instances[ev.fields["vm"]]
+            lease_us = vm.terminated_at_us - vm.billing_start_us
+            assert ev.fields["billed_s"] == -(-lease_us // 1_000_000)
+            billed += ev.fields["bill_nanos"]
+    assert billed == result.report.fleet.total_cost_nanos > 0
 
 
 class RecordingSink:
@@ -198,22 +205,24 @@ def test_sink_receives_the_trace_in_time_step_chunks(monkeypatch, oracle, chunk)
     time, so a chunk handed over at a time step's end is followed by a later
     time, or by `simulation_end` alone."""
     workload = generate_workload([(genome_template("g", 4), 0.05)], 30, 6.0, seed=5)
-    expected = engine.run(workload, "ebpsm", CloudConfig(), oracle, seed=5).trace
+    expected = engine.run(workload, "ebpsm", CloudConfig(), oracle, seed=5)
     monkeypatch.setattr(engine, "_CHUNK", chunk)
     sink = RecordingSink()
     result = engine.run(workload, "ebpsm", CloudConfig(), oracle, seed=5, trace=sink)
     assert result.trace is sink
-    assert [rec for records in sink.chunks for rec in records] == expected
-    assert len(sink) == len(expected) > 2 * engine._CHUNK
+    assert [rec for records in sink.chunks for rec in records] == expected.trace
+    assert result.report == expected.report
+    assert len(sink) == len(expected.trace) > 2 * engine._CHUNK
     assert all(len(records) >= chunk for records in sink.chunks[:-1])
     for before, after in zip(sink.chunks, sink.chunks[1:]):
-        assert before[-1][0] < after[0][0] or after == expected[-1:]
+        assert before[-1][0] < after[0][0] or after == expected.trace[-1:]
     if chunk == 1:
         assert all(len({rec[0] for rec in records}) == 1 for records in sink.chunks)
 
 
 def test_stall_error_on_broken_policy(monkeypatch, mono_cloud, oracle):
-    """The records emitted before the stall still reach the sink."""
+    """The records emitted before the stall still reach the sink, and a
+    report of them names the workflow that never completed."""
     class DeadPolicy:
         name = "dead"
         dedicated = False
@@ -237,6 +246,10 @@ def test_stall_error_on_broken_policy(monkeypatch, mono_cloud, oracle):
                    mono_cloud, oracle, seed=0, trace=sink)
     assert [[rec[1] for rec in records] for records in sink.chunks] == \
         [["workflow_arrival", "task_ready"]]
+    fold = ReportFold(mono_cloud.catalog)
+    fold.extend(sink.chunks[0])
+    with pytest.raises(IllegalState, match="workflow 'chain' has not completed"):
+        fold.report("dead", 0, "")
 
 
 def test_duplicate_workflow_ids_are_rejected_before_any_record(mono_cloud, oracle):

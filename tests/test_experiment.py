@@ -203,6 +203,25 @@ def test_run_experiment_deterministic(tmp_path):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """`waasim run` writes the same bytes under two string-hash seeds, so no
+    output, the report included, follows set or dict hash order."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(config_to_dict(_quoted_name_config())))
+    trees = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"out{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": str(Path(waasim.__file__).parents[1])}
+        subprocess.run([sys.executable, "-m", "waasim.cli", "run", "--config", str(config),
+                        "--jobs", "1", "--out", str(out)], env=env, check=True,
+                       capture_output=True)
+        trees.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert any(name.endswith(".trace") for name in trees[0])
+    assert trees[0] == trees[1]
+
+
 def test_summary_matches_per_run_csvs(tmp_path):
     config = desk_config(arrival_rates=[2.0, 6.0])
     run_experiment(config, output_dir=tmp_path)

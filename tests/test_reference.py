@@ -27,7 +27,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import LARGE, MICRO, build_workflow, chain_workflow, random_dag, single_workload
+from conftest import (LARGE, MICRO, TraceEvent, build_workflow, chain_workflow, random_dag,
+                      single_workload)
 from waasim import engine, metrics
 from waasim import scheduler as scheduler_module
 from waasim.cloud import (IDLE, TERMINATED, CloudConfig, Fleet, VariabilityConfig, VmType,
@@ -302,7 +303,7 @@ def reference_assignments(views):
 def checked_outputs(result):
     """The trace text and report JSON of `result`, after checking each
     record's line and the assignment log against the references."""
-    views = [engine.TraceEvent(rec) for rec in result.trace]
+    views = [TraceEvent(rec) for rec in result.trace]
     for rec, ev in zip(result.trace, views):
         assert engine.render(rec) == reference_render(ev)
     assert result.assignments == reference_assignments(views)
@@ -740,11 +741,11 @@ def test_renderers_match_format_and_csv_writer(chunk, drawn):
                    trace=_RunWriter(assign_file, trace_file))
         lines = [reference_line(rec) for rec in result.trace]
         assert [engine.render(rec) for rec in result.trace] == lines
-        assert [engine.TraceEvent(rec).render() for rec in result.trace] == lines
+        assert [TraceEvent(rec).render() for rec in result.trace] == lines
         trace_text = "".join(line + "\n" for line in lines)
         assert engine.checkpoint_trace(result.trace) == trace_text
         assert trace_file.getvalue() == trace_text
-        log = reference_csv(reference_assignments(map(engine.TraceEvent, result.trace)))
+        log = reference_csv(reference_assignments(map(TraceEvent, result.trace)))
         assert metrics.assignments_to_csv(result.assignments) == log
         assert assign_file.getvalue() == log
 
@@ -836,7 +837,7 @@ class ReferenceSimulation:
                 break
         assert self.finished(), "the reference stalled"
         self.emit("simulation_end", len(self.runs), len(self.fleet.instances))
-        lines = [reference_render(engine.TraceEvent(rec)) for rec in self.records]
+        lines = [reference_render(TraceEvent(rec)) for rec in self.records]
         return "".join(line + "\n" for line in lines), self.report()
 
     def finished(self):
@@ -878,7 +879,7 @@ class ReferenceSimulation:
             runtime_s *= math.exp(self.rng.gauss(0.0, variability.sigma))
         runtime_us = usec(runtime_s)
         self.busy_us += runtime_us
-        self.fleet.start_task(vm, runtime_us)
+        self.fleet.start_task(vm)
         self.emit("task_start", run.spec.id, task.id, vm.id, vm.vm_type.name, runtime_us)
         self.push(self.now + runtime_us, self.complete, run, task, vm, runtime_us)
 
@@ -909,9 +910,15 @@ class ReferenceSimulation:
 
     def terminated(self, vms):
         for vm in vms:
-            self.emit("vm_terminated", vm.id, vm.billed_seconds, vm.bill_nanos)
+            self.emit("vm_terminated", vm.id, *self.bill(vm))
         for vm in self.fleet.release_due(self.now):
             self.emit("vm_released", vm.id)
+
+    @staticmethod
+    def bill(vm):
+        """A terminated VM's billed seconds, its lease rounded up, and its bill."""
+        billed_s = -(-(vm.terminated_at_us - vm.billing_start_us) // USEC_PER_SEC)
+        return billed_s, billed_s * vm.vm_type.price_nanos
 
     def report(self):
         workflows = []
@@ -926,8 +933,8 @@ class ReferenceSimulation:
                 "budget_usd": budget / 1e9, "budget_met": cost <= budget,
                 "cost_per_budget": ratio, "cost_nanos": cost, "makespan_us": makespan_us})
         vms = self.fleet.instances.values()
-        billed_s = sum(vm.billed_seconds for vm in vms)
-        bill = sum(vm.bill_nanos for vm in vms)
+        bills = [self.bill(vm) for vm in vms]
+        billed_s, bill = sum(s for s, _ in bills), sum(n for _, n in bills)
         counts = {t.name: sum(vm.vm_type.name == t.name for vm in vms) for t in self.cloud.catalog}
         text = json.dumps(workload_to_dict(self.workload), indent=2) + "\n"
         return {"scheduler": self.policy.name, "seed": self.seed,
@@ -1005,3 +1012,6 @@ def test_engine_matches_reference_simulation(scheduler, catalog, mode, variabili
                                         run_seed).simulate()
     assert engine.checkpoint_trace(result.trace) == trace
     assert result.report.to_dict() == report
+    fold = metrics.ReportFold(catalog)
+    fold.extend(result.trace)
+    assert fold.report(scheduler, run_seed, result.report.workload_hash) == result.report

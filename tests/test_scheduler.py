@@ -320,7 +320,7 @@ def test_one_batch_assigns_each_idle_vm_once():
     assert fleet.idle_head(MICRO) is None
     for vm in (fleet.provision(MICRO, 0), fleet.provision(MICRO, 0)):
         fleet.mark_available(vm, 0)
-        fleet.start_task(vm, 1)
+        fleet.start_task(vm)
         fleet.finish_task(vm, 1)
     for tid in spec.tasks:
         policy.enqueue_ready(run, run.spec.tasks[tid])
