@@ -35,8 +35,9 @@ class VmType:
     speed_factor: float = field(metadata={"as_float": True})
 
     def __post_init__(self) -> None:
-        if self.price_per_second <= 0:
-            raise ConfigError(f"vm type {self.name!r}: price must be > 0")
+        if not self.price_per_second >= 1e-9:
+            raise ConfigError(f"vm type {self.name!r}: price_per_second must be >= 1e-09 "
+                              "(one nano-dollar per second)")
         if self.speed_factor <= 0:
             raise ConfigError(f"vm type {self.name!r}: speed_factor must be > 0")
 
@@ -154,7 +155,7 @@ class VmInstance:
     state: str
     available_at_us: int
     billing_start_us: int
-    idle_since_us: int | None = None
+    idle_since_us: int | None = None  # when it last went idle; read only while idle
     terminated_at_us: int | None = None
 
 
@@ -173,7 +174,10 @@ def finalize_billing(vm: VmInstance) -> tuple[int, int]:
 
 class Fleet:
     """All instances ever leased by one simulation, live and terminated, and
-    the only keeper of their lifecycle. Calls come in non-decreasing time."""
+    the only keeper of their lifecycle. Calls come in non-decreasing time.
+    An instance comes up busy with the task it was leased for, then moves
+    idle -> busy, busy -> idle, and idle or busy -> terminated; any other
+    transition raises IllegalState."""
 
     def __init__(self, config: CloudConfig):
         self.config = config
@@ -185,12 +189,11 @@ class Fleet:
         # The instances in state IDLE, in the order they went idle: idle-since order.
         self._idle: dict[str, VmInstance] = {}
         # Per type name, a heap of the ids of its idle instances, least id
-        # string first: the order in which dispatch breaks ties. Built by the
-        # first `idle_head` call, so a fleet whose policy never reads it (FCFS)
-        # keeps none. An id stays in its heap after its instance leaves IDLE and
-        # is dropped when it reaches the top, so an instance can be in its
-        # heap more than once; `take_idle_head` drops every copy.
-        self._heads: dict[str, list[str]] | None = None
+        # string first: the order in which dispatch breaks ties. An id enters
+        # when a task on its instance finishes and leaves when dispatch takes
+        # it; the id of an instance the idle scan terminated is dropped when
+        # it reaches the top. So each id is in its heap at most once.
+        self._heads: dict[str, list[str]] = {}
         # Terminated instances release_due has not returned, in termination
         # order, which is release order as the deprovisioning delay is constant.
         self._releasing: deque[VmInstance] = deque()
@@ -211,36 +214,31 @@ class Fleet:
         self._live += 1
         return vm
 
-    def mark_available(self, vm: VmInstance, now_us: int) -> None:
+    def mark_available(self, vm: VmInstance) -> None:
         if vm.state != PROVISIONING:
             raise IllegalState(f"{vm.id}: available while {vm.state}")
-        self._set_idle(vm, now_us)
+        vm.state = BUSY
 
     def start_task(self, vm: VmInstance) -> None:
         if vm.state != IDLE:
             raise IllegalState(f"{vm.id}: cannot start task while {vm.state}")
         vm.state = BUSY
-        vm.idle_since_us = None
         del self._idle[vm.id]
 
     def finish_task(self, vm: VmInstance, now_us: int) -> None:
         if vm.state != BUSY:
             raise IllegalState(f"{vm.id}: cannot finish task while {vm.state}")
-        self._set_idle(vm, now_us)
-
-    def _set_idle(self, vm: VmInstance, now_us: int) -> None:
         vm.state = IDLE
         vm.idle_since_us = now_us
         self._idle[vm.id] = vm
-        if self._heads is not None:
-            heapq.heappush(self._heads.setdefault(vm.vm_type.name, []), vm.id)
+        heapq.heappush(self._heads.setdefault(vm.vm_type.name, []), vm.id)
 
     def terminate(self, vm: VmInstance, now_us: int) -> None:
-        if vm.state == TERMINATED:
-            raise IllegalState(f"{vm.id} is already terminated")
-        self._idle.pop(vm.id, None)
+        if vm.state == IDLE:
+            del self._idle[vm.id]
+        elif vm.state != BUSY:
+            raise IllegalState(f"{vm.id}: cannot terminate while {vm.state}")
         vm.state = TERMINATED
-        vm.idle_since_us = None
         vm.terminated_at_us = now_us
         self._live -= 1
         self._releasing.append(vm)
@@ -263,12 +261,6 @@ class Fleet:
     def idle_head(self, vm_type: VmType) -> str | None:
         """The least id string among the idle instances of `vm_type`, or
         None if it has none."""
-        if self._heads is None:
-            self._heads = {}
-            for vm in self._idle.values():
-                self._heads.setdefault(vm.vm_type.name, []).append(vm.id)
-            for heap in self._heads.values():
-                heapq.heapify(heap)
         heap = self._heads.get(vm_type.name)
         while heap and self.instances[heap[0]].state != IDLE:
             heapq.heappop(heap)
@@ -281,10 +273,7 @@ class Fleet:
         vm_id = self.idle_head(vm_type)
         if vm_id is None:
             raise IllegalState(f"no idle {vm_type.name} instance")
-        heap = self._heads[vm_type.name]
-        heapq.heappop(heap)
-        while heap and heap[0] == vm_id:
-            heapq.heappop(heap)
+        heapq.heappop(self._heads[vm_type.name])
         return vm_id
 
     def release_due(self, now_us: int) -> list[VmInstance]:

@@ -209,7 +209,7 @@ class _Simulation:
         self.policy.enqueue_ready(run, task)
 
     def _on_vm_available(self, vm: VmInstance, run: WorkflowRun, task: TaskRecord) -> None:
-        self.fleet.mark_available(vm, self.clock_us)
+        self.fleet.mark_available(vm)
         self._append((self.clock_us, "vm_available", vm.id, vm.vm_type.name))
         self._start_task(run, task, vm)
 
@@ -217,7 +217,6 @@ class _Simulation:
         runtime_s = task_runtime_on(vm.vm_type, task.total_runtime,
                                     self.var_rng, self.cloud.variability)
         runtime_us = usec(runtime_s)
-        self.fleet.start_task(vm)
         self._append((self.clock_us, "task_start", run.spec.id, task.id, vm.id,
                       vm.vm_type.name, runtime_us))
         self._push(self.clock_us + runtime_us, self._on_task_completed,
@@ -233,11 +232,11 @@ class _Simulation:
                       vm.vm_type.name, cost_nanos))
         self.policy.on_complete(run, task, vm.vm_type, runtime_us, cost_nanos)
 
-        self.fleet.finish_task(vm, self.clock_us)
         if self.policy.dedicated:
             self.fleet.terminate(vm, self.clock_us)
             self._retire([vm])
         else:
+            self.fleet.finish_task(vm, self.clock_us)
             self._append((self.clock_us, "vm_idle", vm.id))
 
         for child_id in task.children:
@@ -270,6 +269,7 @@ class _Simulation:
         for run, task, target in self.policy.schedule_ready(self.fleet):
             if type(target) is str:
                 vm = self.fleet.instances[target]
+                self.fleet.start_task(vm)
                 self._append((self.clock_us, "task_assign", run.spec.id, task.id,
                               vm.id, vm.vm_type.name))
                 self._start_task(run, task, vm)

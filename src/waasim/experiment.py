@@ -9,7 +9,6 @@ import io
 import json
 import math
 import os
-import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
@@ -118,27 +117,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{path}.budgets: must be strictly increasing")
             if tpl.budgets[0] < 0:
                 raise ConfigError(f"{path}.budgets: must be >= 0")
-            if tpl.shape == "genome":
-                if not 1 <= tpl.fan_out <= sys.maxsize:
-                    raise ConfigError(f"{path}.fan_out: must be >= 1 and <= {sys.maxsize}")
-                for kind, runtime in (tpl.runtime_profile or {}).items():
-                    if kind not in GENOME_RUNTIMES:
-                        raise ConfigError(
-                            f"{path}.runtime_profile: unknown task kind {kind!r}")
-                    if not (math.isfinite(runtime) and runtime > 0):
-                        raise ConfigError(
-                            f"{path}.runtime_profile.{kind}: must be finite and > 0")
-            if tpl.shape == "vina" and not 1 <= tpl.ligand_count <= sys.maxsize:
-                raise ConfigError(f"{path}.ligand_count: must be >= 1 and <= {sys.maxsize}")
-            if tpl.shape == "vina" and tpl.runtimes is not None:
-                if len(tpl.runtimes) != tpl.ligand_count:
-                    raise ConfigError(
-                        f"{path}.runtimes: must have one entry per ligand ({tpl.ligand_count})")
-                for i, runtime in enumerate(tpl.runtimes):
-                    if not (math.isfinite(runtime) and runtime > 0):
-                        raise ConfigError(f"{path}.runtimes[{i}]: must be finite and > 0")
             try:
                 tpl.build()
+            except ValueError as exc:
+                raise ConfigError(f"{path}.{exc}") from None
             except MemoryError:
                 size = "fan_out" if tpl.shape == "genome" else "ligand_count"
                 raise ConfigError(f"{path}.{size}: too many tasks to build") from None

@@ -7,6 +7,7 @@ import copy
 import hashlib
 import math
 import random
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
@@ -297,12 +298,15 @@ def genome_template(chromosome: str, fan_out: int,
                     runtime_profile: dict[str, float] | None = None,
                     budget: float = 0.0) -> WorkflowSpec:
     """Mutation-analysis workflow shape: fan_out parallel data-extraction
-    tasks plus one scoring task feed a merge, which feeds two exit tasks."""
-    if fan_out < 1:
-        raise ValueError("fan_out must be >= 1")
-    for kind in runtime_profile or {}:
+    tasks plus one scoring task feed a merge, which feeds two exit tasks.
+    A bad argument raises ValueError, whose message starts with its name."""
+    if not 1 <= fan_out <= sys.maxsize:
+        raise ValueError(f"fan_out: must be >= 1 and <= {sys.maxsize}")
+    for kind, runtime in (runtime_profile or {}).items():
         if kind not in GENOME_RUNTIMES:
             raise ValueError(f"runtime_profile: unknown task kind {kind!r}")
+        if not (math.isfinite(runtime) and runtime > 0):
+            raise ValueError(f"runtime_profile.{kind}: must be finite and > 0")
     profile = {kind: float(runtime)
                for kind, runtime in {**GENOME_RUNTIMES, **(runtime_profile or {})}.items()}
     # One runtime per extraction task, allocated at once: a fan_out too
@@ -333,13 +337,17 @@ def vina_template(ligand_count: int,
                   kind_prefix: str = "docking",
                   workflow_id: str = "vina",
                   budget: float = 0.0) -> WorkflowSpec:
-    """Molecular-docking workflow shape: an edge-free bag of independent tasks."""
-    if ligand_count < 1:
-        raise ValueError("ligand_count must be >= 1")
+    """Molecular-docking workflow shape: an edge-free bag of independent tasks.
+    A bad argument raises ValueError, whose message starts with its name."""
+    if not 1 <= ligand_count <= sys.maxsize:
+        raise ValueError(f"ligand_count: must be >= 1 and <= {sys.maxsize}")
     if runtimes is None:
         runtimes = (300.0,) * ligand_count
     if len(runtimes) != ligand_count:
-        raise ValueError("runtimes must supply one value per ligand")
+        raise ValueError(f"runtimes: must have one entry per ligand ({ligand_count})")
+    for i, runtime in enumerate(runtimes):
+        if not (math.isfinite(runtime) and runtime > 0):
+            raise ValueError(f"runtimes[{i}]: must be finite and > 0")
     width = max(2, len(str(ligand_count)))
     tasks = [
         TaskRecord(id=f"ligand_{i:0{width}d}", kind=f"{kind_prefix}_{i:0{width}d}",
@@ -364,6 +372,9 @@ def generate_workload(catalog: list[tuple[WorkflowSpec, float]], count: int,
         raise ValueError("count must be >= 1")
     if not 0 < rate_wf_per_min < math.inf:
         raise ValueError("rate must be finite and > 0")
+    for i, (_, budget) in enumerate(catalog):
+        if not (math.isfinite(budget) and budget >= 0):
+            raise ValueError(f"catalog[{i}]: budget must be finite and >= 0")
     rng = random.Random(seed)
     rate_per_sec = rate_wf_per_min / 60.0
     workflows: list[WorkflowSpec] = []

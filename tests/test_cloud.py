@@ -18,6 +18,12 @@ def table_type(name):
     return {t.name: t for t in default_catalog()}[name]
 
 
+def went_idle(fleet, vm, at_us):
+    """Bring a provisioned VM up busy and finish its task at `at_us`."""
+    fleet.mark_available(vm)
+    fleet.finish_task(vm, at_us)
+
+
 def test_catalog_prices():
     prices = {t.name: t.price_per_second for t in default_catalog()}
     assert prices == {"t2.micro": 0.0000041, "t2.small": 0.0000082,
@@ -67,11 +73,53 @@ def test_estimated_cost_nanos_examples():
     assert estimated_cost_nanos(table_type("t2.micro"), usec(99.2)) == 410_000
 
 
+def in_state(fleet, state):
+    """A VM brought to `state` by legal transitions alone."""
+    vm = fleet.provision(table_type("t2.micro"), 0)
+    if state != "provisioning":
+        fleet.mark_available(vm)
+    if state == "idle":
+        fleet.finish_task(vm, 0)
+    if state == "terminated":
+        fleet.terminate(vm, 0)
+    return vm
+
+
+MOVES = {"mark_available": lambda fleet, vm: fleet.mark_available(vm),
+         "start_task": lambda fleet, vm: fleet.start_task(vm),
+         "finish_task": lambda fleet, vm: fleet.finish_task(vm, 1),
+         "terminate": lambda fleet, vm: fleet.terminate(vm, 1)}
+# (state, move): the state the move leads to.
+LEGAL = {("provisioning", "mark_available"): "busy", ("idle", "start_task"): "busy",
+         ("busy", "finish_task"): "idle", ("idle", "terminate"): "terminated",
+         ("busy", "terminate"): "terminated"}
+
+
+@pytest.mark.parametrize("move", MOVES)
+@pytest.mark.parametrize("state", ["provisioning", "idle", "busy", "terminated"])
+def test_only_five_transitions_are_legal(state, move):
+    """A VM comes up busy with the task it was leased for, so, among the
+    rest, starting a task on a VM that just came up raises; the idle index
+    holds a VM exactly while it is idle."""
+    fleet = Fleet(CloudConfig(provisioning_delay=0.0))
+    vm = in_state(fleet, state)
+    if (state, move) in LEGAL:
+        MOVES[move](fleet, vm)
+        assert vm.state == LEGAL[state, move]
+    else:
+        with pytest.raises(IllegalState):
+            MOVES[move](fleet, vm)
+        assert vm.state == state
+    idle = vm.state == "idle"
+    assert fleet.idle_instances() == ([vm] if idle else [])
+    assert fleet.idle_head(vm.vm_type) == (vm.id if idle else None)
+
+
 def test_idle_scan_boundary():
     config = CloudConfig(provisioning_delay=0.0, idle_threshold=60.0)
     fleet = Fleet(config)
     vm = fleet.provision(table_type("t2.micro"), 0)
-    fleet.mark_available(vm, 0)
+    went_idle(fleet, vm, 0)
     assert fleet.idle_scan(usec(59.0)) == []
     assert vm.state == "idle"
     assert fleet.idle_scan(usec(60.0)) == [vm]
@@ -82,8 +130,7 @@ def test_idle_scan_skips_busy_and_provisioning():
     config = CloudConfig(provisioning_delay=50.0, idle_threshold=60.0)
     fleet = Fleet(config)
     busy = fleet.provision(table_type("t2.micro"), 0)
-    fleet.mark_available(busy, usec(50.0))
-    fleet.start_task(busy)
+    fleet.mark_available(busy)
     cold = fleet.provision(table_type("t2.micro"), usec(50.0))
     assert fleet.idle_scan(usec(200.0)) == []
     assert busy.state == "busy" and cold.state == "provisioning"
@@ -97,11 +144,11 @@ def test_expiry_and_release_in_provision_order():
     vms = [fleet.provision(table_type("t2.micro"), 0) for _ in range(10_001)]
     v9998, v9999, v10000, v10001 = vms[-4:]
     assert (v9999.id, v10000.id) == ("vm-9999", "vm-10000")
-    fleet.mark_available(v10000, 0)
-    fleet.mark_available(v9999, usec(5.0))
+    went_idle(fleet, v10000, 0)
+    went_idle(fleet, v9999, usec(5.0))
     assert fleet.idle_scan(usec(65.0)) == [v9999, v10000]
-    for vm in (v10001, v9998):  # terminated directly, newest first
-        fleet.mark_available(vm, usec(65.0))
+    for vm in (v10001, v9998):  # terminated from busy, newest first
+        fleet.mark_available(vm)
         fleet.terminate(vm, usec(65.0))
     assert fleet.release_due(usec(74.0)) == []
     assert fleet.release_due(usec(75.0)) == [v9998, v9999, v10000, v10001]
@@ -116,9 +163,8 @@ def test_unreleased_until_last_release():
     a = fleet.provision(table_type("t2.micro"), 0)
     b = fleet.provision(table_type("t2.micro"), 0)
     assert fleet.unreleased(0)
-    for vm in (a, b):
-        fleet.mark_available(vm, usec(5.0))
-    fleet.start_task(b)
+    went_idle(fleet, a, usec(5.0))
+    fleet.mark_available(b)
     assert fleet.idle_scan(usec(65.0)) == [a]
     assert fleet.unreleased(usec(80.0))  # b is still live
     fleet.finish_task(b, usec(35.0 + 60.0))
@@ -132,16 +178,15 @@ def test_next_due_is_none_with_nothing_to_expire_or_release():
     assert fleet.next_due_us() is None
     vm = fleet.provision(table_type("t2.micro"), 0)
     assert fleet.next_due_us() is None  # provisioning
-    fleet.mark_available(vm, usec(5.0))
-    fleet.start_task(vm)
+    fleet.mark_available(vm)
     assert fleet.next_due_us() is None  # busy
 
 
 def test_next_due_is_idle_head_plus_threshold():
     fleet = Fleet(CloudConfig(provisioning_delay=0.0, idle_threshold=60.0))
     a, b = (fleet.provision(table_type("t2.micro"), 0) for _ in range(2))
-    fleet.mark_available(b, usec(3.0))
-    fleet.mark_available(a, usec(7.0))
+    went_idle(fleet, b, usec(3.0))
+    went_idle(fleet, a, usec(7.0))
     assert fleet.next_due_us() == usec(63.0)
 
 
@@ -149,7 +194,7 @@ def test_next_due_is_release_head_plus_delay():
     fleet = Fleet(CloudConfig(provisioning_delay=0.0, deprovisioning_delay=10.0))
     a, b = (fleet.provision(table_type("t2.micro"), 0) for _ in range(2))
     for vm, at in ((b, 4.0), (a, 9.0)):
-        fleet.mark_available(vm, 0)
+        fleet.mark_available(vm)
         fleet.terminate(vm, usec(at))
     assert fleet.next_due_us() == usec(14.0)
     assert fleet.release_due(usec(14.0)) == [b]
@@ -167,8 +212,8 @@ def test_next_due_is_the_earlier_of_expiry_and_release(idle_at, due):
     fleet = Fleet(CloudConfig(provisioning_delay=0.0, deprovisioning_delay=10.0,
                               idle_threshold=30.0))
     idle, gone = (fleet.provision(table_type("t2.micro"), 0) for _ in range(2))
-    fleet.mark_available(gone, 0)
-    fleet.mark_available(idle, usec(idle_at))
+    fleet.mark_available(gone)
+    went_idle(fleet, idle, usec(idle_at))
     fleet.terminate(gone, usec(40.0))  # released at 50
     assert fleet.next_due_us() == usec(due)
 
@@ -178,8 +223,8 @@ def test_next_due_moves_to_the_next_idle_vm(leave):
     fleet = Fleet(CloudConfig(provisioning_delay=0.0, deprovisioning_delay=100.0,
                               idle_threshold=60.0))
     first, second = (fleet.provision(table_type("t2.micro"), 0) for _ in range(2))
-    fleet.mark_available(first, usec(1.0))
-    fleet.mark_available(second, usec(2.0))
+    went_idle(fleet, first, usec(1.0))
+    went_idle(fleet, second, usec(2.0))
     assert fleet.next_due_us() == usec(61.0)
     if leave == "reuse":
         fleet.start_task(first)
@@ -193,8 +238,7 @@ def test_busy_then_idle_terminates_at_first_due_tick():
     config = CloudConfig(provisioning_delay=0.0, idle_threshold=60.0, scan_interval=10.0)
     fleet = Fleet(config)
     vm = fleet.provision(table_type("t2.micro"), 0)
-    fleet.mark_available(vm, 0)
-    fleet.start_task(vm)
+    fleet.mark_available(vm)
     fleet.finish_task(vm, usec(300.0))
     ticks = [usec(10.0 * k) for k in range(1, 40)]
     terminated_at = next(t for t in ticks if fleet.idle_scan(t))
@@ -204,6 +248,7 @@ def test_busy_then_idle_terminates_at_first_due_tick():
 def terminated(fleet, type_name, at_us):
     """A VM of `type_name` leased at 0 and terminated at `at_us`."""
     vm = fleet.provision(table_type(type_name), 0)
+    fleet.mark_available(vm)
     fleet.terminate(vm, at_us)
     return vm
 
@@ -212,7 +257,7 @@ def test_finalize_billing_examples():
     config = CloudConfig(provisioning_delay=0.0, deprovisioning_delay=0.0)
     fleet = Fleet(config)
     vm = fleet.provision(table_type("t2.medium"), 0)
-    fleet.mark_available(vm, 0)
+    fleet.mark_available(vm)
     fleet.terminate(vm, usec(1000.0))
     assert finalize_billing(vm) == (1000, 16_400_000)  # $0.0164
     assert finalize_billing(terminated(fleet, "t2.micro", 0)) == (0, 0)
@@ -232,7 +277,7 @@ def test_finalize_billing_excludes_provisioning_delay():
 def test_terminate_twice_raises():
     fleet = Fleet(CloudConfig(provisioning_delay=0.0))
     vm = fleet.provision(table_type("t2.micro"), 0)
-    fleet.mark_available(vm, 0)
+    went_idle(fleet, vm, 0)
     fleet.terminate(vm, usec(10.0))
     with pytest.raises(IllegalState):
         fleet.terminate(vm, usec(20.0))
@@ -241,7 +286,7 @@ def test_terminate_twice_raises():
 def test_terminated_vm_never_receives_work():
     fleet = Fleet(CloudConfig(provisioning_delay=0.0))
     vm = fleet.provision(table_type("t2.micro"), 0)
-    fleet.mark_available(vm, 0)
+    went_idle(fleet, vm, 0)
     fleet.terminate(vm, usec(100.0))
     with pytest.raises(IllegalState):
         fleet.start_task(vm)
@@ -250,6 +295,9 @@ def test_terminated_vm_never_receives_work():
 def test_vm_type_validation():
     with pytest.raises(ConfigError):
         VmType("bad", 1, 1024, 0.0, 1.0)
+    with pytest.raises(ConfigError, match="'bad': price_per_second must be >= 1e-09"):
+        VmType("bad", 1, 1024, 1e-10, 1.0)  # would bill 0 nano-dollars per second
+    assert VmType("ok", 1, 1024, 1e-9, 1.0).price_nanos == 1
     with pytest.raises(ConfigError):
         VmType("bad", 1, 1024, 0.1, 0.0)
     with pytest.raises(ConfigError):

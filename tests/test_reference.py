@@ -859,6 +859,7 @@ class ReferenceSimulation:
             run, task = action.run, action.task
             if isinstance(action, Assign):
                 vm = self.fleet.instances[action.vm_id]
+                self.fleet.start_task(vm)
                 self.emit("task_assign", run.spec.id, task.id, vm.id, vm.vm_type.name)
                 self.start(run, task, vm)
             else:
@@ -868,7 +869,7 @@ class ReferenceSimulation:
                 self.push(vm.available_at_us, self.available, vm, run, task)
 
     def available(self, vm, run, task):
-        self.fleet.mark_available(vm, self.now)
+        self.fleet.mark_available(vm)
         self.emit("vm_available", vm.id, vm.vm_type.name)
         self.start(run, task, vm)
 
@@ -879,7 +880,6 @@ class ReferenceSimulation:
             runtime_s *= math.exp(self.rng.gauss(0.0, variability.sigma))
         runtime_us = usec(runtime_s)
         self.busy_us += runtime_us
-        self.fleet.start_task(vm)
         self.emit("task_start", run.spec.id, task.id, vm.id, vm.vm_type.name, runtime_us)
         self.push(self.now + runtime_us, self.complete, run, task, vm, runtime_us)
 
@@ -889,11 +889,11 @@ class ReferenceSimulation:
         run.unfinished -= 1
         self.emit("task_complete", run.spec.id, task.id, vm.id, vm.vm_type.name, cost)
         self.policy.on_complete(run, task, vm.vm_type, runtime_us, cost)
-        self.fleet.finish_task(vm, self.now)
         if self.policy.dedicated:
             self.fleet.terminate(vm, self.now)
             self.terminated([vm])
         else:
+            self.fleet.finish_task(vm, self.now)
             self.emit("vm_idle", vm.id)
         for child in sorted(task.children):
             run.waiting[child] -= 1

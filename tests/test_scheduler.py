@@ -244,7 +244,8 @@ def idle_fleet(config, vm_type, count=1, now_us=0):
     fleet = Fleet(config)
     for _ in range(count):
         vm = fleet.provision(vm_type, now_us)
-        fleet.mark_available(vm, now_us)
+        fleet.mark_available(vm)
+        fleet.finish_task(vm, now_us)
     return fleet
 
 
@@ -309,8 +310,8 @@ def test_schedule_two_tasks_never_share_one_idle_vm():
 
 
 def test_one_batch_assigns_each_idle_vm_once():
-    """A VM that went idle again before its stale index entry reached the top
-    is in the index twice; one batch still assigns it only once."""
+    """Dispatch takes an idle VM's id out of the index, so one batch assigns
+    each idle VM once, though the VM stays idle until its task starts."""
     config = CloudConfig(catalog=(MICRO,), provisioning_delay=0.0)
     policy = make_policy("ebpsm", config, ORACLE)
     spec = build_workflow([(f"t{i}", f"k{i}", 10.0, []) for i in range(4)])
@@ -319,8 +320,7 @@ def test_one_batch_assigns_each_idle_vm_once():
     fleet = Fleet(config)
     assert fleet.idle_head(MICRO) is None
     for vm in (fleet.provision(MICRO, 0), fleet.provision(MICRO, 0)):
-        fleet.mark_available(vm, 0)
-        fleet.start_task(vm)
+        fleet.mark_available(vm)
         fleet.finish_task(vm, 1)
     for tid in spec.tasks:
         policy.enqueue_ready(run, run.spec.tasks[tid])
@@ -342,8 +342,9 @@ def test_equal_cost_idle_vms_go_in_id_string_order_past_vm_9999():
     assert fleet.idle_head(MICRO) is None
     vms = [fleet.provision(MICRO, 0) for _ in range(10_000)]
     assert [vm.id for vm in vms[-2:]] == ["vm-9999", "vm-10000"]
-    fleet.mark_available(vms[-2], 0)
-    fleet.mark_available(vms[-1], 1)
+    for vm, at_us in ((vms[-2], 0), (vms[-1], 1)):
+        fleet.mark_available(vm)
+        fleet.finish_task(vm, at_us)
     for tid in ("a", "b"):
         policy.enqueue_ready(run, run.spec.tasks[tid])
     actions = policy.schedule_ready(fleet)
@@ -391,8 +392,8 @@ def test_fcfs_provisions_one_vm_per_task(mono_cloud, oracle):
 
 
 def test_fcfs_fleet_keeps_no_idle_index(monkeypatch, oracle):
-    """FCFS never reads the idle index, so its fleet builds none and keeps no
-    stale entry per task."""
+    """FCFS terminates each VM from busy when its task completes, so no VM
+    of its fleet ever goes idle or enters the idle index."""
     from waasim.workflow import genome_template
     fleets = []
 
@@ -405,7 +406,7 @@ def test_fcfs_fleet_keeps_no_idle_index(monkeypatch, oracle):
     cloud = CloudConfig(catalog=(MICRO,), provisioning_delay=90.0)
     engine.run(single_workload(genome_template("chr22", 22, budget=1.0)), "fcfs", cloud,
                oracle, seed=0)
-    assert len(fleets) == 1 and fleets[0]._heads is None
+    assert len(fleets) == 1 and fleets[0]._heads == {} and fleets[0].idle_instances() == []
 
 
 def test_fcfs_single_task_makespan(oracle):

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -196,6 +198,23 @@ def test_vina_template_counts():
         vina_template(0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: genome_template("g", sys.maxsize + 1),
+     f"fan_out: must be >= 1 and <= {sys.maxsize}"),
+    (lambda: vina_template(sys.maxsize + 1),
+     f"ligand_count: must be >= 1 and <= {sys.maxsize}"),
+    (lambda: genome_template("g", 2, runtime_profile={"sifting": math.nan}),
+     "runtime_profile.sifting: must be finite and > 0"),
+    (lambda: vina_template(2, runtimes=[5.0, -1.0]), "runtimes[1]: must be finite and > 0"),
+    (lambda: vina_template(2, runtimes=[5.0]), "runtimes: must have one entry per ligand (2)"),
+], ids=["huge_fan_out", "huge_ligand_count", "profile_value", "runtime_value",
+        "runtimes_length"])
+def test_template_builders_name_the_bad_field(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_vina_template_runtimes_per_ligand():
     spec = vina_template(3, runtimes=[30.0, 20.0, 10.0], kind_prefix="dock")
     runtimes = sorted(t.reference_runtime for t in spec.tasks.values())
@@ -298,6 +317,11 @@ def test_generate_workload_argument_errors():
         generate_workload(catalog, 5, 0.0, seed=0)
     with pytest.raises(ValueError, match="arrival time inf s"):
         generate_workload(catalog, 2, 1e-310, seed=1)
+    # Budgets that `parse_workload` would reject in the workload they make.
+    for budget in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError,
+                           match=r"^catalog\[1\]: budget must be finite and >= 0$"):
+            generate_workload(catalog + [(genome_template("g", 2), budget)], 2, 6.0, seed=1)
 
 
 def test_interarrival_mean_property():
