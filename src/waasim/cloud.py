@@ -40,6 +40,8 @@ class VmType:
                               "(one nano-dollar per second)")
         if self.speed_factor <= 0:
             raise ConfigError(f"vm type {self.name!r}: speed_factor must be > 0")
+        if not math.isfinite(self.speed_factor):
+            raise ConfigError(f"vm type {self.name!r}: speed_factor must be finite")
 
     # Cached in the instance dict, not a dataclass field, so asdict() and
     # the config hash do not see it.
@@ -50,6 +52,9 @@ class VmType:
 
 @dataclass(frozen=True)
 class VariabilityConfig:
+    """Runtime variability: with mode "lognormal", each task's runtime is
+    multiplied by exp(N(0, sigma))."""
+
     mode: str = "none"  # "none" or "lognormal"
     sigma: float = 0.0
 
@@ -67,6 +72,9 @@ def default_catalog() -> tuple[VmType, ...]:
 
 @dataclass
 class CloudConfig:
+    """The provider: its VM catalog, lifecycle delays and idle-scan timing
+    in seconds, runtime variability and billing rule."""
+
     catalog: tuple[VmType, ...] = field(default_factory=default_catalog)
     provisioning_delay: float = 90.0
     deprovisioning_delay: float = 10.0
@@ -91,6 +99,10 @@ class CloudConfig:
             raise ConfigError(f"unknown variability mode {self.variability.mode!r}")
         if not (math.isfinite(self.variability.sigma) and self.variability.sigma >= 0):
             raise ConfigError("variability.sigma must be finite and >= 0")
+        for name in ("provisioning_delay", "deprovisioning_delay", "idle_threshold",
+                     "scan_interval"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
 
     @property
     def fastest_type(self) -> VmType:
@@ -144,19 +156,24 @@ def estimated_cost_nanos(vm_type: VmType, est_runtime_us: int) -> int:
     return ceil_whole_seconds(est_runtime_us) * vm_type.price_nanos
 
 
-@dataclass
 class VmInstance:
     """A leased machine and where it is in its lifecycle: provisioning,
-    idle, busy or terminated, and since when."""
+    idle, busy or terminated, and since when. `seq` is its provision order;
+    `idle_since_us`, when it last went idle, is read only while it is idle."""
 
-    id: str
-    seq: int  # provision order
-    vm_type: VmType
-    state: str
-    available_at_us: int
-    billing_start_us: int
-    idle_since_us: int | None = None  # when it last went idle; read only while idle
-    terminated_at_us: int | None = None
+    __slots__ = ("id", "seq", "vm_type", "state", "available_at_us", "billing_start_us",
+                 "idle_since_us", "terminated_at_us")
+
+    def __init__(self, id: str, seq: int, vm_type: VmType, state: str,
+                 available_at_us: int, billing_start_us: int):
+        self.id = id
+        self.seq = seq
+        self.vm_type = vm_type
+        self.state = state
+        self.available_at_us = available_at_us
+        self.billing_start_us = billing_start_us
+        self.idle_since_us: int | None = None
+        self.terminated_at_us: int | None = None
 
 
 def finalize_billing(vm: VmInstance) -> tuple[int, int]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .cloud import CloudConfig, Fleet, VmInstance, finalize_billing, task_runtime_on
@@ -60,28 +59,38 @@ def render(rec: tuple) -> str:
     return (_TEMPLATES[rec[1]] % rec).rstrip()
 
 
+# Records `checkpoint_trace` renders into one text before it joins the texts:
+# a list of every line of a long trace would hold its text about three times.
+_RENDER_CHUNK = 2048
+
+
 def checkpoint_trace(records: list[tuple]) -> str:
     """The trace lines of one or more records, each ending in a newline: the
     stable text of a trace, as the golden traces hold it."""
     templates = _TEMPLATES
-    return "\n".join([(templates[rec[1]] % rec).rstrip() for rec in records]) + "\n"
+    return "".join(["\n".join([(templates[rec[1]] % rec).rstrip()
+                               for rec in records[i:i + _RENDER_CHUNK]]) + "\n"
+                    for i in range(0, len(records), _RENDER_CHUNK)])
 
 
-@dataclass
 class WorkflowRun:
     """Mutable per-run state for one workflow instance; `spec` is shared
     and never changed."""
 
-    spec: object
-    arrival_us: int
-    budget_nanos: int
-    # The policy's plan and budget ledger for this workflow, set on arrival
-    # and dropped when the workflow completes.
-    plan: object = None
-    ledger: BudgetLedger | None = None
-    pending_parents: dict[str, int] = field(default_factory=dict)
-    unfinished: int = 0
-    cost_nanos: int = 0
+    __slots__ = ("spec", "arrival_us", "budget_nanos", "plan", "ledger",
+                 "pending_parents", "unfinished", "cost_nanos")
+
+    def __init__(self, spec, arrival_us: int, budget_nanos: int):
+        self.spec = spec
+        self.arrival_us = arrival_us
+        self.budget_nanos = budget_nanos
+        # The policy's plan and budget ledger for this workflow, set on
+        # arrival and dropped when the workflow completes.
+        self.plan = None
+        self.ledger: BudgetLedger | None = None
+        self.pending_parents: dict[str, int] = {}
+        self.unfinished = 0
+        self.cost_nanos = 0
 
 
 # Records that are also rows of the assignment log, with their row's event.
@@ -97,12 +106,14 @@ def assignment_rows(records: Iterable[tuple]) -> Iterator[tuple]:
             for rec in records if rec[1] in events)
 
 
-@dataclass
 class SimulationResult:
     """`trace` is the sink given to `run`: a list of every record by default."""
 
-    report: MetricsReport
-    trace: list[tuple]
+    __slots__ = ("report", "trace")
+
+    def __init__(self, report: MetricsReport, trace: list[tuple]):
+        self.report = report
+        self.trace = trace
 
     @property
     def assignments(self) -> list[tuple]:

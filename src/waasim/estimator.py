@@ -38,6 +38,10 @@ class _Window:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """How runtimes are estimated: "oracle" knows them; "history" estimates
+    from the last `window` runtimes recorded, and multiplies the model
+    runtime of a kind with no record yet by `cold_start_margin`."""
+
     mode: str = "history"  # "oracle" or "history"
     window: int = 10
     cold_start_margin: float = 1.5

@@ -13,6 +13,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 from . import engine
 from .cloud import CloudConfig
@@ -30,6 +31,9 @@ from .workflow import (GENOME_RUNTIMES, VINA01_RUNTIMES, VINA02_RUNTIMES,
 
 @dataclass
 class TemplateConfig:
+    """A workflow template of the sweep: its shape and size, its task
+    runtimes and its budget levels in dollars, lowest first."""
+
     name: str
     shape: str  # "genome" or "vina"
     budgets: list[float] = field(metadata={"as_float": True})
@@ -66,6 +70,10 @@ def default_templates() -> list[TemplateConfig]:
 
 @dataclass
 class ExperimentConfig:
+    """A sweep: every scheduler at every arrival rate, `repetitions` times,
+    each run over `workflow_count` workflows drawn from the templates at
+    the chosen budget levels."""
+
     cloud: CloudConfig = field(default_factory=CloudConfig)
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     templates: list[TemplateConfig] = field(default_factory=default_templates)
@@ -167,8 +175,9 @@ def _rate_label(rate: float) -> str:
     return f"{rate:g}"
 
 
-@dataclass
-class RunSpec:
+class RunSpec(NamedTuple):
+    """One run of a sweep, as `plan_runs` derives it from the config."""
+
     run_id: str
     scheduler: str
     rate: float
@@ -315,7 +324,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     for spec, report in zip(specs, reports):
         summary_writer.writerow(_summary_row(spec, report, type_names))
         reports_by_rate.setdefault(spec.rate, []).append(report)
-        manifest_runs.append({**asdict(spec), "workload_hash": report.workload_hash})
+        manifest_runs.append({**spec._asdict(), "workload_hash": report.workload_hash})
     (out / "summary.csv").write_text(summary.getvalue())
 
     budget_rows = summarize_budget_met(reports_by_rate)
@@ -341,15 +350,15 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     return manifest
 
 
-@dataclass
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
+    """One workflow's makespan and cost of run A over those of run B."""
+
     workflow_id: str
     makespan_ratio: float
     cost_ratio: float
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Directional comparison of two runs over the same workload."""
 
     rows: list[ComparisonRow]

@@ -17,6 +17,9 @@ from .units import USEC_PER_SEC, format_dollars, format_seconds
 
 @dataclass
 class WorkflowMetrics:
+    """One workflow's result: its makespan and cost against its budget, in
+    seconds and dollars, and exactly in microseconds and nano-dollars."""
+
     workflow_id: str
     arrival_s: float
     makespan_s: float
@@ -31,6 +34,9 @@ class WorkflowMetrics:
 
 @dataclass
 class FleetMetrics:
+    """The fleet's result: VMs leased per type, busy and billed time, the
+    share of billed time spent busy, and the total bill."""
+
     vm_counts: dict[str, int]
     total_vms: int
     busy_seconds: float
@@ -42,6 +48,9 @@ class FleetMetrics:
 
 @dataclass
 class MetricsReport:
+    """One run's report: per-workflow and fleet results, with the scheduler,
+    the seed and the hash of the workload they came from."""
+
     scheduler: str
     seed: int
     workload_hash: str

@@ -12,7 +12,6 @@ import heapq
 import math
 import weakref
 from collections import deque
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .cloud import CloudConfig, Fleet, VmType, estimated_cost_nanos
@@ -84,7 +83,6 @@ class CostRows:
                     self.changes += 1
 
 
-@dataclass
 class BudgetLedger:
     """Per-workflow budget state, exact to the nano-dollar.
 
@@ -103,19 +101,30 @@ class BudgetLedger:
     since, whichever is later.
     """
 
-    budget_nanos: int
-    unassigned: int = 0
-    sub_budgets: dict[str, int] = field(default_factory=dict)
-    spent: int = 0
-    debt: int = 0
-    unscheduled: dict[str, TaskRecord] = field(default_factory=dict)
-    costs: CostRows | None = field(default=None, repr=False)
-    changes: int = field(default=-1, repr=False)
-    position: dict[str, int] = field(default_factory=dict, repr=False)
-    entry_pool: dict[str, int] = field(default_factory=dict, repr=False)
-    unscheduled_budget: int = field(default=0, repr=False)
-    reserve: int = field(default=0, repr=False)
-    resume_after: float = field(default=-1, repr=False)
+    __slots__ = ("budget_nanos", "unassigned", "sub_budgets", "spent", "debt", "unscheduled",
+                 "costs", "changes", "position", "entry_pool", "unscheduled_budget",
+                 "reserve", "resume_after")
+
+    def __init__(self, budget_nanos: int, unassigned: int = 0,
+                 sub_budgets: dict[str, int] | None = None, spent: int = 0, debt: int = 0,
+                 unscheduled: dict[str, TaskRecord] | None = None,
+                 costs: CostRows | None = None, changes: int = -1,
+                 position: dict[str, int] | None = None,
+                 entry_pool: dict[str, int] | None = None, unscheduled_budget: int = 0,
+                 reserve: int = 0, resume_after: float = -1):
+        self.budget_nanos = budget_nanos
+        self.unassigned = unassigned
+        self.sub_budgets = {} if sub_budgets is None else sub_budgets
+        self.spent = spent
+        self.debt = debt
+        self.unscheduled = {} if unscheduled is None else unscheduled
+        self.costs = costs
+        self.changes = changes
+        self.position = {} if position is None else position
+        self.entry_pool = {} if entry_pool is None else entry_pool
+        self.unscheduled_budget = unscheduled_budget
+        self.reserve = reserve
+        self.resume_after = resume_after
 
     def identity_gap(self) -> int:
         """Zero when the ledger identity holds exactly."""
@@ -137,8 +146,10 @@ class BudgetLedger:
 
     def copy(self) -> BudgetLedger:
         """This ledger, sharing nothing that either changes in place."""
-        return replace(self, sub_budgets=dict(self.sub_budgets),
-                       unscheduled=dict(self.unscheduled), entry_pool=dict(self.entry_pool))
+        return BudgetLedger(self.budget_nanos, self.unassigned, dict(self.sub_budgets),
+                            self.spent, self.debt, dict(self.unscheduled), self.costs,
+                            self.changes, self.position, dict(self.entry_pool),
+                            self.unscheduled_budget, self.reserve, self.resume_after)
 
 
 def compute_eft_us(spec: WorkflowSpec, costs: CostRows) -> dict[str, int]:
@@ -261,7 +272,6 @@ class Provision(NamedTuple):
     vm_type: VmType
 
 
-@dataclass
 class _Plan:
     """What every workflow over one shared `tasks` mapping starts from while
     no cost row changes: the EFT table and, per budget, the ledger its
@@ -269,10 +279,14 @@ class _Plan:
     Each running workflow holds its plan; the plan holds `tasks`, so no
     other mapping takes its id() while the plan lives."""
 
-    tasks: dict[str, TaskRecord]
-    changes: int
-    eft_us: dict[str, int]
-    ledgers: dict[int, BudgetLedger] = field(default_factory=dict)
+    # A weakref slot: `EbpsmPolicy._plans` holds plans weakly.
+    __slots__ = ("tasks", "changes", "eft_us", "ledgers", "__weakref__")
+
+    def __init__(self, tasks: dict[str, TaskRecord], changes: int, eft_us: dict[str, int]):
+        self.tasks = tasks
+        self.changes = changes
+        self.eft_us = eft_us
+        self.ledgers: dict[int, BudgetLedger] = {}
 
 
 class EbpsmPolicy:

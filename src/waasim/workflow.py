@@ -9,7 +9,7 @@ import math
 import random
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from .errors import CycleError, DanglingRefError, SchemaError
@@ -141,8 +141,11 @@ def _levels(workflow_id: str, parents: dict[str, tuple[str, ...]],
 
 
 # The workflow and workload documents as JSON holds them: numbers may be ints.
-@dataclass
+# Only the decoder builds them, so they need no generated method but __init__.
+@dataclass(repr=False, eq=False)
 class _TaskDoc:
+    """A task of a workflow document."""
+
     id: str
     kind: str
     runtime: float
@@ -150,16 +153,20 @@ class _TaskDoc:
     transfer: float = 0.0
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class _WorkflowDoc:
+    """A workflow document."""
+
     id: str
     budget: float
     tasks: list[_TaskDoc]
     arrival_time: float = 0.0
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class _WorkloadDoc:
+    """A workload document."""
+
     arrival_rate: float
     workflows: list[_WorkflowDoc]
     seed: int = 0
@@ -387,6 +394,5 @@ def generate_workload(catalog: list[tuple[WorkflowSpec, float]], count: int,
         if not math.isfinite(clock):
             raise ValueError(f"workflow {wf_id!r}: arrival time {clock:g} s cannot be counted "
                              f"in integer microseconds; rate {rate_wf_per_min:g} is too small")
-        workflows.append(replace(template, id=wf_id,
-                                 budget=budget, arrival_time=clock))
+        workflows.append(WorkflowSpec(wf_id, template.tasks, budget, clock))
     return WorkloadSpec(workflows=workflows, arrival_rate=rate_wf_per_min, seed=seed)

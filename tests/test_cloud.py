@@ -304,6 +304,19 @@ def test_vm_type_validation():
         CloudConfig(catalog=(MICRO, MICRO))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["speed_factor", "provisioning_delay",
+                                   "deprovisioning_delay", "idle_threshold", "scan_interval"])
+def test_non_finite_values_are_rejected_by_name(field, value):
+    """A non-finite speed, delay, threshold or interval cannot be counted in
+    microseconds; it is refused where the value is given, by its name."""
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        if field == "speed_factor":
+            VmType("bad", 1, 1024, 0.1, value)
+        else:
+            CloudConfig(**{field: value})
+
+
 def test_fastest_and_cheapest():
     config = CloudConfig()
     assert config.fastest_type.name == "t2.large"

@@ -220,6 +220,18 @@ def test_sink_receives_the_trace_in_time_step_chunks(monkeypatch, oracle, chunk)
         assert all(len({rec[0] for rec in records}) == 1 for records in sink.chunks)
 
 
+def test_trace_longer_than_two_render_chunks_renders_line_by_line(oracle):
+    """`checkpoint_trace` renders a long trace chunk by chunk; the text is
+    that of its records rendered one by one, at every chunk boundary."""
+    workload = generate_workload([(genome_template("g", 4), 0.05)], 80, 6.0, seed=5)
+    trace = engine.run(workload, "ebpsm", CloudConfig(), oracle, seed=5).trace
+    size = engine._RENDER_CHUNK
+    assert len(trace) > 2 * size + 1
+    for n in (1, size - 1, size, size + 1, 2 * size, 2 * size + 1, len(trace)):
+        assert engine.checkpoint_trace(trace[:n]) == "".join(
+            engine.render(rec) + "\n" for rec in trace[:n])
+
+
 def test_stall_error_on_broken_policy(monkeypatch, mono_cloud, oracle):
     """The records emitted before the stall still reach the sink, and a
     report of them names the workflow that never completed."""
