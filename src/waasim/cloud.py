@@ -13,7 +13,7 @@ from itertools import takewhile
 from operator import attrgetter
 
 from .errors import ConfigError, IllegalState
-from .units import USEC_PER_SEC, ceil_whole_seconds, nanos, usec
+from .units import NANOS_PER_DOLLAR, USEC_PER_SEC, ceil_whole_seconds, nanos, usec
 
 PROVISIONING = "provisioning"
 IDLE = "idle"
@@ -42,6 +42,10 @@ class VmType:
             raise ConfigError(f"vm type {self.name!r}: speed_factor must be > 0")
         if not math.isfinite(self.speed_factor):
             raise ConfigError(f"vm type {self.name!r}: speed_factor must be finite")
+        price = self.price_per_second
+        if price * NANOS_PER_DOLLAR == math.inf:  # where `price_nanos` would overflow
+            raise ConfigError(f"vm type {self.name!r}: price_per_second ${price:g} cannot be "
+                              "counted in integer nano-dollars")
 
     # Cached in the instance dict, not a dataclass field, so asdict() and
     # the config hash do not see it.

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from .cloud import CloudConfig, Fleet, VmInstance, finalize_billing, task_runtime_on
 from .errors import ConfigError, StallError
 from .estimator import EstimatorConfig
-from .metrics import MetricsReport, ReportFold
+from .metrics import ASSIGNMENT_EVENTS, MetricsReport, ReportFold
 from .scheduler import BudgetLedger, make_policy
 from .units import ceil_whole_seconds, nanos, substream_seed, usec
 from .workflow import TaskRecord, WorkloadSpec, workload_hash
@@ -93,19 +93,6 @@ class WorkflowRun:
         self.cost_nanos = 0
 
 
-# Records that are also rows of the assignment log, with their row's event.
-_ASSIGNMENT_EVENTS = {"task_assign": "assign", "task_start": "start",
-                      "task_complete": "complete", "provision_request": "provision"}
-
-
-def assignment_rows(records: Iterable[tuple]) -> Iterator[tuple]:
-    """The assignment-log rows (time_us, workflow, task, vm id, vm type,
-    event) of those records that are one, in order."""
-    events = _ASSIGNMENT_EVENTS
-    return ((rec[0], rec[2], rec[3], rec[4], rec[5], events[rec[1]])
-            for rec in records if rec[1] in events)
-
-
 class SimulationResult:
     """`trace` is the sink given to `run`: a list of every record by default."""
 
@@ -117,8 +104,11 @@ class SimulationResult:
 
     @property
     def assignments(self) -> list[tuple]:
-        """The assignment-log rows of an in-memory trace, in event order."""
-        return list(assignment_rows(self.trace))
+        """The assignment-log rows (time_us, workflow, task, VM id, VM type,
+        event) of an in-memory trace, in event order."""
+        events = ASSIGNMENT_EVENTS
+        return [(rec[0], rec[2], rec[3], rec[4], rec[5], events[rec[1]])
+                for rec in self.trace if rec[1] in events]
 
 
 class _Simulation:

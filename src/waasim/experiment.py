@@ -232,7 +232,7 @@ class _RunWriter:
         self._events += len(records)
         if self._trace_file is not None:
             self._trace_file.write(engine.checkpoint_trace(records))
-        self._assign_file.write(self._log.render(engine.assignment_rows(records)))
+        self._assign_file.write(self._log.render_records(records))
 
     def __len__(self) -> int:
         return self._events

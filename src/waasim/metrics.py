@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from .errors import ConfigError, IllegalState, SchemaError
 from .schema import load
-from .units import USEC_PER_SEC, format_dollars, format_seconds
+from .units import NANOS_PER_DOLLAR, USEC_PER_SEC, format_dollars, format_seconds
 
 
 @dataclass
@@ -169,14 +169,53 @@ class ReportFold:
         return MetricsReport(scheduler, seed, workload_hash, workflows, fleet)
 
 
+# The report as `json.dumps(report.to_dict(), indent=2)` writes it: strings
+# through `encode_basestring_ascii`, numbers as `%r` gives them, which is
+# `int.__repr__` or `float.__repr__` as json uses.
+_REPORT_JSON = (
+    '{\n  "scheduler": %s,\n  "seed": %r,\n  "workload_hash": %s,\n  "workflows": %s,'
+    '\n  "fleet": {\n    "vm_counts": %s,\n    "total_vms": %r,\n    "busy_seconds": %r,'
+    '\n    "billed_seconds": %r,\n    "utilization_pct": %r,\n    "total_cost_usd": %r,'
+    '\n    "total_cost_nanos": %r\n  }\n}\n')
+_WORKFLOW_JSON = (
+    '    {\n      "workflow_id": %s,\n      "arrival_s": %r,\n      "makespan_s": %r,'
+    '\n      "cost_usd": %r,\n      "budget_usd": %r,\n      "budget_met": %s,'
+    '\n      "cost_per_budget": %s,\n      "cost_nanos": %r,\n      "makespan_us": %r\n    }')
+
+
 def report_to_json(report: MetricsReport) -> str:
-    """Strict JSON: the infinite `cost_per_budget` of a zero-budget workflow
-    that cost anything is written as null."""
-    doc = report.to_dict()
-    for w in doc["workflows"]:
-        if not math.isfinite(w["cost_per_budget"]):
-            w["cost_per_budget"] = None
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """`json.dumps(report.to_dict(), indent=2, allow_nan=False)` and a
+    newline, filled into templates. Strict JSON: the infinite
+    `cost_per_budget` of a zero-budget workflow that cost anything is written
+    as null; any other NaN or infinite number raises ValueError."""
+    text_of, isfinite = encode_basestring_ascii, math.isfinite
+    entries = [_WORKFLOW_JSON % (
+        text_of(w.workflow_id), w.arrival_s, w.makespan_s, w.cost_usd, w.budget_usd,
+        "true" if w.budget_met else "false",
+        w.cost_per_budget if isfinite(w.cost_per_budget) else "null",
+        w.cost_nanos, w.makespan_us) for w in report.workflows]
+    fleet = report.fleet
+    counts = ["      %s: %r" % (text_of(name), count) for name, count in fleet.vm_counts.items()]
+    text = _REPORT_JSON % (
+        text_of(report.scheduler), report.seed, text_of(report.workload_hash),
+        "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]",
+        "{\n" + ",\n".join(counts) + "\n    }" if counts else "{}",
+        fleet.total_vms, fleet.busy_seconds, fleet.billed_seconds, fleet.utilization_pct,
+        fleet.total_cost_usd, fleet.total_cost_nanos)
+    # `%r` writes a NaN or an infinity as nan, inf or -inf after its key's
+    # ": "; a string may hold that text too.
+    if ": nan" in text or ": inf" in text or ": -inf" in text:
+        _check_finite(report)
+    return text
+
+
+def _check_finite(report: MetricsReport) -> None:
+    """Raise ValueError, as `json.dumps(allow_nan=False)` does, if a float
+    of the report other than a `cost_per_budget` is NaN or infinite."""
+    for part in (report.fleet, *report.workflows):
+        for name, value in vars(part).items():
+            if type(value) is float and not math.isfinite(value) and name != "cost_per_budget":
+                raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
 
 
 def report_from_json(text: str) -> MetricsReport:
@@ -185,18 +224,42 @@ def report_from_json(text: str) -> MetricsReport:
     return load(text, MetricsReport, "report", SchemaError)
 
 
+def _unquoted(text: str, rows: int, commas: int) -> bool:
+    """Whether `text`, `rows` rows of a template that joins its values with
+    `commas` commas, each value as `%s` gives it, is what a `csv.writer`
+    with "\n" line ends writes for them. It is exactly when no value holds a
+    comma, a newline, a quote or a carriage return, so that none needs
+    quoting, and none is None, whose field is empty."""
+    return (text.count(",") == commas * rows and text.count("\n") == rows
+            and '"' not in text and "\r" not in text and "None" not in text)
+
+
 WORKFLOW_CSV_COLUMNS = (
     "workflow_id", "arrival_s", "makespan_s", "cost_usd", "budget_usd",
     "budget_met", "cost_per_budget",
 )
+_WORKFLOW_CSV_HEADER = ",".join(WORKFLOW_CSV_COLUMNS) + "\n"
+# A per-workflow row, its exact makespan and cost (if not negative) as
+# `format_seconds` and `format_dollars` give them.
+_WORKFLOW_ROW = "%s,%.6f,%d.%06d,%d.%09d,%.9f,%d,%.6f\n"
 
 
 def workflows_to_csv(report: MetricsReport) -> str:
-    """Per-workflow rows with money at nine decimal places."""
+    """Per-workflow rows with money at nine decimal places, as `csv.writer`
+    writes them."""
+    row, workflows = _WORKFLOW_ROW, report.workflows
+    text = "".join([row % (
+        w.workflow_id, w.arrival_s, w.makespan_us // USEC_PER_SEC, w.makespan_us % USEC_PER_SEC,
+        w.cost_nanos // NANOS_PER_DOLLAR, w.cost_nanos % NANOS_PER_DOLLAR, w.budget_usd,
+        w.budget_met, w.cost_per_budget) for w in workflows])
+    # A negative amount puts ",-" in its row, and floor division does not
+    # give its exact text; an id that needs quoting fails `_unquoted`.
+    if ",-" not in text and _unquoted(text, len(workflows), 6):
+        return _WORKFLOW_CSV_HEADER + text
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(WORKFLOW_CSV_COLUMNS)
-    for w in report.workflows:
+    for w in workflows:
         writer.writerow([
             w.workflow_id,
             f"{w.arrival_s:.6f}",
@@ -211,17 +274,31 @@ def workflows_to_csv(report: MetricsReport) -> str:
 
 ASSIGNMENT_CSV_COLUMNS = ("time", "workflow", "task", "vm_id", "vm_type", "event")
 ASSIGNMENT_CSV_HEADER = ",".join(ASSIGNMENT_CSV_COLUMNS) + "\n"
-# A row's time (never negative) in seconds, as `format_seconds` gives it,
-# then its five values as CSV fields.
-_ASSIGNMENT_ROW = "%d.%06d,%s,%s,%s,%s,%s\n"
+# The kinds of record that are rows of the assignment log, with their row's
+# event. Each of them holds the row's values at 2-5: workflow, task, VM id
+# and VM type.
+ASSIGNMENT_EVENTS = {"task_assign": "assign", "task_start": "start",
+                     "task_complete": "complete", "provision_request": "provision"}
+# Per row event, the template of its row: its time (never negative) in
+# seconds, as `format_seconds` gives it, then its workflow, task, VM id and
+# VM type.
+_EVENT_ROWS = {event: "%d.%06d,%s,%s,%s,%s," + event + "\n"
+               for event in ASSIGNMENT_EVENTS.values()}
+# The same templates, by the kind of record a row is.
+_RECORD_ROWS = {kind: _EVENT_ROWS[event] for kind, event in ASSIGNMENT_EVENTS.items()}
+# The quoting path's row template, whose values `AssignmentCsv` quotes.
+_QUOTED_ROW = "%d.%06d,%s,%s,%s,%s,%s\n"
 # Rows `assignments_to_csv` renders at a time: its memory stays bounded.
 _CSV_CHUNK = 512
 
 
 class AssignmentCsv(dict):
     """Renders assignment-log rows as the text a `csv.writer` with "\n" line
-    ends writes for them. As a dict it maps each string met so far to its
-    CSV field, so each distinct id is quoted once."""
+    ends writes for them. A chunk of rows is filled into its events'
+    templates as it is, and kept if `_unquoted` holds for the text; else
+    the chunk takes the quoting path, `quoted`. As a dict it maps each
+    string met there so far to its CSV field, so each distinct id is quoted
+    once."""
 
     def __missing__(self, value) -> str:
         field = value
@@ -235,12 +312,38 @@ class AssignmentCsv(dict):
             self[value] = field
         return field
 
-    def render(self, rows: Iterable[tuple]) -> str:
-        """The lines of `rows`, each ending in a newline."""
-        row, fields = _ASSIGNMENT_ROW, self
+    def quoted(self, rows: list[tuple]) -> str:
+        """The lines of `rows`, each value quoted as csv quotes it."""
+        row, fields = _QUOTED_ROW, self
         return "".join([row % (time_us // USEC_PER_SEC, time_us % USEC_PER_SEC, fields[wf],
                                fields[task], fields[vm], fields[vm_type], fields[event])
                         for time_us, wf, task, vm, vm_type, event in rows])
+
+    def render(self, rows: list[tuple]) -> str:
+        """The lines of `rows` (time_us, workflow, task, VM id, VM type,
+        event), each ending in a newline."""
+        templates = _EVENT_ROWS
+        try:
+            text = "".join([templates[event] % (time_us // USEC_PER_SEC, time_us % USEC_PER_SEC,
+                                                wf, task, vm, vm_type)
+                            for time_us, wf, task, vm, vm_type, event in rows])
+        except KeyError:  # an event with no template
+            return self.quoted(rows)
+        return text if _unquoted(text, len(rows), 5) else self.quoted(rows)
+
+    def render_records(self, records: list[tuple]) -> str:
+        """The lines of those of `records` (engine `_FIELDS` gives their
+        layout) that are rows of the log."""
+        templates = _RECORD_ROWS
+        lines = [templates[rec[1]] % (rec[0] // USEC_PER_SEC, rec[0] % USEC_PER_SEC,
+                                      rec[2], rec[3], rec[4], rec[5])
+                 for rec in records if rec[1] in templates]
+        text = "".join(lines)
+        if _unquoted(text, len(lines), 5):
+            return text
+        events = ASSIGNMENT_EVENTS
+        return self.quoted([(rec[0], rec[2], rec[3], rec[4], rec[5], events[rec[1]])
+                            for rec in records if rec[1] in events])
 
 
 def assignments_to_csv(rows: Iterable[tuple]) -> str:
@@ -248,6 +351,6 @@ def assignments_to_csv(rows: Iterable[tuple]) -> str:
     buf = io.StringIO()
     buf.write(ASSIGNMENT_CSV_HEADER)
     log, rows = AssignmentCsv(), iter(rows)
-    while text := log.render(islice(rows, _CSV_CHUNK)):
-        buf.write(text)
+    while chunk := list(islice(rows, _CSV_CHUNK)):
+        buf.write(log.render(chunk))
     return buf.getvalue()

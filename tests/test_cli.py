@@ -159,6 +159,9 @@ def test_run_command_rejects_values_that_fail_mid_run(tmp_path, capsys, override
     # A type that would bill 0 nano-dollars for every task and lease.
     ({"cloud": _catalog(name="penny", price_per_second=1e-10)},
      "vm type 'penny': price_per_second must be >= 1e-09 (one nano-dollar per second)"),
+    # A price whose nano-dollar count would overflow at the first bill.
+    ({"cloud": _catalog(price_per_second=1e300)},
+     "vm type 't2.micro': price_per_second $1e+300 cannot be counted in integer nano-dollars"),
     ({"templates": _vina(budgets=[10**400])}, "config.templates[0].budgets[0]: must be finite"),
     # A lone surrogate, which the escape \ud800 gives, cannot be written out.
     ({"templates": _vina(name="v\ud800")},
@@ -166,7 +169,7 @@ def test_run_command_rejects_values_that_fail_mid_run(tmp_path, capsys, override
 ], ids=["fcfs", "homogeneous", "shape", "same_scheduler", "same_rate_label", "huge_window",
         "huge_ligand_count", "unbuildable_ligand_count", "huge_fan_out",
         "unbuildable_fan_out", "huge_int_margin", "huge_int_sigma",
-        "huge_int_price", "huge_int_speed", "tiny_price", "huge_int_budget",
+        "huge_int_price", "huge_int_speed", "tiny_price", "huge_price", "huge_int_budget",
         "surrogate_name"])
 def test_run_command_rejects_at_load_what_a_run_would_reject(tmp_path, capsys, overrides,
                                                               message):

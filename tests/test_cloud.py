@@ -304,6 +304,16 @@ def test_vm_type_validation():
         CloudConfig(catalog=(MICRO, MICRO))
 
 
+@pytest.mark.parametrize("price", [1e300, math.inf], ids=["1e300", "inf"])
+def test_price_too_large_for_nano_dollars_is_rejected_by_name(price):
+    """A price whose nano-dollar count overflows is refused where the type
+    is made, naming the type and the field, not at its first bill."""
+    with pytest.raises(ConfigError) as caught:
+        VmType("x", 1, 1024, price, 1.0)
+    assert str(caught.value) == (f"vm type 'x': price_per_second ${price:g} cannot be "
+                                 "counted in integer nano-dollars")
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("field", ["speed_factor", "provisioning_delay",
                                    "deprovisioning_delay", "idle_threshold", "scan_interval"])

@@ -450,7 +450,7 @@ def test_failed_run_leaves_the_records_it_emitted(tmp_path, monkeypatch, chunk):
     records an in-memory run of it holds when it fails."""
     from waasim import engine
     from waasim.cloud import VariabilityConfig
-    from waasim.engine import assignment_rows, checkpoint_trace
+    from waasim.engine import SimulationResult, checkpoint_trace
     from waasim.experiment import execute_run
     from waasim.metrics import assignments_to_csv
 
@@ -468,7 +468,42 @@ def test_failed_run_leaves_the_records_it_emitted(tmp_path, monkeypatch, chunk):
     runs = tmp_path / "runs"
     assert (runs / f"{spec.run_id}.trace").read_text() == checkpoint_trace(records)
     assert (runs / f"{spec.run_id}.assign.csv").read_text() == \
-        assignments_to_csv(assignment_rows(records))
+        assignments_to_csv(SimulationResult(None, records).assignments)
+
+
+def test_run_files_are_written_without_the_pure_python_json_encoder(tmp_path, monkeypatch):
+    """`json.dumps` with an indent runs CPython's pure-Python encoder, several
+    times slower than its C one, so a run's files must be written without
+    it: with that encoder made to raise, `report_to_json` and one traced
+    run's writes succeed and give the files of an unguarded run. (A sweep's
+    manifest.json and config.json, written once, still use it.)"""
+    import json.encoder
+
+    from waasim.experiment import _write_run
+    from waasim.metrics import report_to_json
+
+    config = desk_config(write_traces=True, workflow_count=12)
+    spec = plan_runs(config)[0]
+    plain, guarded = tmp_path / "plain", tmp_path / "guarded"
+    plain.mkdir()
+    guarded.mkdir()
+    report = _write_run(config, spec, plain)
+    text = report_to_json(report)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps({}, indent=2)
+    assert report_to_json(report) == text
+    assert _write_run(config, spec, guarded) == report
+    names = sorted(path.name for path in plain.iterdir())
+    assert names == sorted(path.name for path in guarded.iterdir())
+    assert {name.split(".", 1)[1] for name in names} == {"assign.csv", "csv", "report.json",
+                                                         "trace"}
+    for name in names:
+        assert (guarded / name).read_bytes() == (plain / name).read_bytes()
 
 
 def test_import_leaves_process_pools_unloaded():

@@ -172,3 +172,57 @@ def test_relabelling_ids_in_order_and_kinds_at_will_relabels_the_trace(
     actual = moved.report.to_dict()
     del expected["workload_hash"], actual["workload_hash"]
     assert actual == expected
+
+
+# Arrivals and the cut are multiples of 1/8 s, so each is exact in µs.
+@settings(max_examples=40, deadline=None)
+@given(scheduler=st.sampled_from(SCHEDULER_NAMES),
+       mode=st.sampled_from(["oracle", "history"]),
+       variability=st.sampled_from(["none", "lognormal"]),
+       dag_seed=st.integers(0, 2**32),
+       gaps=st.lists(st.integers(0, 800), min_size=1, max_size=6),
+       later_gaps=st.lists(st.integers(0, 800), min_size=1, max_size=4),
+       cut=st.integers(0, 8000),
+       later_prefix=st.sampled_from(["0", "z"]),
+       budget=st.sampled_from([0.0, 0.002, 0.01, 1.0]),
+       provisioning_delay=st.sampled_from([0.0, 7.0, 90.0]),
+       idle_threshold=st.sampled_from([1.0, 7.0, 60.0]),
+       scan_interval=st.sampled_from([2.5, 10.0]),
+       run_seed=st.integers(0, 1000))
+def test_appending_later_arrivals_keeps_every_earlier_record(
+        scheduler, mode, variability, dag_seed, gaps, later_gaps, cut, later_prefix, budget,
+        provisioning_delay, idle_threshold, scan_interval, run_seed):
+    """What happens before time T cannot depend on workflows that arrive at
+    or after T. So appending such workflows to a workload keeps every
+    record before T as it was, apart from the shorter run's
+    `simulation_end`. This pins the skipped scan ticks, which read the next
+    pending event, plan sharing and both estimators' histories. The
+    appended ids sort before or after the others, so no tie-break may
+    reach a workflow that has not arrived."""
+    rng = random.Random(dag_seed)
+    templates = [random_dag(rng, max_tasks=6, wid=f"d{i}") for i in range(2)]
+    catalog = (MICRO,) if scheduler in ("fcfs", "ebpsm-homogeneous") else default_catalog()
+    cloud = CloudConfig(catalog=catalog, provisioning_delay=provisioning_delay,
+                        idle_threshold=idle_threshold, scan_interval=scan_interval,
+                        variability=VariabilityConfig(
+                            variability, 0.3 if variability == "lognormal" else 0.0))
+    estimator = EstimatorConfig(mode, 3)
+
+    def workflows(prefix, start, steps):
+        specs, clock = [], start
+        for i, gap in enumerate(steps):
+            clock += gap / 8
+            spec = templates[i % len(templates)]
+            specs.append(replace(spec, id=f"{prefix}{i}", budget=budget, arrival_time=clock))
+        return specs
+
+    def simulate(specs):
+        return engine.run(WorkloadSpec(specs, arrival_rate=1.0), scheduler, cloud, estimator,
+                          seed=run_seed)
+
+    base_workflows = workflows("m", 0.0, gaps)
+    base = simulate(base_workflows)
+    grown = simulate(base_workflows + workflows(later_prefix, cut / 8, later_gaps))
+    cut_us = usec(cut / 8)
+    assert [rec for rec in grown.trace if rec[0] < cut_us] == \
+        [rec for rec in base.trace if rec[0] < cut_us and rec[1] != "simulation_end"]

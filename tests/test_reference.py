@@ -36,11 +36,13 @@ from waasim.cloud import (IDLE, TERMINATED, CloudConfig, Fleet, VariabilityConfi
 from waasim.errors import IllegalState
 from waasim.estimator import EstimatorConfig, RuntimeEstimator
 from waasim.experiment import ExperimentConfig, _RunWriter
-from waasim.metrics import ASSIGNMENT_CSV_COLUMNS, report_to_json
+from waasim.metrics import (ASSIGNMENT_CSV_COLUMNS, FleetMetrics, MetricsReport,
+                            WorkflowMetrics, report_to_json)
 from waasim.scheduler import (SCHEDULER_NAMES, Assign, BudgetLedger, CostRows, EbpsmPolicy,
                               Provision, compute_eft_us, distribute_budget,
                               distribution_order, make_policy, update_budget)
-from waasim.units import USEC_PER_SEC, nanos, substream_seed, usec
+from waasim.units import (USEC_PER_SEC, format_dollars, format_seconds, nanos,
+                          substream_seed, usec)
 from waasim.workflow import (TaskRecord, WorkloadSpec, _assemble, generate_workload,
                              workload_to_dict)
 
@@ -760,6 +762,140 @@ def test_assignment_csv_matches_csv_writer_on_any_values(rows):
     fields."""
     with mock.patch.object(metrics, "_CSV_CHUNK", 5):
         assert metrics.assignments_to_csv(rows) == reference_csv(rows)
+
+
+def quoted_id_run():
+    """A workload of about 1,200 tasks whose first workflow's id holds a
+    comma and whose second's holds a quote and a newline, and its run."""
+    workload = generate_workload(ExperimentConfig().build_catalog(), 120, 6.0, seed=5)
+    workflows = list(workload.workflows)
+    workflows[0] = replace(workflows[0], id=workflows[0].id + ",x")
+    workflows[1] = replace(workflows[1], id='say "hi"\nthere')
+    workload = WorkloadSpec(workflows, arrival_rate=6.0)
+    return workload, engine.run(workload, "ebpsm", seed=5)
+
+
+def test_ids_to_quote_in_a_long_run_give_csv_writer_bytes():
+    """With the default chunk sizes, the streamed log and the log of
+    `result.assignments` are the bytes `csv.writer` writes, though two ids
+    need quoting and most rows do not."""
+    workload, result = quoted_id_run()
+    log = reference_csv(reference_assignments(map(TraceEvent, result.trace)))
+    assert '"say ""hi""\nthere"' in log and ',x",' in log
+    assert len(result.assignments) > 4 * metrics._CSV_CHUNK
+    assign_file = io.StringIO()
+    engine.run(workload, "ebpsm", seed=5, trace=_RunWriter(assign_file, None))
+    assert assign_file.getvalue() == log
+    assert metrics.assignments_to_csv(result.assignments) == log
+
+
+def test_only_chunks_with_ids_to_quote_take_the_quoting_path():
+    """The quoting check is made once per chunk: the chunks that hold no row
+    of the two workflows keep their templates' text."""
+    workload, result = quoted_id_run()
+
+    def spy(name):
+        method = getattr(metrics.AssignmentCsv, name)
+        return mock.patch.object(metrics.AssignmentCsv, name, autospec=True, side_effect=method)
+
+    with spy("quoted") as quoted, spy("render_records") as chunks:
+        engine.run(workload, "ebpsm", seed=5, trace=_RunWriter(io.StringIO(), None))
+    assert 0 < quoted.call_count < chunks.call_count
+    with spy("quoted") as quoted, spy("render") as chunks:
+        metrics.assignments_to_csv(result.assignments)
+    assert chunks.call_count == -(-len(result.assignments) // metrics._CSV_CHUNK)
+    assert 0 < quoted.call_count < chunks.call_count
+
+
+def reference_workflows_csv(report):
+    """The per-workflow CSV as `csv.writer` writes it, each value formatted
+    on its own."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(metrics.WORKFLOW_CSV_COLUMNS)
+    for w in report.workflows:
+        writer.writerow([w.workflow_id, f"{w.arrival_s:.6f}", format_seconds(w.makespan_us),
+                         format_dollars(w.cost_nanos), f"{w.budget_usd:.9f}",
+                         int(w.budget_met), f"{w.cost_per_budget:.6f}"])
+    return buf.getvalue()
+
+
+# Floats whose shortest repr takes an exponent or a sign: the smallest
+# subnormal, 1e16 and -0.0; ints beyond 64 bits.
+report_floats = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([5e-324, 1e16, -0.0, 1e-7, 0.1]))
+report_ints = st.integers(-2**70, 2**70) | st.sampled_from([0, 2**63, 2**64 + 1])
+
+
+@st.composite
+def reports(draw):
+    """A report of 0-5 workflows and 0-3 VM types with drawn ids and
+    values; a `cost_per_budget` may be infinite."""
+    workflows = [WorkflowMetrics(
+        workflow_id=wid, arrival_s=draw(report_floats), makespan_s=draw(report_floats),
+        cost_usd=draw(report_floats), budget_usd=draw(report_floats),
+        budget_met=draw(st.booleans()),
+        cost_per_budget=draw(report_floats | st.just(math.inf)),
+        cost_nanos=draw(report_ints), makespan_us=draw(report_ints))
+        for wid in draw(st.lists(ids, max_size=5))]
+    fleet = FleetMetrics(
+        vm_counts=draw(st.dictionaries(ids, report_ints, max_size=3)),
+        total_vms=draw(report_ints), busy_seconds=draw(report_floats),
+        billed_seconds=draw(report_ints), utilization_pct=draw(report_floats),
+        total_cost_usd=draw(report_floats), total_cost_nanos=draw(report_ints))
+    return MetricsReport(draw(ids), draw(report_ints), draw(ids), workflows, fleet)
+
+
+def strict_dict(report) -> dict:
+    """`report.to_dict()` with an infinite `cost_per_budget` as None."""
+    doc = report.to_dict()
+    for w in doc["workflows"]:
+        if math.isinf(w["cost_per_budget"]):
+            w["cost_per_budget"] = None
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(report=reports())
+def test_report_json_is_json_dumps_byte_for_byte(report):
+    """The report's templates write what `json.dumps(indent=2,
+    allow_nan=False)` writes, and the decoder reads the report back."""
+    text = report_to_json(report)
+    assert text == json.dumps(strict_dict(report), indent=2, allow_nan=False) + "\n"
+    assert metrics.report_from_json(text) == report
+
+
+REPORT_FLOATS = {"workflow": ("arrival_s", "makespan_s", "cost_usd", "budget_usd"),
+                 "fleet": ("busy_seconds", "utilization_pct", "total_cost_usd")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(report=reports(), data=st.data())
+def test_report_json_refuses_a_nan_or_infinity_where_json_dumps_does(report, data):
+    """Only a `cost_per_budget` is written as null; a NaN or an infinity in
+    any other float raises ValueError, as in `json.dumps(allow_nan=False)`."""
+    owner = data.draw(st.sampled_from(["workflow", "fleet"] if report.workflows else ["fleet"]))
+    name = data.draw(st.sampled_from(REPORT_FLOATS[owner]))
+    value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    if owner == "fleet":
+        report = replace(report, fleet=replace(report.fleet, **{name: value}))
+    else:
+        workflows = list(report.workflows)
+        at = data.draw(st.integers(0, len(workflows) - 1))
+        workflows[at] = replace(workflows[at], **{name: value})
+        report = replace(report, workflows=workflows)
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        json.dumps(strict_dict(report), indent=2, allow_nan=False)
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        report_to_json(report)
+
+
+@settings(max_examples=60, deadline=None)
+@given(report=reports())
+def test_workflows_csv_matches_csv_writer(report):
+    """Every per-workflow CSV is the bytes `csv.writer` writes, whatever the
+    ids hold and whatever the sign of each amount."""
+    assert metrics.workflows_to_csv(report) == reference_workflows_csv(report)
 
 
 def test_render_strips_an_id_that_ends_in_whitespace(mono_cloud, oracle):
