@@ -104,11 +104,10 @@ class SimulationResult:
 
     @property
     def assignments(self) -> list[tuple]:
-        """The assignment-log rows (time_us, workflow, task, VM id, VM type,
-        event) of an in-memory trace, in event order."""
+        """The records of an in-memory trace that are rows of the assignment
+        log, in event order."""
         events = ASSIGNMENT_EVENTS
-        return [(rec[0], rec[2], rec[3], rec[4], rec[5], events[rec[1]])
-                for rec in self.trace if rec[1] in events]
+        return [rec for rec in self.trace if rec[1] in events]
 
 
 class _Simulation:

@@ -8,6 +8,7 @@ type, normalized by speed factor.
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -49,10 +50,10 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("oracle", "history"):
             raise ConfigError(f"unknown estimator mode {self.mode!r}")
-        if not isinstance(self.window, int) or not 1 <= self.window <= sys.maxsize:
+        if type(self.window) is not int or not 1 <= self.window <= sys.maxsize:
             raise ConfigError(f"estimator.window: must be an integer from 1 to {sys.maxsize}")
-        if self.cold_start_margin < 1:
-            raise ConfigError("cold_start_margin must be >= 1")
+        if not (math.isfinite(self.cold_start_margin) and self.cold_start_margin >= 1):
+            raise ConfigError("estimator.cold_start_margin: must be finite and >= 1")
 
 
 class RuntimeEstimator:

@@ -19,7 +19,7 @@ from . import engine
 from .cloud import CloudConfig
 from .errors import ConfigError, ManifestMismatch, SchemaError
 from .estimator import EstimatorConfig
-from .metrics import (ASSIGNMENT_CSV_HEADER, AssignmentCsv, MetricsReport, report_from_json,
+from .metrics import (ASSIGNMENT_CSV_HEADER, MetricsReport, assignment_lines, report_from_json,
                       report_to_json, workflows_to_csv)
 from .scheduler import make_policy
 from .schema import decode, load, read_file
@@ -224,7 +224,6 @@ class _RunWriter:
     def __init__(self, assign_file, trace_file):
         self._assign_file = assign_file
         self._trace_file = trace_file
-        self._log = AssignmentCsv()
         assign_file.write(ASSIGNMENT_CSV_HEADER)
         self._events = 0
 
@@ -232,7 +231,7 @@ class _RunWriter:
         self._events += len(records)
         if self._trace_file is not None:
             self._trace_file.write(engine.checkpoint_trace(records))
-        self._assign_file.write(self._log.render_records(records))
+        self._assign_file.write(assignment_lines(records))
 
     def __len__(self) -> int:
         return self._events

@@ -155,6 +155,8 @@ class ReportFold:
         busy_us, billed_s, total_nanos = self.busy_us, self.billed_s, self.bill_nanos
         try:
             utilization = 100.0 * busy_us / (billed_s * 1e6) if billed_s else 0.0
+            if not math.isfinite(utilization):  # `100.0 * busy_us` overflows to inf
+                raise OverflowError
             fleet = FleetMetrics(
                 vm_counts=dict(self.vm_counts),
                 total_vms=sum(self.vm_counts.values()),
@@ -234,6 +236,13 @@ def _unquoted(text: str, rows: int, commas: int) -> bool:
             and '"' not in text and "\r" not in text and "None" not in text)
 
 
+def _csv_text(rows: Iterable) -> str:
+    """`rows` as a `csv.writer` with "\n" line ends writes them."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 WORKFLOW_CSV_COLUMNS = (
     "workflow_id", "arrival_s", "makespan_s", "cost_usd", "budget_usd",
     "budget_met", "cost_per_budget",
@@ -256,20 +265,10 @@ def workflows_to_csv(report: MetricsReport) -> str:
     # give its exact text; an id that needs quoting fails `_unquoted`.
     if ",-" not in text and _unquoted(text, len(workflows), 6):
         return _WORKFLOW_CSV_HEADER + text
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(WORKFLOW_CSV_COLUMNS)
-    for w in workflows:
-        writer.writerow([
-            w.workflow_id,
-            f"{w.arrival_s:.6f}",
-            format_seconds(w.makespan_us),
-            format_dollars(w.cost_nanos),
-            f"{w.budget_usd:.9f}",
-            int(w.budget_met),
-            f"{w.cost_per_budget:.6f}",
-        ])
-    return buf.getvalue()
+    return _csv_text([WORKFLOW_CSV_COLUMNS, *([
+        w.workflow_id, f"{w.arrival_s:.6f}", format_seconds(w.makespan_us),
+        format_dollars(w.cost_nanos), f"{w.budget_usd:.9f}", int(w.budget_met),
+        f"{w.cost_per_budget:.6f}"] for w in workflows)])
 
 
 ASSIGNMENT_CSV_COLUMNS = ("time", "workflow", "task", "vm_id", "vm_type", "event")
@@ -279,78 +278,37 @@ ASSIGNMENT_CSV_HEADER = ",".join(ASSIGNMENT_CSV_COLUMNS) + "\n"
 # and VM type.
 ASSIGNMENT_EVENTS = {"task_assign": "assign", "task_start": "start",
                      "task_complete": "complete", "provision_request": "provision"}
-# Per row event, the template of its row: its time (never negative) in
-# seconds, as `format_seconds` gives it, then its workflow, task, VM id and
-# VM type.
-_EVENT_ROWS = {event: "%d.%06d,%s,%s,%s,%s," + event + "\n"
-               for event in ASSIGNMENT_EVENTS.values()}
-# The same templates, by the kind of record a row is.
-_RECORD_ROWS = {kind: _EVENT_ROWS[event] for kind, event in ASSIGNMENT_EVENTS.items()}
-# The quoting path's row template, whose values `AssignmentCsv` quotes.
-_QUOTED_ROW = "%d.%06d,%s,%s,%s,%s,%s\n"
-# Rows `assignments_to_csv` renders at a time: its memory stays bounded.
+# Per kind of record, the template of its row: its time (never negative) in
+# seconds, as `format_seconds` gives it, its values at 2-5, then its event.
+_RECORD_ROWS = {kind: "%d.%06d,%s,%s,%s,%s," + event + "\n"
+                for kind, event in ASSIGNMENT_EVENTS.items()}
+# Records `assignments_to_csv` renders at a time: its memory stays bounded.
 _CSV_CHUNK = 512
 
 
-class AssignmentCsv(dict):
-    """Renders assignment-log rows as the text a `csv.writer` with "\n" line
-    ends writes for them. A chunk of rows is filled into its events'
-    templates as it is, and kept if `_unquoted` holds for the text; else
-    the chunk takes the quoting path, `quoted`. As a dict it maps each
-    string met there so far to its CSV field, so each distinct id is quoted
-    once."""
-
-    def __missing__(self, value) -> str:
-        field = value
-        if type(value) is not str or any(c in value for c in ',"\r\n'):
-            # csv's own field: quoted only where its QUOTE_MINIMAL must.
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerow((value, ""))
-            field = buf.getvalue()[:-2]
-        if type(value) is str:
-            # Only strings are kept: 1, 1.0 and True are one key but three fields.
-            self[value] = field
-        return field
-
-    def quoted(self, rows: list[tuple]) -> str:
-        """The lines of `rows`, each value quoted as csv quotes it."""
-        row, fields = _QUOTED_ROW, self
-        return "".join([row % (time_us // USEC_PER_SEC, time_us % USEC_PER_SEC, fields[wf],
-                               fields[task], fields[vm], fields[vm_type], fields[event])
-                        for time_us, wf, task, vm, vm_type, event in rows])
-
-    def render(self, rows: list[tuple]) -> str:
-        """The lines of `rows` (time_us, workflow, task, VM id, VM type,
-        event), each ending in a newline."""
-        templates = _EVENT_ROWS
-        try:
-            text = "".join([templates[event] % (time_us // USEC_PER_SEC, time_us % USEC_PER_SEC,
-                                                wf, task, vm, vm_type)
-                            for time_us, wf, task, vm, vm_type, event in rows])
-        except KeyError:  # an event with no template
-            return self.quoted(rows)
-        return text if _unquoted(text, len(rows), 5) else self.quoted(rows)
-
-    def render_records(self, records: list[tuple]) -> str:
-        """The lines of those of `records` (engine `_FIELDS` gives their
-        layout) that are rows of the log."""
-        templates = _RECORD_ROWS
-        lines = [templates[rec[1]] % (rec[0] // USEC_PER_SEC, rec[0] % USEC_PER_SEC,
-                                      rec[2], rec[3], rec[4], rec[5])
-                 for rec in records if rec[1] in templates]
-        text = "".join(lines)
-        if _unquoted(text, len(lines), 5):
-            return text
-        events = ASSIGNMENT_EVENTS
-        return self.quoted([(rec[0], rec[2], rec[3], rec[4], rec[5], events[rec[1]])
-                            for rec in records if rec[1] in events])
+def assignment_lines(records: list[tuple]) -> str:
+    """The log lines of those of `records` (engine `_FIELDS` gives their
+    layout) that are rows of the log, each ending in a newline. The rows are
+    filled into their kinds' templates, and the text is kept if `_unquoted`
+    holds for it; else `csv.writer` writes them."""
+    templates = _RECORD_ROWS
+    lines = [templates[rec[1]] % (rec[0] // USEC_PER_SEC, rec[0] % USEC_PER_SEC,
+                                  rec[2], rec[3], rec[4], rec[5])
+             for rec in records if rec[1] in templates]
+    text = "".join(lines)
+    if _unquoted(text, len(lines), 5):
+        return text
+    events = ASSIGNMENT_EVENTS
+    return _csv_text([("%d.%06d" % divmod(rec[0], USEC_PER_SEC), *rec[2:6], events[rec[1]])
+                      for rec in records if rec[1] in events])
 
 
-def assignments_to_csv(rows: Iterable[tuple]) -> str:
-    """The assignment log of `rows`: its header, then one line per row."""
+def assignments_to_csv(records: Iterable[tuple]) -> str:
+    """The assignment log of `records`: its header, then one line per record
+    that is a row of the log."""
     buf = io.StringIO()
     buf.write(ASSIGNMENT_CSV_HEADER)
-    log, rows = AssignmentCsv(), iter(rows)
-    while chunk := list(islice(rows, _CSV_CHUNK)):
-        buf.write(log.render(chunk))
+    records = iter(records)
+    while chunk := list(islice(records, _CSV_CHUNK)):
+        buf.write(assignment_lines(chunk))
     return buf.getvalue()

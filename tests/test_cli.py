@@ -112,11 +112,14 @@ _PRICEY = {"catalog": [{"name": "t2.micro", "price_per_second": 1e280, "speed_fa
     ({"cloud": _PRICEY,
       "templates": _vina(budgets=[1e299], runtimes=[1.2e19, 20.0]), "workflow_count": 2},
      "the fleet: its cost or time is too large to report as a float"),
+    # 100 times the busy time overflows to an infinite utilization.
+    ({"templates": _vina(runtimes=[1e300, 20.0])},
+     "the fleet: its cost or time is too large to report as a float"),
 ], ids=["fan_out", "ligand_count", "runtimes", "runtime_value", "runtime_profile",
         "runtime_profile_value", "budgets",
         "scan_interval", "sigma", "huge_budget", "huge_price", "tiny_speed",
         "huge_runtime", "huge_delay", "tiny_rate", "huge_margin", "huge_cost",
-        "huge_fleet_cost"])
+        "huge_fleet_cost", "huge_busy_time"])
 def test_run_command_rejects_values_that_fail_mid_run(tmp_path, capsys, overrides, field):
     config = write_config(tmp_path, budget_levels=[1], **overrides)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2

@@ -1,5 +1,6 @@
 """Runtime estimator: oracle mode, windowed history, cross-type scaling."""
 
+import math
 import random
 
 import pytest
@@ -95,6 +96,12 @@ def test_config_validation():
         EstimatorConfig(window=0)
     with pytest.raises(ConfigError, match="integer"):
         EstimatorConfig(window=2.0)
+    with pytest.raises(ConfigError, match="integer"):
+        EstimatorConfig(window=True)
+    with pytest.raises(ConfigError, match="cold_start_margin"):
+        EstimatorConfig(cold_start_margin=math.nan)
+    with pytest.raises(ConfigError, match="cold_start_margin"):
+        EstimatorConfig(cold_start_margin=math.inf)
 
 
 def test_oracle_keeps_no_records():

@@ -406,7 +406,7 @@ def test_streamed_run_files_match_in_memory_rendering(tmp_path, jobs):
     assert len(specs) == 6
     for spec in specs:
         result = execute_run(config, spec)
-        assert any('"' in row[1] for row in result.assignments)
+        assert any('"' in row[2] for row in result.assignments)
         runs = tmp_path / "runs"
         assert (runs / f"{spec.run_id}.trace").read_text() == checkpoint_trace(result.trace)
         assert (runs / f"{spec.run_id}.assign.csv").read_text() == \

@@ -1,8 +1,8 @@
 """Differential tests against the straightforward implementations that the
 windowed estimator, the per-type dispatch decision, the cost-row EFT, the
 fleet's idle index and release queue, the skipped scan ticks and the resumed
-budget fold replaced, and that the trace's %-templates and the assignment
-log's cached quoting replaced. The references below scan every record,
+budget fold replaced, and that the trace's and the assignment log's
+%-templates replaced. The references below scan every record,
 estimate once per idle VM and once per task on the fastest type for EFT,
 scan every instance at every scan interval, on every budget update rebuild,
 re-sort and reprice the unscheduled tasks and refold all of them, format
@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from conftest import (LARGE, MICRO, TraceEvent, build_workflow, chain_workflow, random_dag,
                       single_workload)
-from waasim import engine, metrics
+from waasim import engine, experiment, metrics
 from waasim import scheduler as scheduler_module
 from waasim.cloud import (IDLE, TERMINATED, CloudConfig, Fleet, VariabilityConfig, VmType,
                           default_catalog, estimated_cost_nanos)
@@ -308,7 +308,8 @@ def checked_outputs(result):
     views = [TraceEvent(rec) for rec in result.trace]
     for rec, ev in zip(result.trace, views):
         assert engine.render(rec) == reference_render(ev)
-    assert result.assignments == reference_assignments(views)
+    assert [(r[0], r[2], r[3], r[4], r[5], REFERENCE_ROW_EVENTS[r[1]])
+            for r in result.assignments] == reference_assignments(views)
     return engine.checkpoint_trace(result.trace), report_to_json(result.report)
 
 
@@ -749,19 +750,23 @@ def test_renderers_match_format_and_csv_writer(chunk, drawn):
         assert trace_file.getvalue() == trace_text
         log = reference_csv(reference_assignments(map(TraceEvent, result.trace)))
         assert metrics.assignments_to_csv(result.assignments) == log
+        assert metrics.assignments_to_csv(result.trace) == log
         assert assign_file.getvalue() == log
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(0, 10**13), *[st.one_of(
-    ids, st.integers(), st.booleans(), st.none(), st.floats(allow_nan=False))] * 5),
+@given(records=st.lists(st.tuples(
+    st.integers(0, 10**13), st.sampled_from([*REFERENCE_ROW_EVENTS, "task_ready"]),
+    *[st.one_of(ids, st.integers(), st.booleans(), st.none(), st.floats(allow_nan=False))] * 4),
     max_size=12))
-def test_assignment_csv_matches_csv_writer_on_any_values(rows):
-    """A log's quoting cache is shared by all its rows and keeps only
-    strings: equal keys of other types (1, 1.0, True) keep csv's own
-    fields."""
+def test_assignment_csv_matches_csv_writer_on_any_values(records):
+    """Whatever a record holds at 2-5, its row is the one `csv.writer`
+    writes for those values (1, 1.0 and True are three fields, None is
+    empty), and a record of another kind is no row."""
+    rows = [(r[0], *r[2:6], REFERENCE_ROW_EVENTS[r[1]])
+            for r in records if r[1] in REFERENCE_ROW_EVENTS]
     with mock.patch.object(metrics, "_CSV_CHUNK", 5):
-        assert metrics.assignments_to_csv(rows) == reference_csv(rows)
+        assert metrics.assignments_to_csv(records) == reference_csv(rows)
 
 
 def quoted_id_run():
@@ -794,14 +799,13 @@ def test_only_chunks_with_ids_to_quote_take_the_quoting_path():
     of the two workflows keep their templates' text."""
     workload, result = quoted_id_run()
 
-    def spy(name):
-        method = getattr(metrics.AssignmentCsv, name)
-        return mock.patch.object(metrics.AssignmentCsv, name, autospec=True, side_effect=method)
+    def spy(module, name):
+        return mock.patch.object(module, name, side_effect=getattr(module, name))
 
-    with spy("quoted") as quoted, spy("render_records") as chunks:
+    with spy(experiment, "assignment_lines") as chunks, spy(metrics, "_csv_text") as quoted:
         engine.run(workload, "ebpsm", seed=5, trace=_RunWriter(io.StringIO(), None))
     assert 0 < quoted.call_count < chunks.call_count
-    with spy("quoted") as quoted, spy("render") as chunks:
+    with spy(metrics, "assignment_lines") as chunks, spy(metrics, "_csv_text") as quoted:
         metrics.assignments_to_csv(result.assignments)
     assert chunks.call_count == -(-len(result.assignments) // metrics._CSV_CHUNK)
     assert 0 < quoted.call_count < chunks.call_count

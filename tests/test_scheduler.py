@@ -387,8 +387,9 @@ def test_fcfs_provisions_one_vm_per_task(mono_cloud, oracle):
     cloud = CloudConfig(catalog=(MICRO,), provisioning_delay=90.0)
     result = engine.run(single_workload(spec), "fcfs", cloud, oracle, seed=0)
     assert result.report.fleet.total_vms == 26
-    starts = [r for r in result.assignments if r[5] == "start"]
-    assert len({r[3] for r in starts}) == len(starts)  # no instance reused
+    starts = [r for r in result.assignments if r[1] == "task_start"]
+    assert len(starts) == 26
+    assert len({r[4] for r in starts}) == len(starts)  # no instance reused
 
 
 def test_fcfs_fleet_keeps_no_idle_index(monkeypatch, oracle):
