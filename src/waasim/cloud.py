@@ -7,12 +7,12 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import takewhile
 from operator import attrgetter
 
 from .errors import ConfigError, IllegalState
+from .schema import Field, valueclass
 from .units import NANOS_PER_DOLLAR, USEC_PER_SEC, ceil_whole_seconds, nanos, usec
 
 PROVISIONING = "provisioning"
@@ -21,7 +21,7 @@ BUSY = "busy"
 TERMINATED = "terminated"
 
 
-@dataclass(frozen=True)
+@valueclass(frozen=True)
 class VmType:
     """A purchasable machine class.
 
@@ -29,10 +29,10 @@ class VmType:
     """
 
     name: str
-    vcpus: int = field(metadata={"if_absent": 1})
-    memory_mb: int = field(metadata={"if_absent": 1024})
-    price_per_second: float = field(metadata={"as_float": True})
-    speed_factor: float = field(metadata={"as_float": True})
+    vcpus: int = Field(metadata={"if_absent": 1})
+    memory_mb: int = Field(metadata={"if_absent": 1024})
+    price_per_second: float = Field(metadata={"as_float": True})
+    speed_factor: float = Field(metadata={"as_float": True})
 
     def __post_init__(self) -> None:
         if not self.price_per_second >= 1e-9:
@@ -47,14 +47,14 @@ class VmType:
             raise ConfigError(f"vm type {self.name!r}: price_per_second ${price:g} cannot be "
                               "counted in integer nano-dollars")
 
-    # Cached in the instance dict, not a dataclass field, so asdict() and
-    # the config hash do not see it.
+    # Cached in the instance dict, not a field, so as_dict() and the config
+    # hash do not see it.
     @cached_property
     def price_nanos(self) -> int:
         return nanos(self.price_per_second)
 
 
-@dataclass(frozen=True)
+@valueclass(frozen=True)
 class VariabilityConfig:
     """Runtime variability: with mode "lognormal", each task's runtime is
     multiplied by exp(N(0, sigma))."""
@@ -74,17 +74,17 @@ def default_catalog() -> tuple[VmType, ...]:
     )
 
 
-@dataclass
+@valueclass
 class CloudConfig:
     """The provider: its VM catalog, lifecycle delays and idle-scan timing
     in seconds, runtime variability and billing rule."""
 
-    catalog: tuple[VmType, ...] = field(default_factory=default_catalog)
+    catalog: tuple[VmType, ...] = Field(default_factory=default_catalog)
     provisioning_delay: float = 90.0
     deprovisioning_delay: float = 10.0
     idle_threshold: float = 60.0
     scan_interval: float = 10.0
-    variability: VariabilityConfig = field(default_factory=VariabilityConfig)
+    variability: VariabilityConfig = Field(default_factory=VariabilityConfig)
     bill_provisioning: bool = False
 
     def __post_init__(self) -> None:

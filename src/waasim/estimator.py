@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 import sys
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from functools import partial
 
 from .errors import ConfigError
 from .cloud import VmType
+from .schema import valueclass
 
 
 class _Window:
@@ -37,7 +37,7 @@ class _Window:
         values.append(value)
 
 
-@dataclass(frozen=True)
+@valueclass(frozen=True)
 class EstimatorConfig:
     """How runtimes are estimated: "oracle" knows them; "history" estimates
     from the last `window` runtimes recorded, and multiplies the model

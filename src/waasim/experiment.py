@@ -10,7 +10,6 @@ import json
 import math
 import os
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -22,21 +21,21 @@ from .estimator import EstimatorConfig
 from .metrics import (ASSIGNMENT_CSV_HEADER, MetricsReport, assignment_lines, report_from_json,
                       report_to_json, workflows_to_csv)
 from .scheduler import make_policy
-from .schema import decode, load, read_file
+from .schema import Field, as_dict, decode, load, read_file, valueclass
 from .units import substream_seed
 from .workflow import (GENOME_RUNTIMES, VINA01_RUNTIMES, VINA02_RUNTIMES,
                        WorkflowSpec, generate_workload, genome_template,
                        vina_template)
 
 
-@dataclass
+@valueclass
 class TemplateConfig:
     """A workflow template of the sweep: its shape and size, its task
     runtimes and its budget levels in dollars, lowest first."""
 
     name: str
     shape: str  # "genome" or "vina"
-    budgets: list[float] = field(metadata={"as_float": True})
+    budgets: list[float] = Field(metadata={"as_float": True})
     fan_out: int = 10
     ligand_count: int = 7
     runtime_profile: dict[str, float] | None = None
@@ -68,19 +67,19 @@ def default_templates() -> list[TemplateConfig]:
     ]
 
 
-@dataclass
+@valueclass
 class ExperimentConfig:
     """A sweep: every scheduler at every arrival rate, `repetitions` times,
     each run over `workflow_count` workflows drawn from the templates at
     the chosen budget levels."""
 
-    cloud: CloudConfig = field(default_factory=CloudConfig)
-    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
-    templates: list[TemplateConfig] = field(default_factory=default_templates)
-    budget_levels: list[int] = field(default_factory=lambda: [1, 2, 3, 4])
+    cloud: CloudConfig = Field(default_factory=CloudConfig)
+    estimator: EstimatorConfig = Field(default_factory=EstimatorConfig)
+    templates: list[TemplateConfig] = Field(default_factory=default_templates)
+    budget_levels: list[int] = Field(default_factory=lambda: [1, 2, 3, 4])
     workflow_count: int = 20
-    arrival_rates: list[float] = field(default_factory=lambda: [0.5, 2.0, 6.0, 12.0])
-    schedulers: list[str] = field(default_factory=lambda: ["ebpsm"])
+    arrival_rates: list[float] = Field(default_factory=lambda: [0.5, 2.0, 6.0, 12.0])
+    schedulers: list[str] = Field(default_factory=lambda: ["ebpsm"])
     repetitions: int = 1
     seed_base: int = 42
     output_dir: str = "results"
@@ -139,6 +138,8 @@ class ExperimentConfig:
                 if not 1 <= level <= len(tpl.budgets):
                     raise ConfigError(
                         f"budget_levels: level {level} outside templates[{tpl.name}].budgets")
+        if "\0" in self.output_dir:
+            raise ConfigError("output_dir: must not contain a NUL character")
 
     def build_catalog(self) -> list[tuple[WorkflowSpec, float]]:
         catalog = []
@@ -163,7 +164,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return asdict(config)
+    return as_dict(config)
 
 
 def config_hash(config: ExperimentConfig) -> str:

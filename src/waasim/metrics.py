@@ -5,17 +5,16 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from .errors import ConfigError, IllegalState, SchemaError
-from .schema import load
+from .schema import Field, load, valueclass
 from .units import NANOS_PER_DOLLAR, USEC_PER_SEC, format_dollars, format_seconds
 
 
-@dataclass
+@valueclass
 class WorkflowMetrics:
     """One workflow's result: its makespan and cost against its budget, in
     seconds and dollars, and exactly in microseconds and nano-dollars."""
@@ -27,12 +26,12 @@ class WorkflowMetrics:
     budget_usd: float
     budget_met: bool
     # report_to_json writes an infinite ratio as null.
-    cost_per_budget: float = field(metadata={"if_null": math.inf})
+    cost_per_budget: float = Field(metadata={"if_null": math.inf})
     cost_nanos: int
     makespan_us: int
 
 
-@dataclass
+@valueclass
 class FleetMetrics:
     """The fleet's result: VMs leased per type, busy and billed time, the
     share of billed time spent busy, and the total bill."""
@@ -46,7 +45,7 @@ class FleetMetrics:
     total_cost_nanos: int
 
 
-@dataclass
+@valueclass
 class MetricsReport:
     """One run's report: per-workflow and fleet results, with the scheduler,
     the seed and the hash of the workload they came from."""
@@ -68,7 +67,7 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         """The report as new JSON-ready dicts with the keys in field order:
-        what `dataclasses.asdict` gives, without its recursive deep copy."""
+        what `schema.as_dict` gives, without its recursive walk."""
         return {
             "scheduler": self.scheduler,
             "seed": self.seed,

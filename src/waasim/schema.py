@@ -1,6 +1,7 @@
 """The one decoder of the JSON documents waasim reads: configs, workflow and
-workload documents, and reports. A dataclass's annotations give each field's
-JSON type; values are checked, never coerced, except that a finite int is
+workload documents, and reports, and the `valueclass` decorator that builds
+the classes it decodes. A value class's annotations give each field's JSON
+type; values are checked, never coerced, except that a finite int is
 read as a float where the field's metadata holds `as_float`. A field with a
 default or an `if_absent` value may be left out; a JSON null reads as the
 field's `if_null` value. Every error names the value's JSON path."""
@@ -8,7 +9,6 @@ field's `if_null` value. Every error names the value's JSON path."""
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
 from math import isfinite
 from pathlib import Path
@@ -58,7 +58,7 @@ def _reader(hint, error, as_float: bool):
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:  # X | None
         return _nullable(_reader(args[0], error, as_float), None)
-    if is_dataclass(hint):
+    if hasattr(hint, "__fields__"):
         return _object_reader(hint, error)
     if origin is dict:  # dict[str, X]; JSON keys are strings
         read = _reader(args[1], error, as_float)
@@ -104,10 +104,11 @@ def _reader(hint, error, as_float: bool):
 
 
 def _object_reader(cls, error):
-    hints, names = get_type_hints(cls), frozenset(f.name for f in fields(cls))
-    if_absent = {f.name: f.metadata["if_absent"] for f in fields(cls) if "if_absent" in f.metadata}
+    hints, table = get_type_hints(cls), cls.__fields__
+    names = frozenset(f.name for f in table)
+    if_absent = {f.name: f.metadata["if_absent"] for f in table if "if_absent" in f.metadata}
     readers = []  # (field name, reader, whether the document must hold it)
-    for f in fields(cls):
+    for f in table:
         read = _reader(hints[f.name], error, f.metadata.get("as_float", False))
         if "if_null" in f.metadata:
             read = _nullable(read, f.metadata["if_null"])
@@ -128,3 +129,146 @@ def _object_reader(cls, error):
                 raise error(f"{_where(here, name)}: missing field")
         return cls(**kwargs)
     return read_object
+
+
+class _Sentinel:
+    def __init__(self, name: str):
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+MISSING = _Sentinel("MISSING")  # the default of a field that has none
+_FACTORY = _Sentinel("<factory>")  # in a signature, the default a factory builds
+
+
+class Field:
+    """One row of a value class's field table: its name, its default or
+    default factory, whether `__init__` takes and sets it (if not,
+    `__post_init__` sets it), and the decoder's metadata (`as_float`,
+    `if_absent`, `if_null`)."""
+
+    __slots__ = ("name", "default", "default_factory", "init", "metadata")
+
+    def __init__(self, *, default=MISSING, default_factory=MISSING, init=True, metadata=None):
+        self.name = ""  # set by valueclass
+        self.default = default
+        self.default_factory = default_factory
+        self.init = init
+        self.metadata = metadata or {}
+
+
+def valueclass(cls=None, /, *, frozen=False):
+    """Class decorator: every annotation of `cls` is a field, in order, and
+    `cls.__fields__` holds their table. A class attribute is the field's
+    default, or its `Field`. The decorator adds `__init__`, which takes the
+    fields in order, defaults the ones left out and then calls
+    `__post_init__` if `cls` has one, `__repr__`, and `__eq__`: instances
+    are equal when their classes and field values are. A frozen instance
+    is hashable and refuses every assignment and deletion (`__init__` sets
+    its fields through `object.__setattr__`); any other is unhashable."""
+    if cls is None:
+        return lambda cls: valueclass(cls, frozen=frozen)
+    table = []
+    for name in cls.__dict__.get("__annotations__", {}):
+        f = cls.__dict__.get(name, MISSING)
+        if isinstance(f, Field):
+            if f.default is MISSING:
+                delattr(cls, name)
+            else:
+                setattr(cls, name, f.default)
+        else:
+            f = Field(default=f)
+        f.name = name
+        table.append(f)
+    cls.__fields__ = tuple(table)
+    cls.__init__ = _make_init(cls, frozen)
+    cls.__repr__ = _repr
+    cls.__eq__ = _eq
+    cls.__hash__ = _hash if frozen else None
+    if frozen:
+        cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
+
+
+def _make_init(cls, frozen: bool):
+    """`cls.__init__`, compiled from its field table by one `exec`."""
+    env = {"FACTORY": _FACTORY, "object_setattr": object.__setattr__}
+    params, lines = [], []
+    for f in cls.__fields__:
+        if not f.init:
+            continue  # __post_init__ sets it
+        name = param = value = f.name
+        if f.default_factory is not MISSING:
+            env[f"_factory_{name}"] = f.default_factory
+            param = f"{name}=FACTORY"
+            value = f"_factory_{name}() if {name} is FACTORY else {name}"
+        elif f.default is not MISSING:
+            env[f"_default_{name}"] = f.default
+            param = f"{name}=_default_{name}"
+        params.append(param)
+        lines.append(f"object_setattr(self, {name!r}, {value})" if frozen
+                     else f"self.{name} = {value}")
+    if hasattr(cls, "__post_init__"):
+        lines.append("self.__post_init__()")
+    body = "".join(f"\n    {line}" for line in lines or ["pass"])
+    exec(f"def __init__(self, {', '.join(params)}):{body}", env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+def _values(obj) -> tuple:
+    return tuple([getattr(obj, f.name) for f in obj.__fields__])
+
+
+def _eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _values(self) == _values(other)
+
+
+def _hash(self) -> int:
+    return hash(_values(self))
+
+
+def _repr(self) -> str:
+    items = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in self.__fields__)
+    return f"{type(self).__qualname__}({items})"
+
+
+def _refuse(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot assign or delete {name!r}")
+
+
+def replace(obj, /, **changes):
+    """A new instance of `obj`'s value class with `changes` applied, built by
+    its `__init__`, so `__post_init__` runs again."""
+    for f in obj.__fields__:
+        if not f.init:
+            if f.name in changes:
+                raise ValueError(f"{f.name!r} is not an __init__ field and cannot be replaced")
+        elif f.name not in changes:
+            changes[f.name] = getattr(obj, f.name)
+    return obj.__class__(**changes)
+
+
+def as_dict(obj) -> dict:
+    """The fields of value instance `obj` as a new dict in field order. It
+    recurses into value instances, lists, tuples and dicts, rebuilding each,
+    as `dataclasses.asdict` does; every other value, immutable in waasim's
+    value classes, is shared rather than deep-copied."""
+    if not hasattr(type(obj), "__fields__"):
+        raise TypeError("as_dict() should be called on value class instances")
+    return _plain(obj)
+
+
+def _plain(obj):
+    if hasattr(type(obj), "__fields__"):
+        return {f.name: _plain(getattr(obj, f.name)) for f in obj.__fields__}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_plain(v) for v in obj)
+    if isinstance(obj, dict):
+        return type(obj)((_plain(k), _plain(v)) for k, v in obj.items())
+    return obj

@@ -3,17 +3,15 @@ and seeded multi-workflow workload generation."""
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
 import random
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from .errors import CycleError, DanglingRefError, SchemaError
-from .schema import load
+from .schema import Field, load, valueclass
 
 # Synthetic desk-scale reference runtimes (seconds on the speed-1.0 VM type).
 # No published per-task runtimes exist for these applications; values are
@@ -29,7 +27,7 @@ VINA01_RUNTIMES = (1800.0, 300.0, 300.0, 240.0, 240.0, 180.0, 120.0)
 VINA02_RUNTIMES = (1200.0, 240.0, 180.0, 180.0, 120.0, 120.0, 60.0)
 
 
-@dataclass(frozen=True)
+@valueclass(frozen=True)
 class TaskRecord:
     """One workflow node. Records are immutable, so every workflow drawn
     from one template shares them; run progress lives in the engine."""
@@ -42,13 +40,13 @@ class TaskRecord:
     level: int = 0
     transfer_time: float = 0.0
     # Reference runtime plus any explicit data-transfer overhead.
-    total_runtime: float = field(init=False)
+    total_runtime: float = Field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "total_runtime", self.reference_runtime + self.transfer_time)
 
 
-@dataclass
+@valueclass
 class WorkflowSpec:
     """A validated DAG of tasks with a user budget and arrival time. `tasks`
     is in id order; each task's `parents` and `children` are sorted tuples."""
@@ -65,10 +63,11 @@ class WorkflowSpec:
         return [t.id for t in self.tasks.values() if not t.children]
 
     def copy(self) -> "WorkflowSpec":
+        import copy  # only here: no run copies a workflow
         return copy.deepcopy(self)
 
 
-@dataclass
+@valueclass
 class WorkloadSpec:
     """An ordered stream of workflows plus the parameters that produced it."""
 
@@ -107,7 +106,7 @@ def _assemble(workflow_id: str, tasks: list[TaskRecord], budget: float,
             children[parent].append(tid)  # in id order, so already sorted
 
     levels = _levels(workflow_id, parents, children)
-    # Each record built afresh: dataclasses.replace costs twice as much.
+    # Each record built afresh: schema.replace costs twice as much.
     return WorkflowSpec(
         id=workflow_id,
         tasks={tid: TaskRecord(t.id, t.kind, t.reference_runtime, parents[tid],
@@ -141,19 +140,18 @@ def _levels(workflow_id: str, parents: dict[str, tuple[str, ...]],
 
 
 # The workflow and workload documents as JSON holds them: numbers may be ints.
-# Only the decoder builds them, so they need no generated method but __init__.
-@dataclass(repr=False, eq=False)
+@valueclass
 class _TaskDoc:
     """A task of a workflow document."""
 
     id: str
     kind: str
     runtime: float
-    parents: list[str] = field(default_factory=list)
+    parents: list[str] = Field(default_factory=list)
     transfer: float = 0.0
 
 
-@dataclass(repr=False, eq=False)
+@valueclass
 class _WorkflowDoc:
     """A workflow document."""
 
@@ -163,7 +161,7 @@ class _WorkflowDoc:
     arrival_time: float = 0.0
 
 
-@dataclass(repr=False, eq=False)
+@valueclass
 class _WorkloadDoc:
     """A workload document."""
 

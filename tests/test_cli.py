@@ -2,13 +2,13 @@
 
 import json
 import sys
-from dataclasses import asdict
 
 import pytest
 
 from waasim.cli import main
 from waasim.cloud import default_catalog
 from waasim.metrics import report_from_json
+from waasim.schema import as_dict
 from waasim.workflow import parse_workload
 
 
@@ -73,7 +73,7 @@ def _vina(**fields):
 
 def _catalog(**first):
     """The default catalog, with `first` changed in its first type."""
-    catalog = [asdict(t) for t in default_catalog()]
+    catalog = [as_dict(t) for t in default_catalog()]
     catalog[0].update(first)
     return {"catalog": catalog}
 
@@ -169,11 +169,13 @@ def test_run_command_rejects_values_that_fail_mid_run(tmp_path, capsys, override
     # A lone surrogate, which the escape \ud800 gives, cannot be written out.
     ({"templates": _vina(name="v\ud800")},
      "config.templates[0].name: must be encodable as UTF-8"),
+    # A path no file system call accepts.
+    ({"output_dir": "res\u0000ults"}, "output_dir: must not contain a NUL character"),
 ], ids=["fcfs", "homogeneous", "shape", "same_scheduler", "same_rate_label", "huge_window",
         "huge_ligand_count", "unbuildable_ligand_count", "huge_fan_out",
         "unbuildable_fan_out", "huge_int_margin", "huge_int_sigma",
         "huge_int_price", "huge_int_speed", "tiny_price", "huge_price", "huge_int_budget",
-        "surrogate_name"])
+        "surrogate_name", "nul_output_dir"])
 def test_run_command_rejects_at_load_what_a_run_would_reject(tmp_path, capsys, overrides,
                                                               message):
     """A scheduler that cannot run on the (default, four-type) catalog, a

@@ -3,7 +3,6 @@
 import json
 import random
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +15,7 @@ from waasim.errors import ConfigError, IllegalState, StallError
 from waasim.estimator import EstimatorConfig
 from waasim.metrics import ReportFold
 from waasim.scheduler import make_policy
+from waasim.schema import replace
 from waasim.workflow import (WorkloadSpec, generate_workload, genome_template,
                              parse_workload, serialize_workload, vina_template)
 

@@ -2,7 +2,6 @@
 must relate when their inputs are related, with no oracle for either run."""
 
 import random
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +11,7 @@ from waasim import engine
 from waasim.cloud import CloudConfig, VariabilityConfig, default_catalog
 from waasim.estimator import EstimatorConfig
 from waasim.scheduler import SCHEDULER_NAMES
+from waasim.schema import replace
 from waasim.units import usec
 from waasim.workflow import WorkloadSpec
 

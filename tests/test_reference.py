@@ -19,7 +19,6 @@ import io
 import json
 import math
 import random
-from dataclasses import asdict, replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -41,6 +40,7 @@ from waasim.metrics import (ASSIGNMENT_CSV_COLUMNS, FleetMetrics, MetricsReport,
 from waasim.scheduler import (SCHEDULER_NAMES, Assign, BudgetLedger, CostRows, EbpsmPolicy,
                               Provision, compute_eft_us, distribute_budget,
                               distribution_order, make_policy, update_budget)
+from waasim.schema import as_dict, replace
 from waasim.units import (USEC_PER_SEC, format_dollars, format_seconds, nanos,
                           substream_seed, usec)
 from waasim.workflow import (TaskRecord, WorkloadSpec, _assemble, generate_workload,
@@ -915,7 +915,7 @@ def test_render_strips_an_id_that_ends_in_whitespace(mono_cloud, oracle):
 
 
 def test_report_dict_equals_asdict():
-    """`to_dict` builds what `dataclasses.asdict` gives, key order included,
+    """`to_dict` builds what `schema.as_dict` gives, key order included,
     and shares no mutable part with the report."""
     catalog = [(spec, budget) for spec, _ in ExperimentConfig().build_catalog()[:4]
                for budget in (0.0, 0.25)]
@@ -923,11 +923,11 @@ def test_report_dict_equals_asdict():
                         seed=3).report
     assert any(math.isinf(w.cost_per_budget) for w in report.workflows)
     for r in (report, replace(report, workflows=[])):
-        assert json.dumps(r.to_dict()) == json.dumps(asdict(r))
+        assert json.dumps(r.to_dict()) == json.dumps(as_dict(r))
     doc = report.to_dict()
     doc["workflows"][0]["cost_per_budget"] = None
     doc["fleet"]["vm_counts"].clear()
-    assert json.dumps(report.to_dict()) == json.dumps(asdict(report))
+    assert json.dumps(report.to_dict()) == json.dumps(as_dict(report))
 
 
 class ReferenceSimulation:

@@ -1,16 +1,16 @@
 """What keeps waasim's import and per-run set-up cheap, checked without a
 clock: per-run state lives in slotted classes, records that are only built
-and read are named tuples, and no dataclass makes `dataclasses` build its
-docstring from the class signature at import."""
+and read are named tuples, and importing waasim loads none of the standard
+library's heavier class and introspection machinery."""
 
 import dataclasses
-import importlib
-import inspect
-import pkgutil
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-import waasim
 from conftest import chain_workflow, single_workload
 from waasim import engine
 from waasim.cloud import CloudConfig, Fleet
@@ -55,18 +55,16 @@ def test_run_plans_and_comparisons_are_named_tuples():
         assert not dataclasses.is_dataclass(cls)
 
 
-def waasim_dataclasses() -> list[type]:
-    found = []
-    for info in pkgutil.iter_modules(waasim.__path__, "waasim."):
-        module = importlib.import_module(info.name)
-        found += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
-                  if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)]
-    return found
+# `dataclasses` would bring `inspect`, and with it `ast`, `dis` and `tokenize`.
+UNLOADED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "copy")
 
 
-def test_every_dataclass_has_a_written_docstring():
-    """Without one, `dataclasses` renders the class signature at import."""
-    classes = waasim_dataclasses()
-    assert classes
-    for cls in classes:
-        assert cls.__doc__ and not cls.__doc__.startswith(f"{cls.__name__}("), cls
+def test_import_loads_no_dataclass_or_copy_machinery():
+    """In a fresh interpreter, `import waasim, waasim.cli` loads none of
+    UNLOADED: the value classes are built by `schema.valueclass`."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, waasim, waasim.cli; "
+             f"print(' '.join(m for m in {UNLOADED!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.split() == []

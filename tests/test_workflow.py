@@ -5,7 +5,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import build_workflow, random_dag
 from waasim.errors import CycleError, DanglingRefError, SchemaError
+from waasim.schema import replace
 from waasim.workflow import (GENOME_RUNTIMES, TaskRecord, WorkloadSpec, _assemble,
                              generate_workload, genome_template, parse_workflow,
                              parse_workload, serialize_workload, vina_template,
