@@ -88,6 +88,8 @@ def _cmd_gen_workload(args) -> int:
         workload = generate_workload(catalog, args.count, args.rate, args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except MemoryError:
+        raise ConfigError("--count: too many workflows to build") from None
     text = serialize_workload(workload)
     if args.out:
         Path(args.out).write_text(text)

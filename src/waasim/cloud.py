@@ -12,7 +12,7 @@ from itertools import takewhile
 from operator import attrgetter
 
 from .errors import ConfigError, IllegalState
-from .schema import Field, valueclass
+from .schema import Field, Rule, valueclass
 from .units import NANOS_PER_DOLLAR, USEC_PER_SEC, ceil_whole_seconds, nanos, usec
 
 PROVISIONING = "provisioning"
@@ -21,7 +21,7 @@ BUSY = "busy"
 TERMINATED = "terminated"
 
 
-@valueclass(frozen=True)
+@valueclass(frozen=True, error=ConfigError)
 class VmType:
     """A purchasable machine class.
 
@@ -29,19 +29,15 @@ class VmType:
     """
 
     name: str
-    vcpus: int = Field(metadata={"if_absent": 1})
-    memory_mb: int = Field(metadata={"if_absent": 1024})
-    price_per_second: float = Field(metadata={"as_float": True})
-    speed_factor: float = Field(metadata={"as_float": True})
+    vcpus: int = Field(metadata={"if_absent": 1, "rule": Rule(int, 1)})
+    memory_mb: int = Field(metadata={"if_absent": 1024, "rule": Rule(int, 1)})
+    price_per_second: float = Field(metadata={"as_float": True, "rule": Rule(float)})
+    speed_factor: float = Field(metadata={"as_float": True, "rule": Rule(float, 0, strict=True)})
 
     def __post_init__(self) -> None:
         if not self.price_per_second >= 1e-9:
             raise ConfigError(f"vm type {self.name!r}: price_per_second must be >= 1e-09 "
                               "(one nano-dollar per second)")
-        if self.speed_factor <= 0:
-            raise ConfigError(f"vm type {self.name!r}: speed_factor must be > 0")
-        if not math.isfinite(self.speed_factor):
-            raise ConfigError(f"vm type {self.name!r}: speed_factor must be finite")
         price = self.price_per_second
         if price * NANOS_PER_DOLLAR == math.inf:  # where `price_nanos` would overflow
             raise ConfigError(f"vm type {self.name!r}: price_per_second ${price:g} cannot be "
@@ -54,13 +50,13 @@ class VmType:
         return nanos(self.price_per_second)
 
 
-@valueclass(frozen=True)
+@valueclass(frozen=True, error=ConfigError)
 class VariabilityConfig:
     """Runtime variability: with mode "lognormal", each task's runtime is
     multiplied by exp(N(0, sigma))."""
 
     mode: str = "none"  # "none" or "lognormal"
-    sigma: float = 0.0
+    sigma: float = Field(default=0.0, metadata={"rule": Rule(float, 0)})
 
 
 # Per-second prices of the T2 worker-node family; speed factors are
@@ -74,16 +70,17 @@ def default_catalog() -> tuple[VmType, ...]:
     )
 
 
-@valueclass
+@valueclass(error=ConfigError)
 class CloudConfig:
     """The provider: its VM catalog, lifecycle delays and idle-scan timing
     in seconds, runtime variability and billing rule."""
 
     catalog: tuple[VmType, ...] = Field(default_factory=default_catalog)
-    provisioning_delay: float = 90.0
-    deprovisioning_delay: float = 10.0
-    idle_threshold: float = 60.0
-    scan_interval: float = 10.0
+    provisioning_delay: float = Field(default=90.0, metadata={"rule": Rule(float, 0)})
+    deprovisioning_delay: float = Field(default=10.0, metadata={"rule": Rule(float, 0)})
+    idle_threshold: float = Field(default=60.0, metadata={"rule": Rule(float, 0, strict=True)})
+    # At least one microsecond, the simulation's time step.
+    scan_interval: float = Field(default=10.0, metadata={"rule": Rule(float, 1e-6)})
     variability: VariabilityConfig = Field(default_factory=VariabilityConfig)
     bill_provisioning: bool = False
 
@@ -93,20 +90,8 @@ class CloudConfig:
         names = [t.name for t in self.catalog]
         if len(set(names)) != len(names):
             raise ConfigError("catalog names must be unique")
-        if self.provisioning_delay < 0 or self.deprovisioning_delay < 0:
-            raise ConfigError("delays must be >= 0")
-        if self.idle_threshold <= 0:
-            raise ConfigError("idle_threshold must be > 0")
-        if self.scan_interval < 1e-6:
-            raise ConfigError("scan_interval must be >= 1e-06 (one microsecond)")
         if self.variability.mode not in ("none", "lognormal"):
             raise ConfigError(f"unknown variability mode {self.variability.mode!r}")
-        if not (math.isfinite(self.variability.sigma) and self.variability.sigma >= 0):
-            raise ConfigError("variability.sigma must be finite and >= 0")
-        for name in ("provisioning_delay", "deprovisioning_delay", "idle_threshold",
-                     "scan_interval"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
 
     @property
     def fastest_type(self) -> VmType:

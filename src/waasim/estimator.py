@@ -8,14 +8,13 @@ type, normalized by speed factor.
 
 from __future__ import annotations
 
-import math
 import sys
 from collections import defaultdict, deque
 from functools import partial
 
 from .errors import ConfigError
 from .cloud import VmType
-from .schema import valueclass
+from .schema import Field, Rule, valueclass
 
 
 class _Window:
@@ -37,23 +36,20 @@ class _Window:
         values.append(value)
 
 
-@valueclass(frozen=True)
+@valueclass(frozen=True, error=ConfigError)
 class EstimatorConfig:
     """How runtimes are estimated: "oracle" knows them; "history" estimates
     from the last `window` runtimes recorded, and multiplies the model
     runtime of a kind with no record yet by `cold_start_margin`."""
 
     mode: str = "history"  # "oracle" or "history"
-    window: int = 10
-    cold_start_margin: float = 1.5
+    # At most sys.maxsize, the largest length a deque can hold.
+    window: int = Field(default=10, metadata={"rule": Rule(int, 1, high=sys.maxsize)})
+    cold_start_margin: float = Field(default=1.5, metadata={"rule": Rule(float, 1)})
 
     def __post_init__(self) -> None:
         if self.mode not in ("oracle", "history"):
             raise ConfigError(f"unknown estimator mode {self.mode!r}")
-        if type(self.window) is not int or not 1 <= self.window <= sys.maxsize:
-            raise ConfigError(f"estimator.window: must be an integer from 1 to {sys.maxsize}")
-        if not (math.isfinite(self.cold_start_margin) and self.cold_start_margin >= 1):
-            raise ConfigError("estimator.cold_start_margin: must be finite and >= 1")
 
 
 class RuntimeEstimator:

@@ -7,11 +7,11 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 from contextlib import nullcontext
 from itertools import repeat
 from pathlib import Path
+from sys import maxsize
 from typing import NamedTuple
 
 from . import engine
@@ -21,7 +21,7 @@ from .estimator import EstimatorConfig
 from .metrics import (ASSIGNMENT_CSV_HEADER, MetricsReport, assignment_lines, report_from_json,
                       report_to_json, workflows_to_csv)
 from .scheduler import make_policy
-from .schema import Field, as_dict, decode, load, read_file, valueclass
+from .schema import Field, Rule, as_dict, decode, load, read_file, replace, valueclass
 from .units import substream_seed
 from .workflow import (GENOME_RUNTIMES, VINA01_RUNTIMES, VINA02_RUNTIMES,
                        WorkflowSpec, generate_workload, genome_template,
@@ -67,7 +67,7 @@ def default_templates() -> list[TemplateConfig]:
     ]
 
 
-@valueclass
+@valueclass(error=ConfigError)
 class ExperimentConfig:
     """A sweep: every scheduler at every arrival rate, `repetitions` times,
     each run over `workflow_count` workflows drawn from the templates at
@@ -76,23 +76,21 @@ class ExperimentConfig:
     cloud: CloudConfig = Field(default_factory=CloudConfig)
     estimator: EstimatorConfig = Field(default_factory=EstimatorConfig)
     templates: list[TemplateConfig] = Field(default_factory=default_templates)
-    budget_levels: list[int] = Field(default_factory=lambda: [1, 2, 3, 4])
-    workflow_count: int = 20
-    arrival_rates: list[float] = Field(default_factory=lambda: [0.5, 2.0, 6.0, 12.0])
+    budget_levels: list[int] = Field(default_factory=lambda: [1, 2, 3, 4],
+                                     metadata={"rule": Rule(int, 1, each=True)})
+    workflow_count: int = Field(default=20, metadata={"rule": Rule(int, 1, high=maxsize)})
+    arrival_rates: list[float] = Field(default_factory=lambda: [0.5, 2.0, 6.0, 12.0],
+                                       metadata={"rule": Rule(float, 0, strict=True, each=True)})
     schedulers: list[str] = Field(default_factory=lambda: ["ebpsm"])
-    repetitions: int = 1
-    seed_base: int = 42
+    repetitions: int = Field(default=1, metadata={"rule": Rule(int, 1, high=maxsize)})
+    seed_base: int = Field(default=42, metadata={"rule": Rule(int)})
     output_dir: str = "results"
     write_traces: bool = False
 
     def validate(self) -> None:
-        if self.repetitions < 1:
-            raise ConfigError("repetitions: must be >= 1")
-        if self.workflow_count < 1:
-            raise ConfigError("workflow_count: must be >= 1")
-        if not self.arrival_rates or any(
-                not math.isfinite(r) or r <= 0 for r in self.arrival_rates):
-            raise ConfigError("arrival_rates: every rate must be finite and > 0")
+        replace(self)  # applies the field rules again: the fields may have changed since
+        if not self.arrival_rates:
+            raise ConfigError("arrival_rates: must be non-empty")
         # Run ids and seeds are derived from a rate's label, so two rates
         # with one label would write the same runs.
         rates_by_label: dict[str, float] = {}
@@ -188,12 +186,18 @@ class RunSpec(NamedTuple):
 
 
 def plan_runs(config: ExperimentConfig) -> list[RunSpec]:
-    runs = []
+    # Allocated at once: a `repetitions` too large to hold fails here, before
+    # any run is planned.
+    try:
+        runs = [None] * (len(config.arrival_rates) * len(config.schedulers) * config.repetitions)
+    except (MemoryError, OverflowError):
+        raise ConfigError("repetitions: too many runs to plan") from None
+    i = 0
     for rate in config.arrival_rates:
         for scheduler in config.schedulers:
             for rep in range(config.repetitions):
                 label = _rate_label(rate)
-                runs.append(RunSpec(
+                runs[i] = RunSpec(
                     run_id=f"{scheduler}_rate{label}_rep{rep}",
                     scheduler=scheduler,
                     rate=rate,
@@ -202,7 +206,8 @@ def plan_runs(config: ExperimentConfig) -> list[RunSpec]:
                         config.seed_base, f"workload/rate={label}/rep={rep}"),
                     run_seed=substream_seed(
                         config.seed_base, f"run/rate={label}/rep={rep}"),
-                ))
+                )
+                i += 1
     return runs
 
 
@@ -213,6 +218,8 @@ def execute_run(config: ExperimentConfig, spec: RunSpec,
                                      spec.rate, spec.workload_seed)
     except ValueError as exc:
         raise ConfigError(f"arrival_rates: {exc}") from None
+    except MemoryError:
+        raise ConfigError("workflow_count: too many workflows to build") from None
     return engine.run(workload, scheduler=spec.scheduler, cloud=config.cloud,
                       estimator=config.estimator, seed=spec.run_seed, trace=trace)
 
@@ -300,11 +307,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     config.validate()
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    specs = plan_runs(config)
     out = Path(output_dir if output_dir is not None else config.output_dir)
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
 
-    specs = plan_runs(config)
     jobs = min(jobs, len(specs), os.cpu_count() or 1)
     args = (repeat(config), specs, repeat(runs_dir))
     if jobs > 1:

@@ -4,7 +4,8 @@ the classes it decodes. A value class's annotations give each field's JSON
 type; values are checked, never coerced, except that a finite int is
 read as a float where the field's metadata holds `as_float`. A field with a
 default or an `if_absent` value may be left out; a JSON null reads as the
-field's `if_null` value. Every error names the value's JSON path."""
+field's `if_null` value. The class's `__init__` checks each field's `rule`,
+for the decoder as for library use. Every error names the value's JSON path."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import json
 from functools import cache
 from math import isfinite
 from pathlib import Path
+from sys import float_info
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -127,7 +129,12 @@ def _object_reader(cls, error):
                 kwargs[name] = read(value[name], here, name)
             elif required:
                 raise error(f"{_where(here, name)}: missing field")
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except error as exc:
+            if getattr(exc, "rule_owner", None) is not cls:
+                raise
+            raise error(f"{_where(parent, key)}.{exc}") from None
     return read_object
 
 
@@ -143,11 +150,40 @@ MISSING = _Sentinel("MISSING")  # the default of a field that has none
 _FACTORY = _Sentinel("<factory>")  # in a signature, the default a factory builds
 
 
+class Rule:
+    """The range of a numeric field: an int that is not a bool, or a finite
+    float (an int a float can hold will do); at least `low` (above it if
+    `strict`) and at most `high`, where given. With `each`, the field is a
+    list and the rule holds for each item."""
+
+    __slots__ = ("kind", "low", "strict", "high", "each")
+
+    def __init__(self, kind: type, low: float | None = None, strict: bool = False,
+                 high: int | None = None, each: bool = False):
+        self.kind, self.low, self.strict, self.high, self.each = kind, low, strict, high, each
+
+    def __str__(self) -> str:
+        text = "an integer" if self.kind is int else "a finite number"
+        if self.high is not None:
+            return f"{text} from {self.low} to {self.high}"
+        return text if self.low is None else f"{text} {'>' if self.strict else '>='} {self.low}"
+
+    def test(self, v: str) -> str:
+        """Python source that is true when the value named `v` keeps the rule."""
+        test, low, high = f"type({v}) is int", self.low, self.high
+        if self.kind is float:  # finite: within the largest floats
+            test = f"type({v}) in (int, float)"
+            low, high = -float_info.max if low is None else low, float_info.max
+        if low is not None:
+            test += f" and {low!r} {'<' if self.strict else '<='} {v}"
+        return test if high is None else f"{test} and {v} <= {high!r}"
+
+
 class Field:
     """One row of a value class's field table: its name, its default or
     default factory, whether `__init__` takes and sets it (if not,
-    `__post_init__` sets it), and the decoder's metadata (`as_float`,
-    `if_absent`, `if_null`)."""
+    `__post_init__` sets it), and its metadata: the decoder's `as_float`,
+    `if_absent` and `if_null`, and the `Rule` that `__init__` checks."""
 
     __slots__ = ("name", "default", "default_factory", "init", "metadata")
 
@@ -159,17 +195,18 @@ class Field:
         self.metadata = metadata or {}
 
 
-def valueclass(cls=None, /, *, frozen=False):
+def valueclass(cls=None, /, *, frozen=False, error=ValueError):
     """Class decorator: every annotation of `cls` is a field, in order, and
     `cls.__fields__` holds their table. A class attribute is the field's
     default, or its `Field`. The decorator adds `__init__`, which takes the
-    fields in order, defaults the ones left out and then calls
-    `__post_init__` if `cls` has one, `__repr__`, and `__eq__`: instances
-    are equal when their classes and field values are. A frozen instance
-    is hashable and refuses every assignment and deletion (`__init__` sets
-    its fields through `object.__setattr__`); any other is unhashable."""
+    fields in order, defaults the ones left out, raises `error` naming the
+    first field that breaks its `Rule`, and then calls `__post_init__` if
+    `cls` has one; `__repr__`; and `__eq__`: instances are equal when their
+    classes and field values are. A frozen instance is hashable and refuses
+    every assignment and deletion (`__init__` sets its fields through
+    `object.__setattr__`); any other is unhashable."""
     if cls is None:
-        return lambda cls: valueclass(cls, frozen=frozen)
+        return lambda cls: valueclass(cls, frozen=frozen, error=error)
     table = []
     for name in cls.__dict__.get("__annotations__", {}):
         f = cls.__dict__.get(name, MISSING)
@@ -183,7 +220,7 @@ def valueclass(cls=None, /, *, frozen=False):
         f.name = name
         table.append(f)
     cls.__fields__ = tuple(table)
-    cls.__init__ = _make_init(cls, frozen)
+    cls.__init__ = _make_init(cls, frozen, error)
     cls.__repr__ = _repr
     cls.__eq__ = _eq
     cls.__hash__ = _hash if frozen else None
@@ -192,24 +229,36 @@ def valueclass(cls=None, /, *, frozen=False):
     return cls
 
 
-def _make_init(cls, frozen: bool):
+def _make_init(cls, frozen: bool, error):
     """`cls.__init__`, compiled from its field table by one `exec`."""
-    env = {"FACTORY": _FACTORY, "object_setattr": object.__setattr__}
-    params, lines = [], []
+    def broken(text: str) -> Exception:  # the decoder names the JSON path instead
+        exc = error(text)
+        exc.rule_owner = cls
+        return exc
+
+    env = {"FACTORY": _FACTORY, "object_setattr": object.__setattr__, "broken": broken}
+    params, defaults, checks, lines = [], [], [], []
     for f in cls.__fields__:
         if not f.init:
             continue  # __post_init__ sets it
-        name = param = value = f.name
+        name = param = f.name
         if f.default_factory is not MISSING:
             env[f"_factory_{name}"] = f.default_factory
             param = f"{name}=FACTORY"
-            value = f"_factory_{name}() if {name} is FACTORY else {name}"
+            defaults.append(f"if {name} is FACTORY: {name} = _factory_{name}()")
         elif f.default is not MISSING:
             env[f"_default_{name}"] = f.default
             param = f"{name}=_default_{name}"
         params.append(param)
-        lines.append(f"object_setattr(self, {name!r}, {value})" if frozen
-                     else f"self.{name} = {value}")
+        rule = f.metadata.get("rule")
+        if rule is not None:
+            value, where = ("_item", f"{name}[{{_i}}]") if rule.each else (name, name)
+            check = f"if not ({rule.test(value)}): raise broken(f'{where}: must be {rule}')"
+            checks.append(f"for _i, _item in enumerate({name}):\n        {check}"
+                          if rule.each else check)
+        lines.append(f"object_setattr(self, {name!r}, {name})" if frozen
+                     else f"self.{name} = {name}")
+    lines = defaults + checks + lines
     if hasattr(cls, "__post_init__"):
         lines.append("self.__post_init__()")
     body = "".join(f"\n    {line}" for line in lines or ["pass"])

@@ -11,7 +11,7 @@ from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 from .errors import CycleError, DanglingRefError, SchemaError
-from .schema import Field, load, valueclass
+from .schema import Field, Rule, load, valueclass
 
 # Synthetic desk-scale reference runtimes (seconds on the speed-1.0 VM type).
 # No published per-task runtimes exist for these applications; values are
@@ -26,19 +26,24 @@ GENOME_RUNTIMES = {
 VINA01_RUNTIMES = (1800.0, 300.0, 300.0, 240.0, 240.0, 180.0, 120.0)
 VINA02_RUNTIMES = (1200.0, 240.0, 180.0, 180.0, 120.0, 120.0, 60.0)
 
+# The ranges of runtimes and of the other times and budgets, which the
+# documents' fields share with the fields they become.
+_POSITIVE = {"rule": Rule(float, 0, strict=True)}
+_NON_NEGATIVE = {"rule": Rule(float, 0)}
 
-@valueclass(frozen=True)
+
+@valueclass(frozen=True, error=SchemaError)
 class TaskRecord:
     """One workflow node. Records are immutable, so every workflow drawn
     from one template shares them; run progress lives in the engine."""
 
     id: str
     kind: str
-    reference_runtime: float
+    reference_runtime: float = Field(metadata=_POSITIVE)
     parents: tuple[str, ...] = ()
     children: tuple[str, ...] = ()
-    level: int = 0
-    transfer_time: float = 0.0
+    level: int = Field(default=0, metadata={"rule": Rule(int, 0)})
+    transfer_time: float = Field(default=0.0, metadata=_NON_NEGATIVE)
     # Reference runtime plus any explicit data-transfer overhead.
     total_runtime: float = Field(init=False)
 
@@ -46,15 +51,15 @@ class TaskRecord:
         object.__setattr__(self, "total_runtime", self.reference_runtime + self.transfer_time)
 
 
-@valueclass
+@valueclass(error=SchemaError)
 class WorkflowSpec:
     """A validated DAG of tasks with a user budget and arrival time. `tasks`
     is in id order; each task's `parents` and `children` are sorted tuples."""
 
     id: str
     tasks: dict[str, TaskRecord]
-    budget: float
-    arrival_time: float = 0.0
+    budget: float = Field(metadata=_NON_NEGATIVE)
+    arrival_time: float = Field(default=0.0, metadata=_NON_NEGATIVE)
 
     def entry_ids(self) -> list[str]:
         return [t.id for t in self.tasks.values() if not t.parents]
@@ -78,22 +83,16 @@ class WorkloadSpec:
 
 def _assemble(workflow_id: str, tasks: list[TaskRecord], budget: float,
               arrival_time: float) -> WorkflowSpec:
-    """Derive sorted children, validate every invariant and compute levels."""
+    """Derive sorted children, validate every invariant and compute levels.
+    Each task's fields, the budget and the arrival time keep their rules,
+    which `TaskRecord` and `WorkflowSpec` check."""
     if not tasks:
         raise SchemaError(f"workflow {workflow_id!r}: tasks must be non-empty")
-    if not (math.isfinite(budget) and budget >= 0):
-        raise SchemaError(f"workflow {workflow_id!r}: budget must be finite and >= 0")
-    if not (math.isfinite(arrival_time) and arrival_time >= 0):
-        raise SchemaError(f"workflow {workflow_id!r}: arrival_time must be finite and >= 0")
 
     by_id: dict[str, TaskRecord] = {}
     for task in tasks:
         if task.id in by_id:
             raise SchemaError(f"workflow {workflow_id!r}: duplicate task id {task.id!r}")
-        if not (math.isfinite(task.reference_runtime) and task.reference_runtime > 0):
-            raise SchemaError(f"task {task.id!r}: runtime must be finite and > 0")
-        if not (math.isfinite(task.transfer_time) and task.transfer_time >= 0):
-            raise SchemaError(f"task {task.id!r}: transfer must be finite and >= 0")
         by_id[task.id] = task
 
     ordered = sorted(by_id.items())
@@ -140,34 +139,34 @@ def _levels(workflow_id: str, parents: dict[str, tuple[str, ...]],
 
 
 # The workflow and workload documents as JSON holds them: numbers may be ints.
-@valueclass
+@valueclass(error=SchemaError)
 class _TaskDoc:
     """A task of a workflow document."""
 
     id: str
     kind: str
-    runtime: float
+    runtime: float = Field(metadata=_POSITIVE)
     parents: list[str] = Field(default_factory=list)
-    transfer: float = 0.0
+    transfer: float = Field(default=0.0, metadata=_NON_NEGATIVE)
 
 
-@valueclass
+@valueclass(error=SchemaError)
 class _WorkflowDoc:
     """A workflow document."""
 
     id: str
-    budget: float
+    budget: float = Field(metadata=_NON_NEGATIVE)
     tasks: list[_TaskDoc]
-    arrival_time: float = 0.0
+    arrival_time: float = Field(default=0.0, metadata=_NON_NEGATIVE)
 
 
-@valueclass
+@valueclass(error=SchemaError)
 class _WorkloadDoc:
     """A workload document."""
 
-    arrival_rate: float
+    arrival_rate: float = Field(metadata=_POSITIVE)
     workflows: list[_WorkflowDoc]
-    seed: int = 0
+    seed: int = Field(default=0, metadata={"rule": Rule(int)})
 
 
 def _workflow_spec(doc: _WorkflowDoc) -> WorkflowSpec:
@@ -369,20 +368,23 @@ def generate_workload(catalog: list[tuple[WorkflowSpec, float]], count: int,
     template share its task records.
 
     One seeded RNG stream is used with a fixed draw order per workflow:
-    first the catalog index, then the inter-arrival gap.
+    first the catalog index, then the inter-arrival gap. A count too large
+    to hold raises MemoryError at once.
     """
     if not catalog:
         raise ValueError("catalog must be non-empty")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not 1 <= count <= sys.maxsize:
+        raise ValueError(f"count must be >= 1 and <= {sys.maxsize}")
     if not 0 < rate_wf_per_min < math.inf:
         raise ValueError("rate must be finite and > 0")
     for i, (_, budget) in enumerate(catalog):
         if not (math.isfinite(budget) and budget >= 0):
             raise ValueError(f"catalog[{i}]: budget must be finite and >= 0")
+    # Allocated at once: a count too large to hold fails here with
+    # MemoryError, before any workflow is drawn.
+    workflows: list = [None] * count
     rng = random.Random(seed)
     rate_per_sec = rate_wf_per_min / 60.0
-    workflows: list[WorkflowSpec] = []
     clock = 0.0
     width = max(3, len(str(count)))
     for i in range(count):
@@ -392,5 +394,5 @@ def generate_workload(catalog: list[tuple[WorkflowSpec, float]], count: int,
         if not math.isfinite(clock):
             raise ValueError(f"workflow {wf_id!r}: arrival time {clock:g} s cannot be counted "
                              f"in integer microseconds; rate {rate_wf_per_min:g} is too small")
-        workflows.append(WorkflowSpec(wf_id, template.tasks, budget, clock))
+        workflows[i] = WorkflowSpec(wf_id, template.tasks, budget, clock)
     return WorkloadSpec(workflows=workflows, arrival_rate=rate_wf_per_min, seed=seed)

@@ -139,7 +139,7 @@ def test_run_command_rejects_values_that_fail_mid_run(tmp_path, capsys, override
     ({"arrival_rates": [6.0, 6.0000001]},
      "arrival_rates: 6.0 and 6.0000001 share the run label rate6"),
     ({"estimator": {"window": 2**63}},
-     f"estimator.window: must be an integer from 1 to {sys.maxsize}"),
+     f"config.estimator.window: must be an integer from 1 to {sys.maxsize}"),
     ({"templates": _vina(ligand_count=10**30, runtimes=None)},
      f"templates[v].ligand_count: must be >= 1 and <= {sys.maxsize}"),
     # Fails the size check of the first allocation at once: nothing is allocated.

@@ -113,7 +113,8 @@ def test_config_from_dict_field_errors():
     with pytest.raises(ConfigError, match="cloud.variability.sigma: must be finite"):
         config_from_dict({"cloud": {"variability": {"mode": "lognormal",
                                                     "sigma": float("nan")}}})
-    with pytest.raises(ConfigError, match="sigma must be finite and >= 0"):
+    with pytest.raises(ConfigError,
+                       match="config.cloud.variability.sigma: must be a finite number >= 0"):
         config_from_dict({"cloud": {"variability": {"mode": "lognormal", "sigma": -0.1}}})
     with pytest.raises(ConfigError, match=r"arrival_rates\[0\]: expected float"):
         config_from_dict({"arrival_rates": ["x"]})

@@ -9,6 +9,7 @@ import json
 import math
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,9 @@ texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
 floats = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(1e-3, 1e6)
 ints = st.integers(-2**70, 2**70)
+# Values inside the field rules that `__init__` checks.
+counts = st.integers(1, sys.maxsize)
+rates = st.floats(0, exclude_min=True, allow_infinity=False)
 
 vm_types = st.builds(VmType, name=texts, vcpus=st.integers(1, 64),
                      memory_mb=st.integers(1, 2**20), price_per_second=st.floats(1e-9, 1.0),
@@ -49,9 +53,9 @@ templates = st.builds(
     runtimes=st.none() | st.lists(floats, max_size=4))
 configs = st.builds(
     ExperimentConfig, cloud=clouds, estimator=estimators,
-    templates=st.lists(templates, max_size=3), budget_levels=st.lists(ints, max_size=3),
-    workflow_count=ints, arrival_rates=st.lists(floats, max_size=3),
-    schedulers=st.lists(texts, max_size=3), repetitions=ints, seed_base=ints,
+    templates=st.lists(templates, max_size=3), budget_levels=st.lists(counts, max_size=3),
+    workflow_count=counts, arrival_rates=st.lists(rates, max_size=3),
+    schedulers=st.lists(texts, max_size=3), repetitions=counts, seed_base=ints,
     output_dir=texts, write_traces=st.booleans())
 workflow_metrics = st.builds(
     WorkflowMetrics, workflow_id=texts, arrival_s=floats, makespan_s=floats, cost_usd=floats,
@@ -63,10 +67,10 @@ fleets = st.builds(
     total_cost_nanos=ints)
 reports = st.builds(MetricsReport, scheduler=texts, seed=ints, workload_hash=texts,
                     workflows=st.lists(workflow_metrics, max_size=3), fleet=fleets)
-task_records = st.builds(TaskRecord, id=texts, kind=texts, reference_runtime=floats,
+task_records = st.builds(TaskRecord, id=texts, kind=texts, reference_runtime=rates,
                          parents=st.lists(texts, max_size=2).map(tuple),
                          children=st.lists(texts, max_size=2).map(tuple),
-                         level=st.integers(0, 10), transfer_time=floats)
+                         level=st.integers(0, 10), transfer_time=st.floats(0, 1e300))
 frozen_values = vm_types | variabilities | estimators | task_records
 values = configs | reports | clouds | templates | frozen_values
 
