@@ -2,14 +2,14 @@
 
 from .cloud import (CloudConfig, Fleet, VariabilityConfig, VmInstance, VmType,
                     default_catalog, finalize_billing, task_runtime_on)
-from .engine import SimulationResult, checkpoint_trace, run
+from .engine import SimulationResult, run
 from .errors import (ConfigError, CycleError, DanglingRefError, IllegalState,
                      ManifestMismatch, SchemaError, StallError, WaasimError)
 from .estimator import EstimatorConfig, RuntimeEstimator
 from .experiment import (ComparisonReport, ExperimentConfig, TemplateConfig,
                          compare, compare_files, config_from_dict, default_templates,
                          load_config, run_experiment, summarize_budget_met)
-from .metrics import FleetMetrics, MetricsReport, WorkflowMetrics
+from .metrics import FleetMetrics, MetricsReport, WorkflowMetrics, checkpoint_trace
 from .scheduler import (BudgetLedger, EbpsmPolicy, FcfsPolicy, distribute_budget,
                         make_policy, update_budget)
 from .workflow import (TaskRecord, WorkflowSpec, WorkloadSpec, generate_workload,

@@ -14,63 +14,15 @@ from typing import Callable
 from .cloud import CloudConfig, Fleet, VmInstance, finalize_billing, task_runtime_on
 from .errors import ConfigError, StallError
 from .estimator import EstimatorConfig
-from .metrics import ASSIGNMENT_EVENTS, MetricsReport, ReportFold
+# `checkpoint_trace` is bound here too: the benchmark reads `engine.checkpoint_trace`.
+from .metrics import ASSIGNMENT_EVENTS, MetricsReport, ReportFold, checkpoint_trace
 from .scheduler import BudgetLedger, make_policy
 from .units import ceil_whole_seconds, nanos, substream_seed, usec
 from .workflow import TaskRecord, WorkloadSpec, workload_hash
 
-# Each event is one record: the tuple (time_us, event, v1, v2, ...), whose
-# values follow the event's keys here. A None key is a value the trace line
-# leaves out: `task_complete` carries its VM's type only so that every
-# record of the assignment log has its VM type at index 5.
-_FIELDS = {
-    "workflow_arrival": ("workflow", "tasks", "budget_nanos"),
-    "task_ready": ("workflow", "task"),
-    "provision_request": ("workflow", "task", "vm", "type", "available_at_us"),
-    "vm_available": ("vm", "type"),
-    "task_assign": ("workflow", "task", "vm", "type"),
-    "task_start": ("workflow", "task", "vm", "type", "runtime_us"),
-    "task_complete": ("workflow", "task", "vm", None, "cost_nanos"),
-    "vm_idle": ("vm",),
-    "vm_terminated": ("vm", "billed_s", "bill_nanos"),
-    "vm_released": ("vm",),
-    "workflow_complete": ("workflow", "makespan_us", "cost_nanos"),
-    "simulation_end": ("workflows", "vms"),
-}
-
-# Per event, the %-template of its trace line, applied to the record itself:
-# its first two `%s` take the time and the event, and a None key's `%.0s`
-# takes that value and prints nothing.
-_TEMPLATES = {
-    name: "%s\t%s\t" + "".join(f" {key}=%s" if key else "%.0s" for key in keys).lstrip(" ")
-    for name, keys in _FIELDS.items()
-}
-
-
 # Records the engine gathers before it hands them to the trace sink in one
 # `extend` call, at the end of a time step.
 _CHUNK = 512
-
-
-def render(rec: tuple) -> str:
-    """The trace line of a record, without its newline. Ids are arbitrary
-    strings, so a line is stripped of the whitespace its last value may end
-    in."""
-    return (_TEMPLATES[rec[1]] % rec).rstrip()
-
-
-# Records `checkpoint_trace` renders into one text before it joins the texts:
-# a list of every line of a long trace would hold its text about three times.
-_RENDER_CHUNK = 2048
-
-
-def checkpoint_trace(records: list[tuple]) -> str:
-    """The trace lines of one or more records, each ending in a newline: the
-    stable text of a trace, as the golden traces hold it."""
-    templates = _TEMPLATES
-    return "".join(["\n".join([(templates[rec[1]] % rec).rstrip()
-                               for rec in records[i:i + _RENDER_CHUNK]]) + "\n"
-                    for i in range(0, len(records), _RENDER_CHUNK)])
 
 
 class WorkflowRun:

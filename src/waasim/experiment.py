@@ -18,8 +18,8 @@ from . import engine
 from .cloud import CloudConfig
 from .errors import ConfigError, ManifestMismatch, SchemaError
 from .estimator import EstimatorConfig
-from .metrics import (ASSIGNMENT_CSV_HEADER, MetricsReport, assignment_lines, report_from_json,
-                      report_to_json, workflows_to_csv)
+from .metrics import (ASSIGNMENT_CSV_HEADER, MetricsReport, assignment_lines, checkpoint_trace,
+                      report_from_json, report_to_json, workflows_to_csv)
 from .scheduler import make_policy
 from .schema import Field, Rule, as_dict, decode, load, read_file, replace, valueclass
 from .units import substream_seed
@@ -28,14 +28,14 @@ from .workflow import (GENOME_RUNTIMES, VINA01_RUNTIMES, VINA02_RUNTIMES,
                        vina_template)
 
 
-@valueclass
+@valueclass(error=ConfigError)
 class TemplateConfig:
     """A workflow template of the sweep: its shape and size, its task
     runtimes and its budget levels in dollars, lowest first."""
 
     name: str
     shape: str  # "genome" or "vina"
-    budgets: list[float] = Field(metadata={"as_float": True})
+    budgets: list[float] = Field(metadata={"as_float": True, "rule": Rule(float, 0, each=True)})
     fan_out: int = 10
     ligand_count: int = 7
     runtime_profile: dict[str, float] | None = None
@@ -89,6 +89,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         replace(self)  # applies the field rules again: the fields may have changed since
+        _recheck(self.cloud, "cloud")  # as may those of the mutable nested values
         if not self.arrival_rates:
             raise ConfigError("arrival_rates: must be non-empty")
         # Run ids and seeds are derived from a rate's label, so two rates
@@ -116,12 +117,11 @@ class ExperimentConfig:
             raise ConfigError("templates: names must be unique")
         for tpl in self.templates:
             path = f"templates[{tpl.name}]"
+            _recheck(tpl, path)
             if not tpl.budgets:
                 raise ConfigError(f"{path}.budgets: must be non-empty")
             if any(b <= a for a, b in zip(tpl.budgets, tpl.budgets[1:])):
                 raise ConfigError(f"{path}.budgets: must be strictly increasing")
-            if tpl.budgets[0] < 0:
-                raise ConfigError(f"{path}.budgets: must be >= 0")
             try:
                 tpl.build()
             except ValueError as exc:
@@ -146,6 +146,17 @@ class ExperimentConfig:
             for level in self.budget_levels:
                 catalog.append((spec, tpl.budgets[level - 1]))
         return catalog
+
+
+def _recheck(value, path: str) -> None:
+    """Apply the field rules of `value` again, naming a broken one by its
+    path from the config, as the decoder does."""
+    try:
+        replace(value)
+    except ConfigError as exc:
+        if getattr(exc, "rule_owner", None) is not type(value):
+            raise
+        raise ConfigError(f"{path}.{exc}") from None
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -238,7 +249,7 @@ class _RunWriter:
     def extend(self, records: list[tuple]) -> None:
         self._events += len(records)
         if self._trace_file is not None:
-            self._trace_file.write(engine.checkpoint_trace(records))
+            self._trace_file.write(checkpoint_trace(records))
         self._assign_file.write(assignment_lines(records))
 
     def __len__(self) -> int:

@@ -1,4 +1,6 @@
-"""Per-workflow and fleet-level result records plus their CSV/JSON forms."""
+"""The layout of the engine's event records and every reader of them: the
+trace renderer, the report fold with its per-workflow and fleet-level result
+records and their CSV/JSON forms, and the assignment log."""
 
 from __future__ import annotations
 
@@ -12,6 +14,49 @@ from typing import Iterable
 from .errors import ConfigError, IllegalState, SchemaError
 from .schema import Field, load, valueclass
 from .units import NANOS_PER_DOLLAR, USEC_PER_SEC, format_dollars, format_seconds
+
+
+# Each event is one record: the tuple (time_us, event, v1, v2, ...), whose
+# values follow the event's keys here. A None key is a value the trace line
+# leaves out: `task_complete` carries its VM's type only so that every
+# record of the assignment log has its VM type at index 5.
+RECORD_FIELDS = {
+    "workflow_arrival": ("workflow", "tasks", "budget_nanos"),
+    "task_ready": ("workflow", "task"),
+    "provision_request": ("workflow", "task", "vm", "type", "available_at_us"),
+    "vm_available": ("vm", "type"),
+    "task_assign": ("workflow", "task", "vm", "type"),
+    "task_start": ("workflow", "task", "vm", "type", "runtime_us"),
+    "task_complete": ("workflow", "task", "vm", None, "cost_nanos"),
+    "vm_idle": ("vm",),
+    "vm_terminated": ("vm", "billed_s", "bill_nanos"),
+    "vm_released": ("vm",),
+    "workflow_complete": ("workflow", "makespan_us", "cost_nanos"),
+    "simulation_end": ("workflows", "vms"),
+}
+
+# Per event, the %-template of its trace line, applied to the record itself:
+# its first two `%s` take the time and the event, and a None key's `%.0s`
+# takes that value and prints nothing.
+_TEMPLATES = {
+    name: "%s\t%s\t" + "".join(f" {key}=%s" if key else "%.0s" for key in keys).lstrip(" ")
+    for name, keys in RECORD_FIELDS.items()
+}
+
+# Records `checkpoint_trace` renders into one text before it joins the texts:
+# a list of every line of a long trace would hold its text about three times.
+_RENDER_CHUNK = 2048
+
+
+def checkpoint_trace(records: list[tuple]) -> str:
+    """The trace lines of one or more records, each ending in a newline: the
+    stable text of a trace, as the golden traces hold it. Ids are arbitrary
+    strings, so a line is stripped of the whitespace its last value may end
+    in."""
+    templates = _TEMPLATES
+    return "".join(["\n".join([(templates[rec[1]] % rec).rstrip()
+                               for rec in records[i:i + _RENDER_CHUNK]]) + "\n"
+                    for i in range(0, len(records), _RENDER_CHUNK)])
 
 
 @valueclass
@@ -84,7 +129,7 @@ _REPORTED = frozenset(("task_start", "provision_request", "vm_terminated",
 
 
 class ReportFold:
-    """Folds one run's records (engine `_FIELDS` gives their layout) into the
+    """Folds one run's records (`RECORD_FIELDS` gives their layout) into the
     figures of its report, chunk by chunk, in event order. It reads five
     kinds of record and skips the rest, so a stored list trace can be folded
     again to rebuild its run's report. The VM counts start at zero for each
@@ -286,7 +331,7 @@ _CSV_CHUNK = 512
 
 
 def assignment_lines(records: list[tuple]) -> str:
-    """The log lines of those of `records` (engine `_FIELDS` gives their
+    """The log lines of those of `records` (`RECORD_FIELDS` gives their
     layout) that are rows of the log, each ending in a newline. The rows are
     filled into their kinds' templates, and the text is kept if `_unquoted`
     holds for it; else `csv.writer` writes them."""

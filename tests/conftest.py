@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from waasim import engine
 from waasim.cloud import CloudConfig, VmType
 from waasim.estimator import EstimatorConfig
+from waasim.metrics import RECORD_FIELDS, checkpoint_trace
 from waasim.workflow import TaskRecord, WorkflowSpec, WorkloadSpec, _assemble
 
 
@@ -76,12 +76,17 @@ class TraceEvent:
     @property
     def fields(self) -> dict:
         """The trace line's values by key."""
-        return {key: value for key, value in zip(engine._FIELDS[self.record[1]],
+        return {key: value for key, value in zip(RECORD_FIELDS[self.record[1]],
                                                  self.record[2:])
                 if key is not None}
 
     def render(self) -> str:
-        return engine.render(self.record)
+        return render(self.record)
+
+
+def render(rec: tuple) -> str:
+    """The trace line of one record, without its newline."""
+    return checkpoint_trace([rec])[:-1]
 
 
 def events(trace) -> list[TraceEvent]:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from waasim import engine, scheduler
+from waasim import engine, metrics, scheduler
 from waasim.cloud import CloudConfig, default_catalog
 from waasim.estimator import EstimatorConfig
 from waasim.experiment import ExperimentConfig, plan_runs, run_experiment
@@ -130,3 +130,19 @@ def test_streamed_trace_length_is_its_line_count(tmp_path, monkeypatch):
              for spec in plan_runs(config)]
     assert lengths == lines
     assert all(lines)
+
+
+def test_tracer_times_the_trace_renderer(tmp_path):
+    """SPANS names `engine.checkpoint_trace`, the renderer `metrics` holds,
+    and the tracer wraps every waasim binding of it: a sweep that writes
+    traces is charged to `engine.trace_render_s`."""
+    assert engine.checkpoint_trace is metrics.checkpoint_trace
+    tracer = LAYERS["Tracer"]()
+    tracer.install()
+    try:
+        config = ExperimentConfig(workflow_count=4, arrival_rates=[2.0], write_traces=True)
+        run_experiment(config, jobs=1, output_dir=tmp_path)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["checkpoint_trace"] > 0
+    assert tracer.metrics()["engine.trace_render_s"] > 0

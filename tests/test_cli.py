@@ -96,7 +96,8 @@ _PRICEY = {"catalog": [{"name": "t2.micro", "price_per_second": 1e280, "speed_fa
     ({"templates": [{"name": "g", "shape": "genome", "budgets": [0.1],
                      "runtime_profile": {"sifting": 0.0}}]},
      "templates[g].runtime_profile.sifting: must be finite and > 0"),
-    ({"templates": _vina(budgets=[-1.0, 0.1])}, "templates[v].budgets: must be >= 0"),
+    ({"templates": _vina(budgets=[-1.0, 0.1])},
+     "config.templates[0].budgets[0]: must be a finite number >= 0"),
     ({"cloud": {"scan_interval": 1e-9}}, "scan_interval"),
     ({"cloud": {"variability": {"mode": "lognormal", "sigma": 1000.0}}},
      "variability.sigma"),

@@ -7,13 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (MICRO, chain_workflow, diamond_workflow, events, random_dag,
+from conftest import (MICRO, chain_workflow, diamond_workflow, events, random_dag, render,
                       single_workload)
-from waasim import engine
+from waasim import engine, metrics
 from waasim.cloud import CloudConfig, VariabilityConfig
 from waasim.errors import ConfigError, IllegalState, StallError
 from waasim.estimator import EstimatorConfig
-from waasim.metrics import ReportFold
+from waasim.metrics import RECORD_FIELDS, ReportFold
 from waasim.scheduler import make_policy
 from waasim.schema import replace
 from waasim.workflow import (WorkloadSpec, generate_workload, genome_template,
@@ -225,11 +225,11 @@ def test_trace_longer_than_two_render_chunks_renders_line_by_line(oracle):
     that of its records rendered one by one, at every chunk boundary."""
     workload = generate_workload([(genome_template("g", 4), 0.05)], 80, 6.0, seed=5)
     trace = engine.run(workload, "ebpsm", CloudConfig(), oracle, seed=5).trace
-    size = engine._RENDER_CHUNK
+    size = metrics._RENDER_CHUNK
     assert len(trace) > 2 * size + 1
     for n in (1, size - 1, size, size + 1, 2 * size, 2 * size + 1, len(trace)):
-        assert engine.checkpoint_trace(trace[:n]) == "".join(
-            engine.render(rec) + "\n" for rec in trace[:n])
+        assert metrics.checkpoint_trace(trace[:n]) == "".join(
+            render(rec) + "\n" for rec in trace[:n])
 
 
 def test_stall_error_on_broken_policy(monkeypatch, mono_cloud, oracle):
@@ -361,12 +361,13 @@ def test_readme_library_example_runs(capsys):
 
 
 def test_readme_trace_table_is_the_field_table():
-    """README's "Trace format" table is generated from `_FIELDS`, which
-    names exactly the 12 events of the trace."""
+    """README's "Trace format" table lists every kind of `RECORD_FIELDS`
+    with its keys in order, and the table names exactly the 12 events of
+    the trace."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## Trace format", 1)[1].split("\n## ", 1)[0]
     rows = ["| event | values after `time_us` and the event |", "| --- | --- |"]
-    for name, keys in engine._FIELDS.items():
+    for name, keys in RECORD_FIELDS.items():
         values = ", ".join("VM type (not rendered)" if key is None else f"`{key}`"
                            for key in keys)
         rows.append(f"| `{name}` | {values} |")
@@ -375,4 +376,4 @@ def test_readme_trace_table_is_the_field_table():
         "workflow_arrival", "task_ready", "provision_request", "vm_available",
         "task_assign", "task_start", "task_complete", "vm_idle", "vm_terminated",
         "vm_released", "workflow_complete", "simulation_end"]
-    assert len(engine._FIELDS) == 12
+    assert len(RECORD_FIELDS) == 12

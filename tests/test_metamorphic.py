@@ -10,6 +10,7 @@ from conftest import MICRO, build_workflow, random_dag
 from waasim import engine
 from waasim.cloud import CloudConfig, VariabilityConfig, default_catalog
 from waasim.estimator import EstimatorConfig
+from waasim.metrics import RECORD_FIELDS
 from waasim.scheduler import SCHEDULER_NAMES
 from waasim.schema import replace
 from waasim.units import usec
@@ -91,7 +92,7 @@ def relabelled(rec: tuple, workflow_ids: dict, task_ids: dict) -> tuple:
     """`rec` with its workflow id and task id mapped; `task_ids` maps each
     workflow id to its task map."""
     out = list(rec)
-    for at, key in enumerate(engine._FIELDS[rec[1]], start=2):
+    for at, key in enumerate(RECORD_FIELDS[rec[1]], start=2):
         if key == "workflow":
             out[at] = workflow_ids[rec[at]]
         elif key == "task":

@@ -27,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (LARGE, MICRO, TraceEvent, build_workflow, chain_workflow, random_dag,
-                      single_workload)
+                      render, single_workload)
 from waasim import engine, experiment, metrics
 from waasim import scheduler as scheduler_module
 from waasim.cloud import (IDLE, TERMINATED, CloudConfig, Fleet, VariabilityConfig, VmType,
@@ -265,7 +265,7 @@ def reference_render(ev):
 REFERENCE_FORMATS = {
     name: ("{0}\t" + name + "\t" + " ".join(
         f"{key}={{{i}}}" for i, key in enumerate(keys, 2) if key is not None)).format
-    for name, keys in engine._FIELDS.items()
+    for name, keys in metrics.RECORD_FIELDS.items()
 }
 
 
@@ -307,7 +307,7 @@ def checked_outputs(result):
     record's line and the assignment log against the references."""
     views = [TraceEvent(rec) for rec in result.trace]
     for rec, ev in zip(result.trace, views):
-        assert engine.render(rec) == reference_render(ev)
+        assert render(rec) == reference_render(ev)
     assert [(r[0], r[2], r[3], r[4], r[5], REFERENCE_ROW_EVENTS[r[1]])
             for r in result.assignments] == reference_assignments(views)
     return engine.checkpoint_trace(result.trace), report_to_json(result.report)
@@ -743,8 +743,7 @@ def test_renderers_match_format_and_csv_writer(chunk, drawn):
         engine.run(workload, "ebpsm", cloud, EstimatorConfig("oracle"), seed=0,
                    trace=_RunWriter(assign_file, trace_file))
         lines = [reference_line(rec) for rec in result.trace]
-        assert [engine.render(rec) for rec in result.trace] == lines
-        assert [TraceEvent(rec).render() for rec in result.trace] == lines
+        assert [render(rec) for rec in result.trace] == lines
         trace_text = "".join(line + "\n" for line in lines)
         assert engine.checkpoint_trace(result.trace) == trace_text
         assert trace_file.getvalue() == trace_text
@@ -909,7 +908,7 @@ def test_render_strips_an_id_that_ends_in_whitespace(mono_cloud, oracle):
     result = engine.run(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
     ready = [rec for rec in result.trace if rec[1] == "task_ready"]
     assert [rec[3] for rec in ready] == ["a ", "b\t"]
-    assert [engine.render(rec) for rec in ready] == \
+    assert [render(rec) for rec in ready] == \
         ["0\ttask_ready\tworkflow=wf task=a", "10000000\ttask_ready\tworkflow=wf task=b"]
     assert checked_outputs(result)[0].count("task=a ") == 3
 

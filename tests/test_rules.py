@@ -22,7 +22,7 @@ from waasim.cli import main
 from waasim.cloud import CloudConfig, VariabilityConfig, VmType
 from waasim.errors import ConfigError, SchemaError
 from waasim.estimator import EstimatorConfig
-from waasim.experiment import ExperimentConfig, config_from_dict, plan_runs
+from waasim.experiment import ExperimentConfig, TemplateConfig, config_from_dict, plan_runs
 from waasim.schema import replace
 from waasim.workflow import (TaskRecord, WorkflowSpec, _TaskDoc, _WorkflowDoc, _WorkloadDoc,
                              generate_workload, parse_workflow, parse_workload, vina_template)
@@ -43,6 +43,7 @@ VALID = {
     CloudConfig: CloudConfig(),
     EstimatorConfig: EstimatorConfig(),
     ExperimentConfig: ExperimentConfig(),
+    TemplateConfig: TemplateConfig("v", "vina", [0.1], ligand_count=2, runtimes=[20.0, 12.0]),
     TaskRecord: TaskRecord("a", "k", 5.0),
     WorkflowSpec: WorkflowSpec("w", {}, 0.5),
     _TaskDoc: _TaskDoc("a", "k", 5.0),
@@ -73,6 +74,7 @@ PLACES = {
     CloudConfig: [("config", ("cloud",))],
     EstimatorConfig: [("config", ("estimator",))],
     ExperimentConfig: [("config", ())],
+    TemplateConfig: [("config", ("templates", 0))],
     _TaskDoc: [("workflow", ("tasks", 0)), ("workload", ("workflows", 0, "tasks", 0))],
     _WorkflowDoc: [("workflow", ()), ("workload", ("workflows", 0))],
     _WorkloadDoc: [("workload", ())],
@@ -282,6 +284,28 @@ def test_true_is_not_a_seed_or_a_count(name):
     config = ExperimentConfig()
     setattr(config, name, True)
     with pytest.raises(ConfigError, match=f"^{name}: must be an integer"):
+        config.validate()
+
+
+def test_a_template_budget_that_is_not_a_number_is_refused():
+    """A NaN budget once passed `validate`, and the run then blamed
+    `arrival_rates`."""
+    with pytest.raises(ConfigError, match=r"^budgets\[0\]: must be a finite number >= 0$"):
+        TemplateConfig("v", "vina", [math.nan])
+    config = ExperimentConfig(templates=[replace(VALID[TemplateConfig])], budget_levels=[1])
+    config.templates[0].budgets = [math.nan]
+    with pytest.raises(ConfigError,
+                       match=r"^templates\[v\]\.budgets\[0\]: must be a finite number >= 0$"):
+        config.validate()
+
+
+def test_validate_applies_the_rules_of_the_cloud_again():
+    """A NaN idle threshold once passed `validate`, and the run then failed
+    naming no field."""
+    config = ExperimentConfig()
+    config.cloud.idle_threshold = math.nan
+    with pytest.raises(ConfigError,
+                       match=r"^cloud\.idle_threshold: must be a finite number > 0$"):
         config.validate()
 
 

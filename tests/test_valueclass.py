@@ -48,7 +48,8 @@ clouds = st.builds(
     bill_provisioning=st.booleans())
 templates = st.builds(
     TemplateConfig, name=texts, shape=st.sampled_from(["genome", "vina"]),
-    budgets=st.lists(floats, max_size=4), fan_out=ints, ligand_count=ints,
+    budgets=st.lists(st.floats(0, allow_infinity=False), max_size=4), fan_out=ints,
+    ligand_count=ints,
     runtime_profile=st.none() | st.dictionaries(texts, floats, max_size=3),
     runtimes=st.none() | st.lists(floats, max_size=4))
 configs = st.builds(
