@@ -12,7 +12,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from .errors import ConfigError, IllegalState, SchemaError
-from .schema import Field, load, valueclass
+from .schema import Field, as_dict, load, valueclass
 from .units import NANOS_PER_DOLLAR, USEC_PER_SEC, format_dollars, format_seconds
 
 
@@ -111,15 +111,8 @@ class MetricsReport:
         return [w.cost_per_budget for w in self.workflows if not w.budget_met]
 
     def to_dict(self) -> dict:
-        """The report as new JSON-ready dicts with the keys in field order:
-        what `schema.as_dict` gives, without its recursive walk."""
-        return {
-            "scheduler": self.scheduler,
-            "seed": self.seed,
-            "workload_hash": self.workload_hash,
-            "workflows": [vars(w).copy() for w in self.workflows],
-            "fleet": {**vars(self.fleet), "vm_counts": dict(self.fleet.vm_counts)},
-        }
+        """`schema.as_dict(self)`: the report as new dicts, keys in field order."""
+        return as_dict(self)
 
 
 # The kinds of record a report reads. About three records in four are of

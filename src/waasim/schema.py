@@ -180,18 +180,17 @@ class Rule:
 
 
 class Field:
-    """One row of a value class's field table: its name, its default or
-    default factory, whether `__init__` takes and sets it (if not,
-    `__post_init__` sets it), and its metadata: the decoder's `as_float`,
-    `if_absent` and `if_null`, and the `Rule` that `__init__` checks."""
+    """One row of a value class's field table, one parameter of its
+    `__init__`: its name, its default or default factory, and its metadata:
+    the decoder's `as_float`, `if_absent` and `if_null`, and the `Rule` that
+    `__init__` checks."""
 
-    __slots__ = ("name", "default", "default_factory", "init", "metadata")
+    __slots__ = ("name", "default", "default_factory", "metadata")
 
-    def __init__(self, *, default=MISSING, default_factory=MISSING, init=True, metadata=None):
+    def __init__(self, *, default=MISSING, default_factory=MISSING, metadata=None):
         self.name = ""  # set by valueclass
         self.default = default
         self.default_factory = default_factory
-        self.init = init
         self.metadata = metadata or {}
 
 
@@ -239,8 +238,6 @@ def _make_init(cls, frozen: bool, error):
     env = {"FACTORY": _FACTORY, "object_setattr": object.__setattr__, "broken": broken}
     params, defaults, checks, lines = [], [], [], []
     for f in cls.__fields__:
-        if not f.init:
-            continue  # __post_init__ sets it
         name = param = f.name
         if f.default_factory is not MISSING:
             env[f"_factory_{name}"] = f.default_factory
@@ -295,10 +292,7 @@ def replace(obj, /, **changes):
     """A new instance of `obj`'s value class with `changes` applied, built by
     its `__init__`, so `__post_init__` runs again."""
     for f in obj.__fields__:
-        if not f.init:
-            if f.name in changes:
-                raise ValueError(f"{f.name!r} is not an __init__ field and cannot be replaced")
-        elif f.name not in changes:
+        if f.name not in changes:
             changes[f.name] = getattr(obj, f.name)
     return obj.__class__(**changes)
 

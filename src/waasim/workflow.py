@@ -30,6 +30,7 @@ VINA02_RUNTIMES = (1200.0, 240.0, 180.0, 180.0, 120.0, 120.0, 60.0)
 # documents' fields share with the fields they become.
 _POSITIVE = {"rule": Rule(float, 0, strict=True)}
 _NON_NEGATIVE = {"rule": Rule(float, 0)}
+_SEED = {"rule": Rule(int)}
 
 
 @valueclass(frozen=True, error=SchemaError)
@@ -44,9 +45,9 @@ class TaskRecord:
     children: tuple[str, ...] = ()
     level: int = Field(default=0, metadata={"rule": Rule(int, 0)})
     transfer_time: float = Field(default=0.0, metadata=_NON_NEGATIVE)
-    # Reference runtime plus any explicit data-transfer overhead.
-    total_runtime: float = Field(init=False)
 
+    # Reference runtime plus any explicit data-transfer overhead: an
+    # attribute, not a field, so ==, hash and as_dict() do not see it.
     def __post_init__(self) -> None:
         object.__setattr__(self, "total_runtime", self.reference_runtime + self.transfer_time)
 
@@ -72,24 +73,56 @@ class WorkflowSpec:
         return copy.deepcopy(self)
 
 
-@valueclass
+@valueclass(error=SchemaError)
 class WorkloadSpec:
     """An ordered stream of workflows plus the parameters that produced it."""
 
     workflows: list[WorkflowSpec]
-    arrival_rate: float
-    seed: int = 0
+    arrival_rate: float = Field(metadata=_POSITIVE)
+    seed: int = Field(default=0, metadata=_SEED)
 
 
-def _assemble(workflow_id: str, tasks: list[TaskRecord], budget: float,
+# The workflow and workload documents as JSON holds them: numbers may be ints.
+@valueclass(error=SchemaError)
+class _TaskDoc:
+    """A task of a workflow document: the facts its record is built from."""
+
+    id: str
+    kind: str
+    runtime: float = Field(metadata=_POSITIVE)
+    parents: list[str] = Field(default_factory=list)
+    transfer: float = Field(default=0.0, metadata=_NON_NEGATIVE)
+
+
+@valueclass(error=SchemaError)
+class _WorkflowDoc:
+    """A workflow document."""
+
+    id: str
+    budget: float = Field(metadata=_NON_NEGATIVE)
+    tasks: list[_TaskDoc]
+    arrival_time: float = Field(default=0.0, metadata=_NON_NEGATIVE)
+
+
+@valueclass(error=SchemaError)
+class _WorkloadDoc:
+    """A workload document."""
+
+    arrival_rate: float = Field(metadata=_POSITIVE)
+    workflows: list[_WorkflowDoc]
+    seed: int = Field(default=0, metadata=_SEED)
+
+
+def _assemble(workflow_id: str, tasks: list[_TaskDoc], budget: float,
               arrival_time: float) -> WorkflowSpec:
-    """Derive sorted children, validate every invariant and compute levels.
-    Each task's fields, the budget and the arrival time keep their rules,
-    which `TaskRecord` and `WorkflowSpec` check."""
+    """Build each task's record once, with its sorted parents and children
+    and its level, after validating every invariant. Each task's fields,
+    the budget and the arrival time keep their rules, which `TaskRecord`
+    and `WorkflowSpec` check."""
     if not tasks:
         raise SchemaError(f"workflow {workflow_id!r}: tasks must be non-empty")
 
-    by_id: dict[str, TaskRecord] = {}
+    by_id: dict[str, _TaskDoc] = {}
     for task in tasks:
         if task.id in by_id:
             raise SchemaError(f"workflow {workflow_id!r}: duplicate task id {task.id!r}")
@@ -105,11 +138,10 @@ def _assemble(workflow_id: str, tasks: list[TaskRecord], budget: float,
             children[parent].append(tid)  # in id order, so already sorted
 
     levels = _levels(workflow_id, parents, children)
-    # Each record built afresh: schema.replace costs twice as much.
     return WorkflowSpec(
         id=workflow_id,
-        tasks={tid: TaskRecord(t.id, t.kind, t.reference_runtime, parents[tid],
-                               tuple(children[tid]), levels[tid], t.transfer_time)
+        tasks={tid: TaskRecord(tid, t.kind, float(t.runtime), parents[tid],
+                               tuple(children[tid]), levels[tid], float(t.transfer))
                for tid, t in ordered},
         budget=budget,
         arrival_time=arrival_time,
@@ -138,42 +170,8 @@ def _levels(workflow_id: str, parents: dict[str, tuple[str, ...]],
     return levels
 
 
-# The workflow and workload documents as JSON holds them: numbers may be ints.
-@valueclass(error=SchemaError)
-class _TaskDoc:
-    """A task of a workflow document."""
-
-    id: str
-    kind: str
-    runtime: float = Field(metadata=_POSITIVE)
-    parents: list[str] = Field(default_factory=list)
-    transfer: float = Field(default=0.0, metadata=_NON_NEGATIVE)
-
-
-@valueclass(error=SchemaError)
-class _WorkflowDoc:
-    """A workflow document."""
-
-    id: str
-    budget: float = Field(metadata=_NON_NEGATIVE)
-    tasks: list[_TaskDoc]
-    arrival_time: float = Field(default=0.0, metadata=_NON_NEGATIVE)
-
-
-@valueclass(error=SchemaError)
-class _WorkloadDoc:
-    """A workload document."""
-
-    arrival_rate: float = Field(metadata=_POSITIVE)
-    workflows: list[_WorkflowDoc]
-    seed: int = Field(default=0, metadata={"rule": Rule(int)})
-
-
 def _workflow_spec(doc: _WorkflowDoc) -> WorkflowSpec:
-    tasks = [TaskRecord(id=t.id, kind=t.kind, reference_runtime=float(t.runtime),
-                        parents=tuple(t.parents), transfer_time=float(t.transfer))
-             for t in doc.tasks]
-    return _assemble(doc.id, tasks, float(doc.budget), float(doc.arrival_time))
+    return _assemble(doc.id, doc.tasks, float(doc.budget), float(doc.arrival_time))
 
 
 def parse_workflow(text: str) -> WorkflowSpec:
@@ -317,22 +315,16 @@ def genome_template(chromosome: str, fan_out: int,
     # large to hold fails here with MemoryError, before any task is built.
     runtimes = (profile["individuals"],) * fan_out
     width = max(2, len(str(fan_out)))
-    tasks = [
-        TaskRecord(id=f"individuals_{i:0{width}d}", kind="individuals",
-                   reference_runtime=runtime)
-        for i, runtime in enumerate(runtimes, 1)
-    ]
-    ind_ids = tuple(t.id for t in tasks)
-    tasks.append(TaskRecord(id="sifting", kind="sifting",
-                            reference_runtime=profile["sifting"]))
-    tasks.append(TaskRecord(id="individuals_merge", kind="individuals_merge",
-                            reference_runtime=profile["individuals_merge"],
-                            parents=ind_ids))
-    join = ("individuals_merge", "sifting")
-    tasks.append(TaskRecord(id="mutations_overlap", kind="mutations_overlap",
-                            reference_runtime=profile["mutations_overlap"], parents=join))
-    tasks.append(TaskRecord(id="frequency", kind="frequency",
-                            reference_runtime=profile["frequency"], parents=join))
+    tasks = [_TaskDoc(f"individuals_{i:0{width}d}", "individuals", runtime)
+             for i, runtime in enumerate(runtimes, 1)]
+    ind_ids = [t.id for t in tasks]
+    tasks.append(_TaskDoc("sifting", "sifting", profile["sifting"]))
+    tasks.append(_TaskDoc("individuals_merge", "individuals_merge",
+                          profile["individuals_merge"], ind_ids))
+    join = ["individuals_merge", "sifting"]
+    tasks.append(_TaskDoc("mutations_overlap", "mutations_overlap",
+                          profile["mutations_overlap"], join))
+    tasks.append(_TaskDoc("frequency", "frequency", profile["frequency"], join))
     return _assemble(chromosome, tasks, budget, 0.0)
 
 
@@ -353,11 +345,9 @@ def vina_template(ligand_count: int,
         if not (math.isfinite(runtime) and runtime > 0):
             raise ValueError(f"runtimes[{i}]: must be finite and > 0")
     width = max(2, len(str(ligand_count)))
-    tasks = [
-        TaskRecord(id=f"ligand_{i:0{width}d}", kind=f"{kind_prefix}_{i:0{width}d}",
-                   reference_runtime=float(runtimes[i - 1]))
-        for i in range(1, ligand_count + 1)
-    ]
+    tasks = [_TaskDoc(f"ligand_{i:0{width}d}", f"{kind_prefix}_{i:0{width}d}",
+                      float(runtimes[i - 1]))
+             for i in range(1, ligand_count + 1)]
     return _assemble(workflow_id, tasks, budget, 0.0)
 
 

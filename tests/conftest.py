@@ -9,16 +9,13 @@ import pytest
 from waasim.cloud import CloudConfig, VmType
 from waasim.estimator import EstimatorConfig
 from waasim.metrics import RECORD_FIELDS, checkpoint_trace
-from waasim.workflow import TaskRecord, WorkflowSpec, WorkloadSpec, _assemble
+from waasim.workflow import WorkflowSpec, WorkloadSpec, _assemble, _TaskDoc
 
 
 def build_workflow(task_rows, budget=1.0, arrival=0.0, wid="wf") -> WorkflowSpec:
     """task_rows: (id, kind, runtime, parent ids)."""
-    tasks = [
-        TaskRecord(id=tid, kind=kind, reference_runtime=runtime,
-                   parents=frozenset(parents))
-        for tid, kind, runtime, parents in task_rows
-    ]
+    tasks = [_TaskDoc(tid, kind, runtime, list(parents))
+             for tid, kind, runtime, parents in task_rows]
     return _assemble(wid, tasks, budget, arrival)
 
 
@@ -92,6 +89,22 @@ def render(rec: tuple) -> str:
 def events(trace) -> list[TraceEvent]:
     """A view of each record of an in-memory trace, in order."""
     return [TraceEvent(rec) for rec in trace]
+
+
+class DeadPolicy:
+    """A policy that never dispatches, so the event queue drains with work
+    left and the run stalls."""
+    name = "dead"
+    dedicated = False
+
+    def on_arrival(self, run):
+        pass
+
+    def enqueue_ready(self, run, task):
+        pass
+
+    def schedule_ready(self, fleet):
+        return []
 
 
 MICRO = VmType("t2.micro", 1, 1024, 0.0000041, 1.0)

@@ -392,25 +392,24 @@ def test_c09_dependency_safety_audit():
 # -- criterion 10: golden traces ------------------------------------------------
 
 def test_c10_golden_traces(oracle, mono_cloud):
-    from waasim.workflow import TaskRecord, _assemble
+    from waasim.workflow import _assemble, _TaskDoc
 
     def build(tasks, budget, arrival=0.0, wid="wf"):
         return _assemble(wid, tasks, budget, arrival)
 
     checked = []
 
-    wf = build([TaskRecord(id="solo", kind="solo", reference_runtime=100.0)],
-               0.01, wid="single")
+    wf = build([_TaskDoc("solo", "solo", 100.0)], 0.01, wid="single")
     result = engine.run(WorkloadSpec([wf], 1.0, 0), "ebpsm", mono_cloud, oracle, seed=0)
     assert engine.checkpoint_trace(result.trace) == \
         (GOLDEN_DIR / "single_task.trace").read_text()
     checked.append("single_task")
 
     tasks = [
-        TaskRecord(id="a", kind="a", reference_runtime=10.0),
-        TaskRecord(id="b", kind="b", reference_runtime=5.0, parents=frozenset({"a"})),
-        TaskRecord(id="c", kind="c", reference_runtime=20.0, parents=frozenset({"a"})),
-        TaskRecord(id="d", kind="d", reference_runtime=1.0, parents=frozenset({"b", "c"})),
+        _TaskDoc("a", "a", 10.0),
+        _TaskDoc("b", "b", 5.0, ["a"]),
+        _TaskDoc("c", "c", 20.0, ["a"]),
+        _TaskDoc("d", "d", 1.0, ["b", "c"]),
     ]
     wf = build(tasks, 0.01, wid="diamond")
     result = engine.run(WorkloadSpec([wf], 1.0, 0), "ebpsm", mono_cloud, oracle, seed=0)
@@ -418,10 +417,8 @@ def test_c10_golden_traces(oracle, mono_cloud):
         (GOLDEN_DIR / "diamond.trace").read_text()
     checked.append("diamond")
 
-    wa = build([TaskRecord(id="a1", kind="a1", reference_runtime=100.0)],
-               0.01, 0.0, wid="tenant_a")
-    wb = build([TaskRecord(id="b1", kind="b1", reference_runtime=50.0)],
-               0.01, 120.0, wid="tenant_b")
+    wa = build([_TaskDoc("a1", "a1", 100.0)], 0.01, 0.0, wid="tenant_a")
+    wb = build([_TaskDoc("b1", "b1", 50.0)], 0.01, 120.0, wid="tenant_b")
     shared_cloud = CloudConfig(catalog=(MICRO,), provisioning_delay=10.0,
                                deprovisioning_delay=5.0, idle_threshold=60.0,
                                scan_interval=10.0)

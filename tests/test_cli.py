@@ -172,18 +172,24 @@ def test_run_command_rejects_values_that_fail_mid_run(tmp_path, capsys, override
      "config.templates[0].name: must be encodable as UTF-8"),
     # A path no file system call accepts.
     ({"output_dir": "res\u0000ults"}, "output_dir: must not contain a NUL character"),
+    ({"arrival_rates": []}, "arrival_rates: must be non-empty"),
+    ({"templates": _vina() + _vina()}, "templates: names must be unique"),
+    ({"templates": _vina(budgets=[])}, "templates[v].budgets: must be non-empty"),
+    ({"budget_levels": []}, "budget_levels: must be non-empty"),
 ], ids=["fcfs", "homogeneous", "shape", "same_scheduler", "same_rate_label", "huge_window",
         "huge_ligand_count", "unbuildable_ligand_count", "huge_fan_out",
         "unbuildable_fan_out", "huge_int_margin", "huge_int_sigma",
         "huge_int_price", "huge_int_speed", "tiny_price", "huge_price", "huge_int_budget",
-        "surrogate_name", "nul_output_dir"])
+        "surrogate_name", "nul_output_dir", "no_rates", "same_template_name", "no_budgets",
+        "no_budget_levels"])
 def test_run_command_rejects_at_load_what_a_run_would_reject(tmp_path, capsys, overrides,
                                                               message):
     """A scheduler that cannot run on the (default, four-type) catalog, a
     template that cannot be built, runs that would share a run id, a
-    size too large for an index and a value the decoder cannot read stop
-    the sweep before any run is written."""
-    config = write_config(tmp_path, budget_levels=[1], **overrides)
+    size too large for an index, a value the decoder cannot read, an empty
+    list and a template name given twice stop the sweep before any run is
+    written."""
+    config = write_config(tmp_path, **{"budget_levels": [1], **overrides})
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -326,6 +332,24 @@ def test_gen_workload_rejects_bad_rate(capsys, rate):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: rate must be finite and > 0\n"
+
+
+def test_gen_workload_rejects_a_budget_level_a_template_lacks(capsys):
+    assert main(["gen-workload", "--template", "vina02", "--count", "2",
+                 "--rate", "6", "--seed", "1", "--budget-level", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --budget-level must be in 1..4\n"
+
+
+def test_run_whose_policy_never_dispatches_exits_3(tmp_path, capsys, monkeypatch):
+    from conftest import DeadPolicy
+    from waasim import engine
+
+    monkeypatch.setattr(engine, "make_policy", lambda *args: DeadPolicy())
+    config = write_config(tmp_path)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("error: simulation stalled: ")
 
 
 def test_gen_workload_rejects_a_rate_too_small_for_finite_arrivals(capsys):

@@ -65,6 +65,8 @@ def test_runtime_lognormal_mean():
     expected = 100.0 * math.exp(sigma ** 2 / 2) / vm_type.speed_factor
     mean = sum(draws) / len(draws)
     assert abs(mean - expected) / expected < 0.03
+    with pytest.raises(ValueError, match="^lognormal variability requires an RNG$"):
+        task_runtime_on(vm_type, 100.0, None, var)
 
 
 def test_estimated_cost_nanos_examples():
@@ -283,6 +285,15 @@ def test_terminate_twice_raises():
         fleet.terminate(vm, usec(20.0))
 
 
+def test_take_idle_head_needs_an_idle_vm():
+    fleet = Fleet(CloudConfig())
+    with pytest.raises(IllegalState, match="^no idle t2.micro instance$"):
+        fleet.take_idle_head(MICRO)
+    fleet.provision(MICRO, 0)  # provisioning, not idle
+    with pytest.raises(IllegalState, match="^no idle t2.micro instance$"):
+        fleet.take_idle_head(MICRO)
+
+
 def test_terminated_vm_never_receives_work():
     fleet = Fleet(CloudConfig(provisioning_delay=0.0))
     vm = fleet.provision(table_type("t2.micro"), 0)
@@ -302,6 +313,8 @@ def test_vm_type_validation():
         VmType("bad", 1, 1024, 0.1, 0.0)
     with pytest.raises(ConfigError):
         CloudConfig(catalog=(MICRO, MICRO))
+    with pytest.raises(ConfigError, match="^unknown variability mode 'normal'$"):
+        CloudConfig(variability=VariabilityConfig("normal", 0.1))
 
 
 @pytest.mark.parametrize("price, message", [

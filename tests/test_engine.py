@@ -24,6 +24,7 @@ def test_empty_workload():
     result = engine.run(WorkloadSpec([], 1.0, 0), "ebpsm")
     assert result.report.workflows == []
     assert result.report.fleet.total_cost_usd == 0.0
+    assert result.report.budget_met_pct() == 100.0
     assert events(result.trace)[-1].name == "simulation_end"
 
 

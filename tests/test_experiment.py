@@ -72,6 +72,10 @@ def test_config_validation_messages():
         desk_config(templates=bad).validate()
     with pytest.raises(ConfigError, match="budget_levels"):
         desk_config(budget_levels=[9]).validate()
+    config = desk_config()
+    config.cloud.catalog = ()
+    with pytest.raises(ConfigError, match="^catalog must be non-empty$"):
+        config.validate()
 
 
 def test_config_roundtrip_through_json():
@@ -415,22 +419,9 @@ def test_streamed_run_files_match_in_memory_rendering(tmp_path, jobs):
 
 
 def test_stalled_run_leaves_its_partial_files(tmp_path, monkeypatch):
+    from conftest import DeadPolicy
     from waasim import engine
     from waasim.errors import StallError
-
-    class DeadPolicy:
-        """Never dispatches, so the event queue drains with work left."""
-        name = "dead"
-        dedicated = False
-
-        def on_arrival(self, run):
-            pass
-
-        def enqueue_ready(self, run, task):
-            pass
-
-        def schedule_ready(self, fleet):
-            return []
 
     monkeypatch.setattr(engine, "make_policy", lambda *args: DeadPolicy())
     config = _quoted_name_config(schedulers=["ebpsm"], arrival_rates=[2.0])

@@ -43,7 +43,7 @@ from waasim.scheduler import (SCHEDULER_NAMES, Assign, BudgetLedger, CostRows, E
 from waasim.schema import as_dict, replace
 from waasim.units import (USEC_PER_SEC, format_dollars, format_seconds, nanos,
                           substream_seed, usec)
-from waasim.workflow import (TaskRecord, WorkloadSpec, _assemble, generate_workload,
+from waasim.workflow import (WorkloadSpec, _assemble, _TaskDoc, generate_workload,
                              workload_to_dict)
 
 CATALOG = default_catalog()
@@ -1098,10 +1098,10 @@ def dags(draw):
                "diamond": lambda i: [[], tids[:1], tids[:1], tids[1:3]][i],
                "bag": lambda i: [],
                "random": lambda i: [p for p in tids[:i] if draw(st.booleans())]}[shape]
-    tasks = [TaskRecord(tid, draw(st.sampled_from(KINDS)),
-                        draw(st.sampled_from([10.0, 10.0, 30.0, 2.5])),
-                        parents=tuple(parents(i)),
-                        transfer_time=draw(st.sampled_from([0.0, 0.0, 0.0, 2.5])))
+    tasks = [_TaskDoc(tid, draw(st.sampled_from(KINDS)),
+                      draw(st.sampled_from([10.0, 10.0, 30.0, 2.5])),
+                      parents=list(parents(i)),
+                      transfer=draw(st.sampled_from([0.0, 0.0, 0.0, 2.5])))
              for i, tid in enumerate(tids)]
     return _assemble(draw(ids), tasks, 0.0, 0.0)
 

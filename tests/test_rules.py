@@ -24,8 +24,9 @@ from waasim.errors import ConfigError, SchemaError
 from waasim.estimator import EstimatorConfig
 from waasim.experiment import ExperimentConfig, TemplateConfig, config_from_dict, plan_runs
 from waasim.schema import replace
-from waasim.workflow import (TaskRecord, WorkflowSpec, _TaskDoc, _WorkflowDoc, _WorkloadDoc,
-                             generate_workload, parse_workflow, parse_workload, vina_template)
+from waasim.workflow import (TaskRecord, WorkflowSpec, WorkloadSpec, _TaskDoc, _WorkflowDoc,
+                             _WorkloadDoc, generate_workload, parse_workflow, parse_workload,
+                             serialize_workload, vina_template)
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -46,6 +47,7 @@ VALID = {
     TemplateConfig: TemplateConfig("v", "vina", [0.1], ligand_count=2, runtimes=[20.0, 12.0]),
     TaskRecord: TaskRecord("a", "k", 5.0),
     WorkflowSpec: WorkflowSpec("w", {}, 0.5),
+    WorkloadSpec: WorkloadSpec([], 2.0),
     _TaskDoc: _TaskDoc("a", "k", 5.0),
     _WorkflowDoc: _WorkflowDoc("w", 0.5, []),
     _WorkloadDoc: _WorkloadDoc(2.0, []),
@@ -83,7 +85,9 @@ PLACES = {
 BECOMES = {(_TaskDoc, "runtime"): (TaskRecord, "reference_runtime"),
            (_TaskDoc, "transfer"): (TaskRecord, "transfer_time"),
            (_WorkflowDoc, "budget"): (WorkflowSpec, "budget"),
-           (_WorkflowDoc, "arrival_time"): (WorkflowSpec, "arrival_time")}
+           (_WorkflowDoc, "arrival_time"): (WorkflowSpec, "arrival_time"),
+           (_WorkloadDoc, "arrival_rate"): (WorkloadSpec, "arrival_rate"),
+           (_WorkloadDoc, "seed"): (WorkloadSpec, "seed")}
 
 # The values every rule is tried with, and a few drawn ones.
 SPECIAL = [math.nan, math.inf, -math.inf, 1e300, -1, 0, True, sys.maxsize + 1]
@@ -140,7 +144,7 @@ def test_every_ruled_class_has_a_value_and_a_place():
     """So that a field added to any of these classes is tried below."""
     classes = {cls for cls, _, _ in RULED}
     assert classes == set(VALID)
-    assert classes - {TaskRecord, WorkflowSpec} == set(PLACES)
+    assert classes - {TaskRecord, WorkflowSpec, WorkloadSpec} == set(PLACES)
 
 
 def test_a_document_field_shares_the_rule_of_the_field_it_becomes():
@@ -307,6 +311,18 @@ def test_validate_applies_the_rules_of_the_cloud_again():
     with pytest.raises(ConfigError,
                        match=r"^cloud\.idle_threshold: must be a finite number > 0$"):
         config.validate()
+
+
+@pytest.mark.parametrize("field, value", [("arrival_rate", math.nan), ("arrival_rate", 0),
+                                          ("arrival_rate", -1), ("seed", True), ("seed", 1.5)])
+def test_a_workload_the_library_builds_is_one_its_parser_reads(field, value):
+    """Such a workload was once written into a document that `parse_workload`
+    then refused."""
+    rule = {"arrival_rate": "a finite number > 0", "seed": "an integer"}[field]
+    with pytest.raises(SchemaError, match=f"^{field}: must be {rule}$"):
+        WorkloadSpec(**{"workflows": [], "arrival_rate": 2.0, field: value})
+    workload = WorkloadSpec([vina_template(1)], 2.0, 7)
+    assert parse_workload(serialize_workload(workload)) == workload
 
 
 @pytest.mark.parametrize("field, value", [("vcpus", 0), ("memory_mb", -5)])

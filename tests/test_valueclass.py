@@ -98,14 +98,13 @@ def test_replace_changes_only_the_fields_it_is_given(value, data):
     same = replace(value)
     assert same == value and same is not value
     other = data.draw(_same_kind(value), label="other")
-    names = [f.name for f in type(value).__fields__ if f.init]
+    names = [f.name for f in type(value).__fields__]
     name = data.draw(st.sampled_from(names), label="field")
     changed = replace(value, **{name: getattr(other, name)})
     assert type(changed) is type(value)
     for f in type(value).__fields__:
         source = other if f.name == name else value
-        if f.init:
-            assert getattr(changed, f.name) == getattr(source, f.name)
+        assert getattr(changed, f.name) == getattr(source, f.name)
 
 
 def _same_kind(value):
@@ -120,11 +119,21 @@ def _same_kind(value):
 
 def test_replace_recomputes_what_init_derives():
     task = TaskRecord("a", "k", 10.0, transfer_time=2.0)
+    assert task.total_runtime == 12.0
+    assert "total_runtime" not in as_dict(task)  # an attribute, not a field
     assert replace(task, transfer_time=5.0).total_runtime == 15.0
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         replace(task, total_runtime=1.0)
     with pytest.raises(TypeError):
         replace(task, no_such_field=1)
+
+
+def test_a_value_is_unequal_to_other_types_and_as_dict_needs_a_value():
+    task = TaskRecord("a", "k", 10.0)
+    assert task.__eq__(("a", "k", 10.0, (), (), 0, 0.0)) is NotImplemented
+    assert task != 5 and task != "a"
+    with pytest.raises(TypeError, match="^as_dict\\(\\) should be called on value class"):
+        as_dict({"id": "a"})
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import build_workflow, random_dag
 from waasim.errors import CycleError, DanglingRefError, SchemaError
 from waasim.schema import replace
-from waasim.workflow import (GENOME_RUNTIMES, TaskRecord, WorkloadSpec, _assemble,
+from waasim.workflow import (GENOME_RUNTIMES, WorkloadSpec, _assemble, _TaskDoc,
                              generate_workload, genome_template, parse_workflow,
                              parse_workload, serialize_workload, vina_template,
                              workflow_to_dict, workload_hash, workload_to_dict)
@@ -110,6 +110,15 @@ def test_parse_workload_rejects_duplicate_workflow_ids():
         parse_workload(json.dumps(doc))
 
 
+def test_parse_workload_rejects_decreasing_arrival_times():
+    workflow = {"budget": 1.0, "tasks": [{"id": "A", "kind": "a", "runtime": 5}]}
+    doc = {"arrival_rate": 1.0, "workflows": [{**workflow, "id": "a", "arrival_time": 5.0},
+                                              {**workflow, "id": "b", "arrival_time": 4.0}]}
+    with pytest.raises(SchemaError,
+                       match="^workload document: arrival_time must be non-decreasing$"):
+        parse_workload(json.dumps(doc))
+
+
 def test_parse_workload_rejects_a_lone_surrogate():
     workflow = {"id": "w\ud800", "budget": 1.0, "tasks": [{"id": "A", "kind": "a", "runtime": 5}]}
     with pytest.raises(SchemaError, match=r"^workload.workflows\[0\].id: must be encodable "
@@ -123,6 +132,13 @@ def test_parse_cycle():
         {"id": "B", "kind": "b", "runtime": 1, "parents": ["A"]},
     ]}
     with pytest.raises(CycleError):
+        parse_workflow(json.dumps(doc))
+
+
+def test_parse_rejects_a_duplicate_task_id():
+    doc = {"id": "w", "budget": 0.1, "tasks": [{"id": "A", "kind": "a", "runtime": 1},
+                                               {"id": "A", "kind": "b", "runtime": 2}]}
+    with pytest.raises(SchemaError, match="^workflow 'w': duplicate task id 'A'$"):
         parse_workflow(json.dumps(doc))
 
 
@@ -276,6 +292,8 @@ NAMES = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7fé€😀'), st.ch
 # Int-valued numbers too: library and config inputs can carry them.
 NUMBERS = st.one_of(st.integers(0, 10**12), st.floats(0.0, 1e300))
 RUNTIMES = st.one_of(st.integers(1, 10**6), st.floats(1e-6, 1e12))
+# An arrival rate keeps its rule: finite and above 0.
+RATES = st.one_of(st.integers(1, 10**12), st.floats(0.0, 1e300, exclude_min=True))
 
 
 @st.composite
@@ -286,16 +304,15 @@ def workloads(draw):
         # Ids repeat across templates, on records that differ.
         ids = draw(st.lists(st.one_of(st.sampled_from("abc"), NAMES), min_size=1, max_size=5,
                             unique=True))
-        tasks = [TaskRecord(id=tid, kind=draw(NAMES), reference_runtime=draw(RUNTIMES),
-                            parents=frozenset(draw(st.lists(st.sampled_from(ids[:i]),
-                                                            unique=True)) if i else ()),
-                            transfer_time=draw(st.one_of(st.just(0.0), NUMBERS)))
+        tasks = [_TaskDoc(tid, draw(NAMES), draw(RUNTIMES),
+                          draw(st.lists(st.sampled_from(ids[:i]), unique=True)) if i else [],
+                          draw(st.one_of(st.just(0.0), NUMBERS)))
                  for i, tid in enumerate(ids)]
         templates.append(_assemble(draw(NAMES), tasks, 0.0, 0.0))
     workflows = [replace(draw(st.sampled_from(templates)), id=draw(NAMES),
                          budget=draw(NUMBERS), arrival_time=draw(NUMBERS))
                  for _ in range(draw(st.integers(0, 4)))]
-    return WorkloadSpec(workflows=workflows, arrival_rate=draw(NUMBERS),
+    return WorkloadSpec(workflows=workflows, arrival_rate=draw(RATES),
                         seed=draw(st.integers(0, 2**40)))
 
 
