@@ -8,11 +8,10 @@ import csv
 import io
 import math
 from itertools import islice
-from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from .errors import ConfigError, IllegalState, SchemaError
-from .schema import Field, as_dict, load, valueclass
+from .schema import Field, as_dict, load, valueclass, writer
 from .units import NANOS_PER_DOLLAR, USEC_PER_SEC, format_dollars, format_seconds
 
 
@@ -208,53 +207,12 @@ class ReportFold:
         return MetricsReport(scheduler, seed, workload_hash, workflows, fleet)
 
 
-# The report as `json.dumps(report.to_dict(), indent=2)` writes it: strings
-# through `encode_basestring_ascii`, numbers as `%r` gives them, which is
-# `int.__repr__` or `float.__repr__` as json uses.
-_REPORT_JSON = (
-    '{\n  "scheduler": %s,\n  "seed": %r,\n  "workload_hash": %s,\n  "workflows": %s,'
-    '\n  "fleet": {\n    "vm_counts": %s,\n    "total_vms": %r,\n    "busy_seconds": %r,'
-    '\n    "billed_seconds": %r,\n    "utilization_pct": %r,\n    "total_cost_usd": %r,'
-    '\n    "total_cost_nanos": %r\n  }\n}\n')
-_WORKFLOW_JSON = (
-    '    {\n      "workflow_id": %s,\n      "arrival_s": %r,\n      "makespan_s": %r,'
-    '\n      "cost_usd": %r,\n      "budget_usd": %r,\n      "budget_met": %s,'
-    '\n      "cost_per_budget": %s,\n      "cost_nanos": %r,\n      "makespan_us": %r\n    }')
-
-
 def report_to_json(report: MetricsReport) -> str:
     """`json.dumps(report.to_dict(), indent=2, allow_nan=False)` and a
-    newline, filled into templates. Strict JSON: the infinite
-    `cost_per_budget` of a zero-budget workflow that cost anything is written
-    as null; any other NaN or infinite number raises ValueError."""
-    text_of, isfinite = encode_basestring_ascii, math.isfinite
-    entries = [_WORKFLOW_JSON % (
-        text_of(w.workflow_id), w.arrival_s, w.makespan_s, w.cost_usd, w.budget_usd,
-        "true" if w.budget_met else "false",
-        w.cost_per_budget if isfinite(w.cost_per_budget) else "null",
-        w.cost_nanos, w.makespan_us) for w in report.workflows]
-    fleet = report.fleet
-    counts = ["      %s: %r" % (text_of(name), count) for name, count in fleet.vm_counts.items()]
-    text = _REPORT_JSON % (
-        text_of(report.scheduler), report.seed, text_of(report.workload_hash),
-        "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]",
-        "{\n" + ",\n".join(counts) + "\n    }" if counts else "{}",
-        fleet.total_vms, fleet.busy_seconds, fleet.billed_seconds, fleet.utilization_pct,
-        fleet.total_cost_usd, fleet.total_cost_nanos)
-    # `%r` writes a NaN or an infinity as nan, inf or -inf after its key's
-    # ": "; a string may hold that text too.
-    if ": nan" in text or ": inf" in text or ": -inf" in text:
-        _check_finite(report)
-    return text
-
-
-def _check_finite(report: MetricsReport) -> None:
-    """Raise ValueError, as `json.dumps(allow_nan=False)` does, if a float
-    of the report other than a `cost_per_budget` is NaN or infinite."""
-    for part in (report.fleet, *report.workflows):
-        for name, value in vars(part).items():
-            if type(value) is float and not math.isfinite(value) and name != "cost_per_budget":
-                raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    newline, as `schema.writer` writes it: the infinite `cost_per_budget` of
+    a zero-budget workflow that cost anything is null (its `if_null`), and
+    any other NaN or infinity raises ValueError."""
+    return writer(MetricsReport, 0)(report) + "\n"
 
 
 def report_from_json(text: str) -> MetricsReport:

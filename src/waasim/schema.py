@@ -1,16 +1,17 @@
-"""The one decoder of the JSON documents waasim reads: configs, workflow and
-workload documents, and reports, and the `valueclass` decorator that builds
-the classes it decodes. A value class's annotations give each field's JSON
-type; values are checked, never coerced, except that a finite int is
-read as a float where the field's metadata holds `as_float`. A field with a
-default or an `if_absent` value may be left out; a JSON null reads as the
-field's `if_null` value. The class's `__init__` checks each field's `rule`,
-for the decoder as for library use. Every error names the value's JSON path."""
+"""The one decoder and the one writer of waasim's JSON documents (configs,
+workflow and workload documents, and reports), and the `valueclass` decorator
+that builds their classes. A value class's annotations give each field's JSON
+type; values are checked, never coerced, except that a finite int is read as
+a float where the field's metadata holds `as_float`. A field with a default
+or an `if_absent` value may be left out; a JSON null reads as the field's
+`if_null` value. The class's `__init__` checks each field's `rule`, for the
+decoder as for library use. Every error names the value's JSON path."""
 
 from __future__ import annotations
 
 import json
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
 from sys import float_info
@@ -138,6 +139,72 @@ def _object_reader(cls, error):
     return read_object
 
 
+class Written(list):
+    """A list of items already written as JSON text at their place."""
+
+
+@cache
+def writer(hint, depth: int):
+    """A function write(value) -> the JSON text of a value of type `hint`
+    (an int is a float), as `json.dumps(indent=2, allow_nan=False)` writes
+    it at nesting `depth`. A value instance at depth 0 is written as its
+    `as_dict`, but that a field with `if_null` is null where its value is
+    not finite, and one with `omit_default` is left out at its default."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # X | None
+        write = writer(args[0], depth)
+        return lambda value: "null" if value is None else write(value)
+    if hasattr(hint, "__fields__"):
+        return _object_writer(hint, depth)
+    if origin is dict:  # dict[str, X]
+        write, join = writer(args[1], depth + 1), _joiner(depth, "{}")
+        return lambda value: join([f"{encode_basestring_ascii(k)}: {write(v)}"
+                                   for k, v in value.items()])
+    if origin in (list, tuple):  # list[X] or tuple[X, ...]
+        write, join = writer(args[0], depth + 1), _joiner(depth, "[]")
+        return lambda value: join(value if type(value) is Written else [write(v) for v in value])
+    return _scalar
+
+
+def _joiner(depth: int, brackets: str):
+    """A function join(texts) -> the JSON list (or, with brackets "{}", object)
+    of written items that `json.dumps(indent=2)` lays out at nesting `depth`."""
+    inner = "\n" + "  " * (depth + 1)
+    opening, between, closing = brackets[0] + inner, "," + inner, "\n" + "  " * depth + brackets[1]
+    return lambda texts: opening + between.join(texts) + closing if texts else brackets
+
+
+# A string, a number, a bool or None as `json.dumps(allow_nan=False)` writes
+# it, by json's C encoder (it has no indent to apply); and per scalar hint,
+# the expression that writes the value `v` so, inline for the hint's type.
+_scalar = json.JSONEncoder(allow_nan=False).encode
+_INLINE = {str: "text_of(v) if type(v) is str else scalar(v)",
+           int: "repr(v) if type(v) is int else scalar(v)",
+           float: "repr(v) if type(v) is float and isfinite(v) else scalar(v)",
+           bool: '"true" if v is True else "false" if v is False else scalar(v)'}
+
+
+def _object_writer(cls, depth: int):
+    """`write(obj)` for `cls` at nesting `depth`, compiled from its field
+    table by one `exec`, as its `__init__` is."""
+    env = {"scalar": _scalar, "text_of": encode_basestring_ascii, "isfinite": isfinite,
+           "join": _joiner(depth, "{}")}
+    hints, lines = get_type_hints(cls), ["texts = []"]
+    for f in cls.__fields__:
+        env[f"write_{f.name}"] = writer(hints[f.name], depth + 1)
+        text = _INLINE.get(hints[f.name], f"write_{f.name}(v)")
+        if "if_null" in f.metadata:
+            text = f'({text}) if isfinite(v) else "null"'
+        line = f"texts.append({encode_basestring_ascii(f.name) + ': '!r} + ({text}))"
+        if f.metadata.get("omit_default"):
+            env[f"default_{f.name}"] = f.default
+            line = f"if v != default_{f.name}: {line}"
+        lines += [f"v = obj.{f.name}", line]
+    exec("def write(obj):" + "".join(f"\n    {line}" for line in lines + ["return join(texts)"]),
+         env)
+    return env["write"]
+
+
 class _Sentinel:
     def __init__(self, name: str):
         self.name = name
@@ -182,8 +249,8 @@ class Rule:
 class Field:
     """One row of a value class's field table, one parameter of its
     `__init__`: its name, its default or default factory, and its metadata:
-    the decoder's `as_float`, `if_absent` and `if_null`, and the `Rule` that
-    `__init__` checks."""
+    the decoder's `as_float`, `if_absent` and `if_null`, the writer's
+    `omit_default`, and the `Rule` that `__init__` checks."""
 
     __slots__ = ("name", "default", "default_factory", "metadata")
 

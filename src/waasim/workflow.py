@@ -8,10 +8,10 @@ import math
 import random
 import sys
 from collections.abc import Iterator
-from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .errors import CycleError, DanglingRefError, SchemaError
-from .schema import Field, Rule, load, valueclass
+from .schema import Field, Rule, Written, load, valueclass, writer
 
 # Synthetic desk-scale reference runtimes (seconds on the speed-1.0 VM type).
 # No published per-task runtimes exist for these applications; values are
@@ -82,7 +82,8 @@ class WorkloadSpec:
     seed: int = Field(default=0, metadata=_SEED)
 
 
-# The workflow and workload documents as JSON holds them: numbers may be ints.
+# The workflow and workload documents as JSON holds them (numbers may be
+# ints), and as the canonical workload text writes them, in field order.
 @valueclass(error=SchemaError)
 class _TaskDoc:
     """A task of a workflow document: the facts its record is built from."""
@@ -91,7 +92,7 @@ class _TaskDoc:
     kind: str
     runtime: float = Field(metadata=_POSITIVE)
     parents: list[str] = Field(default_factory=list)
-    transfer: float = Field(default=0.0, metadata=_NON_NEGATIVE)
+    transfer: float = Field(default=0.0, metadata={**_NON_NEGATIVE, "omit_default": True})
 
 
 @valueclass(error=SchemaError)
@@ -100,8 +101,8 @@ class _WorkflowDoc:
 
     id: str
     budget: float = Field(metadata=_NON_NEGATIVE)
+    arrival_time: float = Field(metadata={**_NON_NEGATIVE, "if_absent": 0.0})
     tasks: list[_TaskDoc]
-    arrival_time: float = Field(default=0.0, metadata=_NON_NEGATIVE)
 
 
 @valueclass(error=SchemaError)
@@ -109,8 +110,8 @@ class _WorkloadDoc:
     """A workload document."""
 
     arrival_rate: float = Field(metadata=_POSITIVE)
+    seed: int = Field(metadata={**_SEED, "if_absent": 0})
     workflows: list[_WorkflowDoc]
-    seed: int = Field(default=0, metadata=_SEED)
 
 
 def _assemble(workflow_id: str, tasks: list[_TaskDoc], budget: float,
@@ -179,25 +180,6 @@ def parse_workflow(text: str) -> WorkflowSpec:
     return _workflow_spec(load(text, _WorkflowDoc, "workflow", SchemaError))
 
 
-def workflow_to_dict(spec: WorkflowSpec, with_arrival: bool = False) -> dict:
-    doc: dict = {"id": spec.id, "budget": spec.budget}
-    if with_arrival:
-        doc["arrival_time"] = spec.arrival_time
-    doc["tasks"] = []
-    for tid in sorted(spec.tasks):
-        task = spec.tasks[tid]
-        entry: dict = {
-            "id": task.id,
-            "kind": task.kind,
-            "runtime": task.reference_runtime,
-            "parents": sorted(task.parents),
-        }
-        if task.transfer_time:
-            entry["transfer"] = task.transfer_time
-        doc["tasks"].append(entry)
-    return doc
-
-
 def parse_workload(text: str) -> WorkloadSpec:
     doc = load(text, _WorkloadDoc, "workload", SchemaError)
     workflows = [_workflow_spec(w) for w in doc.workflows]
@@ -213,75 +195,36 @@ def parse_workload(text: str) -> WorkloadSpec:
                         seed=doc.seed)
 
 
-def workload_to_dict(workload: WorkloadSpec) -> dict:
-    return {
-        "arrival_rate": workload.arrival_rate,
-        "seed": workload.seed,
-        "workflows": [workflow_to_dict(w, with_arrival=True) for w in workload.workflows],
-    }
-
-
-def _json_scalar(value) -> str:
-    """`value` as `json.dumps` writes it: a string, bool, int or float."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _indented(items: list[str], depth: int, brackets: str = "[]") -> str:
-    """A JSON array (or, with brackets "{}", object) of encoded `items` as
-    `json.dumps(..., indent=2)` writes it at nesting depth `depth`."""
-    if not items:
-        return brackets
-    inner = "\n" + "  " * (depth + 1)
-    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{brackets[1]}"
-
-
-def _task_text(task: TaskRecord) -> str:
-    """The task's entry of `workload_to_dict`, encoded at its depth in a
-    workload: inside the task list of a workflow."""
-    fields = [f'"id": {_json_scalar(task.id)}',
-              f'"kind": {_json_scalar(task.kind)}',
-              f'"runtime": {_json_scalar(task.reference_runtime)}',
-              f'"parents": {_indented([_json_scalar(p) for p in task.parents], 5)}']
-    if task.transfer_time:
-        fields.append(f'"transfer": {_json_scalar(task.transfer_time)}')
-    return _indented(fields, 4, "{}")
-
-
 def _workload_text(workload: WorkloadSpec) -> Iterator[str]:
-    """The canonical text of `workload`, `json.dumps(workload_to_dict(workload),
-    indent=2)` and a newline, in one chunk per workflow, so a consumer need
-    not hold all of it. Each distinct task record is encoded once, as
-    workflows drawn from one template share them."""
-    entries: dict[int, str] = {}  # by id() of a record the workload holds
-    yield (f'{{\n  "arrival_rate": {_json_scalar(workload.arrival_rate)},'
-           f'\n  "seed": {_json_scalar(workload.seed)},\n  "workflows": ')
-    opening = "[\n    "
+    """The canonical text of `workload`, its `_WorkloadDoc` as `writer` writes
+    it and a newline, in one chunk per workflow. The specs bear the documents'
+    field names but for `tasks`, a dict of records; each distinct record is
+    written once, as a `_TaskDoc` (workflows drawn from one template share
+    them), and no workflow is checked again."""
+    write_workload = writer(_WorkloadDoc, 0)
+    if not workload.workflows:
+        yield write_workload(workload) + "\n"
+        return
+    # Two stand-in entries split the text before, between and after the
+    # workflows; a written string holds a NUL only as the escape \u0000.
+    doc = SimpleNamespace(**vars(workload))
+    doc.workflows = Written(["\0", "\0"])
+    before, between, after = write_workload(doc).split("\0")
+    # In the document, a workflow is at depth 2 (in its list), a task at 4.
+    write_workflow, write_task = writer(_WorkflowDoc, 2), writer(_TaskDoc, 4)
+    texts: dict[int, str] = {}  # by id() of a record the workload holds
     for spec in workload.workflows:
-        tasks = []
+        entry = SimpleNamespace(**vars(spec))
+        tasks = entry.tasks = Written()
         for task in spec.tasks.values():
-            text = entries.get(id(task))
+            text = texts.get(id(task))
             if text is None:
-                text = entries[id(task)] = _task_text(task)
+                text = texts[id(task)] = write_task(_TaskDoc(
+                    task.id, task.kind, task.reference_runtime, task.parents, task.transfer_time))
             tasks.append(text)
-        fields = [f'"id": {_json_scalar(spec.id)}',
-                  f'"budget": {_json_scalar(spec.budget)}',
-                  f'"arrival_time": {_json_scalar(spec.arrival_time)}',
-                  f'"tasks": {_indented(tasks, 3)}']
-        yield opening + _indented(fields, 2, "{}")
-        opening = ",\n    "
-    yield "\n  ]\n}\n" if workload.workflows else "[]\n}\n"
+        yield before + write_workflow(entry)
+        before = between
+    yield after + "\n"
 
 
 def serialize_workload(workload: WorkloadSpec) -> str:
@@ -365,8 +308,10 @@ def generate_workload(catalog: list[tuple[WorkflowSpec, float]], count: int,
         raise ValueError("catalog must be non-empty")
     if not 1 <= count <= sys.maxsize:
         raise ValueError(f"count must be >= 1 and <= {sys.maxsize}")
-    if not 0 < rate_wf_per_min < math.inf:
+    if type(rate_wf_per_min) is bool or not 0 < rate_wf_per_min < math.inf:
         raise ValueError("rate must be finite and > 0")
+    if type(seed) is not int:
+        raise ValueError("seed must be an integer")
     for i, (_, budget) in enumerate(catalog):
         if not (math.isfinite(budget) and budget >= 0):
             raise ValueError(f"catalog[{i}]: budget must be finite and >= 0")

@@ -54,6 +54,35 @@ def single_workload(spec: WorkflowSpec, arrival=0.0) -> WorkloadSpec:
     return WorkloadSpec(workflows=[wf], arrival_rate=1.0, seed=0)
 
 
+
+# The reference dicts of the canonical texts: `json.dumps(..., indent=2)`
+# of these is what `serialize_workload` must write.
+def workflow_to_dict(spec: WorkflowSpec, with_arrival: bool = False) -> dict:
+    doc: dict = {"id": spec.id, "budget": spec.budget}
+    if with_arrival:
+        doc["arrival_time"] = spec.arrival_time
+    doc["tasks"] = []
+    for tid in sorted(spec.tasks):
+        task = spec.tasks[tid]
+        entry: dict = {
+            "id": task.id,
+            "kind": task.kind,
+            "runtime": task.reference_runtime,
+            "parents": sorted(task.parents),
+        }
+        if task.transfer_time:
+            entry["transfer"] = task.transfer_time
+        doc["tasks"].append(entry)
+    return doc
+
+
+def workload_to_dict(workload: WorkloadSpec) -> dict:
+    return {
+        "arrival_rate": workload.arrival_rate,
+        "seed": workload.seed,
+        "workflows": [workflow_to_dict(w, with_arrival=True) for w in workload.workflows],
+    }
+
 class TraceEvent:
     """A view of one record, built on demand."""
 

@@ -466,13 +466,15 @@ def test_failed_run_leaves_the_records_it_emitted(tmp_path, monkeypatch, chunk):
 def test_run_files_are_written_without_the_pure_python_json_encoder(tmp_path, monkeypatch):
     """`json.dumps` with an indent runs CPython's pure-Python encoder, several
     times slower than its C one, so a run's files must be written without
-    it: with that encoder made to raise, `report_to_json` and one traced
-    run's writes succeed and give the files of an unguarded run. (A sweep's
-    manifest.json and config.json, written once, still use it.)"""
+    it: with that encoder made to raise, `report_to_json`, `serialize_workload`
+    (the `gen-workload` path) and one traced run's writes succeed and give
+    the files of an unguarded run. (A sweep's manifest.json and config.json,
+    written once, still use it.)"""
     import json.encoder
 
     from waasim.experiment import _write_run
     from waasim.metrics import report_to_json
+    from waasim.workflow import serialize_workload
 
     config = desk_config(write_traces=True, workflow_count=12)
     spec = plan_runs(config)[0]
@@ -481,6 +483,10 @@ def test_run_files_are_written_without_the_pure_python_json_encoder(tmp_path, mo
     guarded.mkdir()
     report = _write_run(config, spec, plain)
     text = report_to_json(report)
+    # The run's workload, as `gen-workload` writes one.
+    workload = generate_workload(config.build_catalog(), config.workflow_count, spec.rate,
+                                 spec.workload_seed)
+    workload_text = serialize_workload(workload)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the pure-Python JSON encoder ran")
@@ -489,6 +495,7 @@ def test_run_files_are_written_without_the_pure_python_json_encoder(tmp_path, mo
     with pytest.raises(AssertionError, match="pure-Python"):
         json.dumps({}, indent=2)
     assert report_to_json(report) == text
+    assert serialize_workload(workload) == workload_text
     assert _write_run(config, spec, guarded) == report
     names = sorted(path.name for path in plain.iterdir())
     assert names == sorted(path.name for path in guarded.iterdir())

@@ -27,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (LARGE, MICRO, TraceEvent, build_workflow, chain_workflow, random_dag,
-                      render, single_workload)
+                      render, single_workload, workload_to_dict)
 from waasim import engine, experiment, metrics
 from waasim import scheduler as scheduler_module
 from waasim.cloud import (IDLE, TERMINATED, CloudConfig, Fleet, VariabilityConfig, VmType,
@@ -43,8 +43,7 @@ from waasim.scheduler import (SCHEDULER_NAMES, Assign, BudgetLedger, CostRows, E
 from waasim.schema import as_dict, replace
 from waasim.units import (USEC_PER_SEC, format_dollars, format_seconds, nanos,
                           substream_seed, usec)
-from waasim.workflow import (WorkloadSpec, _assemble, _TaskDoc, generate_workload,
-                             workload_to_dict)
+from waasim.workflow import WorkloadSpec, _assemble, _TaskDoc, generate_workload
 
 CATALOG = default_catalog()
 KINDS = ("k0", "k1", "k2", "k3")

@@ -49,8 +49,8 @@ VALID = {
     WorkflowSpec: WorkflowSpec("w", {}, 0.5),
     WorkloadSpec: WorkloadSpec([], 2.0),
     _TaskDoc: _TaskDoc("a", "k", 5.0),
-    _WorkflowDoc: _WorkflowDoc("w", 0.5, []),
-    _WorkloadDoc: _WorkloadDoc(2.0, []),
+    _WorkflowDoc: _WorkflowDoc("w", 0.5, 0.0, []),
+    _WorkloadDoc: _WorkloadDoc(2.0, 0, []),
 }
 
 # Small valid documents, and where each ruled class sits in them.

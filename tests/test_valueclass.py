@@ -21,7 +21,7 @@ from waasim.errors import WaasimError
 from waasim.estimator import EstimatorConfig
 from waasim.experiment import ExperimentConfig, TemplateConfig
 from waasim.metrics import FleetMetrics, MetricsReport, WorkflowMetrics
-from waasim.schema import as_dict, decode, replace
+from waasim.schema import as_dict, decode, replace, writer
 from waasim.workflow import TaskRecord
 
 # Text the decoder accepts: no lone surrogate, which UTF-8 cannot hold.
@@ -76,20 +76,30 @@ frozen_values = vm_types | variabilities | estimators | task_records
 values = configs | reports | clouds | templates | frozen_values
 
 
-def document(value) -> dict:
-    """`as_dict(value)` as JSON reads it back: tuples become lists, and an
-    infinite `cost_per_budget` is null, as `report_to_json` writes it."""
-    doc = json.loads(json.dumps(as_dict(value)))
+def strict_dict(value) -> dict:
+    """`as_dict(value)` with an infinite `cost_per_budget` as None, as
+    `report_to_json` writes it."""
+    doc = as_dict(value)
     for w in doc.get("workflows", ()):
         if w["cost_per_budget"] == math.inf:
             w["cost_per_budget"] = None
     return doc
 
 
+def document(value) -> dict:
+    """`strict_dict(value)` as JSON reads it back: tuples become lists."""
+    return json.loads(json.dumps(strict_dict(value)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(value=configs | reports)
 def test_decoding_as_dict_gives_the_value_back(value):
+    """The decoder reads `as_dict` back, and `writer` writes what
+    `json.dumps(indent=2, allow_nan=False)` writes, which it reads back too."""
     assert decode(document(value), type(value), "value", WaasimError) == value
+    text = writer(type(value), 0)(value)
+    assert text == json.dumps(strict_dict(value), indent=2, allow_nan=False)
+    assert decode(json.loads(text), type(value), "value", WaasimError) == value
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,16 +7,16 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_workflow, random_dag
+from conftest import build_workflow, random_dag, workflow_to_dict, workload_to_dict
 from waasim.errors import CycleError, DanglingRefError, SchemaError
 from waasim.schema import replace
 from waasim.workflow import (GENOME_RUNTIMES, WorkloadSpec, _assemble, _TaskDoc,
                              generate_workload, genome_template, parse_workflow,
                              parse_workload, serialize_workload, vina_template,
-                             workflow_to_dict, workload_hash, workload_to_dict)
+                             workload_hash)
 
 
 def test_parse_single_task():
@@ -318,6 +318,9 @@ def workloads(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(workloads())
+# The rules admit -0.0, which equals 0.0: a transfer of -0.0 is left out as
+# 0.0 is, and a budget of -0.0 is written as json.dumps writes it.
+@example(WorkloadSpec([_assemble("w", [_TaskDoc("a", "k", 1.0, [], -0.0)], -0.0, 0.0)], 1.0))
 def test_canonical_text_is_indented_json_dumps(workload):
     text = json.dumps(workload_to_dict(workload), indent=2) + "\n"
     assert serialize_workload(workload) == text
@@ -334,6 +337,14 @@ def test_generate_workload_argument_errors():
         generate_workload(catalog, 5, 0.0, seed=0)
     with pytest.raises(ValueError, match="arrival time inf s"):
         generate_workload(catalog, 2, 1e-310, seed=1)
+    # A bool rate, and a seed that is not an int, are refused before any draw.
+    with pytest.raises(ValueError, match="^rate must be finite and > 0$") as refused:
+        generate_workload([(vina_template(1), 0.1)], 3, True, 1)
+    assert type(refused.value) is ValueError
+    for seed in (True, 1.5):
+        with pytest.raises(ValueError, match="^seed must be an integer$") as refused:
+            generate_workload(catalog, 3, 6.0, seed)
+        assert type(refused.value) is ValueError
     # Budgets that `parse_workload` would reject in the workload they make.
     for budget in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError,
