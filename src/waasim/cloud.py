@@ -179,8 +179,9 @@ def finalize_billing(vm: VmInstance) -> tuple[int, int]:
 
 
 class Fleet:
-    """All instances ever leased by one simulation, live and terminated, and
-    the only keeper of their lifecycle. Calls come in non-decreasing time.
+    """The live instances of one simulation, provisioned and not yet
+    terminated, and the only keeper of their lifecycle; `leased` counts every
+    instance ever leased. Calls come in non-decreasing time.
     An instance comes up busy with the task it was leased for, then moves
     idle -> busy, busy -> idle, and idle or busy -> terminated; any other
     transition raises IllegalState."""
@@ -192,21 +193,23 @@ class Fleet:
         self.deprovisioning_delay_us = config.deprovisioning_delay_us
         self.idle_threshold_us = config.idle_threshold_us
         self.instances: dict[str, VmInstance] = {}
+        self.leased = 0
         # The instances in state IDLE, in the order they went idle: idle-since order.
         self._idle: dict[str, VmInstance] = {}
-        # Per type name, a heap of the ids of its idle instances, least id
-        # string first: the order in which dispatch breaks ties. An id enters
-        # when a task on its instance finishes and leaves when dispatch takes
-        # it; the id of an instance the idle scan terminated is dropped when
-        # it reaches the top. So each id is in its heap at most once.
-        self._heads: dict[str, list[str]] = {}
+        # Per type name, a heap of (id, instance) of its idle instances, least
+        # id string first: the order in which dispatch breaks ties. An entry
+        # enters when a task on its instance finishes and leaves when dispatch
+        # takes it; that of an instance the idle scan terminated is dropped
+        # when it reaches the top. So each id is in its heap at most once, and
+        # no comparison reaches an instance.
+        self._heads: dict[str, list[tuple[str, VmInstance]]] = {}
         # Terminated instances release_due has not returned, in termination
         # order, which is release order as the deprovisioning delay is constant.
         self._releasing: deque[VmInstance] = deque()
-        self._live = 0
 
     def provision(self, vm_type: VmType, now_us: int) -> VmInstance:
-        seq = len(self.instances) + 1
+        self.leased += 1
+        seq = self.leased
         available = now_us + self.provisioning_delay_us
         vm = VmInstance(
             id=f"vm-{seq:04d}",
@@ -217,7 +220,6 @@ class Fleet:
             billing_start_us=now_us if self.config.bill_provisioning else available,
         )
         self.instances[vm.id] = vm
-        self._live += 1
         return vm
 
     def mark_available(self, vm: VmInstance) -> None:
@@ -237,7 +239,7 @@ class Fleet:
         vm.state = IDLE
         vm.idle_since_us = now_us
         self._idle[vm.id] = vm
-        heapq.heappush(self._heads.setdefault(vm.vm_type.name, []), vm.id)
+        heapq.heappush(self._heads.setdefault(vm.vm_type.name, []), (vm.id, vm))
 
     def terminate(self, vm: VmInstance, now_us: int) -> None:
         if vm.state == IDLE:
@@ -246,7 +248,7 @@ class Fleet:
             raise IllegalState(f"{vm.id}: cannot terminate while {vm.state}")
         vm.state = TERMINATED
         vm.terminated_at_us = now_us
-        self._live -= 1
+        del self.instances[vm.id]
         self._releasing.append(vm)
 
     def idle_scan(self, now_us: int) -> list[VmInstance]:
@@ -264,23 +266,23 @@ class Fleet:
         """The idle instances, in the order they went idle."""
         return list(self._idle.values())
 
-    def idle_head(self, vm_type: VmType) -> str | None:
-        """The least id string among the idle instances of `vm_type`, or
-        None if it has none."""
+    def idle_head(self, vm_type: VmType) -> VmInstance | None:
+        """The idle instance of `vm_type` least in id string, or None if it
+        has none."""
         heap = self._heads.get(vm_type.name)
-        while heap and self.instances[heap[0]].state != IDLE:
+        while heap and heap[0][1].state != IDLE:
             heapq.heappop(heap)
-        return heap[0] if heap else None
+        return heap[0][1] if heap else None
 
-    def take_idle_head(self, vm_type: VmType) -> str:
+    def take_idle_head(self, vm_type: VmType) -> VmInstance:
         """Take `idle_head(vm_type)` out of the index, so that no later call
         returns it before it goes idle again. The instance stays IDLE until
         its task starts."""
-        vm_id = self.idle_head(vm_type)
-        if vm_id is None:
+        vm = self.idle_head(vm_type)
+        if vm is None:
             raise IllegalState(f"no idle {vm_type.name} instance")
         heapq.heappop(self._heads[vm_type.name])
-        return vm_id
+        return vm
 
     def release_due(self, now_us: int) -> list[VmInstance]:
         """The terminated instances whose deprovisioning delay has passed
@@ -295,7 +297,7 @@ class Fleet:
         """Whether any instance is still held: live, or terminated but not
         yet past the deprovisioning delay."""
         cutoff = now_us - self.deprovisioning_delay_us
-        return self._live > 0 or (
+        return bool(self.instances) or (
             bool(self._releasing) and self._releasing[-1].terminated_at_us > cutoff)
 
     def next_due_us(self) -> int | None:

@@ -26,8 +26,9 @@ _CHUNK = 512
 
 
 class WorkflowRun:
-    """Mutable per-run state for one workflow instance; `spec` is shared
-    and never changed."""
+    """Mutable per-run state for one workflow instance, made when it arrives
+    and held by nothing once its last task completes; `spec` is shared and
+    never changed."""
 
     __slots__ = ("spec", "arrival_us", "budget_nanos", "plan", "ledger",
                  "pending_parents", "unfinished", "cost_nanos")
@@ -36,12 +37,11 @@ class WorkflowRun:
         self.spec = spec
         self.arrival_us = arrival_us
         self.budget_nanos = budget_nanos
-        # The policy's plan and budget ledger for this workflow, set on
-        # arrival and dropped when the workflow completes.
+        # The policy's plan and budget ledger for this workflow, set on arrival.
         self.plan = None
         self.ledger: BudgetLedger | None = None
-        self.pending_parents: dict[str, int] = {}
-        self.unfinished = 0
+        self.pending_parents = {tid: len(t.parents) for tid, t in spec.tasks.items()}
+        self.unfinished = len(spec.tasks)
         self.cost_nanos = 0
 
 
@@ -79,7 +79,7 @@ class _Simulation:
         # Handlers append records here; `_flush` hands them to the sink.
         self._chunk: list[tuple] = []
         self._append = self._chunk.append
-        self.runs: dict[str, WorkflowRun] = {}
+        self._workflows = len(workload.workflows)
         self._completed = 0
         self._next_tick_us: int | None = None
         self._scan_interval_us = cloud.scan_interval_us
@@ -96,16 +96,12 @@ class _Simulation:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> SimulationResult:
+        ids = set()
         for wf in self.workload.workflows:
-            if wf.id in self.runs:
+            if wf.id in ids:
                 raise ConfigError(f"workflow id {wf.id!r} occurs more than once in the workload")
-            run = WorkflowRun(
-                spec=wf,
-                arrival_us=usec(wf.arrival_time),
-                budget_nanos=nanos(wf.budget),
-            )
-            self.runs[wf.id] = run
-            self._push(run.arrival_us, self._on_arrival, (run,))
+            ids.add(wf.id)
+            self._push(usec(wf.arrival_time), self._on_arrival, (wf, nanos(wf.budget)))
 
         # A run that raises still hands the sink every record it emitted.
         chunk = self._chunk
@@ -123,11 +119,11 @@ class _Simulation:
                 if self._finished():
                     break
 
-            unfinished = len(self.runs) - self._completed
+            unfinished = self._workflows - self._completed
             if unfinished:
                 raise StallError(f"event queue drained with {unfinished} unfinished workflows")
             self._append((self.clock_us, "simulation_end",
-                          len(self.runs), len(self.fleet.instances)))
+                          self._workflows, self.fleet.leased))
         finally:
             self._flush()
         report = self._fold.report(self.policy.name, self.seed, workload_hash(self.workload))
@@ -140,19 +136,16 @@ class _Simulation:
             self._chunk.clear()
 
     def _finished(self) -> bool:
-        return (self._completed == len(self.runs)
+        return (self._completed == self._workflows
                 and not self.fleet.unreleased(self.clock_us))
 
     # -- event handlers -----------------------------------------------------
 
-    def _on_arrival(self, run: WorkflowRun) -> None:
-        tasks = run.spec.tasks
-        run.pending_parents = {tid: len(t.parents) for tid, t in tasks.items()}
-        run.unfinished = len(tasks)
-        self._append((self.clock_us, "workflow_arrival", run.spec.id, len(tasks),
-                      run.budget_nanos))
+    def _on_arrival(self, spec, budget_nanos: int) -> None:
+        run = WorkflowRun(spec, self.clock_us, budget_nanos)
+        self._append((self.clock_us, "workflow_arrival", spec.id, len(spec.tasks), budget_nanos))
         self.policy.on_arrival(run)
-        for task in tasks.values():
+        for task in spec.tasks.values():
             if not task.parents:
                 self._make_ready(run, task)
 
@@ -197,10 +190,6 @@ class _Simulation:
                 self._make_ready(run, run.spec.tasks[child_id])
 
         if run.unfinished == 0:
-            # Nothing reads a finished workflow's dependency counts, plan or
-            # ledger again.
-            run.pending_parents.clear()
-            run.plan = run.ledger = None
             self._completed += 1
             self._append((self.clock_us, "workflow_complete", run.spec.id,
                           self.clock_us - run.arrival_us, run.cost_nanos))
@@ -217,10 +206,11 @@ class _Simulation:
             self._append((self.clock_us, "vm_released", vm.id))
 
     def _dispatch(self) -> None:
-        # The target tells the decisions apart (see scheduler.Assign, Provision).
+        # The target tells the decisions apart: an idle VM to reuse or a VM
+        # type to lease (see scheduler.Assign, Provision).
         for run, task, target in self.policy.schedule_ready(self.fleet):
-            if type(target) is str:
-                vm = self.fleet.instances[target]
+            if type(target) is VmInstance:
+                vm = target
                 self.fleet.start_task(vm)
                 self._append((self.clock_us, "task_assign", run.spec.id, task.id,
                               vm.id, vm.vm_type.name))

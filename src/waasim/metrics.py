@@ -123,21 +123,22 @@ _REPORTED = frozenset(("task_start", "provision_request", "vm_terminated",
 class ReportFold:
     """Folds one run's records (`RECORD_FIELDS` gives their layout) into the
     figures of its report, chunk by chunk, in event order. It reads five
-    kinds of record and skips the rest, so a stored list trace can be folded
+    kinds of record and skips the rest, and the completion of a workflow
+    whose arrival it has not read, so a stored list trace can be folded
     again to rebuild its run's report. The VM counts start at zero for each
     type of `catalog`, in catalog order."""
 
     def __init__(self, catalog):
         self.vm_counts = {t.name: 0 for t in catalog}
-        # Per workflow id, (arrival_us, budget_nanos) and (makespan_us, cost_nanos).
-        self.arrivals: dict[str, tuple[int, int]] = {}
-        self.completions: dict[str, tuple[int, int]] = {}
+        # Per workflow id, (arrival_us, budget_nanos) from its arrival,
+        # extended by (makespan_us, cost_nanos) at its completion.
+        self.workflows: dict[str, tuple[int, ...]] = {}
         self.busy_us = 0
         self.billed_s = 0
         self.bill_nanos = 0
 
     def extend(self, records: Iterable[tuple]) -> None:
-        counts, arrivals, completions = self.vm_counts, self.arrivals, self.completions
+        counts, workflows = self.vm_counts, self.workflows
         busy_us, billed_s, bill_nanos = self.busy_us, self.billed_s, self.bill_nanos
         reported = _REPORTED
         # Most frequent first.
@@ -153,9 +154,9 @@ class ReportFold:
                 billed_s += rec[3]
                 bill_nanos += rec[4]
             elif event == "workflow_arrival":
-                arrivals[rec[2]] = rec[0], rec[4]
-            elif event == "workflow_complete":
-                completions[rec[2]] = rec[3], rec[4]
+                workflows[rec[2]] = rec[0], rec[4]
+            elif event == "workflow_complete" and rec[2] in workflows:
+                workflows[rec[2]] = workflows[rec[2]][:2] + (rec[3], rec[4])
         self.busy_us, self.billed_s, self.bill_nanos = busy_us, billed_s, bill_nanos
 
     def report(self, scheduler: str, seed: int, workload_hash: str) -> MetricsReport:
@@ -166,11 +167,10 @@ class ReportFold:
         too_large = "its cost or time is too large to report as a float"
         workflows = []
         try:
-            for wf_id in sorted(self.arrivals):
-                arrival_us, budget_nanos = self.arrivals[wf_id]
-                if wf_id not in self.completions:
+            for wf_id in sorted(self.workflows):
+                if len(self.workflows[wf_id]) == 2:
                     raise IllegalState(f"workflow {wf_id!r} has not completed")
-                makespan_us, cost_nanos = self.completions[wf_id]
+                arrival_us, budget_nanos, makespan_us, cost_nanos = self.workflows[wf_id]
                 if budget_nanos > 0:
                     ratio = cost_nanos / budget_nanos
                 else:

@@ -14,7 +14,7 @@ import weakref
 from collections import deque
 from typing import NamedTuple
 
-from .cloud import CloudConfig, Fleet, VmType, estimated_cost_nanos
+from .cloud import CloudConfig, Fleet, VmInstance, VmType, estimated_cost_nanos
 from .errors import ConfigError, IllegalState
 from .estimator import EstimatorConfig, RuntimeEstimator
 from .units import usec
@@ -259,14 +259,14 @@ def update_budget(ledger: BudgetLedger, finished: TaskRecord, actual_cost_nanos:
 
 
 class Assign(NamedTuple):
-    """Dispatch decision: run the task on the idle instance `vm_id`, a str."""
+    """Dispatch decision: run the task on the idle instance `vm`."""
     run: object
     task: TaskRecord
-    vm_id: str
+    vm: VmInstance
 
 
 class Provision(NamedTuple):
-    """Dispatch decision: lease a new `vm_type`, never a str, for the task."""
+    """Dispatch decision: lease a new `vm_type`, never a VmInstance, for the task."""
     run: object
     task: TaskRecord
     vm_type: VmType
@@ -352,9 +352,9 @@ class EbpsmPolicy:
                 continue
             if provision is None:
                 provision = vm_type
-            vm_id = fleet.idle_head(vm_type)
-            if vm_id is not None:
-                key = (est_us, vm_type.price_nanos, vm_id)
+            vm = fleet.idle_head(vm_type)
+            if vm is not None:
+                key = (est_us, vm_type.price_nanos, vm.id)
                 if best is None or key < best:
                     best, best_type = key, vm_type
         if best is not None:

@@ -106,8 +106,12 @@ def _reader(hint, error, as_float: bool):
     return read_scalar
 
 
+# A class's resolved annotations, read once for its reader and its writers.
+_hints = cache(get_type_hints)
+
+
 def _object_reader(cls, error):
-    hints, table = get_type_hints(cls), cls.__fields__
+    hints, table = _hints(cls), cls.__fields__
     names = frozenset(f.name for f in table)
     if_absent = {f.name: f.metadata["if_absent"] for f in table if "if_absent" in f.metadata}
     readers = []  # (field name, reader, whether the document must hold it)
@@ -189,7 +193,7 @@ def _object_writer(cls, depth: int):
     table by one `exec`, as its `__init__` is."""
     env = {"scalar": _scalar, "text_of": encode_basestring_ascii, "isfinite": isfinite,
            "join": _joiner(depth, "{}")}
-    hints, lines = get_type_hints(cls), ["texts = []"]
+    hints, lines = _hints(cls), ["texts = []"]
     for f in cls.__fields__:
         env[f"write_{f.name}"] = writer(hints[f.name], depth + 1)
         text = _INLINE.get(hints[f.name], f"write_{f.name}(v)")

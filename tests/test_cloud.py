@@ -102,7 +102,7 @@ LEGAL = {("provisioning", "mark_available"): "busy", ("idle", "start_task"): "bu
 def test_only_five_transitions_are_legal(state, move):
     """A VM comes up busy with the task it was leased for, so, among the
     rest, starting a task on a VM that just came up raises; the idle index
-    holds a VM exactly while it is idle."""
+    holds a VM exactly while it is idle, and the fleet while it is live."""
     fleet = Fleet(CloudConfig(provisioning_delay=0.0))
     vm = in_state(fleet, state)
     if (state, move) in LEGAL:
@@ -114,7 +114,8 @@ def test_only_five_transitions_are_legal(state, move):
         assert vm.state == state
     idle = vm.state == "idle"
     assert fleet.idle_instances() == ([vm] if idle else [])
-    assert fleet.idle_head(vm.vm_type) == (vm.id if idle else None)
+    assert fleet.idle_head(vm.vm_type) is (vm if idle else None)
+    assert fleet.instances == ({} if vm.state == "terminated" else {vm.id: vm})
 
 
 def test_idle_scan_boundary():
@@ -349,20 +350,23 @@ def test_fastest_and_cheapest():
 
 
 def test_fleet_cost_conservation(mono_cloud, oracle):
-    """Each VM is billed the ceil of its lease seconds, and the bills sum to
-    the report's fleet cost."""
+    """Each VM leased is billed once, the ceil of its lease seconds from its
+    availability to its termination, and the bills sum to the report's
+    fleet cost."""
     spec = chain_workflow([30.0, 45.0, 15.0], budget=1.0)
-    sim = engine._Simulation(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
-    result = sim.run()
-    bills = {ev.fields["vm"]: ev.fields for ev in events(result.trace)
-             if ev.name == "vm_terminated"}
-    assert bills.keys() == sim.fleet.instances.keys()
-    for vm in sim.fleet.instances.values():
-        assert vm.state == "terminated"
-        lease_us = vm.terminated_at_us - vm.billing_start_us
-        assert bills[vm.id]["billed_s"] == -(-lease_us // 1_000_000)
-        assert bills[vm.id]["bill_nanos"] == bills[vm.id]["billed_s"] * vm.vm_type.price_nanos
-    assert sum(f["bill_nanos"] for f in bills.values()) == result.report.fleet.total_cost_nanos
+    result = engine.run(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
+    leases = {ev.fields["vm"]: ev for ev in events(result.trace)
+              if ev.name == "provision_request"}
+    bills = {ev.fields["vm"]: ev for ev in events(result.trace) if ev.name == "vm_terminated"}
+    assert bills.keys() == leases.keys()
+    types = {t.name: t for t in mono_cloud.catalog}
+    for vm, bill in bills.items():
+        lease_us = bill.time_us - leases[vm].fields["available_at_us"]
+        price_nanos = types[leases[vm].fields["type"]].price_nanos
+        assert bill.fields["billed_s"] == -(-lease_us // 1_000_000)
+        assert bill.fields["bill_nanos"] == bill.fields["billed_s"] * price_nanos
+    assert (sum(ev.fields["bill_nanos"] for ev in bills.values())
+            == result.report.fleet.total_cost_nanos)
 
 
 def test_no_idle_exceeds_threshold_plus_scan(mono_cloud, oracle):

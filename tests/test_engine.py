@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -163,28 +164,42 @@ def test_scan_ticks_only_where_a_vm_can_come_due(monkeypatch, oracle):
 
 
 def test_every_vm_terminated_before_end(mono_cloud, oracle):
+    """Every VM leased is terminated once, before `simulation_end`."""
     spec = genome_template("chr22", 4, budget=1.0)
-    sim = engine._Simulation(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
-    result = sim.run()
-    assert all(vm.state == "terminated" for vm in sim.fleet.instances.values())
-    terminated = {ev.fields["vm"] for ev in events(result.trace) if ev.name == "vm_terminated"}
-    assert terminated == set(sim.fleet.instances)
+    trace = events(engine.run(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0).trace)
+    leased = [ev.fields["vm"] for ev in trace if ev.name == "provision_request"]
+    terminated = [ev.fields["vm"] for ev in trace[:-1] if ev.name == "vm_terminated"]
+    assert sorted(terminated) == sorted(set(leased)) == sorted(leased)
+    assert trace[-1].name == "simulation_end"
 
 
 def test_fleet_cost_matches_trace_bills(mono_cloud, oracle):
-    """Each `vm_terminated` record bills the ceil of its VM's lease, and the
-    bills sum to the report's fleet cost."""
+    """Each `vm_terminated` record bills the ceil of its VM's lease, from
+    its availability to its termination, and the bills sum to the report's
+    fleet cost."""
     spec = genome_template("chr21", 3, budget=1.0)
-    sim = engine._Simulation(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
-    result = sim.run()
-    billed = 0
+    result = engine.run(single_workload(spec), "ebpsm", mono_cloud, oracle, seed=0)
+    available_at, billed = {}, 0
     for ev in events(result.trace):
-        if ev.name == "vm_terminated":
-            vm = sim.fleet.instances[ev.fields["vm"]]
-            lease_us = vm.terminated_at_us - vm.billing_start_us
+        if ev.name == "provision_request":
+            available_at[ev.fields["vm"]] = ev.fields["available_at_us"]
+        elif ev.name == "vm_terminated":
+            lease_us = ev.time_us - available_at.pop(ev.fields["vm"])
             assert ev.fields["billed_s"] == -(-lease_us // 1_000_000)
             billed += ev.fields["bill_nanos"]
+    assert available_at == {}
     assert billed == result.report.fleet.total_cost_nanos > 0
+
+
+@pytest.mark.parametrize("scheduler", ["ebpsm", "fcfs"])
+def test_a_run_ends_with_no_live_vm(mono_cloud, oracle, scheduler):
+    """The fleet holds only live VMs: none is left after a run, and its
+    lease count is the `simulation_end` record's VM count."""
+    workload = generate_workload([(genome_template("g", 4), 0.05)], 20, 6.0, seed=5)
+    sim = engine._Simulation(workload, scheduler, mono_cloud, oracle, seed=5)
+    end = events(sim.run().trace)[-1]
+    assert sim.fleet.instances == {}
+    assert sim.fleet.leased == end.fields["vms"] > 1
 
 
 class RecordingSink:
@@ -279,18 +294,16 @@ def test_duplicate_workflow_ids_are_rejected_before_any_record(mono_cloud, oracl
 @pytest.mark.parametrize("mode", ["oracle", "history"])
 def test_finished_workflows_release_their_state(monkeypatch, mode):
     """Whether its workflows share their template's task mapping or were
-    parsed one by one, a run leaves the policy no plan and each workflow no
-    plan, ledger or dependency counts. Under "history" with variable
-    runtimes the cost rows change mid-run, so plans go stale and are
-    replaced while older workflows still hold them."""
-    policies, runs, replaced = [], [], []
+    parsed one by one, a run leaves the policy no plan. Under "history" with
+    variable runtimes the cost rows change mid-run, so plans go stale and
+    are replaced while older workflows still hold them."""
+    policies, replaced = [], []
 
     def capture(*args):
         policy = make_policy(*args)
         on_arrival = policy.on_arrival
 
         def record_arrival(run):
-            runs.append(run)
             held = policy._plans.get(id(run.spec.tasks))
             replaced.append(held is not None and held.changes != policy.costs.changes)
             on_arrival(run)
@@ -307,11 +320,43 @@ def test_finished_workflows_release_their_state(monkeypatch, mode):
     cloud = CloudConfig(variability=VariabilityConfig("lognormal", 0.2))
     for workload in (shared, parsed):
         engine.run(workload, "ebpsm", cloud, EstimatorConfig(mode), seed=0)
-    assert len(policies) == 2 and len(runs) == 12
+    assert len(policies) == 2 and len(replaced) == 12
     assert any(replaced) == (mode == "history")
     assert all(len(policy._plans) == 0 for policy in policies)
-    assert all(run.plan is None and run.ledger is None and not run.pending_parents
-               for run in runs)
+
+
+@pytest.mark.parametrize("scheduler", ["ebpsm", "fcfs"])
+def test_the_engine_holds_no_finished_run(monkeypatch, oracle, scheduler):
+    """A workflow's run lives from its arrival to its completion: when a
+    chunk reaches the sink, no run whose `workflow_complete` reached it in
+    an earlier chunk is still held. Each time step is its own chunk here."""
+    made = {}
+
+    class TrackedRun(engine.WorkflowRun):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, spec, *args, **kwargs):
+            super().__init__(spec, *args, **kwargs)
+            made[spec.id] = weakref.ref(self)
+
+    class Sink(list):
+        def __init__(self):
+            super().__init__()
+            self.completed, self.checked = [], 0
+
+        def extend(self, records):
+            assert [wid for wid in self.completed if made[wid]() is not None] == []
+            self.checked += len(self.completed)
+            self.completed += [rec[2] for rec in records if rec[1] == "workflow_complete"]
+            super().extend(records)
+
+    monkeypatch.setattr(engine, "WorkflowRun", TrackedRun)
+    monkeypatch.setattr(engine, "_CHUNK", 1)
+    workload = generate_workload([(genome_template("g", 4), 0.05)], 30, 6.0, seed=5)
+    sink = Sink()
+    engine.run(workload, scheduler, CloudConfig(catalog=(MICRO,)), oracle, seed=5, trace=sink)
+    assert len(made) == len(sink.completed) == 30
+    assert sink.checked > 30
 
 
 def test_variability_changes_runtimes_reproducibly(oracle):

@@ -37,8 +37,8 @@ def test_report_fold_reads_each_value_under_its_key():
     assert fold.busy_us == VALUES["runtime_us"]
     assert fold.vm_counts == {"t2.micro": 0, "t2.small": 1, "t2.medium": 0, "t2.large": 0}
     assert (fold.billed_s, fold.bill_nanos) == (VALUES["billed_s"], VALUES["bill_nanos"])
-    assert fold.arrivals == {"wf-a": (TIME_US, VALUES["budget_nanos"])}
-    assert fold.completions == {"wf-a": (VALUES["makespan_us"], VALUES["cost_nanos"])}
+    assert fold.workflows == {"wf-a": (TIME_US, VALUES["budget_nanos"],
+                                       VALUES["makespan_us"], VALUES["cost_nanos"])}
 
 
 def test_assignment_log_reads_each_value_under_its_key():
@@ -49,3 +49,11 @@ def test_assignment_log_reads_each_value_under_its_key():
          ASSIGNMENT_EVENTS[kind]]
         for kind in RECORD_FIELDS if kind in ASSIGNMENT_EVENTS]
 
+
+def test_report_fold_skips_a_completion_it_saw_no_arrival_of():
+    """A `workflow_complete` whose arrival the fold has not read adds no
+    workflow to the report."""
+    fold = ReportFold(default_catalog())
+    fold.extend([table_record("workflow_complete")])
+    assert fold.workflows == {}
+    assert fold.report("ebpsm", 0, "").workflows == []

@@ -116,11 +116,11 @@ class ReferenceEbpsmPolicy(EbpsmPolicy):
             if estimated_cost_nanos(vm.vm_type, est_us) > cap:
                 continue
             key = (est_us, vm.vm_type.price_nanos, vm.id)
-            if best is None or key < best:
-                best = key
+            if best is None or key < best[0]:
+                best = key, vm
         if best is not None:
-            claimed.add(best[2])
-            return Assign(run, task, best[2])
+            claimed.add(best[1].id)
+            return Assign(run, task, best[1])
         for vm_type in reference_fastest_first(self.config):
             est_us = usec(self.estimator.estimate(task.kind, vm_type, task.total_runtime))
             if estimated_cost_nanos(vm_type, est_us) <= cap:
@@ -137,17 +137,24 @@ class ReferenceEbpsmPolicy(EbpsmPolicy):
 
 class ReferenceFleet(Fleet):
     """Finds idle, expired, due and held instances by scanning every
-    instance ever leased, in provision order."""
+    instance ever leased, kept in its own registry `ever_leased`, in provision
+    order."""
 
     def __init__(self, config):
         super().__init__(config)
+        self.ever_leased = {}
         self.released = set()
 
+    def provision(self, vm_type, now_us):
+        vm = super().provision(vm_type, now_us)
+        self.ever_leased[vm.id] = vm
+        return vm
+
     def idle_instances(self):
-        return [vm for vm in self.instances.values() if vm.state == IDLE]
+        return [vm for vm in self.ever_leased.values() if vm.state == IDLE]
 
     def idle_scan(self, now_us):
-        expired = [vm for vm in self.instances.values() if vm.state == IDLE
+        expired = [vm for vm in self.ever_leased.values() if vm.state == IDLE
                    and now_us - vm.idle_since_us >= self.config.idle_threshold_us]
         for vm in expired:
             self.terminate(vm, now_us)
@@ -157,14 +164,14 @@ class ReferenceFleet(Fleet):
         return vm.terminated_at_us + self.config.deprovisioning_delay_us
 
     def release_due(self, now_us):
-        due = [vm for vm in self.instances.values()
+        due = [vm for vm in self.ever_leased.values()
                if vm.state == TERMINATED and vm.id not in self.released
                and self._release_at_us(vm) <= now_us]
         self.released.update(vm.id for vm in due)
         return due
 
     def unreleased(self, now_us):
-        return [vm for vm in self.instances.values()
+        return [vm for vm in self.ever_leased.values()
                 if vm.state != TERMINATED or self._release_at_us(vm) > now_us]
 
     def next_due_us(self):
@@ -974,7 +981,7 @@ class ReferenceSimulation:
             if self.finished() and not self.fleet.unreleased(self.now):
                 break
         assert self.finished(), "the reference stalled"
-        self.emit("simulation_end", len(self.runs), len(self.fleet.instances))
+        self.emit("simulation_end", len(self.runs), len(self.fleet.ever_leased))
         lines = [reference_render(TraceEvent(rec)) for rec in self.records]
         return "".join(line + "\n" for line in lines), self.report()
 
@@ -996,7 +1003,7 @@ class ReferenceSimulation:
         for action in self.policy.schedule_ready(self.fleet):
             run, task = action.run, action.task
             if isinstance(action, Assign):
-                vm = self.fleet.instances[action.vm_id]
+                vm = action.vm
                 self.fleet.start_task(vm)
                 self.emit("task_assign", run.spec.id, task.id, vm.id, vm.vm_type.name)
                 self.start(run, task, vm)
@@ -1070,7 +1077,7 @@ class ReferenceSimulation:
                 "makespan_s": makespan_us / 1e6, "cost_usd": cost / 1e9,
                 "budget_usd": budget / 1e9, "budget_met": cost <= budget,
                 "cost_per_budget": ratio, "cost_nanos": cost, "makespan_us": makespan_us})
-        vms = self.fleet.instances.values()
+        vms = self.fleet.ever_leased.values()
         bills = [self.bill(vm) for vm in vms]
         billed_s, bill = sum(s for s, _ in bills), sum(n for _, n in bills)
         counts = {t.name: sum(vm.vm_type.name == t.name for vm in vms) for t in self.cloud.catalog}

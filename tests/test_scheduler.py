@@ -310,7 +310,7 @@ def test_schedule_two_tasks_never_share_one_idle_vm():
 
 
 def test_one_batch_assigns_each_idle_vm_once():
-    """Dispatch takes an idle VM's id out of the index, so one batch assigns
+    """Dispatch takes an idle VM out of the index, so one batch assigns
     each idle VM once, though the VM stays idle until its task starts."""
     config = CloudConfig(catalog=(MICRO,), provisioning_delay=0.0)
     policy = make_policy("ebpsm", config, ORACLE)
@@ -325,7 +325,7 @@ def test_one_batch_assigns_each_idle_vm_once():
     for tid in spec.tasks:
         policy.enqueue_ready(run, run.spec.tasks[tid])
     actions = policy.schedule_ready(fleet)
-    assert sorted(a.vm_id for a in actions if isinstance(a, Assign)) == ["vm-0001", "vm-0002"]
+    assert sorted(a.vm.id for a in actions if isinstance(a, Assign)) == ["vm-0001", "vm-0002"]
     assert sum(1 for a in actions if isinstance(a, Provision)) == 2
 
 
@@ -348,7 +348,7 @@ def test_equal_cost_idle_vms_go_in_id_string_order_past_vm_9999():
     for tid in ("a", "b"):
         policy.enqueue_ready(run, run.spec.tasks[tid])
     actions = policy.schedule_ready(fleet)
-    assert [(a.task.id, a.vm_id) for a in actions] == [("a", "vm-10000"), ("b", "vm-9999")]
+    assert [(a.task.id, a.vm.id) for a in actions] == [("a", "vm-10000"), ("b", "vm-9999")]
 
 
 def test_polled_eft_keys_non_decreasing():
