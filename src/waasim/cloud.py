@@ -199,10 +199,15 @@ class Fleet:
         # Per type name, a heap of (id, instance) of its idle instances, least
         # id string first: the order in which dispatch breaks ties. An entry
         # enters when a task on its instance finishes and leaves when dispatch
-        # takes it; that of an instance the idle scan terminated is dropped
-        # when it reaches the top. So each id is in its heap at most once, and
-        # no comparison reaches an instance.
+        # takes it. That of an instance the idle scan terminated is stale: it
+        # is dropped when it reaches the top, or when the heap is compacted.
+        # So each id is in its heap at most once, and no comparison reaches
+        # an instance.
         self._heads: dict[str, list[tuple[str, VmInstance]]] = {}
+        # Per type name, the idle instances terminated since its heap was last
+        # compacted, at least its stale entries. Once they are more than half
+        # the heap, it is compacted, so each termination pays O(1) for it.
+        self._stale: dict[str, int] = {}
         # Terminated instances release_due has not returned, in termination
         # order, which is release order as the deprovisioning delay is constant.
         self._releasing: deque[VmInstance] = deque()
@@ -242,7 +247,8 @@ class Fleet:
         heapq.heappush(self._heads.setdefault(vm.vm_type.name, []), (vm.id, vm))
 
     def terminate(self, vm: VmInstance, now_us: int) -> None:
-        if vm.state == IDLE:
+        was_idle = vm.state == IDLE
+        if was_idle:
             del self._idle[vm.id]
         elif vm.state != BUSY:
             raise IllegalState(f"{vm.id}: cannot terminate while {vm.state}")
@@ -250,6 +256,15 @@ class Fleet:
         vm.terminated_at_us = now_us
         del self.instances[vm.id]
         self._releasing.append(vm)
+        if was_idle:
+            name = vm.vm_type.name
+            heap = self._heads[name]
+            stale = self._stale.get(name, 0) + 1
+            if 2 * stale > len(heap):
+                heap[:] = [entry for entry in heap if entry[1].state == IDLE]
+                heapq.heapify(heap)
+                stale = 0
+            self._stale[name] = stale
 
     def idle_scan(self, now_us: int) -> list[VmInstance]:
         """Terminate every idle instance whose idle time reached the

@@ -81,8 +81,14 @@ class _Simulation:
         self._append = self._chunk.append
         self._workflows = len(workload.workflows)
         self._completed = 0
-        self._next_tick_us: int | None = None
         self._scan_interval_us = cloud.scan_interval_us
+        # The pending scan tick, where a scan pushed at every multiple of the
+        # interval while a VM is held would be: its time (at or before the
+        # clock while none is pending), its rank, the push count that scan
+        # would follow, and whether it is in the heap.
+        self._tick_us = -1
+        self._tick_rank = 0
+        self._tick_pushed = False
 
     # -- event plumbing ----------------------------------------------------
 
@@ -195,7 +201,6 @@ class _Simulation:
                           self.clock_us - run.arrival_us, run.cost_nanos))
 
     def _on_scan_tick(self) -> None:
-        self._next_tick_us = None
         self._retire(self.fleet.idle_scan(self.clock_us))
 
     def _retire(self, terminated: list[VmInstance]) -> None:
@@ -222,24 +227,45 @@ class _Simulation:
                 self._push(vm.available_at_us, self._on_vm_available, (vm, run, task))
 
     def _maybe_schedule_tick(self) -> None:
-        if self._next_tick_us is not None:
-            return
-        if not self.fleet.unreleased(self.clock_us):
-            return
+        """Keep the scan tick that pushing one at the end of every time step
+        while a VM is held would leave pending, and push it only when a VM
+        can come due by its time. A tick that would find nothing changes
+        nothing, so it is skipped, and the ticks after it take their rank
+        from the step in which it would have run. A pushed tick's seq is its
+        rank + 0.5: it sorts after the events pushed up to that rank and
+        before those pushed later, as that push would."""
+        now = self.clock_us
+        heap = self._heap
         interval = self._scan_interval_us
-        next_tick = (self.clock_us // interval + 1) * interval
-        # Skip the ticks that would find nothing: tick at the first multiple
-        # at or after the fleet's next due time, or the next event's time if
-        # that is earlier. Every skipped tick would have been alone in its
-        # batch, so no batch runs between this push and the push a tick every
-        # interval would make, and the tick keeps its rank at its time.
+        tick = self._tick_us
+        if tick > now:
+            # Pushed already, or later than the next event, whose step ends first.
+            if self._tick_pushed or (heap and tick > heap[0][0]):
+                return
+        elif self.fleet.unreleased(now):
+            # The pending tick ran or was skipped in this step, at whose end
+            # the next is pushed.
+            tick = self._tick_us = (now // interval + 1) * interval
+            self._tick_rank = self._seq
+            self._tick_pushed = False
+        else:
+            return
         due = self.fleet.next_due_us()
-        if self._heap and (due is None or self._heap[0][0] < due):
-            due = self._heap[0][0]
-        if due is not None and due > next_tick:
-            next_tick = -(-due // interval) * interval
-        self._next_tick_us = next_tick
-        self._push(next_tick, self._on_scan_tick)
+        if due is not None:
+            # Each tick before the first at or after `due` would run alone and
+            # find nothing, so the last of them would push this one now.
+            due_tick = max(tick, -(-due // interval) * interval)
+            if not heap or due_tick <= heap[0][0]:
+                if due_tick > tick:
+                    self._tick_us, self._tick_rank = due_tick, self._seq
+                self._tick_pushed = True
+                heapq.heappush(heap, (due_tick, self._tick_rank + 0.5, self._on_scan_tick, ()))
+                return
+        if heap and tick < heap[0][0]:
+            # No VM comes due before the next event: the ticks up to it are
+            # skipped, and the first at or after it ranks here.
+            self._tick_us = -(-heap[0][0] // interval) * interval
+            self._tick_rank = self._seq
 
 
 def run(workload: WorkloadSpec, scheduler: str = "ebpsm",

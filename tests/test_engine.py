@@ -14,6 +14,7 @@ from waasim import engine, metrics
 from waasim.cloud import CloudConfig, VariabilityConfig
 from waasim.errors import ConfigError, IllegalState, StallError
 from waasim.estimator import EstimatorConfig
+from waasim.experiment import ExperimentConfig
 from waasim.metrics import RECORD_FIELDS, ReportFold
 from waasim.scheduler import make_policy
 from waasim.schema import replace
@@ -140,27 +141,34 @@ def test_clock_monotone_and_event_counts(mono_cloud, oracle):
 
 
 def test_scan_ticks_only_where_a_vm_can_come_due(monkeypatch, oracle):
-    """A scan tick that terminates and releases nothing is pushed only when
-    the next event capped it, so there is at most one such tick per time of
-    the other events. Ticking every interval would give thousands here: the
-    chain runs for hours on a VM or two."""
-    rng = random.Random(808)
-    spec = chain_workflow([24.0 * rng.randint(3, 25) for _ in range(100)], budget=0.2)
-    empty, tick_events = 0, set()
+    """A scan tick is pushed only where a VM can come due, so on these runs
+    every tick that runs terminates or releases a VM. On the chain, which
+    runs for hours on a VM or two, a tick at every interval would give
+    thousands, and one at every completion a hundred."""
+    ticks = empty = 0
     original = engine._Simulation._on_scan_tick
 
     def tick(sim):
-        nonlocal empty
-        before = len(sim.trace)
+        nonlocal ticks, empty
+        before = len(sim._chunk)
         original(sim)
-        tick_events.update(range(before, len(sim.trace)))
-        empty += len(sim.trace) == before
+        ticks += 1
+        empty += len(sim._chunk) == before
 
     monkeypatch.setattr(engine._Simulation, "_on_scan_tick", tick)
-    trace = events(engine.run(single_workload(spec), "ebpsm", CloudConfig(), oracle, seed=0).trace)
-    other_times = {ev.time_us for i, ev in enumerate(trace) if i not in tick_events}
-    assert sum(ev.name == "task_complete" for ev in trace) == 100
-    assert empty <= len(other_times)
+    rng = random.Random(808)
+    chain = single_workload(chain_workflow([24.0 * rng.randint(3, 25) for _ in range(100)],
+                                           budget=0.2))
+    trace = engine.run(chain, "ebpsm", CloudConfig(), oracle, seed=0).trace
+    assert sum(rec[1] == "task_complete" for rec in trace) == 100
+    assert 0 < ticks < 10 and empty == 0
+    mix = generate_workload(ExperimentConfig().build_catalog(), 40, 12.0, 808)
+    mono = CloudConfig(catalog=(MICRO,))
+    for scheduler, cloud in (("ebpsm", CloudConfig()), ("fcfs", mono),
+                             ("ebpsm-homogeneous", mono)):
+        ticks = 0
+        engine.run(mix, scheduler, cloud, oracle, seed=0)
+        assert ticks > 0 and empty == 0, scheduler
 
 
 def test_every_vm_terminated_before_end(mono_cloud, oracle):

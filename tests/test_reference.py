@@ -1115,6 +1115,31 @@ def dags(draw):
 # Each workflow is drawn as (template index, budget factor, arrival gap).
 # Gaps of 0 and runtimes of a few values make same-time events common.
 @settings(max_examples=70, deadline=None)
+# A scan tick keeps the rank a tick pushed at every multiple would have.
+# Each of these cases fails when one rule of that rank is broken: a tick
+# pushed at the current push count (the scan at 20 s must release the first
+# VM before the second task completes and terminates its own VM), a tick
+# moved past the next event or one pushed past the pending tick that keeps
+# the pending tick's rank.
+@example(scheduler="fcfs", catalog=(MICRO,), mode="oracle", variability="none",
+         templates=[_assemble("w", [_TaskDoc("a", "k0", 10.0),
+                                    _TaskDoc("b", "k0", 10.0, parents=["a"])], 0.0, 0.0)],
+         draws=[(0, 1.0, 0.0)], provisioning_delay=0.0, deprovisioning_delay=10.0,
+         idle_threshold=1.0, scan_interval=10.0, run_seed=0)
+@example(scheduler="ebpsm", catalog=default_catalog(), mode="oracle", variability="none",
+         templates=[_assemble("w", [_TaskDoc("a", "k0", 10.0)], 0.0, 0.0)],
+         draws=[(0, 0.0, 2.5), (0, 0.0, 2.5)], provisioning_delay=0.0,
+         deprovisioning_delay=0.0, idle_threshold=1.0, scan_interval=3.0, run_seed=0)
+@example(scheduler="ebpsm", catalog=(VmType("v0", 1, 1024, 1e-06, 0.5),
+                                     VmType("v1", 1, 1024, 1e-06, 0.5)),
+         mode="oracle", variability="none",
+         templates=[_assemble("w", [_TaskDoc("a", "k0", 10.0),
+                                    _TaskDoc("b", "k0", 10.0, parents=["a"]),
+                                    _TaskDoc("c", "k0", 2.5, parents=["a"], transfer=2.5),
+                                    _TaskDoc("d", "k0", 10.0, parents=["b", "c"])], 0.0, 0.0)],
+         draws=[(0, 0.0, 10.0), (0, 0.0, 2.5), (0, 0.0, 2.5), (0, 0.0, 90.0)],
+         provisioning_delay=0.0, deprovisioning_delay=0.0, idle_threshold=60.0,
+         scan_interval=3.0, run_seed=0)
 @given(scheduler=st.sampled_from(SCHEDULER_NAMES),
        catalog=catalogs(),
        mode=st.sampled_from(["oracle", "history"]),

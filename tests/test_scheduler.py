@@ -410,6 +410,26 @@ def test_fcfs_fleet_keeps_no_idle_index(monkeypatch, oracle):
     assert len(fleets) == 1 and fleets[0]._heads == {} and fleets[0].idle_instances() == []
 
 
+def test_idle_heaps_hold_no_terminated_vm_after_a_run(monkeypatch, oracle):
+    """A VM the idle scan terminated leaves its type's idle heap at the
+    latest when its heap is compacted, once such entries outnumber the idle
+    VMs, so the heaps are empty once every VM is terminated."""
+    from waasim.experiment import ExperimentConfig
+    from waasim.workflow import generate_workload
+    fleets = []
+
+    class RecordedFleet(Fleet):
+        def __init__(self, config):
+            super().__init__(config)
+            fleets.append(self)
+
+    monkeypatch.setattr(engine, "Fleet", RecordedFleet)
+    workload = generate_workload(ExperimentConfig().build_catalog(), 4000, 20.0, 808)
+    engine.run(workload, "ebpsm", CloudConfig(), oracle, seed=0)
+    heads = fleets[0]._heads
+    assert len(heads) == 4 and not any(heads.values())
+
+
 def test_fcfs_single_task_makespan(oracle):
     cloud = CloudConfig(catalog=(MICRO,), provisioning_delay=90.0)
     spec = chain_workflow([100.0])
