@@ -8,6 +8,7 @@ variant used for baseline comparisons.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import weakref
@@ -87,44 +88,53 @@ class BudgetLedger:
     """Per-workflow budget state, exact to the nano-dollar.
 
     The identity  budget == spent + sub_budgets + unassigned - debt
-    holds after every operation. `unscheduled` holds the tasks not yet
-    dispatched, in distribution order; dispatch takes a task out with
-    `lock`.
+    holds after every operation. `pending` holds the tasks not yet
+    dispatched, in distribution order, and `unscheduled` reads them by id;
+    dispatch takes a task out with `lock`.
 
     `costs` prices the tasks, and `position` numbers them in distribution
     order, once per distribution (copies share it). The remaining fields
     are what the last fold left, so the next one can resume (see `_fold`):
-    the `costs.changes` it priced at, each unscheduled task's entering
-    pool, the sum of the unscheduled tasks' sub-budgets and their
-    cheapest-cost reserve, and the last position at which the next fold
+    the `costs.changes` it priced at; each pending task's entering pool,
+    stored less `offset`; the sum of the pending tasks' sub-budgets and
+    their cheapest-cost reserve; the last position at which the next fold
     may not stop: that of the last fold's last debt or of a task locked
-    since, whichever is later.
+    since, whichever is later; and, for the pending tasks from position
+    `windows_from` on, each one's window (see `_windows`).
     """
 
-    __slots__ = ("budget_nanos", "unassigned", "sub_budgets", "spent", "debt", "unscheduled",
-                 "costs", "changes", "position", "entry_pool", "unscheduled_budget",
-                 "reserve", "resume_after")
+    __slots__ = ("budget_nanos", "unassigned", "sub_budgets", "spent", "debt", "pending",
+                 "costs", "changes", "position", "entry_pool", "offset", "unscheduled_budget",
+                 "reserve", "resume_after", "windows", "windows_from")
 
     def __init__(self, budget_nanos: int, unassigned: int = 0,
                  sub_budgets: dict[str, int] | None = None, spent: int = 0, debt: int = 0,
-                 unscheduled: dict[str, TaskRecord] | None = None,
+                 pending: list[TaskRecord] | None = None,
                  costs: CostRows | None = None, changes: int = -1,
                  position: dict[str, int] | None = None,
-                 entry_pool: dict[str, int] | None = None, unscheduled_budget: int = 0,
-                 reserve: int = 0, resume_after: float = -1):
+                 entry_pool: dict[str, int] | None = None, offset: int = 0,
+                 unscheduled_budget: int = 0, reserve: int = 0, resume_after: float = -1):
         self.budget_nanos = budget_nanos
         self.unassigned = unassigned
         self.sub_budgets = {} if sub_budgets is None else sub_budgets
         self.spent = spent
         self.debt = debt
-        self.unscheduled = {} if unscheduled is None else unscheduled
+        self.pending = [] if pending is None else pending
         self.costs = costs
         self.changes = changes
         self.position = {} if position is None else position
         self.entry_pool = {} if entry_pool is None else entry_pool
+        self.offset = offset
         self.unscheduled_budget = unscheduled_budget
         self.reserve = reserve
         self.resume_after = resume_after
+        self.windows: dict[str, tuple[float, float]] = {}
+        self.windows_from = math.inf
+
+    @property
+    def unscheduled(self) -> dict[str, TaskRecord]:
+        """The pending tasks by id, in distribution order."""
+        return {t.id: t for t in self.pending}
 
     def identity_gap(self) -> int:
         """Zero when the ledger identity holds exactly."""
@@ -135,20 +145,23 @@ class BudgetLedger:
 
     def lock(self, task_id: str) -> int:
         """Take a dispatched task out of redistribution; returns its
-        sub-budget, which caps the task's VM choice."""
-        task = self.unscheduled.pop(task_id)
+        sub-budget, which caps the task's VM choice. Dispatch mostly takes
+        the first pending task; any other is found by its position."""
+        del self.entry_pool[task_id]
+        pending, position = self.pending, self.position
+        task = pending.pop(0 if pending[0].id == task_id else bisect.bisect_left(
+            pending, position[task_id], key=lambda t: position[t.id]))
         sub = self.sub_budgets[task_id]
         self.unscheduled_budget -= sub
         self.reserve -= self.costs.rows[task.kind, task.total_runtime].cheapest
-        del self.entry_pool[task_id]
-        self.resume_after = max(self.resume_after, self.position[task_id])
+        self.resume_after = max(self.resume_after, position[task_id])
         return sub
 
     def copy(self) -> BudgetLedger:
         """This ledger, sharing nothing that either changes in place."""
         return BudgetLedger(self.budget_nanos, self.unassigned, dict(self.sub_budgets),
-                            self.spent, self.debt, dict(self.unscheduled), self.costs,
-                            self.changes, self.position, dict(self.entry_pool),
+                            self.spent, self.debt, self.pending.copy(), self.costs,
+                            self.changes, self.position, dict(self.entry_pool), self.offset,
                             self.unscheduled_budget, self.reserve, self.resume_after)
 
 
@@ -173,22 +186,27 @@ def distribution_order(tasks: list[TaskRecord], eft_us: dict[str, int]) -> list[
 
 
 def _fold(ledger: BudgetLedger, pool: int, tasks: list[TaskRecord]) -> None:
-    """Assign a sub-budget to every task of `tasks`, the unscheduled tasks
-    in distribution order, spending `pool`.
+    """Assign a sub-budget to every task of `tasks`, the pending tasks in
+    distribution order, spending `pool`.
 
     Each task in turn gets the fastest type it can afford while the pool
     still covers all later tasks at the cheapest type; when nothing
     qualifies it falls back to the cheapest type, with any shortfall
     recorded as debt so execution can always proceed.
 
-    The fold is a left fold over (pool, reserve, debt). It stops at the
-    first task the last fold entered in the same state: the same pool, a
-    position after every task locked since (so the same reserve and the
-    same later tasks) and after the last fold's last debt (so the later
-    tasks add no debt to be counted again). From there on the last fold's
-    sub-budgets and final pool stand as they are. When a cost row has
-    changed since the last fold, the reserve is summed again and the fold
-    runs to the end.
+    The fold is a left fold over (pool, reserve, debt), and it resumes the
+    last one. Take a task after every task locked since the last fold (so
+    with the same reserve and the same later tasks) and after that fold's
+    last debt: the last fold entered it with its stored pool plus `offset`.
+    Entering it with a pool δ larger moves every later task's pool by δ as
+    well, for as long as no later choice changes and no later task runs
+    into debt; the task's window holds the offsets for which that is so.
+    So the fold stops at the first such task whose pool less its stored
+    pool, the implied offset, lies in its window, as `offset` itself (δ = 0)
+    always does. From there on the last fold's sub-budgets stand, `offset`
+    becomes the implied one and the final pool moves by δ. When a cost row
+    has changed since the last fold, the reserve is summed again and the
+    fold runs to the end.
     """
     costs = ledger.costs
     if ledger.changes != costs.changes:
@@ -196,14 +214,20 @@ def _fold(ledger: BudgetLedger, pool: int, tasks: list[TaskRecord]) -> None:
         ledger.reserve = sum(costs.row(t.kind, t.total_runtime).cheapest for t in tasks)
         ledger.resume_after = math.inf
     subs, entry_pool, rows = ledger.sub_budgets, ledger.entry_pool, costs.rows
-    position, stop_after = ledger.position, ledger.resume_after
-    reserve = ledger.reserve
-    last_debt = -1
+    position, offset, reserve = ledger.position, ledger.offset, ledger.reserve
+    after, last_debt = ledger.resume_after, -1
     for task in tasks:
         tid = task.id
-        if pool == entry_pool.get(tid) and position[tid] > stop_after:
-            break
-        entry_pool[tid] = pool
+        if position[tid] > after:
+            implied = pool - entry_pool[tid]
+            if implied == offset:
+                break
+            if position[tid] < ledger.windows_from:
+                _windows(ledger, tasks, tid, reserve)
+            low, high = ledger.windows[tid]
+            if low <= implied < high:
+                break
+        entry_pool[tid] = pool - offset
         terms, cheapest = rows[task.kind, task.total_runtime]
         reserve -= cheapest
         chosen = cheapest
@@ -220,8 +244,50 @@ def _fold(ledger: BudgetLedger, pool: int, tasks: list[TaskRecord]) -> None:
             pool = 0
             last_debt = position[tid]
     else:
-        ledger.unassigned = pool
+        ledger.unassigned, ledger.windows_from, ledger.resume_after = pool, math.inf, last_debt
+        return
+    if implied != offset:
+        for entered in tasks:
+            if entered is task:
+                break
+            entry_pool[entered.id] -= implied - offset
+        ledger.unassigned += implied - offset
+        ledger.offset = implied
+    if ledger.windows_from < position[tid]:
+        ledger.windows_from = position[tid]
     ledger.resume_after = last_debt
+
+
+def _windows(ledger: BudgetLedger, tasks: list[TaskRecord], tid: str, reserve: int) -> None:
+    """Give each task of `tasks` from `tid` on its window, `reserve` being
+    the sum of their cheapest costs: the offsets over which it and every
+    later task keep their sub-budgets and take no debt. A task keeps its choice
+    while its pool less the reserve after it stays at or above the cost it
+    chose and below every cost it passed over; a task that fell back to the
+    cheapest type needs that below every cost and its pool at or above its
+    cheapest cost. A window stands until the fold enters its task again,
+    so only the tasks before the first standing one get a new window."""
+    position, rows, entry_pool, windows = (ledger.position, ledger.costs.rows,
+                                           ledger.entry_pool, ledger.windows)
+    i = end = bisect.bisect_left(tasks, position[tid], key=lambda t: position[t.id])
+    while end < len(tasks) and position[tasks[end].id] < ledger.windows_from:
+        reserve -= rows[tasks[end].kind, tasks[end].total_runtime].cheapest
+        end += 1
+    low, high = windows[tasks[end].id] if end < len(tasks) else (-math.inf, math.inf)
+    for task in reversed(tasks[i:end]):
+        terms, cheapest = rows[task.kind, task.total_runtime]
+        stored = entry_pool[task.id]
+        spare = stored + ledger.offset - reserve
+        floor, ceiling = cheapest, math.inf
+        for _, cost in terms:
+            if cost <= spare:
+                floor = cost + reserve
+                break
+            ceiling = min(ceiling, cost)
+        low, high = max(low, floor - stored), min(high, ceiling + reserve - stored)
+        windows[task.id] = low, high
+        reserve += cheapest
+    ledger.windows_from = position[tid]
 
 
 def distribute_budget(budget_nanos: int, tasks: list[TaskRecord], eft_us: dict[str, int],
@@ -229,8 +295,8 @@ def distribute_budget(budget_nanos: int, tasks: list[TaskRecord], eft_us: dict[s
     """Build a fresh ledger and split the workflow budget across its tasks,
     pricing them with `costs`."""
     ordered = distribution_order(tasks, eft_us)
-    ledger = BudgetLedger(budget_nanos=budget_nanos, unscheduled={t.id: t for t in ordered},
-                          costs=costs, position={t.id: i for i, t in enumerate(ordered)})
+    ledger = BudgetLedger(budget_nanos=budget_nanos, pending=ordered, costs=costs,
+                          position={t.id: i for i, t in enumerate(ordered)})
     _fold(ledger, budget_nanos, ordered)
     return ledger
 
@@ -243,9 +309,9 @@ def update_budget(ledger: BudgetLedger, finished: TaskRecord, actual_cost_nanos:
     from the pool, spilling into debt once the pool is exhausted. The pool
     is then redistributed over `unscheduled`, the still-unscheduled tasks
     in distribution order, by a fold that resumes the last one: it stops
-    as soon as it reaches the state the last fold was in (see `_fold`), so
-    a completion that changes nothing costs little. The tasks are priced
-    with the ledger's `costs`.
+    as soon as the rest of the last fold holds, shifted by what this
+    completion moved (see `_fold`), so a completion costs little unless it
+    changes a choice. The tasks are priced with the ledger's `costs`.
     """
     if finished.id not in ledger.sub_budgets:
         raise IllegalState(f"task {finished.id!r} has no sub-budget entry")
@@ -367,7 +433,7 @@ class EbpsmPolicy:
         self.costs.record(task.kind, vm_type, runtime_us / 1e6)
         ledger = run.ledger
         if ledger is not None:
-            update_budget(ledger, task, actual_cost_nanos, list(ledger.unscheduled.values()))
+            update_budget(ledger, task, actual_cost_nanos, ledger.pending)
 
 
 class FcfsPolicy:

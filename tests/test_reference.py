@@ -708,6 +708,94 @@ def test_refold_reprices_a_later_row_after_a_history_record():
     assert twin.ref.sub_budgets["t2"] == 5 * 38_200
 
 
+def wide_dag(rng, size):
+    """A DAG of `size` tasks in one to three levels below a root, each task
+    the child of one task of the level above."""
+    rows, above = [("t0", "k0", 100.0, [])], ["t0"]
+    levels = rng.randint(1, 3)
+    for level in range(levels):
+        width = (size - 1) // levels + (level < (size - 1) % levels)
+        names = [f"t{len(rows) + i}" for i in range(width)]
+        rows += [(name, f"k{rng.randint(0, 3)}", rng.randint(1, 300) * 1.0, [rng.choice(above)])
+                 for name in names]
+        above = names
+    return build_workflow(rows, wid="wide")
+
+
+@st.composite
+def long_workflows(draw):
+    """A chain of 50-400 tasks, or a wide DAG of 100-300."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return chain_workflow([rng.randint(1, 300) * 1.0
+                               for _ in range(draw(st.integers(50, 400)))])
+    return wide_dag(rng, draw(st.integers(100, 300)))
+
+
+# What a completion costs, from its task's sub-budget `held` and a drawn
+# `small`: the settlements around the sub-budget that shift every later pool.
+SETTLEMENTS = {"-1": lambda held, small: held - 1,
+               "-small": lambda held, small: held - small,
+               "0": lambda held, small: held,
+               "+small": lambda held, small: held + small,
+               "half": lambda held, small: held // 2,
+               "double": lambda held, small: 2 * held}
+
+
+@settings(max_examples=30, deadline=None)
+# A surplus flips only the last task: its LARGE cost, 191,000 nano-dollars
+# for 10 s, is the one the extra 100,000 plus t0's 60,000 surplus reaches.
+@example(spec=chain_workflow([100.0] * 49 + [10.0]), catalog=(MICRO, LARGE), mode="oracle",
+         factor=1.0, extra=100_000, small=60_000, settle=["-small"], step_seed=0)
+# On the fast type (price 2, speed 3) a 10 s task costs 8,000 nano-dollars
+# and a 100 s one 68,000; on the cheapest (price 1, speed 1) 10,000 and
+# 100,000. With 10,000 short of the cheapest cost, every 10 s task falls
+# back to the cheapest type and the last task takes the fast one. t0's
+# overrun of 95,000 pushes t58, a fallback task, into debt.
+@example(spec=chain_workflow([10.0] * 59 + [100.0]),
+         catalog=(VmType("v0", 1, 1, 2e-6, 3.0), VmType("v1", 1, 1, 1e-6, 1.0)),
+         mode="oracle", factor=1.0, extra=-10_000, small=95_000, settle=["+small"],
+         step_seed=0)
+@given(spec=long_workflows(),
+       catalog=catalogs(),
+       mode=st.sampled_from(["oracle", "history"]),
+       factor=st.sampled_from([0.0, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0]),
+       extra=st.sampled_from([-1_000_000, -1, 0, 1, 100_000, 1_000_000]),
+       small=st.integers(1, 2_000_000),
+       settle=st.lists(st.sampled_from(sorted(SETTLEMENTS)), min_size=1, max_size=6),
+       step_seed=st.integers(0, 2**32 - 1))
+def test_long_redistribution_matches_reference(spec, catalog, mode, factor, extra, small,
+                                               settle, step_seed):
+    """Long chains and wide DAGs shrinking to a few tasks, dispatched mostly
+    in distribution order and settled at and around their sub-budgets, so
+    that the resumed fold stops after a shift: every step matches the
+    reference. Completion k settles by `settle[k % len(settle)]`."""
+    config = CloudConfig(catalog=catalog)
+    estimator = RuntimeEstimator(EstimatorConfig(mode))
+    cheapest_cost = sum(reference_cost_table(t, estimator, config)[config.cheapest_type.name]
+                        for t in spec.tasks.values())
+    twin = Twin(spec, max(0, round(cheapest_cost * factor) + extra), estimator, config)
+    rng = random.Random(step_seed)
+    undispatched = [t.id for t in distribution_order(list(spec.tasks.values()), twin.eft_us)]
+    running: list[str] = []
+    width = 1 if spec.id == "chain" else 40
+    completions = 0
+    while undispatched or running:
+        if undispatched and (not running or len(running) < width and rng.random() < 0.8):
+            tid = undispatched.pop(0 if rng.random() < 0.9 else rng.randrange(len(undispatched)))
+            twin.lock(tid)
+            running.append(tid)
+        else:
+            tid = running.pop(0 if rng.random() < 0.8 else rng.randrange(len(running)))
+            if mode == "history" and rng.random() < 0.1:
+                twin.costs.record(spec.tasks[tid].kind, rng.choice(catalog),
+                                  rng.randint(1, 600_000_000) / 1e6)
+            held = twin.ledger.sub_budgets[tid]
+            settlement = SETTLEMENTS[settle[completions % len(settle)]]
+            twin.complete(tid, max(1, settlement(held, small)))
+            completions += 1
+
+
 # Ids are arbitrary strings: these are weighted toward the characters CSV
 # quotes, the whitespace a trace line strips and text that is not ASCII.
 ids = st.text(st.sampled_from(',"\r\n \t') | st.characters(codec="utf-8"), max_size=4)

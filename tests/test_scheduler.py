@@ -1,19 +1,23 @@
 """Budget distribution, budget update, EFT, ready-queue dispatch, baselines."""
 
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
 from conftest import (LARGE, MICRO, build_workflow, chain_workflow,
                       diamond_workflow, random_dag, single_workload)
-from waasim import engine
+from waasim import engine, scheduler
 from waasim.cloud import CloudConfig, Fleet
 from waasim.errors import ConfigError, IllegalState
 from waasim.estimator import EstimatorConfig, RuntimeEstimator
+from waasim.experiment import ExperimentConfig
 from waasim.scheduler import (Assign, BudgetLedger, CostRows, Provision,
                               compute_eft_us, distribute_budget,
                               distribution_order, make_policy, update_budget)
 from waasim.units import nanos, usec
+from waasim.workflow import generate_workload
 
 
 class FixedEstimator:
@@ -161,7 +165,7 @@ def test_distribution_order_level_then_eft():
 def settled_ledger() -> tuple:
     """Ledger with one finished-pending task f and one unscheduled task u."""
     spec = build_workflow([("f", "f", 100.0, []), ("u", "u", 100.0, ["f"])])
-    ledger = BudgetLedger(nanos(0.01), unscheduled={"u": spec.tasks["u"]},
+    ledger = BudgetLedger(nanos(0.01), pending=[spec.tasks["u"]],
                           costs=fixed_costs(100.0), position={"f": 0, "u": 1})
     ledger.sub_budgets = {"f": nanos(0.005), "u": nanos(0.002)}
     ledger.unscheduled_budget = nanos(0.002)
@@ -231,6 +235,85 @@ def test_update_budget_randomized_identity():
             assert ledger.identity_gap() == 0
             assert all(v >= 0 for v in ledger.sub_budgets.values())
             assert ledger.unassigned >= 0
+
+
+def test_out_of_order_locks_keep_the_pending_list_in_distribution_order():
+    """Locks in random order take the bisect path as well as the head; after
+    each, the pending list is the distribution order less the locked tasks,
+    and the entering pools are kept for exactly those tasks."""
+    rng = random.Random(4242)
+    costs = fixed_costs(100.0)
+    for _ in range(50):
+        spec = random_dag(rng, max_tasks=30)
+        eft_us = {tid: rng.randrange(100) for tid in spec.tasks}
+        ordered = distribution_order(list(spec.tasks.values()), eft_us)
+        ledger = distribute_budget(rng.randrange(0, 20_000_000), list(spec.tasks.values()),
+                                   eft_us, costs)
+        locked = set()
+        for tid in rng.sample(sorted(spec.tasks), len(spec.tasks)):
+            assert ledger.lock(tid) == ledger.sub_budgets[tid]
+            locked.add(tid)
+            assert ledger.pending == [t for t in ordered if t.id not in locked]
+            assert list(ledger.entry_pool) == [t.id for t in ledger.pending]
+            with pytest.raises(KeyError):
+                ledger.lock(tid)
+
+
+def deep_chain(monkeypatch, tasks, seed):
+    """The `deep-chain` benchmark's workload for input `seed`, `tasks` long."""
+    rep = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "rep.py"))
+    monkeypatch.setitem(rep["chain_document"].__globals__, "CHAIN_TASKS", tasks)
+    return rep["_Chain"]().workload(seed)
+
+
+class CountingDict(dict):
+    """A dict that counts its item writes."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        CountingDict.writes += 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("tasks", [1000, 2000, 4000, 8000])
+def test_fold_enters_linearly_many_positions_on_long_chains(monkeypatch, tasks):
+    """The resumed fold rides a uniform shift of the pool, so the fold
+    positions a run enters, counted as writes of its ledger's entering
+    pools, stay within 6 per task on `deep-chain` chains of any length. A
+    fold that stopped only where the pool is unchanged enters about n**2 / 6
+    on inputs 808 and 809 at 4,000 tasks."""
+    policy = scheduler.EbpsmPolicy
+    on_arrival = policy.on_arrival
+
+    def counted(self, run):
+        on_arrival(self, run)
+        run.ledger.entry_pool = CountingDict(run.ledger.entry_pool)
+
+    monkeypatch.setattr(policy, "on_arrival", counted)
+    monkeypatch.setattr(CountingDict, "writes", 0)
+    for seed in (808, 809, 810):
+        before = CountingDict.writes
+        engine.run(deep_chain(monkeypatch, tasks, seed), "ebpsm", CloudConfig(), ORACLE,
+                   seed=seed)
+        assert CountingDict.writes - before <= 6 * tasks
+
+
+def test_update_budget_folds_over_the_ledgers_own_pending_list(monkeypatch):
+    """Every completion hands `update_budget` its workflow's pending list
+    itself, one list object per workflow, never a copy."""
+    seen = {}
+    original = scheduler.update_budget
+
+    def check(ledger, finished, cost, unscheduled):
+        assert unscheduled is ledger.pending
+        assert seen.setdefault(ledger, unscheduled) is unscheduled
+        return original(ledger, finished, cost, unscheduled)
+
+    monkeypatch.setattr(scheduler, "update_budget", check)
+    workload = generate_workload(ExperimentConfig().build_catalog(), 20, 12.0, seed=5)
+    engine.run(workload, "ebpsm", CloudConfig(), ORACLE, seed=3)
+    assert len(seen) == 20
 
 
 # -- dispatch ----------------------------------------------------------------
